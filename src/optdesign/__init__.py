@@ -61,7 +61,6 @@ from .designs import (  # noqa: E402
     round_to_n,
 )
 from .errors import (  # noqa: E402
-    CertificateFailure,
     DegenerateModelError,
     DomainError,
     EmptyDesignError,

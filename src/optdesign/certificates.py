@@ -16,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import E_GAP_REL, NEG_INF, Criterion, phi, polar, psd_eig
+from .criteria import _SING_REL, E_GAP_REL, NEG_INF, Criterion, phi, polar, psd_eig
 from .designs import Design, info_matrix
 from .errors import InconsistencyError, ValidationError
 from .models import FAMILIES, CandidateSet, ModelSpec, make_model, truncated_axes
-
-_SING_REL = 1e-14
 
 
 @dataclass(frozen=True)

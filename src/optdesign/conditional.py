@@ -20,6 +20,7 @@ import numpy as np
 from .designs import Design, info_matrix
 from .errors import NoConditionalModelError, ValidationError
 from .models import CandidateSet, ModelSpec, discretize, gram_rank, interval, make_model
+from .projections import gap_eigh, max_lambda_min
 
 
 @dataclass(frozen=True)
@@ -512,47 +513,10 @@ def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget:
     tr_i = (F**2).sum(axis=1)
     rounds = int(np.clip(budget // 100, 10, 80))
 
-    def margin_of(w):
-        delta = F.T @ (w[:, None] * F) - M1
-        vals, vecs = np.linalg.eigh(0.5 * (delta + delta.T))
-        return float(vals[0]), vecs
-
-    w = np.full(n, 1.0 / n)
-    _, vecs = margin_of(w)
-    cuts = [vecs[:, j] for j in range(vecs.shape[1])]
-
     # stage A: maximize the smallest eigenvalue of the gap
-    best_margin, best_w = -np.inf, w
-    ub = np.inf
-    for _ in range(rounds):
-        V = np.stack(cuts, axis=1)
-        B = (F @ V) ** 2
-        c = np.einsum("ji,jk,ki->i", V, M1, V)
-        nc = B.shape[1]
-        obj = np.zeros(n + 1)
-        obj[-1] = -1.0
-        A_ub = np.hstack([-B.T, np.ones((nc, 1))])
-        A_eq = np.zeros((1, n + 1))
-        A_eq[0, :n] = 1.0
-        res = linprog(
-            obj, A_ub=A_ub, b_ub=-c, A_eq=A_eq, b_eq=[1.0],
-            bounds=[(0.0, 1.0)] * n + [(None, None)], method="highs",
-        )
-        if not res.success:
-            break
-        w_new = np.maximum(res.x[:n], 0.0)
-        w_new = w_new / w_new.sum()
-        ub = float(res.x[-1])
-        lam, vecs = margin_of(w_new)
-        if lam > best_margin:
-            best_margin, best_w = lam, w_new
-        if ub <= -tol * scale1 or ub - best_margin <= max(1e-12, 1e-9 * scale1):
-            break
-        delta = F.T @ (w_new[:, None] * F) - M1
-        vals, vs = np.linalg.eigh(0.5 * (delta + delta.T))
-        for j in np.nonzero(vals <= vals[0] + 1e-10 * scale1)[0]:
-            cuts.append(vs[:, j])
-    if ub <= -tol * scale1:
+    floor = -tol * scale1
+    _, _, ub, cuts = max_lambda_min(F, M1, np.full(n, 1.0 / n), tol, rounds, target=floor)
+    if ub <= floor:
         return None, False, True  # no design on these candidates dominates d1
 
     # stage B: maximize the trace gain over the cut relaxation of the cone
@@ -580,18 +544,17 @@ def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget:
             break
         w_new = np.maximum(res.x, 0.0)
         w_new = w_new / w_new.sum()
-        lam, _ = margin_of(w_new)
+        vals, vs = gap_eigh(F, w_new, M1)
+        lam = float(vals[0])
         lam_trail.append(lam)
         if lam > best_lam:
             best_lam, best_w2 = lam, w_new
-        if lam >= -tol * scale1:
+        if lam >= floor:
             cand = extract(w_new)
             if cand is not None:
                 return cand, False, False
         if len(lam_trail) >= 3 and abs(lam_trail[-1] - lam_trail[-2]) <= 1e-16 * scale1:
             break  # cut generation stalled at the float noise floor
-        delta = F.T @ (w_new[:, None] * F) - M1
-        vals, vs = np.linalg.eigh(0.5 * (delta + delta.T))
         for j in np.nonzero(vals <= vals[0] + 1e-10 * scale1)[0]:
             cuts.append(vs[:, j])
     if best_w2 is not None:

@@ -33,14 +33,6 @@ class NoConditionalModelError(ValidationError):
     """No conditional model is registered for the (model, slice map) pairing."""
 
 
-class CertificateFailure(OptDesignError):
-    """Dual-certificate search did not settle within its budget."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class TruncationSlackError(OptDesignError):
     """The normality inequality is not slack at a truncated boundary; enlarge the domain."""
 

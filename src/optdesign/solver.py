@@ -5,6 +5,14 @@ current dual certificate. Inner loop: reoptimize weights on the fixed support
 (multiplicative updates for D, projected gradient with Armijo backtracking for
 other finite exponents, cutting-plane LP for E, whose objective is nonsmooth
 exactly at the optima that matter).
+
+The E refinement (``projections.max_lambda_min``) stops when the LP bound is
+within the inner tolerance (``kkt_tol / 20``, relative) of the best smallest
+eigenvalue, or when the LP returns the same weights twice, or after 80 LPs.
+A fixed 1e-9 relative gap is not a usable stop: HiGHS solves to an absolute
+feasibility tolerance of 1e-7, against smallest eigenvalues near 0.04, so
+the LP bound stalls above such a gap and the loop would spend its whole cap
+re-solving the same vertex.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from .criteria import NEG_INF, Criterion, psd_eig
 from .designs import Design, merge_close, prune
 from .errors import DegenerateModelError, TruncationSlackError, ValidationError
 from .models import CandidateSet, ModelSpec, gram_rank, truncated_axes
-from .projections import project_simplex
+from .projections import max_lambda_min, project_simplex
 
 
 @dataclass(frozen=True)
@@ -164,58 +172,13 @@ def _projected_gradient(F, w, p, tol, max_iter):
     return w
 
 
-def _cutting_plane_e(F, w, tol, max_iter):
-    """Maximize lambda_min(M(w)) on the simplex by Kelley cuts over unit directions."""
-    from scipy.optimize import linprog
-
-    m, k = F.shape
-    M = _info(F, w)
-    vals, vecs = np.linalg.eigh(M)
-    cuts = [vecs[:, j] for j in range(k)]
-    best_w, best_val = w.copy(), float(vals[0])
-    rounds = min(80, max_iter)
-    for _ in range(rounds):
-        B = (F @ np.stack(cuts, axis=1)) ** 2  # (m, ncuts)
-        c = np.zeros(m + 1)
-        c[-1] = -1.0
-        A_ub = np.hstack([-B.T, np.ones((B.shape[1], 1))])
-        b_ub = np.zeros(B.shape[1])
-        A_eq = np.zeros((1, m + 1))
-        A_eq[0, :m] = 1.0
-        res = linprog(
-            c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
-            bounds=[(0.0, 1.0)] * m + [(0.0, None)], method="highs",
-        )
-        if not res.success:
-            break
-        w_new = np.maximum(res.x[:m], 0.0)
-        w_new = w_new / w_new.sum()
-        upper = float(res.x[-1])
-        vals, vecs = np.linalg.eigh(_info(F, w_new))
-        lmin = float(vals[0])
-        if lmin > best_val:
-            best_w, best_val = w_new, lmin
-        if upper - best_val <= max(1e-12, 1e-9 * abs(best_val)):
-            break
-        # vertex cuts plus intra-cluster mixtures: plain eigenvector cuts
-        # close the dual gap very slowly at multiple smallest eigenvalues
-        near = np.nonzero(vals - lmin <= 1e-6 * max(abs(vals[-1]), 1.0))[0]
-        for j in near:
-            cuts.append(vecs[:, j])
-        for a in range(len(near)):
-            for b in range(a + 1, len(near)):
-                va, vb = vecs[:, near[a]], vecs[:, near[b]]
-                cuts.append((va + vb) / np.sqrt(2.0))
-                cuts.append((va - vb) / np.sqrt(2.0))
-    return best_w
-
-
 def _refine(F, w, criterion: Criterion, tol, max_iter):
     p = criterion.p
     if p == 0:
         return _multiplicative_d(F, w, tol, max_iter)
     if p == NEG_INF:
-        return _cutting_plane_e(F, w, tol, max_iter)
+        k = F.shape[1]
+        return max_lambda_min(F, np.zeros((k, k)), w, tol, min(80, max_iter))[0]
     return _projected_gradient(F, w, p, tol, max_iter)
 
 

@@ -165,6 +165,16 @@ def test_find_dominator_optimal_design_is_admissible(line2f):
     assert verdict.admissible
 
 
+def test_find_dominator_dual_bound_proves_none(line2f):
+    # every candidate has f = (a, a) or a unit vector, and no mixture of them
+    # reaches M(d1) = [[1, 1], [1, 1]]: the stage-A LP bound proves it
+    d1 = design([[1.0, 1.0]])
+    cands = np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
+    verdict = find_dominator(d1, cands, line2f)
+    assert verdict.admissible and not verdict.inconclusive
+    assert verdict.note == "no design on these candidates dominates (dual bound below tolerance)"
+
+
 def test_find_dominator_rank_precondition(line2f):
     d = design([[1.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
     with pytest.raises(ValidationError):

@@ -9,6 +9,7 @@ from optdesign import (
     certify,
     design,
     discretize,
+    info_matrix,
     interval,
     make_model,
     parse_criterion,
@@ -29,6 +30,27 @@ def test_refine_weights_d(line2f):
 def test_refine_weights_e(line2f):
     d = refine_weights(line2f, [[1, 0], [0, 1]], Criterion(float("-inf"), 2))
     assert np.allclose(sorted(d.weights), [0.5, 0.5], atol=1e-9)
+
+
+def test_refine_weights_e_stops_on_lp_stall(monkeypatch):
+    # HiGHS cannot close a 1e-9 relative gap at lambda ~ 0.04; once the LP
+    # repeats its vertex the cutting-plane loop must stop, not spend its cap
+    import scipy.optimize
+
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    m = make_model("polynomial", degree=3, space=interval(-1.0, 1.0))
+    opts = SolverOptions()
+    d = refine_weights(m, [[-1.0], [-0.5], [0.5], [1.0]], Criterion(float("-inf"), 4), opts)
+    assert len(calls) < 80
+    lmin = np.linalg.eigvalsh(info_matrix(d, m))[0]
+    assert lmin == pytest.approx(1 / 25, rel=opts.kkt_tol / 20)
 
 
 def test_refine_weights_single_point_trace():
