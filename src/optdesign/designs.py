@@ -109,11 +109,15 @@ class ExactDesign:
         }
 
 
+def gram(F: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """F^T diag(w) F, symmetrized: the information matrix of regressor rows F."""
+    M = F.T @ (w[:, None] * F)
+    return 0.5 * (M + M.T)
+
+
 def info_matrix(dsgn: Design, model) -> np.ndarray:
     """M(xi) = sum_i w_i f(x_i) f(x_i)^T; symmetric nonnegative definite."""
-    F = model.eval_many(dsgn.points)
-    M = F.T @ (dsgn.weights[:, None] * F)
-    return 0.5 * (M + M.T)
+    return gram(model.eval_many(dsgn.points), dsgn.weights)
 
 
 def assert_info_matrix(M: np.ndarray, tol: float = 1e-9) -> np.ndarray:

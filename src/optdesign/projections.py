@@ -1,21 +1,9 @@
-"""Kernels over the probability simplex: Euclidean projection, and the
-Kelley cutting-plane maximization of a smallest eigenvalue."""
+"""Kernel over the probability simplex: the Kelley cutting-plane maximization
+of a smallest eigenvalue."""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Project onto {w : w >= 0, sum w = 1} (sort-based, non-iterative)."""
-    v = np.asarray(v, dtype=float).ravel()
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[cond][-1] / rho
-    return np.maximum(v - theta, 0.0)
 
 
 def gap_eigh(F: np.ndarray, w: np.ndarray, C: np.ndarray):

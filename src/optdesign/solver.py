@@ -2,9 +2,9 @@
 
 Outer loop: add the candidate with the largest sensitivity value against the
 current dual certificate. Inner loop: reoptimize weights on the fixed support
-(multiplicative updates for D, projected gradient with Armijo backtracking for
-other finite exponents, cutting-plane LP for E, whose objective is nonsmooth
-exactly at the optima that matter).
+(multiplicative updates for D, projected Newton on log phi_p for other finite
+exponents, cutting-plane LP for E, whose objective is nonsmooth exactly at
+the optima that matter).
 
 The E refinement (``projections.max_lambda_min``) stops when the LP bound is
 within the inner tolerance (``kkt_tol / 20``, relative) of the best smallest
@@ -23,10 +23,10 @@ import numpy as np
 
 from .certificates import build_certificate
 from .criteria import NEG_INF, Criterion, psd_eig
-from .designs import Design, merge_close, prune
+from .designs import Design, gram, merge_close, prune
 from .errors import DegenerateModelError, TruncationSlackError, ValidationError
 from .models import CandidateSet, ModelSpec, gram_rank, truncated_axes
-from .projections import max_lambda_min, project_simplex
+from .projections import max_lambda_min
 
 
 @dataclass(frozen=True)
@@ -55,32 +55,49 @@ class SolveReport:
     history: tuple = ()  # refined criterion value after each outer iteration
 
 
-def _info(F: np.ndarray, w: np.ndarray) -> np.ndarray:
-    M = F.T @ (w[:, None] * F)
-    return 0.5 * (M + M.T)
+def _log_phi(F: np.ndarray, w: np.ndarray, p: float, hessian: bool = False):
+    """log phi_p, normalized sensitivities and, on request, the Hessian in w.
 
-
-def _phi_and_sens(F: np.ndarray, w: np.ndarray, p: float):
-    """Criterion value and normalized support sensitivities for finite p.
-
-    Uses floored eigenvalues so transient singular iterates do not blow up;
-    the gradient of phi_p w.r.t. w is phi * sens.
+    Uses eigenvalues floored at 1e-14 * lambda_max so transient singular
+    iterates do not blow up. The sensitivities are the gradient of log phi_p
+    with respect to w. With h_i the rows of F in the eigenbasis of M and
+    K_i = vec(h_i h_i^T), the Hessian is K diag(Gamma) K^T / tr(M^p) -
+    p sens sens^T, where Gamma holds the divided differences of t^(p-1) at
+    pairs of eigenvalues (Daleckii-Krein); tr(M^0) reads s. Returns
+    (log value, sens, Hessian or None).
     """
-    M = _info(F, w)
-    vals, vecs = psd_eig(M)
+    vals, vecs = psd_eig(gram(F, w))
     s = vals.size
     lmax = max(vals[-1], 1e-300)
     floored = np.maximum(vals, 1e-14 * lmax)
     H = F @ vecs
     if p == 0:
-        value = float(np.exp(np.mean(np.log(floored))))
+        log_value = float(np.mean(np.log(floored)))
         sens = (H**2 / floored).sum(axis=1) / s
-        return value, sens
-    powered = floored**p
-    tr = powered.sum()
-    value = float((tr / s) ** (1.0 / p))
-    sens = (H**2 * floored ** (p - 1.0)).sum(axis=1) / tr
-    return value, sens
+        tr = float(s)
+    else:
+        tr = (floored**p).sum()
+        log_value = float(np.log(tr / s) / p)
+        sens = (H**2 * floored ** (p - 1.0)).sum(axis=1) / tr
+    if not hessian:
+        return log_value, sens, None
+    K = (H[:, :, None] * H[:, None, :]).reshape(H.shape[0], s * s)
+    gamma = _divided_differences(floored, p - 1.0).ravel()
+    hess = (K * gamma) @ K.T / tr - p * np.outer(sens, sens)
+    return log_value, sens, hess
+
+
+def _divided_differences(lam: np.ndarray, q: float) -> np.ndarray:
+    """(a^q - b^q) / (a - b) over all pairs of the positive lam; q a^(q-1) where a = b.
+
+    Written as b^(q-1) expm1(q L) / expm1(L) with b the smaller value and
+    L = log(a/b) >= 0, which neither cancels for close pairs nor overflows.
+    """
+    hi = np.maximum.outer(lam, lam)
+    lo = np.minimum.outer(lam, lam)
+    L = np.log(hi / lo)
+    ratio = np.divide(np.expm1(q * L), np.expm1(L), out=np.full_like(L, q), where=L > 0)
+    return lo ** (q - 1.0) * ratio
 
 
 def _transfer_sweep_d(F, w):
@@ -94,7 +111,7 @@ def _transfer_sweep_d(F, w):
     """
     m, k = F.shape
     w = w.copy()
-    M = _info(F, w)
+    M = gram(F, w)
     try:
         Minv = np.linalg.inv(M)
     except np.linalg.LinAlgError:
@@ -135,7 +152,7 @@ def _multiplicative_d(F, w, tol, max_iter):
     it = 0
     while it < max_iter:
         it += 1
-        _, sens = _phi_and_sens(F, w, 0.0)
+        _, sens, _ = _log_phi(F, w, 0.0)
         if sens.max() - 1.0 <= tol:
             polish += 1
             if polish > 400:
@@ -148,26 +165,66 @@ def _multiplicative_d(F, w, tol, max_iter):
     return w
 
 
-def _projected_gradient(F, w, p, tol, max_iter):
-    value, sens = _phi_and_sens(F, w, p)
-    step = 1.0
+def _newton_direction(sens, hess, free):
+    """Newton ascent step of log phi_p on the free atoms, with sum(d) = 0."""
+    idx = np.flatnonzero(free)
+    n = idx.size
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n] = -hess[np.ix_(idx, idx)]
+    kkt[n, n] = 0.0
+    sol = np.linalg.lstsq(kkt, np.append(sens[idx], 0.0), rcond=None)[0]
+    d = np.zeros(sens.size)
+    d[idx] = sol[:n]
+    return d
+
+
+def _projected_newton(F, w, p, tol, max_iter):
+    """Projected Newton ascent of log phi_p over the simplex on a fixed support.
+
+    The free set is the atoms with positive weight plus the zero-weight atoms
+    whose sensitivity exceeds 1 (the ones the normality inequality says to
+    grow). A zero-weight atom the Newton step would push negative is dropped
+    from the free set and the step solved again: left in, it caps the step
+    length at 0 and the loop stalls. The step is cut at the boundary of the
+    simplex, where the blocking weights are set to exactly 0, then
+    backtracked until it meets the Armijo condition on log phi_p. As log
+    phi_p is concave, a slope along d at the trial point of at least 1e-4
+    times the slope at w implies that condition; the slope test still decides
+    where the gain is below the rounding of log phi_p, which for an
+    ill-conditioned M (poly-4 A on [0, 1]: cond 1.6e5) swamps the last
+    Newton steps and would stall the loop short of its tolerance.
+    """
+    log_val, sens, hess = _log_phi(F, w, p, hessian=True)
     for _ in range(max_iter):
         if sens.max() - 1.0 <= tol:
             break
-        accepted = False
-        for _ in range(40):
-            w_try = project_simplex(w + step * sens)
-            gain = float(sens @ (w_try - w))
-            if gain <= 0:
+        free = (w > 0) | (sens > 1.0)
+        while True:
+            d = _newton_direction(sens, hess, free)
+            blocked = free & (w == 0) & (d < 0)
+            if not blocked.any():
                 break
-            value_try, sens_try = _phi_and_sens(F, w_try, p)
-            if value_try >= value + 1e-4 * value * gain:
-                w, value, sens = w_try, value_try, sens_try
-                accepted = True
-                step = min(step * 1.5, 1e6)
+            free &= ~blocked
+        slope = float(sens @ d)
+        if not slope > 0:
+            break
+        shrinking = d < 0
+        ratios = np.full(w.size, np.inf)
+        ratios[shrinking] = w[shrinking] / -d[shrinking]
+        cap = float(ratios.min())
+        step = min(1.0, cap)
+        for _ in range(40):
+            w_try = w + step * d
+            if step == cap:
+                w_try[ratios <= cap] = 0.0
+            w_try = np.maximum(w_try, 0.0)
+            w_try /= w_try.sum()
+            log_try, sens_try, hess_try = _log_phi(F, w_try, p, hessian=True)
+            if log_try >= log_val + 1e-4 * step * slope or sens_try @ d >= 1e-4 * slope:
+                w, log_val, sens, hess = w_try, log_try, sens_try, hess_try
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
     return w
 
@@ -179,7 +236,7 @@ def _refine(F, w, criterion: Criterion, tol, max_iter):
     if p == NEG_INF:
         k = F.shape[1]
         return max_lambda_min(F, np.zeros((k, k)), w, tol, min(80, max_iter))[0]
-    return _projected_gradient(F, w, p, tol, max_iter)
+    return _projected_newton(F, w, p, tol, max_iter)
 
 
 def _spread_indices(points: np.ndarray, F: np.ndarray, k: int, rng) -> list[int]:
@@ -270,7 +327,7 @@ def solve(
     while outer < opts.max_outer_iters:
         outer += 1
         w = _refine(F_sup, w, criterion, inner_tol, quick_iters)
-        M = _info(F_sup, w)
+        M = gram(F_sup, w)
         cert = build_certificate(criterion, M, model, candidates, floor_singular=True)
         sens_all = np.einsum("ij,jk,ik->i", F_all, cert.N, F_all)
         viol = float(sens_all.max() - 1.0)
@@ -350,8 +407,8 @@ def solve(
 
 def _value(F: np.ndarray, w: np.ndarray, p: float) -> float:
     if p == NEG_INF:
-        return float(np.linalg.eigvalsh(_info(F, w))[0])
-    return _phi_and_sens(F, w, p)[0]
+        return float(np.linalg.eigvalsh(gram(F, w))[0])
+    return float(np.exp(_log_phi(F, w, p)[0]))
 
 
 def _blend_toward_atom(F, w, idx, p):
@@ -406,7 +463,7 @@ def _consolidate(model, candidates, F_all, criterion, opts, inner_tol, state, re
             continue
         F_sup = model.eval_many(d.points)
         w2 = _refine(F_sup, d.weights.copy(), criterion, inner_tol, opts.max_inner_iters)
-        M2 = _info(F_sup, w2)
+        M2 = gram(F_sup, w2)
         cert2 = build_certificate(criterion, M2, model, candidates, floor_singular=True)
         sens2 = np.einsum("ij,jk,ik->i", F_all, cert2.N, F_all)
         viol2 = float(sens2.max() - 1.0)

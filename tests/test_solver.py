@@ -14,10 +14,11 @@ from optdesign import (
     make_model,
     parse_criterion,
     refine_weights,
+    sensitivity,
     solve,
     truncate,
 )
-from optdesign.solver import SolverOptions
+from optdesign.solver import SolverOptions, _log_phi
 
 
 def test_refine_weights_d(line2f):
@@ -57,6 +58,69 @@ def test_refine_weights_single_point_trace():
     m = make_model("polynomial", degree=1)
     d = refine_weights(m, [[1.0]], Criterion(1.0, 2))
     assert d.m == 1 and d.weights[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, -1.0, -2.0])
+def test_log_phi_derivatives_match_finite_differences(p):
+    poly3 = make_model("polynomial", degree=3, space=interval(-1.0, 1.0))
+    line = make_model("linear-2f-no-intercept")
+    cases = [
+        (poly3.eval_many(np.linspace(-1.0, 1.0, 7)[:, None]), np.linspace(1.0, 2.0, 7)),
+        # M = I/2 has a repeated eigenvalue: the a = b branch of the
+        # divided differences in the Hessian
+        (line.eval_many(np.array([[1.0, 0.0], [0.0, 1.0]])), np.ones(2)),
+    ]
+    eps = 1e-5
+    for F, w in cases:
+        w = w / w.sum()
+        _, sens, hess = _log_phi(F, w, p, hessian=True)
+        fd_sens, fd_hess = [], []
+        for e in np.eye(w.size) * eps:
+            up, down = _log_phi(F, w + e, p), _log_phi(F, w - e, p)
+            fd_sens.append((up[0] - down[0]) / (2 * eps))
+            fd_hess.append((up[1] - down[1]) / (2 * eps))
+        assert np.allclose(sens, fd_sens, rtol=1e-6, atol=1e-8)
+        assert np.allclose(hess, fd_hess, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "degree, n, p",
+    [(3, 7, p) for p in (1.0, 0.5, -1.0, -2.0, -10.0)] + [(4, 9, -1.0)],
+)
+def test_refine_weights_finite_p_reaches_inner_tolerance(degree, n, p):
+    # A zero-weight atom whose Newton component is negative must leave the
+    # free set: left in, it caps every step at length 0 (poly-3, p = 0.5
+    # stalls at residual 1.2). On the poly-4 support the first Newton
+    # directions are long and their boundary-cut steps change log phi by
+    # less than its rounding, so they must be accepted on slope, not value.
+    m = make_model("polynomial", degree=degree, space=interval(-1.0, 1.0))
+    pts = np.linspace(-1.0, 1.0, n)[:, None]
+    crit = Criterion(p, m.k)
+    opts = SolverOptions()
+    M = info_matrix(refine_weights(m, pts, crit, opts), m)
+    worst = max(sensitivity(crit, M, m, x) for x in pts)
+    assert worst - 1.0 <= opts.kkt_tol / 20
+
+
+def test_a_optimal_poly5_is_saturated():
+    # de la Garza: the A-optimal design for degree-5 regression is saturated,
+    # 6 atoms for 6 parameters
+    m = make_model("polynomial", degree=5, space=interval(-1.0, 1.0))
+    cands = discretize(m.space, 0.001)
+    crit = parse_criterion("A", m.k)
+    opts = SolverOptions()
+    rep = solve(m, cands, crit, opts)
+    assert rep.converged
+    assert certify(rep.design, m, cands, crit, tol=2 * opts.kkt_tol).optimal
+    assert rep.design.m == 6
+
+
+def test_a_optimal_poly3_outer_iterations():
+    # with weights solved on each support, A needs D-like outer iterations
+    m = make_model("polynomial", degree=3, space=interval(-1.0, 1.0))
+    rep = solve(m, discretize(m.space, 0.01), parse_criterion("A", m.k))
+    assert rep.converged
+    assert rep.iterations <= 20
 
 
 def test_solve_d_coarse(line2f):
