@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import _SING_REL, E_GAP_REL, NEG_INF, Criterion, phi, polar, psd_eig
-from .designs import Design, info_matrix
+from .designs import Design, components, info_matrix
 from .errors import InconsistencyError, ValidationError
 from .models import FAMILIES, CandidateSet, ModelSpec, make_model, truncated_axes
 
@@ -280,29 +280,6 @@ def certify(
     )
 
 
-def _cluster_rows(rows: np.ndarray, tol: float) -> list[list[int]]:
-    """Single-linkage groups of row vectors under the max-norm distance."""
-    m = rows.shape[0]
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if np.abs(rows[i] - rows[j]).max() <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return [groups[r] for r in sorted(groups)]
-
-
 def polytope_report(
     certificate: Certificate,
     design: Design,
@@ -338,7 +315,8 @@ def polytope_report(
         )
 
     scale = max(float(np.abs(P_sup).max()), 1.0)
-    groups = _cluster_rows(P_sup, group_tol * scale)
+    near = np.abs(P_sup[:, None, :] - P_sup[None, :, :]).max(axis=2) <= group_tol * scale
+    groups = components(near)
     if len(groups) > k:
         raise InconsistencyError(f"{len(groups)} hyperplanes found; at most {k} can be active")
 
@@ -356,7 +334,7 @@ def polytope_report(
 
     length_groups = [
         [tuple(design.points[i]) for i in idx]
-        for idx in _cluster_rows(norms[:, None], 1e-5 * nmax)
+        for idx in components(np.abs(norms[:, None] - norms[None, :]) <= 1e-5 * nmax)
     ]
     squared_coords = {tuple(design.points[i]): P_sup[i].copy() for i in range(design.m)}
     return PolytopeReport(
@@ -373,18 +351,11 @@ def garza_report(model: ModelSpec, candidates: CandidateSet, norm_tol: float = 1
     """
     F = model.eval_many(candidates.points)
     norms2 = (F**2).sum(axis=1)
-    order = np.argsort(norms2, kind="stable")
-    sorted_vals = norms2[order]
-    sizes = []
-    current = 1
-    for gap in np.diff(sorted_vals):
-        if gap > norm_tol:
-            sizes.append(current)
-            current = 1
-        else:
-            current += 1
-    sizes.append(current)
-    biggest = max(sizes)
+    sorted_vals = np.sort(norms2)
+    # a bucket ends wherever consecutive sorted values are more than norm_tol apart
+    ends = np.concatenate([np.flatnonzero(np.diff(sorted_vals) > norm_tol), [norms2.size - 1]])
+    sizes = np.diff(ends, prepend=-1)
+    biggest = int(sizes.max())
     injective = biggest == 1
     k = model.k
     note = None
@@ -398,9 +369,9 @@ def garza_report(model: ModelSpec, candidates: CandidateSet, norm_tol: float = 1
             note = "norm map strictly decreasing along the predictor axis"
     return GarzaReport(
         norm_values=norms2,
-        max_equal_group_size=int(biggest),
+        max_equal_group_size=biggest,
         saturation_bound=int(k if injective else biggest * k),
-        injective=bool(injective),
+        injective=injective,
         monotone_axis_note=note,
     )
 

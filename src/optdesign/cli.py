@@ -84,8 +84,15 @@ def _parse_slice_map(text: str) -> SliceMap:
     raise ValidationError(f"cannot parse slice map {text!r}; use axis:<j> or linear:<a1,a2>")
 
 
-def _sensitivity_rows(candidates, sens):
-    return (list(x) + [s] for x, s in zip(candidates.points, sens))
+def _write_sensitivity(out: Path, model, candidates, certificate) -> None:
+    """sensitivity.csv: every candidate with its sensitivity f(x)^T N f(x)."""
+    F = model.eval_many(candidates.points)
+    sens = np.einsum("ij,jk,ik->i", F, certificate.N, F)
+    _write_csv(
+        out / "sensitivity.csv",
+        [f"x{i}" for i in range(candidates.points.shape[1])] + ["sensitivity"],
+        (list(x) + [s] for x, s in zip(candidates.points, sens)),
+    )
 
 
 def cmd_solve(args) -> int:
@@ -115,14 +122,7 @@ def cmd_solve(args) -> int:
         }
     )
     _write_json(out / "report.json", body)
-    F = model.eval_many(cands.points)
-    sens = np.einsum("ij,jk,ik->i", F, check.certificate.N, F)
-    q = cands.points.shape[1]
-    _write_csv(
-        out / "sensitivity.csv",
-        [f"x{i}" for i in range(q)] + ["sensitivity"],
-        _sensitivity_rows(cands, sens),
-    )
+    _write_sensitivity(out, model, cands, check.certificate)
     print(f"solve[{criterion.name}] converged={report.converged} "
           f"value={report.criterion_value:.8g} atoms={report.design.m}")
     return EXIT_OK if report.converged else EXIT_UNSETTLED
@@ -161,14 +161,7 @@ def cmd_certify(args) -> int:
     )
     _write_json(out / "certify.json", body)
     _write_json(out / "certificate.json", _certificate_payload(check.certificate))
-    F = model.eval_many(cands.points)
-    sens = np.einsum("ij,jk,ik->i", F, check.certificate.N, F)
-    q = cands.points.shape[1]
-    _write_csv(
-        out / "sensitivity.csv",
-        [f"x{i}" for i in range(q)] + ["sensitivity"],
-        _sensitivity_rows(cands, sens),
-    )
+    _write_sensitivity(out, model, cands, check.certificate)
     print(f"certify[{criterion.name}] optimal={check.optimal} "
           f"max_violation={check.max_violation:.3g}")
     return EXIT_OK
@@ -201,14 +194,7 @@ def cmd_geometry(args) -> int:
     )
     _write_json(out / "polytope.json", body)
     _write_json(out / "certificate.json", _certificate_payload(check.certificate))
-    F = model.eval_many(cands.points)
-    sens = np.einsum("ij,jk,ik->i", F, check.certificate.N, F)
-    q = cands.points.shape[1]
-    _write_csv(
-        out / "sensitivity.csv",
-        [f"x{i}" for i in range(q)] + ["sensitivity"],
-        _sensitivity_rows(cands, sens),
-    )
+    _write_sensitivity(out, model, cands, check.certificate)
     print(f"geometry: {len(geom.hyperplanes)} hyperplane(s), "
           f"{len(geom.length_groups)} length group(s)")
     return EXIT_OK

@@ -377,18 +377,15 @@ def dominates(d2: Design, d1: Design, model, tol: float = 1e-9) -> bool:
 
 
 def _lambda_min_stack(delta: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of a stack of symmetric matrices (closed form k<=2)."""
-    k = delta.shape[-1]
-    if k == 1:
+    """Smallest eigenvalue of a stack of symmetric 1x1 or 2x2 matrices."""
+    if delta.shape[-1] == 1:
         return delta[..., 0, 0]
-    if k == 2:
-        a = delta[..., 0, 0]
-        b = delta[..., 1, 1]
-        c = delta[..., 0, 1]
-        half = 0.5 * (a + b)
-        rad = np.sqrt(np.maximum(0.25 * (a - b) ** 2 + c**2, 0.0))
-        return half - rad
-    return np.linalg.eigvalsh(delta)[..., 0]
+    a = delta[..., 0, 0]
+    b = delta[..., 1, 1]
+    c = delta[..., 0, 1]
+    half = 0.5 * (a + b)
+    rad = np.sqrt(np.maximum(0.25 * (a - b) ** 2 + c**2, 0.0))
+    return half - rad
 
 
 MATERIAL_FACTOR = 100.0  # a dominator must beat the PSD slack by this margin
@@ -403,75 +400,75 @@ def _material_dominates(d2: Design, d1: Design, model, tol: float) -> bool:
     return float(np.abs(M2 - M1).max()) > MATERIAL_FACTOR * tol * scale
 
 
+def _nonneg_interval(a, b, c):
+    """Per row, the interval of w in [0, 1] where the concave quadratic
+    p(w) = a w^2 + b w (1 - w) + c (1 - w)^2 is >= 0; lo > hi when empty.
+
+    The Bernstein form keeps p(0) = c and p(1) = a exact and rounds each end
+    at the scale of the matrix there. The roots are the directions (W : V),
+    w = W / (W + V), of the homogeneous form, taken in the stable pair
+    (q : a) and (c : q).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.where(b >= 0, 1.0, -1.0) * np.sqrt(b**2 - 4.0 * a * c))
+        roots = np.stack([q / (q + a), c / (c + q)])
+    inside = (roots >= 0.0) & (roots <= 1.0)
+    lo = np.where(c >= 0, 0.0, np.where(inside, roots, np.inf).min(axis=0))
+    hi = np.where(a >= 0, 1.0, np.where(inside, roots, -np.inf).max(axis=0))
+    return lo, hi
+
+
 def _phase2_oracle(d1: Design, points: np.ndarray, F: np.ndarray, model, tol: float):
-    """Exhaustive sweep over 2-point supports, exact in the weight.
+    """Exhaustive search over 2-point supports, exact in the weight (k <= 2).
 
     Dominance feasibility lives on a thin set (moment-matching equalities), so
-    no fixed weight lattice can land on it; for every candidate pair the
-    smallest eigenvalue of the matrix gap is concave in the weight and is
-    maximized by ternary search, feasibility boundaries are bisected, and the
-    dominator with the largest trace gain is returned after re-verification.
+    no fixed weight lattice can land on it. For every candidate pair the gap
+    Delta(w) = w A_i + (1 - w) A_j - M1 is affine in w, and a 2x2 matrix
+    (a 1x1 one is padded with a unit diagonal entry) is nonnegative definite
+    exactly when its trace and determinant are: the trace is linear in w and
+    the determinant a concave quadratic, since det(A_i - A_j) is
+    -(f_i x f_j)^2. Their sign intervals give in closed form where
+    lambda_min(Delta(w)) >= target / 2; the trace gain is linear in w, so only
+    the two interval ends are candidates. The dominator with the largest
+    trace gain is returned after re-verification.
     """
     M1 = info_matrix(d1, model)
-    n = F.shape[0]
+    n, k = F.shape
     A = np.einsum("ni,nj->nij", F, F)
     ii, jj = np.triu_indices(n, k=1)
     Ai, Aj = A[ii], A[jj]
     scale1 = max(float(np.abs(M1).max()), 1e-300)
-    screen = -tol * scale1          # pairs worth keeping at all
     target = -1e-12 * scale1        # returned weights must be PSD to machine noise
 
-    def lam(w):
-        delta = w[:, None, None] * Ai + (1.0 - w)[:, None, None] * Aj - M1
-        return _lambda_min_stack(delta)
-
-    # ternary search for the per-pair weight maximizing lambda_min (concave)
-    lo = np.zeros(ii.size)
-    hi = np.ones(ii.size)
-    for _ in range(70):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        keep_lo = lam(m1) < lam(m2)
-        lo = np.where(keep_lo, m1, lo)
-        hi = np.where(keep_lo, hi, m2)
-    w_peak = 0.5 * (lo + hi)
-    lam_peak = lam(w_peak)
-    feas = lam_peak >= screen
-    if not np.any(feas):
+    # Delta(w) - (target / 2) I = w X + (1 - w) Y, padded to 2x2; the half
+    # leaves room for rounding, so the interval ends pass the check at target
+    X = np.broadcast_to(np.eye(2), (ii.size, 2, 2)).copy()
+    Y = X.copy()
+    X[:, :k, :k] = Ai - M1 - 0.5 * target * np.eye(k)
+    Y[:, :k, :k] = Aj - M1 - 0.5 * target * np.eye(k)
+    (x00, x01, x11), (y00, y01, y11) = (Z[:, [0, 0, 1], [0, 1, 1]].T for Z in (X, Y))
+    # a linear trace is the quadratic (w tr X + (1 - w) tr Y) (w + 1 - w)
+    tr_lo, tr_hi = _nonneg_interval(x00 + x11, x00 + x11 + y00 + y11, y00 + y11)
+    det_lo, det_hi = _nonneg_interval(
+        x00 * x11 - x01**2, x00 * y11 + x11 * y00 - 2.0 * x01 * y01, y00 * y11 - y01**2
+    )
+    w_lo = np.maximum(tr_lo, det_lo)
+    w_hi = np.minimum(tr_hi, det_hi)
+    idx = np.nonzero(w_lo <= w_hi)[0]
+    if idx.size == 0:
         return None
 
-    idx = np.nonzero(feas)[0]
     Ai_f, Aj_f = Ai[idx], Aj[idx]
-    wp = w_peak[idx]
-
-    def lam_f(w):
-        delta = w[:, None, None] * Ai_f + (1.0 - w)[:, None, None] * Aj_f - M1
-        return _lambda_min_stack(delta)
-
-    def bisect(side):
-        # boundary of {w : lambda_min >= target} between the peak and the edge
-        inner = wp.copy()
-        outer = np.zeros_like(wp) if side == "lo" else np.ones_like(wp)
-        edge_ok = lam_f(outer) >= target
-        for _ in range(60):
-            mid = 0.5 * (inner + outer)
-            good = lam_f(mid) >= target
-            inner = np.where(good, mid, inner)
-            outer = np.where(good, outer, mid)
-        return np.where(edge_ok, 0.0 if side == "lo" else 1.0, inner)
-
-    w_lo = bisect("lo")
-    w_hi = bisect("hi")
     tr_i = np.trace(Ai_f, axis1=1, axis2=2)
     tr_j = np.trace(Aj_f, axis1=1, axis2=2)
     tr_m1 = float(np.trace(M1))
 
     best = None  # (trace_gain, pair index into idx, w)
-    for w_arr in (w_lo, w_hi, wp):
+    for w_arr in (w_lo[idx], w_hi[idx]):
         delta = w_arr[:, None, None] * Ai_f + (1.0 - w_arr)[:, None, None] * Aj_f - M1
         maxabs = np.abs(delta).max(axis=(1, 2))
         scale = np.maximum(np.abs(delta + M1).max(axis=(1, 2)), scale1)
-        ok = (lam_f(w_arr) >= np.minimum(-1e-12 * scale, target)) & (
+        ok = (_lambda_min_stack(delta) >= np.minimum(-1e-12 * scale, target)) & (
             maxabs > MATERIAL_FACTOR * tol * scale
         )
         if not np.any(ok):
@@ -577,11 +574,13 @@ def find_dominator(
 ) -> AdmissibilityVerdict:
     """Search for a design whose information matrix dominates d1's.
 
-    Phase 1 is a penalized simplex ascent over all candidates; phase 2 is an
-    exhaustive 2-point/weight-grid oracle on small problems (dimension <= 2,
-    at most 200 candidates). Every returned dominator is re-verified. A
-    verdict of admissible means both phases came up empty within budget; it is
-    a one-sided statement, not a proof of admissibility.
+    On small problems (dimension <= 2, at most 200 candidates) the exhaustive
+    two-point oracle runs first: it is exact in the weight and its answer is
+    interpretable. When it does not apply or finds nothing, a constrained
+    trace ascent by cutting planes runs over all candidates; its dual bound
+    can prove that no candidate design dominates. Every returned dominator is
+    re-verified. A verdict of admissible means the search came up empty
+    within budget; it is a one-sided statement, not a proof of admissibility.
     """
     points = candidates.points if isinstance(candidates, CandidateSet) else np.atleast_2d(candidates)
     F = model.eval_many(points)
@@ -589,14 +588,11 @@ def find_dominator(
     if gram_rank(F) < np.linalg.matrix_rank(M1, tol=1e-10):
         raise ValidationError("candidate set spans less than the design to dominate")
 
-    dom1, improving, proven_none = _phase1_ascent(d1, points, F, model, budget, tol)
-    dom2 = None
     oracle_applies = F.shape[1] <= 2 and points.shape[0] <= 200
-    if oracle_applies:
-        dom2 = _phase2_oracle(d1, points, F, model, tol)
-
-    # the exhaustive oracle's answer is exact and interpretable; prefer it
-    best = dom2 if dom2 is not None else dom1
+    best = _phase2_oracle(d1, points, F, model, tol) if oracle_applies else None
+    improving = proven_none = False
+    if best is None:
+        best, improving, proven_none = _phase1_ascent(d1, points, F, model, budget, tol)
     if best is not None:
         return AdmissibilityVerdict(
             admissible=False, dominator=best, note="dominator verified in the Loewner order"

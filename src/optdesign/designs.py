@@ -156,6 +156,18 @@ def mix_designs(d1: Design, d2: Design, alpha: float) -> Design:
     return Design(pts[keep], w[keep] / w[keep].sum())
 
 
+def components(adjacency: np.ndarray) -> list[np.ndarray]:
+    """Connected components of a symmetric boolean adjacency matrix.
+
+    Each component is an ascending index array; components are ordered by
+    their smallest member.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    n, labels = connected_components(np.asarray(adjacency, dtype=bool), directed=False)
+    return [np.flatnonzero(labels == c) for c in range(n)]
+
+
 def merge_close(dsgn: Design, tol: float) -> Design:
     """Merge atoms within Euclidean distance ``tol`` to weight-weighted centroids.
 
@@ -164,32 +176,9 @@ def merge_close(dsgn: Design, tol: float) -> Design:
     """
     if tol < 0:
         raise ValidationError("merge tolerance must be nonnegative")
-    m = dsgn.m
     diff = dsgn.points[:, None, :] - dsgn.points[None, :, :]
-    close = np.sqrt((diff**2).sum(axis=2)) <= tol
-    # union-find over the adjacency
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if close[i, j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    clusters: dict[int, list[int]] = {}
-    for i in range(m):
-        clusters.setdefault(find(i), []).append(i)
-
     pts, ws = [], []
-    for root in sorted(clusters):
-        idx = clusters[root]
+    for idx in components(np.sqrt((diff**2).sum(axis=2)) <= tol):
         w = dsgn.weights[idx]
         pts.append((w[:, None] * dsgn.points[idx]).sum(axis=0) / w.sum())
         ws.append(w.sum())

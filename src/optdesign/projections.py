@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .designs import gram
+
 
 def gap_eigh(F: np.ndarray, w: np.ndarray, C: np.ndarray):
-    """Eigendecomposition of the symmetrized F^T diag(w) F - C."""
-    G = F.T @ (w[:, None] * F) - C
-    return np.linalg.eigh(0.5 * (G + G.T))
+    """Eigendecomposition of F^T diag(w) F - C, for a symmetric C."""
+    return np.linalg.eigh(gram(F, w) - C)
 
 
 def max_lambda_min(F, C, w0, tol, rounds, target=None):

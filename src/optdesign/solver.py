@@ -24,7 +24,7 @@ import numpy as np
 from .certificates import build_certificate
 from .criteria import NEG_INF, Criterion, psd_eig
 from .designs import Design, gram, merge_close, prune
-from .errors import DegenerateModelError, TruncationSlackError, ValidationError
+from .errors import DegenerateModelError, EmptyDesignError, TruncationSlackError, ValidationError
 from .models import CandidateSet, ModelSpec, gram_rank, truncated_axes
 from .projections import max_lambda_min
 
@@ -455,7 +455,7 @@ def _consolidate(model, candidates, F_all, criterion, opts, inner_tol, state, re
         keep = w > 1e-15
         try:
             d = prune(Design(sup_pts[keep], w[keep] / w[keep].sum()), opts.weight_floor)
-        except Exception:
+        except EmptyDesignError:
             break
         if radius > 0:
             d = merge_close(d, radius)

@@ -155,6 +155,23 @@ def test_garza_symmetric_norm_buckets():
     assert rep.saturation_bound == 6
 
 
+@pytest.mark.parametrize("norm_tol", [1e-9, 1e-4, 1e-3, 5e-3])
+def test_garza_buckets_chain_like_a_loop(norm_tol):
+    # reference: walk the sorted norms, starting a bucket after every gap > norm_tol
+    m = make_model("polynomial", degree=1)
+    grid = discretize(m.space, 0.01)
+    vals = np.sort((m.eval_many(grid.points) ** 2).sum(axis=1))
+    sizes, current = [], 1
+    for gap in np.diff(vals):
+        if gap > norm_tol:
+            sizes.append(current)
+            current = 1
+        else:
+            current += 1
+    sizes.append(current)
+    assert garza_report(m, grid, norm_tol=norm_tol).max_equal_group_size == max(sizes)
+
+
 def test_exp_saturation_check_boundary():
     ok, margins = exp_saturation_check([3.0], [1.0])
     assert not ok and margins[0] == pytest.approx(-0.5)

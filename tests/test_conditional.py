@@ -21,7 +21,15 @@ from optdesign import (
     recompose_check,
     solve,
 )
-from optdesign.conditional import admissible_support_bound, slice_grid, splice_slice
+from optdesign.conditional import (
+    MATERIAL_FACTOR,
+    _lambda_min_stack,
+    _phase2_oracle,
+    admissible_support_bound,
+    slice_grid,
+    splice_slice,
+)
+from optdesign.designs import info_matrix
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +157,76 @@ def test_find_dominator_three_point(xexp_grid):
     sup = [float(x[0]) for x, _ in verdict.dominator.atoms()]
     assert all(min(abs(s), abs(s - 1.0)) <= 0.05 + 1e-9 for s in sup)
     assert dominates(verdict.dominator, d1, m)
+
+
+def _dense_pair_scan_gain(d1, F, model, tol=1e-7):
+    """Largest trace gain over every candidate pair x a fine weight lattice,
+    among gaps that are nonnegative definite and material."""
+    M1 = info_matrix(d1, model)
+    scale1 = np.abs(M1).max()
+    A = np.einsum("ni,nj->nij", F, F)
+    w = np.linspace(0.0, 1.0, 4001)[:, None, None]
+    best = -np.inf
+    for i in range(len(F)):
+        for j in range(i + 1, len(F)):
+            delta = w * A[i] + (1.0 - w) * A[j] - M1
+            scale = np.maximum(np.abs(delta + M1).max(axis=(1, 2)), scale1)
+            ok = (_lambda_min_stack(delta) >= 0.0) & (
+                np.abs(delta).max(axis=(1, 2)) > MATERIAL_FACTOR * tol * scale
+            )
+            if np.any(ok):
+                best = max(best, float(np.trace(delta, axis1=1, axis2=2)[ok].max()))
+    return best
+
+
+@pytest.mark.parametrize(
+    "family, params, lo, hi, step",
+    [
+        ("xexp-decay", {"rate": 1.0}, 0.0, 3.0, 0.25),
+        ("polynomial", {"degree": 1}, -1.0, 1.0, 0.2),
+        ("weighted-polynomial", {"degree": 1, "efficiency": {"kind": "exp"}}, 0.0, 2.0, 0.2),
+        # k = 1
+        ("weighted-polynomial", {"degree": 0, "efficiency": {"kind": "affine"}}, 0.0, 2.0, 0.2),
+    ],
+)
+def test_phase2_oracle_beats_dense_scan(family, params, lo, hi, step):
+    # the closed-form intervals are exact, so no pair x weight lattice point
+    # that dominates can have a larger trace gain than the oracle's pick
+    model = make_model(family, space=interval(lo, hi), **params)
+    grid = discretize(model.space, step)
+    F = model.eval_many(grid.points)
+    rng = np.random.default_rng(3)
+    found = 0
+    for _ in range(6):
+        m = int(rng.integers(1, 4))
+        d1 = design(lo + (hi - lo) * rng.random((m, 1)), rng.dirichlet(np.ones(m)))
+        M1 = info_matrix(d1, model)
+        dom = _phase2_oracle(d1, grid.points, F, model, 1e-7)
+        gain = -np.inf if dom is None else float(np.trace(info_matrix(dom, model) - M1))
+        scan = _dense_pair_scan_gain(d1, F, model)
+        assert gain >= scan - 1e-9 * np.abs(M1).max()
+        if dom is not None:
+            assert dominates(dom, d1, model)
+            found += 1
+    assert found > 0
+
+
+def test_find_dominator_oracle_first_skips_lp(xexp_grid, monkeypatch):
+    import scipy.optimize
+
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    m, grid = xexp_grid
+    d1 = design([[0.5], [1.5], [2.5]], [0.3, 0.3, 0.4])
+    verdict = find_dominator(d1, grid, m)
+    assert not verdict.admissible and dominates(verdict.dominator, d1, m)
+    assert calls == []
 
 
 def test_find_dominator_admissible_two_point(xexp_grid):

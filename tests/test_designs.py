@@ -16,6 +16,7 @@ from optdesign import (
     prune,
     round_to_n,
 )
+from optdesign.designs import components
 
 weights_lists = st.lists(
     st.floats(min_value=1e-3, max_value=1.0, allow_nan=False), min_size=1, max_size=8
@@ -64,6 +65,15 @@ def test_merge_close_examples():
     centroid = (0.2 * 0.0 + 0.3 * 0.01 + 0.5 * 0.02) / 1.0
     assert merged.m == 1
     assert merged.points[0, 0] == pytest.approx(centroid)
+
+
+def test_components_order():
+    # edges 0-6, 1-4 and the chain 2-5-7; 3 is isolated
+    adj = np.zeros((8, 8), dtype=bool)
+    for i, j in ((6, 0), (4, 1), (5, 2), (7, 5)):
+        adj[i, j] = adj[j, i] = True
+    groups = components(adj)
+    assert [g.tolist() for g in groups] == [[0, 6], [1, 4], [2, 5, 7], [3]]
 
 
 def test_prune_examples():
