@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import _SING_REL, E_GAP_REL, NEG_INF, Criterion, phi, polar, psd_eig
-from .designs import Design, components, info_matrix
+from .designs import Design, components, info_matrix, sweep
 from .errors import InconsistencyError, ValidationError
 from .models import FAMILIES, CandidateSet, ModelSpec, make_model, truncated_axes
 
@@ -74,14 +74,18 @@ def _e_eigenspace_minimax(H: np.ndarray, budget: int) -> np.ndarray:
     """Trace-one PSD E on the minimal eigenspace minimizing max_i h_i' E h_i.
 
     The sensitivities are linear in the entries of E, so the minimax is one LP
-    over all candidates (dimension r(r+1)/2); definiteness is enforced by
-    eigenvalue cuts, and a second LP minimizes the off-diagonal mass among
-    worst-case-optimal solutions so the result is deterministic and as
-    diagonal as the constraints allow.
+    over all candidates (dimension r(r+1)/2), solved by row generation: the LP
+    holds an active set of candidate rows, seeded with the largest ||h_i||,
+    and every LP solution is checked against all rows in one sweep; violated
+    rows join the set and the LP is solved again, so each accepted solution
+    satisfies every row while the LP stays a few dozen rows tall.
+    Definiteness is enforced by eigenvalue cuts, and a second LP minimizes
+    the off-diagonal mass among worst-case-optimal solutions so the result is
+    deterministic and as diagonal as the constraints allow.
     """
     from scipy.optimize import linprog
 
-    n, r = H.shape
+    r = H.shape[1]
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
     nv = r + len(pairs) + 1  # diagonal, off-diagonal, epigraph variable
 
@@ -91,42 +95,63 @@ def _e_eigenspace_minimax(H: np.ndarray, budget: int) -> np.ndarray:
             E[i, j] = E[j, i] = x[r + idx]
         return E
 
-    def sens_rows(vectors):
-        rows = np.empty((vectors.shape[0], nv))
+    def sens_rows(vectors, width):
+        rows = np.zeros((vectors.shape[0], width))
         rows[:, :r] = vectors**2
         for idx, (i, j) in enumerate(pairs):
             rows[:, r + idx] = 2.0 * vectors[:, i] * vectors[:, j]
-        rows[:, -1] = 0.0
         return rows
 
-    base_rows = sens_rows(H)
-    base_rows[:, -1] = -1.0
-    A_eq = np.zeros((1, nv))
-    A_eq[0, :r] = 1.0
     bounds = [(0.0, 1.0)] * r + [(-0.5, 0.5)] * len(pairs) + [(0.0, None)]
     obj = np.zeros(nv)
     obj[-1] = 1.0
     psd_cuts: list[np.ndarray] = []
-    best_E, best_worst = np.eye(r) / r, float((H**2).sum(axis=1).max() / r)
+    norms2 = (H**2).sum(axis=1)
+    best_E, best_worst = np.eye(r) / r, float(norms2.max() / r)
     iters = int(np.clip(budget // 100, 20, 80))
+    batch = 10 * nv  # rows that seed the LP and that join it per round
+    active = np.sort(np.argsort(-norms2, kind="stable")[:batch])
 
-    def solve_lp(objective, extra_rows=None, extra_rhs=None, width=nv):
-        rows = [base_rows if width == nv else np.hstack([base_rows, np.zeros((n, width - nv))])]
-        rhs = [np.zeros(n)]
-        if psd_cuts:
-            cr = -sens_rows(np.stack(psd_cuts))
-            rows.append(cr if width == nv else np.hstack([cr, np.zeros((len(psd_cuts), width - nv))]))
-            rhs.append(np.zeros(len(psd_cuts)))
-        if extra_rows is not None:
-            rows.append(extra_rows)
-            rhs.append(extra_rhs)
-        eq = A_eq if width == nv else np.hstack([A_eq, np.zeros((1, width - nv))])
-        return linprog(
-            objective, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
-            A_eq=eq, b_eq=[1.0],
-            bounds=bounds if width == nv else bounds + [(0.0, 0.5)] * (width - nv),
-            method="highs",
-        )
+    def solve_lp(objective, extra_rows=None, extra_rhs=None):
+        nonlocal active
+        width = objective.size
+        A_eq = np.zeros((1, width))
+        A_eq[0, :r] = 1.0
+        while True:
+            rows = sens_rows(H[active], width)
+            rows[:, nv - 1] = -1.0
+            rows, rhs = [rows], [np.zeros(active.size)]
+            if psd_cuts:
+                rows.append(-sens_rows(np.stack(psd_cuts), width))
+                rhs.append(np.zeros(len(psd_cuts)))
+            if extra_rows is not None:
+                rows.append(extra_rows)
+                rhs.append(extra_rhs)
+            res = linprog(
+                objective, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
+                A_eq=A_eq, b_eq=[1.0],
+                bounds=bounds + [(0.0, 0.5)] * (width - nv),
+                method="highs",
+            )
+            if not res.success:
+                return res
+            # HiGHS holds the rows in the LP to its primal feasibility
+            # tolerance, 1e-7, which is all the full-row LP promised on any
+            # row. A row outside the LP joins it when it exceeds the bound by
+            # more than 1e-9 of the bound, i.e. by 1e-9 in f'Nf, whose bound
+            # is 1: a hundredth of HiGHS's tolerance, yet far above the
+            # sweep's rounding (about 1e-16), so no row joins for noise.
+            # Rows already in the LP are left to HiGHS's tolerance.
+            bound = res.x[nv - 1]
+            excess = sweep(H, matrix_of(res.x)) - bound
+            excess[active] = 0.0
+            new = np.flatnonzero(excess > 1e-9 * bound)
+            if new.size == 0:
+                return res
+            # the most violated rows only: one lopsided LP point can violate
+            # nearly every candidate at once
+            new = new[np.argsort(-excess[new], kind="stable")[:batch]]
+            active = np.union1d(active, new)
 
     for _ in range(iters):
         res = solve_lp(obj)
@@ -137,7 +162,7 @@ def _e_eigenspace_minimax(H: np.ndarray, budget: int) -> np.ndarray:
             psd_cuts.append(vecs[:, 0])
             continue
         E = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-        worst = float(np.einsum("ij,jk,ik->i", H, E, H).max())
+        worst = float(sweep(H, E).max())
         if worst < best_worst:
             best_E, best_worst = E, worst
         break
@@ -160,7 +185,7 @@ def _e_eigenspace_minimax(H: np.ndarray, budget: int) -> np.ndarray:
         extra = np.vstack([cap_row] + abs_rows)
         rhs = np.concatenate([[best_worst + 1e-11 * max(1.0, best_worst)], np.zeros(2 * len(pairs))])
         for _ in range(10):
-            res = solve_lp(obj2, extra_rows=extra, extra_rhs=rhs, width=width)
+            res = solve_lp(obj2, extra_rows=extra, extra_rhs=rhs)
             if not res.success:
                 break
             vals, vecs = np.linalg.eigh(matrix_of(res.x[: nv - 1]))
@@ -168,7 +193,7 @@ def _e_eigenspace_minimax(H: np.ndarray, budget: int) -> np.ndarray:
                 psd_cuts.append(vecs[:, 0])
                 continue
             E = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-            worst = float(np.einsum("ij,jk,ik->i", H, E, H).max())
+            worst = float(sweep(H, E).max())
             if worst <= best_worst + 1e-9 * max(1.0, best_worst):
                 best_E = E
             break
@@ -244,11 +269,11 @@ def certify(
     M = info_matrix(design, model)
     cert = build_certificate(criterion, M, model, candidates)
     F = model.eval_many(candidates.points)
-    sens = np.einsum("ij,jk,ik->i", F, cert.N, F)
+    sens = sweep(F, cert.N)
     j = int(np.argmax(sens))
     viol = float(sens[j] - cert.bound)
     F_sup = model.eval_many(design.points)
-    support_sens = np.einsum("ij,jk,ik->i", F_sup, cert.N, F_sup)
+    support_sens = sweep(F_sup, cert.N)
     tr = float(np.trace(M @ cert.N))
     product = phi(criterion, M) * polar(criterion, cert.N)
     optimal = (

@@ -15,13 +15,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .certificates import certify, garza_report, polytope_report
 from .conditional import SliceMap, conditional_audit, decompose, recompose_check
 from .criteria import parse_criterion
-from .designs import Design, load_design
+from .designs import Design, load_design, sweep
 from .errors import OptDesignError, TruncationSlackError, ValidationError
 from .models import default_candidates, load_model, model_from_dict
 from .solver import SolverOptions, solve
@@ -87,7 +85,7 @@ def _parse_slice_map(text: str) -> SliceMap:
 def _write_sensitivity(out: Path, model, candidates, certificate) -> None:
     """sensitivity.csv: every candidate with its sensitivity f(x)^T N f(x)."""
     F = model.eval_many(candidates.points)
-    sens = np.einsum("ij,jk,ik->i", F, certificate.N, F)
+    sens = sweep(F, certificate.N)
     _write_csv(
         out / "sensitivity.csv",
         [f"x{i}" for i in range(candidates.points.shape[1])] + ["sensitivity"],

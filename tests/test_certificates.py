@@ -3,6 +3,7 @@ import pytest
 
 from optdesign import (
     Criterion,
+    DesignSpace,
     InconsistencyError,
     ValidationError,
     build_certificate,
@@ -18,7 +19,8 @@ from optdesign import (
     rescale_invariance_check,
     solve,
 )
-from optdesign.criteria import NEG_INF, phi, polar
+from optdesign.certificates import _e_eigenspace_minimax
+from optdesign.criteria import NEG_INF, phi, polar, psd_eig
 from optdesign.designs import info_matrix
 
 from conftest import random_psd
@@ -50,6 +52,62 @@ def test_certificate_e_multiplicity(line2f, line2f_grid):
     F = line2f.eval_many(line2f_grid.points)
     sens = np.einsum("ij,jk,ik->i", F, N, F)
     assert sens.max() <= 1.0 + 1e-6
+
+
+def _full_row_minimax(H):
+    """Optimum of the E-minimax LP with every candidate row and no definiteness cuts."""
+    from scipy.optimize import linprog
+
+    n, r = H.shape
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    nv = r + len(pairs) + 1
+    A = np.zeros((n, nv))
+    A[:, :r] = H**2
+    for idx, (i, j) in enumerate(pairs):
+        A[:, r + idx] = 2.0 * H[:, i] * H[:, j]
+    A[:, -1] = -1.0
+    A_eq = np.zeros((1, nv))
+    A_eq[0, :r] = 1.0
+    c = np.zeros(nv)
+    c[-1] = 1.0
+    res = linprog(
+        c, A_ub=A, b_ub=np.zeros(n), A_eq=A_eq, b_eq=[1.0],
+        bounds=[(0.0, 1.0)] * r + [(-0.5, 0.5)] * len(pairs) + [(0.0, None)], method="highs",
+    )
+    assert res.success
+    return res.fun
+
+
+@pytest.mark.parametrize(
+    "family, bounds, step, M",
+    [
+        # r = 2: the smallest eigenvalue of I/2 is double
+        ("linear-2f-no-intercept", ((0.0, 1.0), (0.0, 1.0)), 0.0025, np.eye(2) / 2),
+        # r = 4: the 2x2 factorial on [-1, 1]^2 has M = I for the interaction model
+        ("interaction-2f", ((-1.0, 1.0), (-1.0, 1.0)), 0.01, np.eye(4)),
+    ],
+    ids=["line2f-r2", "interaction-r4"],
+)
+def test_e_minimax_row_generation_matches_full_lp(monkeypatch, family, bounds, step, M):
+    import scipy.optimize
+
+    m = make_model(family, space=DesignSpace(bounds))
+    cands = discretize(m.space, step)
+    H = m.eval_many(cands.points) @ psd_eig(M)[1]
+    full = _full_row_minimax(H)
+
+    heights = []
+    linprog = scipy.optimize.linprog
+
+    def recorded(*args, **kwargs):
+        heights.append(kwargs["A_ub"].shape[0])
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", recorded)
+    E = _e_eigenspace_minimax(H, 4000)
+    worst = float(np.einsum("ij,jk,ik->i", H, E, H).max())
+    assert worst == pytest.approx(full, abs=1e-9)
+    assert heights and max(heights) < 0.01 * len(cands)
 
 
 def test_certificate_rejects_singular(line2f, line2f_grid):

@@ -16,7 +16,7 @@ from optdesign import (
     prune,
     round_to_n,
 )
-from optdesign.designs import components
+from optdesign.designs import SWEEP_BLOCK, components, sweep
 
 weights_lists = st.lists(
     st.floats(min_value=1e-3, max_value=1.0, allow_nan=False), min_size=1, max_size=8
@@ -169,3 +169,24 @@ def test_exact_design_serialization():
     assert obj["n"] == 10
     assert sum(a["reps"] for a in obj["atoms"]) == 10
     assert all(isinstance(a["reps"], int) for a in obj["atoms"])
+
+
+@pytest.mark.parametrize(
+    "n, definite",
+    [
+        (3 * SWEEP_BLOCK + 17, True),  # several blocks, the last one partial
+        (SWEEP_BLOCK // 3, True),  # fewer rows than one block
+        (2 * SWEEP_BLOCK + 5, False),  # an indefinite N
+    ],
+)
+def test_sweep_matches_three_operand_einsum(n, definite):
+    rng = np.random.default_rng(n)
+    F = rng.standard_normal((n, 5))
+    A = rng.standard_normal((5, 5))
+    N = A @ A.T if definite else A + A.T
+    if not definite:
+        assert np.linalg.eigvalsh(N)[0] < 0
+    ref = np.einsum("ij,jk,ik->i", F, N, F)
+    # relative to the size of the terms summed, which an indefinite N cancels
+    scale = np.einsum("ij,jk,ik->i", np.abs(F), np.abs(N), np.abs(F))
+    assert np.all(np.abs(sweep(F, N) - ref) <= 1e-13 * scale)

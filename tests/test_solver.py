@@ -123,6 +123,17 @@ def test_a_optimal_poly3_outer_iterations():
     assert rep.iterations <= 20
 
 
+def test_p_near_one_converged_design_certifies(line2f):
+    # the Newton refinement once stopped on the normality inequality alone,
+    # at edge weights 6.8e-5 and 3e-8 with a support sensitivity below 1
+    cands = discretize(line2f.space, 0.05)
+    crit = parse_criterion("p:0.9", line2f.k)
+    opts = SolverOptions()
+    rep = solve(line2f, cands, crit, opts)
+    assert rep.converged
+    assert certify(rep.design, line2f, cands, crit, tol=2 * opts.kkt_tol).optimal
+
+
 def test_solve_d_coarse(line2f):
     cands = discretize(line2f.space, 0.05)
     rep = solve(line2f, cands, parse_criterion("D"))
