@@ -2,9 +2,15 @@
 
 Outer loop: add the candidate with the largest sensitivity value against the
 current dual certificate. Inner loop: reoptimize weights on the fixed support
-(multiplicative updates for D, projected Newton on log phi_p for other finite
-exponents, cutting-plane LP for E, whose objective is nonsmooth exactly at
-the optima that matter).
+(projected Newton on log phi_p for every finite exponent, D included;
+cutting-plane LP for E, whose objective is nonsmooth exactly at the optima
+that matter).
+
+D on a two-factor model with a marginal model on both axes first tries the
+product of the marginal D-optimal designs, D-optimal for additive models with
+an intercept and for Kronecker-product models (Schwabe 1996, Optimum Designs
+for Multi-Factor Models, LNS 113), whose D optima are not unique. The
+full-grid certificate decides: a product that fails it falls to the loop.
 
 The E refinement (``projections.max_lambda_min``) stops when the LP bound is
 within the inner tolerance (``kkt_tol / 20``, relative) of the best smallest
@@ -22,10 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import build_certificate
+from .conditional import marginal_model
 from .criteria import NEG_INF, Criterion, psd_eig
 from .designs import Design, gram, merge_close, prune, sweep
-from .errors import DegenerateModelError, EmptyDesignError, TruncationSlackError, ValidationError
-from .models import CandidateSet, ModelSpec, gram_rank, truncated_axes
+from .errors import DegenerateModelError, EmptyDesignError, NoConditionalModelError
+from .errors import TruncationSlackError, ValidationError
+from .models import CandidateSet, ModelSpec, gram_rank, interval, truncated_axes
 from .projections import max_lambda_min
 
 
@@ -47,6 +55,14 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Result of ``solve``.
+
+    ``iterations`` counts outer iterations and ``history`` holds the refined
+    criterion value after each. A D design built from its marginals (see the
+    module docstring) reports 0 and (): the outer loop did not run, and the
+    marginal solves' own counts are not carried over.
+    """
+
     design: Design
     criterion_value: float
     iterations: int
@@ -98,71 +114,6 @@ def _divided_differences(lam: np.ndarray, q: float) -> np.ndarray:
     L = np.log(hi / lo)
     ratio = np.divide(np.expm1(q * L), np.expm1(L), out=np.full_like(L, q), where=L > 0)
     return lo ** (q - 1.0) * ratio
-
-
-def _transfer_sweep_d(F, w):
-    """Exact pairwise weight transfers for the determinant criterion.
-
-    Along w + t(e_i - e_j) the determinant is a concave quadratic in t
-    (rank-two update), so the optimal transfer is closed-form. This resolves
-    weight splits across near-identical grid neighbors that multiplicative
-    updates move at rate 1 +/- O(grid step^2) per iteration. Zero-weight atoms
-    take part as transfer targets: multiplicative updates cannot regrow them.
-    """
-    m, k = F.shape
-    w = w.copy()
-    M = gram(F, w)
-    try:
-        Minv = np.linalg.inv(M)
-    except np.linalg.LinAlgError:
-        return w
-    if m <= 40:
-        idx = np.arange(m)
-    else:
-        d = sweep(F, Minv)
-        idx = np.unique(np.concatenate([np.argsort(-w)[:30], np.argsort(-d)[:10]]))
-    for a in range(idx.size):
-        for b in range(a + 1, idx.size):
-            i, j = int(idx[a]), int(idx[b])
-            fi, fj = F[i], F[j]
-            aii = float(fi @ Minv @ fi)
-            ajj = float(fj @ Minv @ fj)
-            aij = float(fi @ Minv @ fj)
-            denom = aii * ajj - aij * aij  # >= 0 by Cauchy-Schwarz
-            if denom <= 1e-300:
-                continue
-            t = (aii - ajj) / (2.0 * denom)
-            t = min(max(t, -w[i]), w[j])
-            if abs(t) < 1e-18:
-                continue
-            w[i] += t
-            w[j] -= t
-            M += t * (np.outer(fi, fi) - np.outer(fj, fj))
-            try:
-                Minv = np.linalg.inv(M)
-            except np.linalg.LinAlgError:
-                return w / w.sum()
-    return w / w.sum()
-
-
-def _multiplicative_d(F, w, tol, max_iter):
-    # after the KKT gap closes, keep polishing so zero-weight atoms decay
-    # through the prune floor (their weights shrink geometrically)
-    polish = 0
-    it = 0
-    while it < max_iter:
-        it += 1
-        _, sens, _ = _log_phi(F, w, 0.0)
-        if sens.max() - 1.0 <= tol:
-            polish += 1
-            if polish > 400:
-                break
-        elif it % 60 == 0:
-            w = _transfer_sweep_d(F, w)
-            continue
-        w = w * sens
-        w = w / w.sum()
-    return w
 
 
 def _newton_direction(sens, hess, free):
@@ -234,13 +185,10 @@ def _projected_newton(F, w, p, tol, max_iter):
 
 
 def _refine(F, w, criterion: Criterion, tol, max_iter):
-    p = criterion.p
-    if p == 0:
-        return _multiplicative_d(F, w, tol, max_iter)
-    if p == NEG_INF:
+    if criterion.p == NEG_INF:
         k = F.shape[1]
         return max_lambda_min(F, np.zeros((k, k)), w, tol, min(80, max_iter))[0]
-    return _projected_newton(F, w, p, tol, max_iter)
+    return _projected_newton(F, w, criterion.p, tol, max_iter)
 
 
 def _spread_indices(points: np.ndarray, F: np.ndarray, k: int, rng) -> list[int]:
@@ -289,6 +237,48 @@ def refine_weights(model, support, criterion: Criterion, opts: SolverOptions | N
     return Design(pts[keep], w[keep] / w[keep].sum())
 
 
+def _marginal_product(model, candidates, F_all, criterion, opts) -> SolveReport | None:
+    """The product of the marginal D-optimal designs if it certifies, else None.
+
+    Each marginal is solved on the distinct candidate coordinates of its axis,
+    whose pairs must be the whole candidate set. The product must pass the
+    checks the outer loop ends with: the full-grid normality inequality within
+    ``opts.kkt_tol``, and slack at every truncated boundary.
+    """
+    try:
+        marginals = [marginal_model(model, axis) for axis in (0, 1)]
+    except NoConditionalModelError:
+        return None
+    coords = [np.unique(candidates.points[:, axis])[:, None] for axis in (0, 1)]
+    if len(candidates) != coords[0].size * coords[1].size:
+        return None
+    margins = []
+    for axis, mm in enumerate(marginals):
+        lo, hi = candidates.space.bounds[axis]
+        sub = CandidateSet(interval(lo, hi), coords[axis], (candidates.steps[axis],))
+        try:
+            margins.append(solve(mm, sub, Criterion(0.0, mm.k), opts).design)
+        except DegenerateModelError:  # too few coordinates to fit the marginal
+            return None
+    d1, d2 = margins
+    pts = np.array([[a[0], b[0]] for a in d1.points for b in d2.points])
+    w = np.outer(d1.weights, d2.weights).ravel()
+    F_sup = model.eval_many(pts)
+    cert = build_certificate(criterion, gram(F_sup, w), model, candidates, floor_singular=True)
+    sens_all = sweep(F_all, cert.N)
+    viol = float(sens_all.max() - 1.0)
+    tight_edge = _boundary_sensitivity(candidates, sens_all) >= 1.0 - 10.0 * opts.kkt_tol
+    if viol > opts.kkt_tol or tight_edge:
+        return None
+    return SolveReport(
+        design=Design(pts, w),
+        criterion_value=_value(F_sup, w, criterion.p),
+        iterations=0,
+        max_sensitivity_violation=max(viol, 0.0),
+        converged=True,
+    )
+
+
 def solve(
     model: ModelSpec,
     candidates: CandidateSet,
@@ -311,6 +301,11 @@ def solve(
             f"candidates span only rank {gram_rank(F_all)} < k={k}; "
             "the criterion value is identically zero"
         )
+
+    if criterion.p == 0 and not isinstance(opts.init, Design):
+        report = _marginal_product(model, candidates, F_all, criterion, opts)
+        if report is not None:
+            return report
 
     rng = np.random.default_rng(opts.seed)
     if isinstance(opts.init, Design):
@@ -347,8 +342,10 @@ def solve(
         x_new = candidates.points[j]
         dup = np.nonzero(np.all(np.abs(sup_pts - x_new) < 1e-15, axis=1))[0]
         if dup.size:
-            # an already-supported atom violates: its weight decayed and the
-            # multiplicative update cannot regrow it; step toward it directly
+            # an already-supported atom violates: the refinement stopped short
+            # on this support (quick inner budget, line search or LP cap), or
+            # the certificate's dual is not its gradient (E, floored singular
+            # M); step toward the atom directly
             idx_new = int(dup[0])
         else:
             sup_pts = np.vstack([sup_pts, x_new])

@@ -5,6 +5,7 @@ from optdesign import (
     CandidateSet,
     Criterion,
     DegenerateModelError,
+    NoConditionalModelError,
     TruncationSlackError,
     certify,
     design,
@@ -12,6 +13,7 @@ from optdesign import (
     info_matrix,
     interval,
     make_model,
+    marginal_model,
     parse_criterion,
     refine_weights,
     sensitivity,
@@ -60,7 +62,7 @@ def test_refine_weights_single_point_trace():
     assert d.m == 1 and d.weights[0] == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("p", [1.0, 0.5, -1.0, -2.0])
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.0, -1.0, -2.0])
 def test_log_phi_derivatives_match_finite_differences(p):
     poly3 = make_model("polynomial", degree=3, space=interval(-1.0, 1.0))
     line = make_model("linear-2f-no-intercept")
@@ -85,7 +87,7 @@ def test_log_phi_derivatives_match_finite_differences(p):
 
 @pytest.mark.parametrize(
     "degree, n, p",
-    [(3, 7, p) for p in (1.0, 0.5, -1.0, -2.0, -10.0)] + [(4, 9, -1.0)],
+    [(3, 7, p) for p in (1.0, 0.5, 0.0, -1.0, -2.0, -10.0)] + [(4, 9, -1.0)],
 )
 def test_refine_weights_finite_p_reaches_inner_tolerance(degree, n, p):
     # A zero-weight atom whose Newton component is negative must leave the
@@ -221,3 +223,84 @@ def test_truncation_slack_passes_on_default_box():
     cands = discretize(m.space, 0.01)
     rep = solve(m, cands, parse_criterion("D"))
     assert rep.converged
+
+
+def _marginal_product(model, cands):
+    """Product of the marginal D-optimal designs on the distinct grid coordinates."""
+    margins = []
+    for axis in (0, 1):
+        mm = marginal_model(model, axis)
+        coords = np.unique(cands.points[:, axis])[:, None]
+        sub = CandidateSet(interval(*cands.space.bounds[axis]), coords, (cands.steps[axis],))
+        margins.append(solve(mm, sub, Criterion(0.0, mm.k)).design)
+    d1, d2 = margins
+    pts = [[a[0], b[0]] for a in d1.points for b in d2.points]
+    return design(pts, np.outer(d1.weights, d2.weights).ravel())
+
+
+def test_mixture_coarse_d_certifies_as_product():
+    # the outer loop stopped here at 7 atoms, reported converged, and the
+    # design failed certify on a support equality
+    m = make_model("mixture-poly-exp", theta3=2.0)
+    cands = discretize(m.space, 0.05)
+    crit = Criterion(0.0, m.k)
+    rep = solve(m, cands, crit)
+    assert rep.converged
+    assert certify(rep.design, m, cands, crit, tol=2e-5).optimal
+    assert rep.design.m == 8
+
+
+def test_d_product_path_certifies_on_full_grid():
+    m = make_model("mixture-poly-exp", theta3=1.0)
+    cands = discretize(m.space, 0.01)
+    crit = Criterion(0.0, m.k)
+    opts = SolverOptions()
+    rep = solve(m, cands, crit, opts)
+    assert rep.iterations == 0 and rep.history == ()
+    assert rep.converged
+    assert certify(rep.design, m, cands, crit, tol=2 * opts.kkt_tol).optimal
+    prod = _marginal_product(m, cands)
+    assert np.allclose(rep.design.points, prod.points)
+    assert np.allclose(rep.design.weights, prod.weights)
+
+
+def test_d_product_rejected_falls_back_to_loop():
+    # exp-product-2f has marginal models, but its D optimum is not a product
+    m = make_model("exp-product-2f", theta=[1.0, 1.0, 1.0])
+    cands = discretize(m.space, 0.01)
+    crit = Criterion(0.0, m.k)
+    opts = SolverOptions()
+    assert not certify(_marginal_product(m, cands), m, cands, crit, tol=2 * opts.kkt_tol).optimal
+    rep = solve(m, cands, crit, opts)
+    assert rep.iterations > 0
+    assert rep.converged
+    assert certify(rep.design, m, cands, crit, tol=2 * opts.kkt_tol).optimal
+    assert rep.criterion_value == pytest.approx(4.797305365, rel=1e-9)
+
+
+def test_d_without_marginal_model_runs_loop(line2f):
+    with pytest.raises(NoConditionalModelError):
+        marginal_model(line2f, 0)
+    rep = solve(line2f, discretize(line2f.space, 0.05), parse_criterion("D"))
+    assert rep.converged and rep.iterations > 0
+
+
+def test_d_user_init_skips_product_path():
+    m = make_model("interaction-2f")
+    cands = discretize(m.space, 0.05)
+    init = design([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    rep = solve(m, cands, Criterion(0.0, m.k), SolverOptions(init=init))
+    assert rep.converged and rep.iterations > 0
+    assert rep.criterion_value == pytest.approx(0.25, rel=1e-6)
+
+
+def test_d_product_path_needs_a_product_grid():
+    # without the corner (1, 1) the product of the marginals would leave the
+    # candidate set, so the outer loop runs
+    m = make_model("interaction-2f")
+    grid = discretize(m.space, 0.05)
+    pts = grid.points[np.any(grid.points < 1.0, axis=1)]
+    cands = CandidateSet(space=m.space, points=pts, steps=grid.steps)
+    rep = solve(m, cands, Criterion(0.0, m.k))
+    assert rep.converged and rep.iterations > 0
+    assert not np.any(np.all(rep.design.points == 1.0, axis=1))
