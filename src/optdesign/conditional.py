@@ -17,10 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .designs import Design, info_matrix
+from .designs import Design, gram, info_matrix
 from .errors import NoConditionalModelError, ValidationError
 from .models import CandidateSet, ModelSpec, discretize, gram_rank, interval, make_model
-from .projections import gap_eigh, max_lambda_min
 
 
 @dataclass(frozen=True)
@@ -490,6 +489,80 @@ def _phase2_oracle(d1: Design, points: np.ndarray, F: np.ndarray, model, tol: fl
     return cand if _material_dominates(cand, d1, model, tol) else None
 
 
+def _max_lambda_min(F, C, tol, rounds, target):
+    """Maximize lambda_min(F^T diag(w) F - C) over the simplex by Kelley cuts.
+
+    Every unit direction v gives the cut t <= sum_i w_i (f_i . v)^2 - v^T C v,
+    linear in (w, t); the LP over the cut pool bounds the maximum from above,
+    and each LP solution adds the eigenvectors of its smallest eigenvalue
+    cluster, plus their pairwise mixtures (plain eigenvector cuts close the
+    gap very slowly at multiple smallest eigenvalues). Starts from the
+    eigenvectors at uniform weights and stops at the first of:
+
+    - the gap ``upper - best <= max(1e-12, tol * |best|)``;
+    - the LP returning the weights of the round before: the new cuts would
+      all duplicate cuts already in the pool, so the loop is at a fixed point;
+    - ``upper <= target`` or ``best >= target``: whether the maximum reaches
+      the target is then settled;
+    - ``rounds`` LP solves.
+
+    An LP rather than a barrier: the optimum sought is a sparse vertex, which
+    the LP reaches in a few cheap solves. Returns (LP upper bound, cut pool);
+    the bound is inf when no LP was solved.
+    """
+    from scipy.optimize import linprog
+
+    m = F.shape[0]
+    w_prev = np.full(m, 1.0 / m)
+    vals, vecs = np.linalg.eigh(gram(F, w_prev) - C)
+    cuts = list(vecs.T)
+    best, upper = float(vals[0]), np.inf
+
+    def settled():
+        return upper <= target or best >= target
+
+    obj = np.zeros(m + 1)
+    obj[-1] = -1.0
+    A_eq = np.zeros((1, m + 1))
+    A_eq[0, :m] = 1.0
+    # every cut value is at least -lambda_max(C), so this bound leaves the
+    # LP optimum unchanged
+    t_lo = -float(np.linalg.eigvalsh(C)[-1])
+    bounds = [(0.0, 1.0)] * m + [(t_lo, None)]
+    for _ in range(rounds):
+        if settled():
+            break
+        V = np.stack(cuts, axis=1)
+        B = (F @ V) ** 2  # (m, ncuts)
+        c = np.einsum("ji,jk,ki->i", V, C, V)
+        res = linprog(
+            obj, A_ub=np.hstack([-B.T, np.ones((B.shape[1], 1))]), b_ub=-c,
+            A_eq=A_eq, b_eq=[1.0], bounds=bounds, method="highs",
+        )
+        if not res.success:
+            break
+        w = np.maximum(res.x[:m], 0.0)
+        w = w / w.sum()
+        upper = float(res.x[-1])
+        if np.array_equal(w, w_prev):
+            break
+        w_prev = w
+        vals, vecs = np.linalg.eigh(gram(F, w) - C)
+        lmin = float(vals[0])
+        best = max(best, lmin)
+        if upper - best <= max(1e-12, tol * abs(best)) or settled():
+            break
+        near = np.nonzero(vals - lmin <= 1e-6 * max(abs(vals[-1]), 1.0))[0]
+        for j in near:
+            cuts.append(vecs[:, j])
+        for a in range(len(near)):
+            for b in range(a + 1, len(near)):
+                va, vb = vecs[:, near[a]], vecs[:, near[b]]
+                cuts.append((va + vb) / np.sqrt(2.0))
+                cuts.append((va - vb) / np.sqrt(2.0))
+    return upper, cuts
+
+
 def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget: int, tol: float):
     """Trace ascent under the dominance constraint, by cutting planes.
 
@@ -512,7 +585,7 @@ def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget:
 
     # stage A: maximize the smallest eigenvalue of the gap
     floor = -tol * scale1
-    _, _, ub, cuts = max_lambda_min(F, M1, np.full(n, 1.0 / n), tol, rounds, target=floor)
+    ub, cuts = _max_lambda_min(F, M1, tol, rounds, floor)
     if ub <= floor:
         return None, False, True  # no design on these candidates dominates d1
 
@@ -541,7 +614,7 @@ def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget:
             break
         w_new = np.maximum(res.x, 0.0)
         w_new = w_new / w_new.sum()
-        vals, vs = gap_eigh(F, w_new, M1)
+        vals, vs = np.linalg.eigh(gram(F, w_new) - M1)
         lam = float(vals[0])
         lam_trail.append(lam)
         if lam > best_lam:

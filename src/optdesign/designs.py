@@ -140,20 +140,6 @@ def info_matrix(dsgn: Design, model) -> np.ndarray:
     return gram(model.eval_many(dsgn.points), dsgn.weights)
 
 
-def assert_info_matrix(M: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Validate symmetry and numerical nonnegative definiteness."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValidationError("information matrix must be square")
-    scale = max(np.abs(M).max(), 1.0)
-    if np.abs(M - M.T).max() > 1e-12 * scale:
-        raise ValidationError("information matrix must be symmetric")
-    vals = np.linalg.eigvalsh(0.5 * (M + M.T))
-    if vals[0] < -tol * max(vals[-1], 0.0) - 1e-300:
-        raise ValidationError(f"matrix is not nonnegative definite (lambda_min={vals[0]:g})")
-    return 0.5 * (M + M.T)
-
-
 def mix_designs(d1: Design, d2: Design, alpha: float) -> Design:
     """Convex combination alpha*d1 + (1-alpha)*d2 as a measure."""
     if not 0.0 <= alpha <= 1.0:

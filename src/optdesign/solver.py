@@ -1,24 +1,17 @@
 """Optimal-weight solver: sensitivity-driven exchange with weight refinement.
 
-Outer loop: add the candidate with the largest sensitivity value against the
-current dual certificate. Inner loop: reoptimize weights on the fixed support
-(projected Newton on log phi_p for every finite exponent, D included;
-cutting-plane LP for E, whose objective is nonsmooth exactly at the optima
-that matter).
+Outer loop: add the unsupported candidate with the largest sensitivity value
+against the current dual certificate, at weight zero. Inner loop: reoptimize
+weights on the fixed support by projected Newton ascent, of log phi_p for
+every finite exponent, D included, and for E of the log-barrier smoothing of
+the smallest eigenvalue along its central path, whose duality gap is the
+stop rule (Boyd & Vandenberghe, Convex Optimization, ch. 11).
 
 D on a two-factor model with a marginal model on both axes first tries the
 product of the marginal D-optimal designs, D-optimal for additive models with
 an intercept and for Kronecker-product models (Schwabe 1996, Optimum Designs
 for Multi-Factor Models, LNS 113), whose D optima are not unique. The
 full-grid certificate decides: a product that fails it falls to the loop.
-
-The E refinement (``projections.max_lambda_min``) stops when the LP bound is
-within the inner tolerance (``kkt_tol / 20``, relative) of the best smallest
-eigenvalue, or when the LP returns the same weights twice, or after 80 LPs.
-A fixed 1e-9 relative gap is not a usable stop: HiGHS solves to an absolute
-feasibility tolerance of 1e-7, against smallest eigenvalues near 0.04, so
-the LP bound stalls above such a gap and the loop would spend its whole cap
-re-solving the same vertex.
 """
 
 from __future__ import annotations
@@ -34,7 +27,6 @@ from .designs import Design, gram, merge_close, prune, sweep
 from .errors import DegenerateModelError, EmptyDesignError, NoConditionalModelError
 from .errors import TruncationSlackError, ValidationError
 from .models import CandidateSet, ModelSpec, gram_rank, interval, truncated_axes
-from .projections import max_lambda_min
 
 
 @dataclass(frozen=True)
@@ -116,51 +108,56 @@ def _divided_differences(lam: np.ndarray, q: float) -> np.ndarray:
     return lo ** (q - 1.0) * ratio
 
 
-def _newton_direction(sens, hess, free):
-    """Newton ascent step of log phi_p on the free atoms, with sum(d) = 0."""
+def _newton_direction(grad, hess, free):
+    """Newton ascent step on the free atoms, with sum(d) = 0."""
     idx = np.flatnonzero(free)
     n = idx.size
     kkt = np.ones((n + 1, n + 1))
     kkt[:n, :n] = -hess[np.ix_(idx, idx)]
     kkt[n, n] = 0.0
-    sol = np.linalg.lstsq(kkt, np.append(sens[idx], 0.0), rcond=None)[0]
-    d = np.zeros(sens.size)
+    sol = np.linalg.lstsq(kkt, np.append(grad[idx], 0.0), rcond=None)[0]
+    d = np.zeros(grad.size)
     d[idx] = sol[:n]
     return d
 
 
-def _projected_newton(F, w, p, tol, max_iter):
-    """Projected Newton ascent of log phi_p over the simplex on a fixed support.
+def _projected_newton(objective, w, tol, max_iter):
+    """Projected Newton ascent of a concave objective over the simplex on a fixed support.
 
-    The free set is the atoms with positive weight plus the zero-weight atoms
-    whose sensitivity exceeds 1 (the ones the normality inequality says to
-    grow). A zero-weight atom the Newton step would push negative is dropped
-    from the free set and the step solved again: left in, it caps the step
-    length at 0 and the loop stalls. The step is cut at the boundary of the
-    simplex, where the blocking weights are set to exactly 0, then
-    backtracked until it meets the Armijo condition on log phi_p. As log
-    phi_p is concave, a slope along d at the trial point of at least 1e-4
-    times the slope at w implies that condition; the slope test still decides
-    where the gain is below the rounding of log phi_p, which for an
-    ill-conditioned M (poly-4 A on [0, 1]: cond 1.6e5) swamps the last
-    Newton steps and would stall the loop short of its tolerance. The loop
-    stops once the normality inequality and the support equalities both hold
-    within ``tol``. The first alone accepted support atoms with sensitivity
-    below 1: p = 0.9 on linear-2f-no-intercept stopped at edge weights
-    6.8e-5 and 3e-8, where both should be 3.4e-5.
+    ``objective(w)`` returns (value, gradient, Hessian). The normalized
+    sensitivities are the gradient over w . gradient; the free set is the
+    atoms with positive weight plus the zero-weight atoms whose sensitivity
+    exceeds 1 (the ones the normality inequality says to grow). A zero-weight
+    atom the Newton step would push negative is dropped from the free set and
+    the step solved again: left in, it caps the step length at 0 and the loop
+    stalls. The step is cut at the boundary of the simplex, where the
+    blocking weights are set to exactly 0, then backtracked until it meets
+    the Armijo condition. As the objective is concave, a slope along d at the
+    trial point of at least 1e-4 times the slope at w implies that condition;
+    the slope test still decides where the gain is below the rounding of the
+    value, which for an ill-conditioned M (poly-4 A on [0, 1]: cond 1.6e5)
+    swamps the last Newton steps and would stall the loop short of its
+    tolerance. The loop stops once the normality inequality and the support
+    equalities both hold within ``tol``. The first alone accepted support
+    atoms with sensitivity below 1: p = 0.9 on linear-2f-no-intercept stopped
+    at edge weights 6.8e-5 and 3e-8, where both should be 3.4e-5. Returns
+    (weights, Newton steps taken).
     """
-    log_val, sens, hess = _log_phi(F, w, p, hessian=True)
-    for _ in range(max_iter):
+    value, grad, hess = objective(w)
+    steps = 0
+    while steps < max_iter:
+        sens = grad / (w @ grad)
         if sens.max() - 1.0 <= tol and sens[w > 0].min() >= 1.0 - tol:
             break
+        steps += 1
         free = (w > 0) | (sens > 1.0)
         while True:
-            d = _newton_direction(sens, hess, free)
+            d = _newton_direction(grad, hess, free)
             blocked = free & (w == 0) & (d < 0)
             if not blocked.any():
                 break
             free &= ~blocked
-        slope = float(sens @ d)
+        slope = float(grad @ d)
         if not slope > 0:
             break
         shrinking = d < 0
@@ -174,21 +171,72 @@ def _projected_newton(F, w, p, tol, max_iter):
                 w_try[ratios <= cap] = 0.0
             w_try = np.maximum(w_try, 0.0)
             w_try /= w_try.sum()
-            log_try, sens_try, hess_try = _log_phi(F, w_try, p, hessian=True)
-            if log_try >= log_val + 1e-4 * step * slope or sens_try @ d >= 1e-4 * slope:
-                w, log_val, sens, hess = w_try, log_try, sens_try, hess_try
+            val_try, grad_try, hess_try = objective(w_try)
+            if val_try >= value + 1e-4 * step * slope or grad_try @ d >= 1e-4 * slope:
+                w, value, grad, hess = w_try, val_try, grad_try, hess_try
                 break
             step *= 0.5
         else:
             break
+    return w, steps
+
+
+def _smoothed_lambda_min(F: np.ndarray, w: np.ndarray, mu: float):
+    """psi_mu(w) = max_t [t + mu log det(M(w) - t I)], its gradient and its Hessian in w.
+
+    The maximizing t solves mu tr(G^-1) = 1 with G = M - t I; d = lambda_min - t
+    lies in [mu, k mu], and Newton's method from d = mu climbs to the root
+    monotonically because the equation is convex and decreasing in d. With
+    S = F G^-1 F^T and a_i = f_i^T G^-2 f_i the gradient is mu diag(S) and,
+    t eliminated, the Hessian is -mu S o S + mu a a^T / tr(G^-2). The
+    gradient is f_i^T Z f_i for the trace-one Z = mu G^-1, so its largest
+    entry bounds the smallest eigenvalue of every design on the support.
+    """
+    vals, vecs = psd_eig(gram(F, w))
+    gaps = vals - vals[0]
+    d = mu
+    for _ in range(100):
+        inv = 1.0 / (gaps + d)
+        step = (mu * inv.sum() - 1.0) / (mu * (inv**2).sum())
+        d += step
+        if step <= 1e-15 * d:
+            break
+    inv = 1.0 / (gaps + d)
+    H = F @ vecs
+    value = vals[0] - d - mu * np.log(inv).sum()
+    a = (H**2) @ inv**2
+    S = (H * inv) @ H.T
+    hess = mu * (np.outer(a, a) / (inv**2).sum() - S**2)
+    return value, mu * np.diag(S), hess
+
+
+def _refine_e(F, w, tol, max_iter):
+    """E weights on a fixed support by the log-barrier central path.
+
+    Centers psi_mu with ``_projected_newton`` from mu = lambda_max / k down by
+    10x per round, and stops once the largest f_i^T Z f_i over the support is
+    within ``tol`` (relative) of lambda_min: that bound is the duality gap, so
+    the weights are then E-optimal on the support to ``tol``. Each centering
+    runs to tol / 2, leaving the other half of the gap to mu. Every round
+    spends at least one unit of ``max_iter``, so the loop ends.
+    """
+    mu = psd_eig(gram(F, w))[0][-1] / F.shape[1]
+    while max_iter > 0:
+        w, steps = _projected_newton(lambda v: _smoothed_lambda_min(F, v, mu), w, tol / 2, max_iter)
+        max_iter -= max(steps, 1)
+        lam_min = psd_eig(gram(F, w))[0][0]
+        bound = _smoothed_lambda_min(F, w, mu)[1].max()
+        if bound - lam_min <= tol * lam_min:
+            break
+        mu /= 10.0
     return w
 
 
 def _refine(F, w, criterion: Criterion, tol, max_iter):
     if criterion.p == NEG_INF:
-        k = F.shape[1]
-        return max_lambda_min(F, np.zeros((k, k)), w, tol, min(80, max_iter))[0]
-    return _projected_newton(F, w, criterion.p, tol, max_iter)
+        return _refine_e(F, w, tol, max_iter)
+    p = criterion.p
+    return _projected_newton(lambda v: _log_phi(F, v, p, hessian=True), w, tol, max_iter)[0]
 
 
 def _spread_indices(points: np.ndarray, F: np.ndarray, k: int, rng) -> list[int]:
@@ -338,42 +386,12 @@ def solve(
             )
             F_sup = model.eval_many(sup_pts)
             break
-        j = int(np.argmax(sens_all))  # lowest index wins exact ties
-        x_new = candidates.points[j]
-        dup = np.nonzero(np.all(np.abs(sup_pts - x_new) < 1e-15, axis=1))[0]
-        if dup.size:
-            # an already-supported atom violates: the refinement stopped short
-            # on this support (quick inner budget, line search or LP cap), or
-            # the certificate's dual is not its gradient (E, floored singular
-            # M); step toward the atom directly
-            idx_new = int(dup[0])
-        else:
-            sup_pts = np.vstack([sup_pts, x_new])
-            F_sup = np.vstack([F_sup, F_all[j]])
-            w = np.append(w, 0.0)
-            idx_new = w.size - 1
-        w_next = _blend_toward_atom(F_sup, w, idx_new, criterion.p)
-        if dup.size and np.array_equal(w_next, w):
-            # a zero-progress step toward a supported violator (a multiple
-            # smallest eigenvalue cannot be lifted along one atom): enlarge the
-            # support with the best unsupported violator and let the weight
-            # refinement act on them jointly
-            added = False
-            for jj in np.argsort(-sens_all):
-                if sens_all[jj] <= 1.0 + opts.kkt_tol:
-                    break
-                x2 = candidates.points[jj]
-                if np.any(np.all(np.abs(sup_pts - x2) < 1e-15, axis=1)):
-                    continue
-                sup_pts = np.vstack([sup_pts, x2])
-                F_sup = np.vstack([F_sup, F_all[int(jj)]])
-                w = np.append(w, 0.0)
-                added = True
-                break
-            if not added:
-                break  # every violating candidate is already supported
-        else:
-            w = w_next
+        j = _best_unsupported(sens_all, candidates.points, sup_pts, 1.0 + opts.kkt_tol)
+        if j is None:
+            break  # every violating candidate is already supported
+        sup_pts = np.vstack([sup_pts, candidates.points[j]])
+        F_sup = np.vstack([F_sup, F_all[j]])
+        w = np.append(w, 0.0)
     if viol > opts.kkt_tol:
         # unconverged exit (budget or a fully-supported violation set): report
         # the cleanest state that does not worsen the residual
@@ -406,36 +424,26 @@ def solve(
     )
 
 
+def _best_unsupported(sens, points, sup_pts, threshold) -> int | None:
+    """Index of the largest sensitivity above ``threshold`` among candidates
+    not in the support, or None if there is none. The lowest index wins exact
+    ties."""
+    masked = sens
+    while True:
+        j = int(np.argmax(masked))
+        if masked[j] <= threshold:
+            return None
+        if not np.any(np.all(np.abs(sup_pts - points[j]) < 1e-15, axis=1)):
+            return j
+        if masked is sens:
+            masked = sens.copy()
+        masked[j] = -np.inf
+
+
 def _value(F: np.ndarray, w: np.ndarray, p: float) -> float:
     if p == NEG_INF:
         return float(np.linalg.eigvalsh(gram(F, w))[0])
     return float(np.exp(_log_phi(F, w, p)[0]))
-
-
-def _blend_toward_atom(F, w, idx, p):
-    """Optimal step from w toward the unit mass at atom idx.
-
-    The criterion is concave along the segment, so a ternary search gives the
-    exact step; alpha = 0 is always admissible, keeping the ascent monotone.
-    """
-    e = np.zeros(w.size)
-    e[idx] = 1.0
-
-    def val(a):
-        return _value(F, (1.0 - a) * w + a * e, p)
-
-    lo, hi = 0.0, 0.99
-    for _ in range(60):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if val(m1) < val(m2):
-            lo = m1
-        else:
-            hi = m2
-    a = 0.5 * (lo + hi)
-    if val(a) <= val(0.0):
-        a = 0.0
-    return (1.0 - a) * w + a * e
 
 
 def _consolidate(model, candidates, F_all, criterion, opts, inner_tol, state, require=None):

@@ -281,14 +281,3 @@ def test_certify_warns_on_tight_truncation():
     d = refine_weights(model, [[0.0], [0.8]], Criterion(0.0, 2))
     with pytest.warns(RuntimeWarning, match="truncated"):
         certify(d, model, grid, Criterion(0.0))
-
-
-def test_assert_info_matrix():
-    from optdesign.designs import assert_info_matrix
-
-    M = assert_info_matrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
-    assert np.allclose(M, M.T)
-    with pytest.raises(ValidationError):
-        assert_info_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
-    with pytest.raises(ValidationError):
-        assert_info_matrix(np.array([[1.0, 0.5], [0.2, 1.0]]))  # asymmetric

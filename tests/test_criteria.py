@@ -140,3 +140,8 @@ def test_extreme_exponent_approaches_smallest_eigenvalue():
 def test_criterion_rejects_large_p():
     with pytest.raises(ValidationError):
         Criterion(1.5)
+
+
+def test_phi_rejects_asymmetric():
+    with pytest.raises(ValidationError):
+        phi(Criterion(0.0), np.array([[1.0, 0.5], [0.2, 1.0]]))
