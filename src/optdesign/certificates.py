@@ -70,7 +70,7 @@ class GarzaReport:
     monotone_axis_note: str | None
 
 
-def _e_eigenspace_minimax(H: np.ndarray, budget: int) -> np.ndarray:
+def _e_eigenspace_minimax(H: np.ndarray) -> np.ndarray:
     """Trace-one PSD E on the minimal eigenspace minimizing max_i h_i' E h_i.
 
     The sensitivities are linear in the entries of E, so the minimax is one LP
@@ -108,7 +108,6 @@ def _e_eigenspace_minimax(H: np.ndarray, budget: int) -> np.ndarray:
     psd_cuts: list[np.ndarray] = []
     norms2 = (H**2).sum(axis=1)
     best_E, best_worst = np.eye(r) / r, float(norms2.max() / r)
-    iters = int(np.clip(budget // 100, 20, 80))
     batch = 10 * nv  # rows that seed the LP and that join it per round
     active = np.sort(np.argsort(-norms2, kind="stable")[:batch])
 
@@ -153,7 +152,7 @@ def _e_eigenspace_minimax(H: np.ndarray, budget: int) -> np.ndarray:
             new = new[np.argsort(-excess[new], kind="stable")[:batch]]
             active = np.union1d(active, new)
 
-    for _ in range(iters):
+    for _ in range(40):  # eigenvalue-cut rounds
         res = solve_lp(obj)
         if not res.success:
             break
@@ -206,7 +205,6 @@ def build_certificate(
     model: ModelSpec,
     candidates: CandidateSet,
     floor_singular: bool = False,
-    search_budget: int = 4000,
 ) -> Certificate:
     """Matrix-mean dual certificate for M.
 
@@ -230,7 +228,7 @@ def build_certificate(
         else:
             V = vecs[:, :r]
             H = model.eval_many(candidates.points) @ V
-            E = _e_eigenspace_minimax(H, search_budget)
+            E = _e_eigenspace_minimax(H)
             N = V @ E @ V.T / lam_min
     else:
         if singular and p < 1:

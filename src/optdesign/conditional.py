@@ -489,89 +489,29 @@ def _phase2_oracle(d1: Design, points: np.ndarray, F: np.ndarray, model, tol: fl
     return cand if _material_dominates(cand, d1, model, tol) else None
 
 
-def _max_lambda_min(F, C, tol, rounds, target):
-    """Maximize lambda_min(F^T diag(w) F - C) over the simplex by Kelley cuts.
-
-    Every unit direction v gives the cut t <= sum_i w_i (f_i . v)^2 - v^T C v,
-    linear in (w, t); the LP over the cut pool bounds the maximum from above,
-    and each LP solution adds the eigenvectors of its smallest eigenvalue
-    cluster, plus their pairwise mixtures (plain eigenvector cuts close the
-    gap very slowly at multiple smallest eigenvalues). Starts from the
-    eigenvectors at uniform weights and stops at the first of:
-
-    - the gap ``upper - best <= max(1e-12, tol * |best|)``;
-    - the LP returning the weights of the round before: the new cuts would
-      all duplicate cuts already in the pool, so the loop is at a fixed point;
-    - ``upper <= target`` or ``best >= target``: whether the maximum reaches
-      the target is then settled;
-    - ``rounds`` LP solves.
-
-    An LP rather than a barrier: the optimum sought is a sparse vertex, which
-    the LP reaches in a few cheap solves. Returns (LP upper bound, cut pool);
-    the bound is inf when no LP was solved.
-    """
-    from scipy.optimize import linprog
-
-    m = F.shape[0]
-    w_prev = np.full(m, 1.0 / m)
-    vals, vecs = np.linalg.eigh(gram(F, w_prev) - C)
-    cuts = list(vecs.T)
-    best, upper = float(vals[0]), np.inf
-
-    def settled():
-        return upper <= target or best >= target
-
-    obj = np.zeros(m + 1)
-    obj[-1] = -1.0
-    A_eq = np.zeros((1, m + 1))
-    A_eq[0, :m] = 1.0
-    # every cut value is at least -lambda_max(C), so this bound leaves the
-    # LP optimum unchanged
-    t_lo = -float(np.linalg.eigvalsh(C)[-1])
-    bounds = [(0.0, 1.0)] * m + [(t_lo, None)]
-    for _ in range(rounds):
-        if settled():
-            break
-        V = np.stack(cuts, axis=1)
-        B = (F @ V) ** 2  # (m, ncuts)
-        c = np.einsum("ji,jk,ki->i", V, C, V)
-        res = linprog(
-            obj, A_ub=np.hstack([-B.T, np.ones((B.shape[1], 1))]), b_ub=-c,
-            A_eq=A_eq, b_eq=[1.0], bounds=bounds, method="highs",
-        )
-        if not res.success:
-            break
-        w = np.maximum(res.x[:m], 0.0)
-        w = w / w.sum()
-        upper = float(res.x[-1])
-        if np.array_equal(w, w_prev):
-            break
-        w_prev = w
-        vals, vecs = np.linalg.eigh(gram(F, w) - C)
-        lmin = float(vals[0])
-        best = max(best, lmin)
-        if upper - best <= max(1e-12, tol * abs(best)) or settled():
-            break
-        near = np.nonzero(vals - lmin <= 1e-6 * max(abs(vals[-1]), 1.0))[0]
-        for j in near:
-            cuts.append(vecs[:, j])
-        for a in range(len(near)):
-            for b in range(a + 1, len(near)):
-                va, vb = vecs[:, near[a]], vecs[:, near[b]]
-                cuts.append((va + vb) / np.sqrt(2.0))
-                cuts.append((va - vb) / np.sqrt(2.0))
-    return upper, cuts
-
-
 def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget: int, tol: float):
-    """Trace ascent under the dominance constraint, by cutting planes.
+    """Dominator search over all candidates by one Kelley cutting-plane loop.
 
-    The penalty formulation trace(M(w) - M1) + rho * min(0, lambda_min) has, in
-    its exact-penalty limit, the constrained problem "maximize the trace gain
-    subject to M(w) - M1 nonnegative definite"; both the feasibility margin
-    max_w lambda_min(M(w) - M1) and the constrained trace ascent are solved by
-    Kelley cuts over unit directions (each cut is linear in w). Stage A's upper
-    bound below -tol proves no candidate design dominates d1 at this tolerance.
+    Every unit direction v gives the cut sum_i w_i (f_i . v)^2 - t >= v^T M1 v,
+    linear in the weights w (on the simplex) and a margin t, so one LP over the
+    cut pool relaxes the cone {w : M(w) - M1 - t I nonnegative definite}. Each
+    LP solution w adds the eigenvectors of the smallest eigenvalue cluster of
+    M(w) - M1, plus their pairwise mixtures (plain eigenvector cuts close the
+    gap very slowly at multiple smallest eigenvalues). The pool starts from the
+    eigenvectors at uniform weights, and the loop runs in two stages, each
+    capped at the same number of LP solves:
+
+    - Stage A maximizes t, an upper bound on max_w lambda_min(M(w) - M1). A
+      bound at or below -tol (relative) proves that no design on these
+      candidates dominates d1. The stage hands over once some w reaches that
+      floor, the LP returns the weights of the round before (the new cuts
+      would all duplicate cuts already in the pool), or the bound is within
+      ``max(1e-12, tol * |best|)`` of the best margin seen. It runs first
+      because its cuts steer stage B toward the cone.
+    - Stage B fixes t = 0 and maximizes the trace gain over the relaxed cone.
+      An infeasible LP proves none; a solution inside the cone is returned
+      once it verifies, and the stage stops when the margin stalls at the
+      float noise floor.
 
     Returns (verified dominator or None, still_improving, proven_none).
     """
@@ -580,16 +520,9 @@ def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget:
     M1 = info_matrix(d1, model)
     n = F.shape[0]
     scale1 = max(float(np.abs(M1).max()), 1e-300)
-    tr_i = (F**2).sum(axis=1)
+    floor = -tol * scale1
     rounds = int(np.clip(budget // 100, 10, 80))
 
-    # stage A: maximize the smallest eigenvalue of the gap
-    floor = -tol * scale1
-    ub, cuts = _max_lambda_min(F, M1, tol, rounds, floor)
-    if ub <= floor:
-        return None, False, True  # no design on these candidates dominates d1
-
-    # stage B: maximize the trace gain over the cut relaxation of the cone
     def extract(w_vec):
         keep = w_vec > 1e-12
         pts = points[keep]
@@ -598,37 +531,68 @@ def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget:
         cand = Design(pts, w_vec[keep] / w_vec[keep].sum())
         return cand if _material_dominates(cand, d1, model, tol) else None
 
-    best_lam, best_w2 = -np.inf, None
+    A_eq = np.append(np.ones(n), 0.0)[None, :]
+    # every cut value is at least -lambda_max(M1), so stage A's bound on t
+    # leaves its LP optimum unchanged
+    t_free = (-float(np.linalg.eigvalsh(M1)[-1]), None)
+    stages = (
+        (True, np.append(np.zeros(n), -1.0), t_free),   # A: maximize t
+        (False, np.append(-(F**2).sum(axis=1), 0.0), (0.0, 0.0)),  # B: trace gain at t = 0
+    )
+    w_prev = np.full(n, 1.0 / n)
+    vals, vecs = np.linalg.eigh(gram(F, w_prev) - M1)
+    cuts = list(vecs.T)
+    best = float(vals[0])
+    best_lam, best_w = -np.inf, None
     lam_trail: list[float] = []
-    for _ in range(rounds):
-        V = np.stack(cuts, axis=1)
-        B = (F @ V) ** 2
-        c = np.einsum("ji,jk,ki->i", V, M1, V)
-        res = linprog(
-            -tr_i, A_ub=-B.T, b_ub=-c, A_eq=np.ones((1, n)), b_eq=[1.0],
-            bounds=[(0.0, 1.0)] * n, method="highs",
-        )
-        if res.status == 2:
-            return None, False, True  # even the relaxed cone is empty
-        if not res.success:
-            break
-        w_new = np.maximum(res.x, 0.0)
-        w_new = w_new / w_new.sum()
-        vals, vs = np.linalg.eigh(gram(F, w_new) - M1)
-        lam = float(vals[0])
-        lam_trail.append(lam)
-        if lam > best_lam:
-            best_lam, best_w2 = lam, w_new
-        if lam >= floor:
-            cand = extract(w_new)
-            if cand is not None:
-                return cand, False, False
-        if len(lam_trail) >= 3 and abs(lam_trail[-1] - lam_trail[-2]) <= 1e-16 * scale1:
-            break  # cut generation stalled at the float noise floor
-        for j in np.nonzero(vals <= vals[0] + 1e-10 * scale1)[0]:
-            cuts.append(vs[:, j])
-    if best_w2 is not None:
-        cand = extract(best_w2)
+    for stage_a, obj, t_bounds in stages:
+        for _ in range(rounds):
+            if stage_a and best >= floor:
+                break
+            V = np.stack(cuts, axis=1)
+            res = linprog(
+                obj, A_ub=np.hstack([-((F @ V) ** 2).T, np.ones((V.shape[1], 1))]),
+                b_ub=-np.einsum("ji,jk,ki->i", V, M1, V), A_eq=A_eq, b_eq=[1.0],
+                bounds=[(0.0, 1.0)] * n + [t_bounds], method="highs",
+            )
+            if res.status == 2:
+                return None, False, True  # even the relaxed cone is empty
+            if not res.success:
+                break
+            w = np.maximum(res.x[:n], 0.0)
+            w = w / w.sum()
+            if stage_a:
+                upper = float(res.x[-1])
+                if upper <= floor:
+                    return None, False, True  # no design on these candidates dominates d1
+                if np.array_equal(w, w_prev):
+                    break
+                w_prev = w
+            vals, vecs = np.linalg.eigh(gram(F, w) - M1)
+            lam = float(vals[0])
+            if stage_a:
+                best = max(best, lam)
+                if upper - best <= max(1e-12, tol * abs(best)):
+                    break
+            else:
+                lam_trail.append(lam)
+                if lam > best_lam:
+                    best_lam, best_w = lam, w
+                if lam >= floor:
+                    cand = extract(w)
+                    if cand is not None:
+                        return cand, False, False
+                if len(lam_trail) >= 3 and abs(lam_trail[-1] - lam_trail[-2]) <= 1e-16 * scale1:
+                    break  # cut generation stalled at the float noise floor
+            near = np.nonzero(vals - lam <= 1e-6 * max(abs(vals[-1]), 1.0))[0]
+            cuts.extend(vecs[:, j] for j in near)
+            for a in range(len(near)):
+                for b in range(a + 1, len(near)):
+                    va, vb = vecs[:, near[a]], vecs[:, near[b]]
+                    cuts.append((va + vb) / np.sqrt(2.0))
+                    cuts.append((va - vb) / np.sqrt(2.0))
+    if best_w is not None:
+        cand = extract(best_w)
         if cand is not None:
             return cand, False, False
     # unsettled: the margin was still being driven toward feasibility at budget
@@ -649,11 +613,15 @@ def find_dominator(
 
     On small problems (dimension <= 2, at most 200 candidates) the exhaustive
     two-point oracle runs first: it is exact in the weight and its answer is
-    interpretable. When it does not apply or finds nothing, a constrained
-    trace ascent by cutting planes runs over all candidates; its dual bound
-    can prove that no candidate design dominates. Every returned dominator is
-    re-verified. A verdict of admissible means the search came up empty
-    within budget; it is a one-sided statement, not a proof of admissibility.
+    interpretable. When it does not apply or finds nothing, one Kelley
+    cutting-plane loop runs over all candidates: it first bounds the best
+    achievable smallest eigenvalue of M(w) - M(d1), then maximizes the trace
+    gain over the cut relaxation of the dominance cone. Either stage can prove
+    that no candidate design dominates (a bound below tolerance, or an empty
+    relaxation); ``budget // 100`` LP solves, clipped to [10, 80], cap each
+    stage. Every returned dominator is re-verified. A verdict of admissible
+    without such a proof means the search came up empty within budget; it is
+    a one-sided statement, not a proof of admissibility.
     """
     points = candidates.points if isinstance(candidates, CandidateSet) else np.atleast_2d(candidates)
     F = model.eval_many(points)

@@ -104,7 +104,7 @@ def test_e_minimax_row_generation_matches_full_lp(monkeypatch, family, bounds, s
         return linprog(*args, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "linprog", recorded)
-    E = _e_eigenspace_minimax(H, 4000)
+    E = _e_eigenspace_minimax(H)
     worst = float(np.einsum("ij,jk,ik->i", H, E, H).max())
     assert worst == pytest.approx(full, abs=1e-9)
     assert heights and max(heights) < 0.01 * len(cands)

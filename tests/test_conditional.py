@@ -253,6 +253,40 @@ def test_find_dominator_dual_bound_proves_none(line2f):
     assert verdict.note == "no design on these candidates dominates (dual bound below tolerance)"
 
 
+def _sweep_draw(model, step, index):
+    """Draw ``index`` of a random-design sweep over the grid of spacing step:
+    from default_rng(7), each draw puts uniform(0.05, 1) weights on k to k + 2
+    distinct grid points. Exact weights matter: rounding them changes the
+    search path."""
+    grid = discretize(model.space, step)
+    rng = np.random.default_rng(7)
+    for _ in range(index + 1):
+        size = rng.integers(model.k, model.k + 3)
+        idx = rng.choice(grid.points.shape[0], size, replace=False)
+        w = rng.uniform(0.05, 1.0, size)
+    return design(grid.points[idx], w, normalize=True), grid
+
+
+@pytest.mark.parametrize(
+    "family,params,space,step,draw",
+    [
+        pytest.param("polynomial", {"degree": 3}, interval(-1.0, 1.0), 0.02, i, id=f"poly3-{i}")
+        for i in (4, 7, 9)
+    ]
+    + [pytest.param("interaction-2f", {}, None, 0.1, i, id=f"interaction-{i}") for i in range(3)],
+)
+def test_find_dominator_random_inadmissible_designs(family, params, space, step, draw):
+    # the cubic draws have 5 interior support points, above the index bound
+    # (m + 1) / 2 = 2 of admissible cubic designs (Karlin & Studden 1966),
+    # and take both cutting-plane stages; the interaction draws (k = 4) are
+    # past the two-point oracle and need stage A's cuts to steer stage B
+    model = make_model(family, space=space, **params)
+    d1, grid = _sweep_draw(model, step, draw)
+    verdict = find_dominator(d1, grid, model)
+    assert not verdict.admissible and not verdict.inconclusive
+    assert dominates(verdict.dominator, d1, model, tol=1e-7)
+
+
 def test_find_dominator_rank_precondition(line2f):
     d = design([[1.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
     with pytest.raises(ValidationError):
