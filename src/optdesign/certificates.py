@@ -329,9 +329,7 @@ def polytope_report(
             f"support atom {design.points[i].tolist()} is not active on the certificate "
             f"(value {activity[i]:.8f})"
         )
-    F_all = model.eval_many(candidates.points)
-    P_all = (F_all @ Z) ** 2
-    worst = float((P_all @ lam).max())
+    worst = float(sweep(model.eval_many(candidates.points), certificate.N).max())
     if worst > certificate.bound + active_tol:
         raise InconsistencyError(
             f"certificate violates the normality inequality on the grid (max {worst:.8f})"

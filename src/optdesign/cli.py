@@ -15,6 +15,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .certificates import certify, garza_report, polytope_report
 from .conditional import SliceMap, conditional_audit, decompose, recompose_check
@@ -27,6 +29,7 @@ from .solver import SolverOptions, solve
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_UNSETTLED = 3
+CSV_BLOCK = 8192
 
 
 def _config_hash(payload: dict) -> str:
@@ -38,11 +41,18 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
+    """Header line, then one line per row of ``table`` with every value in %.17g.
+
+    Rows are formatted and written CSV_BLOCK at a time, so the text of a
+    grid-sized table is never held whole in memory.
+    """
+    fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, table.shape[0], CSV_BLOCK):
+            rows = table[start : start + CSV_BLOCK].tolist()
+            fh.write("".join([fmt % tuple(row) for row in rows]))
 
 
 def _design_payload(dsgn: Design) -> dict:
@@ -89,7 +99,7 @@ def _write_sensitivity(out: Path, model, candidates, certificate) -> None:
     _write_csv(
         out / "sensitivity.csv",
         [f"x{i}" for i in range(candidates.points.shape[1])] + ["sensitivity"],
-        (list(x) + [s] for x, s in zip(candidates.points, sens)),
+        np.column_stack((candidates.points, sens)),
     )
 
 
@@ -217,7 +227,7 @@ def cmd_garza(args) -> int:
     _write_csv(
         out / "norms.csv",
         [f"x{i}" for i in range(q)] + ["norm_sq"],
-        (list(x) + [v] for x, v in zip(cands.points, rep.norm_values)),
+        np.column_stack((cands.points, rep.norm_values)),
     )
     print(f"garza: injective={rep.injective} bound={rep.saturation_bound}")
     return EXIT_OK

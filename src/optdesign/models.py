@@ -95,7 +95,11 @@ def truncate(space: DesignSpace, axis: int, new_hi: float) -> DesignSpace:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Finite list of grid points inside a design space."""
+    """Finite list of grid points inside a design space.
+
+    Points must be pairwise distinct under float equality, so ``0.0`` and
+    ``-0.0`` are the same point.
+    """
 
     space: DesignSpace
     points: np.ndarray  # (n, q)
@@ -111,7 +115,8 @@ class CandidateSet:
             raise ValidationError("candidate points do not match space dimension")
         if not np.all(self.space.contains(pts)):
             raise ValidationError("candidate point outside design-space bounds")
-        if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
+        ordered = pts[np.lexsort(pts.T)]  # equal rows end up adjacent
+        if np.all(ordered[1:] == ordered[:-1], axis=1).any():
             raise ValidationError("candidate points must be pairwise distinct")
         self.points.setflags(write=False)
 

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from optdesign.cli import GOLDEN, main
+from optdesign import default_candidates, garza_report, load_model
+from optdesign.cli import CSV_BLOCK, GOLDEN, _write_csv, main
 
 
 @pytest.fixture()
@@ -107,12 +109,41 @@ def test_garza_command(tmp_path):
             }
         )
     )
-    out = tmp_path / "out"
-    assert main(["garza", "--model", str(model), "--out", str(out)]) == 0
+    out, again = tmp_path / "out", tmp_path / "again"
+    for target in (out, again):
+        assert main(["garza", "--model", str(model), "--out", str(target)]) == 0
     rep = json.loads((out / "garza.json").read_text())
     assert rep["injective"] is True
     assert rep["saturation_bound"] == 3
-    assert (out / "norms.csv").exists()
+
+    spec, steps = load_model(model)
+    cands = default_candidates(spec, steps)
+    lines = (out / "norms.csv").read_text().splitlines()
+    assert lines[0] == "x0,norm_sq"
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert table.shape == (len(cands), 2)
+    assert np.array_equal(table[:, :1], cands.points)
+    assert np.array_equal(table[:, 1], garza_report(spec, cands).norm_values)
+    for name in ("garza.json", "norms.csv"):
+        assert (out / name).read_bytes() == (again / name).read_bytes()
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 20_000  # two full blocks and a partial third
+    assert 2 * CSV_BLOCK < n < 3 * CSV_BLOCK
+    table = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
+    table[0] = [-0.0, 5e-324, 1e-300]
+    table[CSV_BLOCK - 1 : CSV_BLOCK + 1] = [[1.0, 1e22, -1.5], [-1e22, -5e-324, 0.0]]
+    table[-1] = [-0.0, -1e-300, 1.0]
+    header = ["x0", "x1", "value"]
+    _write_csv(tmp_path / "blocked.csv", header, table)
+
+    lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in table]
+    (tmp_path / "per_value.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    written = (tmp_path / "blocked.csv").read_bytes()
+    assert written == (tmp_path / "per_value.csv").read_bytes()
+    assert b"\n-0,4.9406564584124654e-324,1e-300\n" in written
 
 
 def test_audit_missing_conditional_model_exits_2(tmp_path, model21, design21):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from optdesign import (
+    CandidateSet,
     DesignSpace,
     DomainError,
     MustTruncateError,
@@ -82,6 +83,36 @@ def test_discretize_includes_endpoints_for_uneven_step():
 def test_discretize_unbounded_raises():
     with pytest.raises(MustTruncateError):
         discretize(DesignSpace(((0.0, math.inf),)), 0.1)
+
+
+def test_candidate_set_rejects_duplicate_points():
+    box = DesignSpace(((-1, 1), (-1, 1)))
+    grid = discretize(box, 0.1).points
+    shuffled = grid[np.random.default_rng(0).permutation(len(grid))]
+    assert len(CandidateSet(box, shuffled, (0.1, 0.1))) == len(grid)
+    # the twin of row 0 goes last, so sorting has to bring the pair together
+    with pytest.raises(ValidationError, match="pairwise distinct"):
+        CandidateSet(box, np.vstack([shuffled, shuffled[:1]]), (0.1, 0.1))
+    with pytest.raises(ValidationError, match="pairwise distinct"):
+        CandidateSet(box, [[0.0, 0.5], [-0.0, 0.5]], (0.5, 0.5))
+    shared = CandidateSet(box, [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]], (1.0, 1.0))
+    assert len(shared) == 3
+    assert len(CandidateSet(box, [[0.5, 0.5]], (0.5, 0.5))) == 1
+
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for _ in range(200):
+        q = int(rng.integers(1, 4))
+        pts = rng.integers(0, 3, size=(int(rng.integers(1, 9)), q)).astype(float)
+        distinct = np.unique(pts, axis=0).shape[0] == pts.shape[0]
+        try:
+            CandidateSet(DesignSpace(((0, 2),) * q), pts, (1.0,) * q)
+            accepted = True
+        except ValidationError:
+            accepted = False
+        assert accepted == distinct, pts
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
 
 
 def test_truncate():
