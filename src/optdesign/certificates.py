@@ -16,10 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import _SING_REL, E_GAP_REL, NEG_INF, Criterion, phi, polar, psd_eig
+from .criteria import _SING_REL, E_GAP_REL, NEG_INF, Criterion, finite_p_dual
+from .criteria import phi, polar, psd_eig
 from .designs import Design, components, info_matrix, sweep
 from .errors import InconsistencyError, ValidationError
 from .models import FAMILIES, CandidateSet, ModelSpec, make_model, truncated_axes
+
+GROUP_TOL = 1e-5   # squared coordinates this close (relative) share a hyperplane
+ACTIVE_TOL = 1e-4  # slack allowed in the support equalities and the grid inequality
 
 
 @dataclass(frozen=True)
@@ -212,13 +216,10 @@ def build_certificate(
     the smallest eigenspace; with multiplicity the trace-one factor is chosen
     to minimize the worst sensitivity over the candidates.
     """
-    p = criterion.p
     vals, vecs = psd_eig(M, criterion.s)
-    lmax = max(vals[-1], 1e-300)
-    singular = vals[0] <= _SING_REL * lmax
-
-    if p == NEG_INF:
-        if singular:
+    if criterion.p == NEG_INF:
+        lmax = max(vals[-1], 1e-300)
+        if vals[0] <= _SING_REL * lmax:
             raise ValidationError("singular matrix has no E-certificate; value is zero")
         lam_min = vals[0]
         cluster = vals - lam_min < E_GAP_REL * lmax
@@ -231,17 +232,7 @@ def build_certificate(
             E = _e_eigenspace_minimax(H)
             N = V @ E @ V.T / lam_min
     else:
-        if singular and p < 1:
-            if not floor_singular:
-                raise ValidationError(
-                    "singular information matrix; certificate needs a positive definite input"
-                )
-        floored = np.maximum(vals, _SING_REL * lmax)
-        if p == 0:
-            N = (vecs / floored) @ vecs.T / len(vals)
-        else:
-            powered = floored**p
-            N = (vecs * floored ** (p - 1.0)) @ vecs.T / powered.sum()
+        N = finite_p_dual(vals, vecs, criterion.p, floor_singular)
 
     N = 0.5 * (N + N.T)
     nvals, nvecs = np.linalg.eigh(N)
@@ -263,6 +254,8 @@ def certify(
     three must hold within ``tol`` for ``optimal=True``. This is a computation,
     not a search: it always returns a report.
     """
+    if tol < 0:
+        raise ValidationError(f"certify tolerance must be nonnegative, got {tol:g}")
     criterion = Criterion(criterion.p, model.k)
     M = info_matrix(design, model)
     cert = build_certificate(criterion, M, model, candidates)
@@ -308,8 +301,6 @@ def polytope_report(
     design: Design,
     model: ModelSpec,
     candidates: CandidateSet,
-    group_tol: float = 1e-5,
-    active_tol: float = 1e-4,
 ) -> PolytopeReport:
     """Supporting-hyperplane structure of a certified design.
 
@@ -322,7 +313,7 @@ def polytope_report(
     F_sup = model.eval_many(design.points)
     P_sup = (F_sup @ Z) ** 2
     activity = P_sup @ lam
-    bad = np.abs(activity - certificate.bound) > active_tol
+    bad = np.abs(activity - certificate.bound) > ACTIVE_TOL
     if np.any(bad):
         i = int(np.nonzero(bad)[0][0])
         raise InconsistencyError(
@@ -330,13 +321,13 @@ def polytope_report(
             f"(value {activity[i]:.8f})"
         )
     worst = float(sweep(model.eval_many(candidates.points), certificate.N).max())
-    if worst > certificate.bound + active_tol:
+    if worst > certificate.bound + ACTIVE_TOL:
         raise InconsistencyError(
             f"certificate violates the normality inequality on the grid (max {worst:.8f})"
         )
 
     scale = max(float(np.abs(P_sup).max()), 1.0)
-    near = np.abs(P_sup[:, None, :] - P_sup[None, :, :]).max(axis=2) <= group_tol * scale
+    near = np.abs(P_sup[:, None, :] - P_sup[None, :, :]).max(axis=2) <= GROUP_TOL * scale
     groups = components(near)
     if len(groups) > k:
         raise InconsistencyError(f"{len(groups)} hyperplanes found; at most {k} can be active")
@@ -370,6 +361,8 @@ def garza_report(model: ModelSpec, candidates: CandidateSet, norm_tol: float = 1
     bounds optimal supports by k points, and at most N equal-length vectors
     bound them by N*k.
     """
+    if norm_tol < 0:
+        raise ValidationError(f"norm tolerance must be nonnegative, got {norm_tol:g}")
     F = model.eval_many(candidates.points)
     norms2 = (F**2).sum(axis=1)
     sorted_vals = np.sort(norms2)
@@ -406,33 +399,25 @@ def exp_saturation_check(a, lam) -> tuple[bool, np.ndarray]:
     return bool(np.all(margins >= 0)), margins
 
 
-def rescale_invariance_check(
-    a,
-    lam,
-    c: float,
-    candidates: CandidateSet,
-    criterion: Criterion | None = None,
-    opts=None,
-) -> bool:
+def rescale_invariance_check(a, lam, c: float, candidates: CandidateSet) -> bool:
     """D-designs for an exponential sum are invariant under rescaling every
     amplitude to a common constant c > 0 (a diagonal reparametrization).
 
     Solves both problems on the same grid and compares supports (within one
     grid step) and weights (within 1e-4).
     """
-    from .solver import SolverOptions, solve
+    from .solver import solve
 
     if c <= 0:
         raise ValidationError("amplitude constant c must be positive")
-    criterion = criterion or Criterion(0.0)
-    opts = opts or SolverOptions()
+    criterion = Criterion(0.0)
     L = len(np.asarray(lam).ravel())
     model_f = make_model("exponential-sum", space=candidates.space, a=list(a), **{"lambda": list(lam)})
     model_g = make_model(
         "exponential-sum", space=candidates.space, a=[-float(c)] * L, **{"lambda": list(lam)}
     )
-    rep_f = solve(model_f, candidates, criterion, opts)
-    rep_g = solve(model_g, candidates, criterion, opts)
+    rep_f = solve(model_f, candidates, criterion)
+    rep_g = solve(model_g, candidates, criterion)
     if not (rep_f.converged and rep_g.converged):
         return False
     df, dg = rep_f.design, rep_g.design

@@ -55,10 +55,6 @@ def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
             fh.write("".join([fmt % tuple(row) for row in rows]))
 
 
-def _design_payload(dsgn: Design) -> dict:
-    return dsgn.to_dict()
-
-
 def _report_base(args, command: str) -> dict:
     # the hash covers the computation, not where its results are written
     payload = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
@@ -125,7 +121,7 @@ def cmd_solve(args) -> int:
             "criterion_value": report.criterion_value,
             "max_sensitivity_violation": report.max_sensitivity_violation,
             "certified_optimal": check.optimal,
-            "design": _design_payload(report.design),
+            "design": report.design.to_dict(),
             "n_candidates": len(cands),
         }
     )
@@ -246,7 +242,7 @@ def cmd_audit(args) -> int:
             "admissible": verdict.admissible,
             "inconclusive": verdict.inconclusive,
             "note": verdict.note,
-            "dominator": None if verdict.dominator is None else _design_payload(verdict.dominator),
+            "dominator": None if verdict.dominator is None else verdict.dominator.to_dict(),
             "slices": [
                 {"t": t, "admissible": v.admissible, "inconclusive": v.inconclusive}
                 for t, v in verdict.evidence
@@ -274,7 +270,7 @@ def cmd_decompose(args) -> int:
                 {
                     "t": sl.t,
                     "weight": sl.weight,
-                    "conditional_design": _design_payload(sl.conditional_design),
+                    "conditional_design": sl.conditional_design.to_dict(),
                     "conditional_basis": sl.conditional.f_tilde.label,
                     "p_t": sl.conditional.f_tilde.k,
                     "lift": sl.conditional.lift.tolist(),

@@ -19,7 +19,12 @@ import numpy as np
 
 from .designs import Design, gram, info_matrix
 from .errors import NoConditionalModelError, ValidationError
-from .models import CandidateSet, ModelSpec, discretize, gram_rank, interval, make_model
+from .models import FAMILIES, CandidateSet, ModelSpec, discretize, gram_rank
+from .models import interval, make_model
+
+SLICE_TOL = 1e-9       # atoms whose t-values differ by at most this share a slice
+DOMINANCE_TOL = 1e-7   # relative Loewner-order slack of the dominator search
+AUDIT_STEP = 0.01      # grid step of the slice and marginal grids the audits search
 
 
 @dataclass(frozen=True)
@@ -29,7 +34,6 @@ class SliceMap:
     kind: str  # "coordinate" | "linear"
     axis: int | None = None
     coeffs: tuple[float, ...] | None = None
-    tol: float = 1e-9  # atoms whose t-values differ by at most this share a slice
 
     def __post_init__(self):
         if self.kind == "coordinate":
@@ -57,7 +61,7 @@ class SliceBasis:
     label: str
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
-    def eval_many(self, points: np.ndarray, check_bounds: bool = True) -> np.ndarray:
+    def eval_many(self, points: np.ndarray) -> np.ndarray:
         return self.fn(np.atleast_2d(np.asarray(points, dtype=float)))
 
 
@@ -115,45 +119,25 @@ class AdmissibilityVerdict:
 # conditional-model registry
 # ---------------------------------------------------------------------------
 
-def _coord_basis_xexp(rate: float, axis: int) -> SliceBasis:
-    def fn(X):
-        x = X[:, axis]
-        return np.stack([np.ones_like(x), x * np.exp(-rate * x)], axis=1)
-
-    return SliceBasis(2, f"(1, x{axis} e^(-{rate:g} x{axis}))", fn)
+def _family_basis(family: str, axis: int, label: str, **params) -> SliceBasis:
+    """A catalog family's regression vector in coordinate ``axis``."""
+    fam = FAMILIES[family]
+    return SliceBasis(fam.k_of(params), label, lambda X: fam.evaluate(params, X[:, [axis]]))
 
 
-def _coord_basis_affine(axis: int) -> SliceBasis:
-    def fn(X):
-        x = X[:, axis]
-        return np.stack([np.ones_like(x), x], axis=1)
-
-    return SliceBasis(2, f"(1, x{axis})", fn)
+def _xexp_basis(rate: float, axis: int) -> SliceBasis:
+    return _family_basis("xexp-decay", axis, f"(1, x{axis} e^(-{rate:g} x{axis}))", rate=rate)
 
 
 def _coord_basis_expx(rate: float, axis: int) -> SliceBasis:
+    # weighted-polynomial with efficiency e^(2 r x) spans the same vector, but
+    # through sqrt(e^(2 r x)), which differs from e^(r x) in the last bits
     def fn(X):
         x = X[:, axis]
         e = np.exp(rate * x)
         return np.stack([e, x * e], axis=1)
 
     return SliceBasis(2, f"(e^({rate:g} x{axis}), x{axis} e^({rate:g} x{axis}))", fn)
-
-
-def _coord_basis_cubic(axis: int) -> SliceBasis:
-    def fn(X):
-        x = X[:, axis]
-        return np.stack([np.ones_like(x), x, x**3], axis=1)
-
-    return SliceBasis(3, f"(1, x{axis}, x{axis}^3)", fn)
-
-
-def _quad_basis(axis: int) -> SliceBasis:
-    def fn(X):
-        x = X[:, axis]
-        return np.stack([np.ones_like(x), x, x**2], axis=1)
-
-    return SliceBasis(3, f"(1, x{axis}, x{axis}^2)", fn)
 
 
 def _full_affine_basis() -> SliceBasis:
@@ -187,16 +171,15 @@ def conditional_model(model: ModelSpec, tmap: SliceMap, t: float) -> Conditional
             lift[1 + j, 0] = t
             lift[1 + other, 1] = 1.0
             lift[3, 1] = t
-            return ConditionalModel(_coord_basis_affine(other), lift, f"x{j}={t:g}", t)
+            basis = _family_basis("polynomial", other, f"(1, x{other})", degree=1)
+            return ConditionalModel(basis, lift, f"x{j}={t:g}", t)
         if fam == "exp-growth-2f":
             th = np.asarray(p["theta"], dtype=float)
             lift = np.zeros((3, 2))
             lift[0, 0] = 1.0
             lift[1 + j, 0] = -t * math.exp(-th[1 + j] * t)
             lift[1 + other, 1] = -1.0
-            return ConditionalModel(
-                _coord_basis_xexp(th[1 + other], other), lift, f"x{j}={t:g}", t
-            )
+            return ConditionalModel(_xexp_basis(th[1 + other], other), lift, f"x{j}={t:g}", t)
         if fam == "exp-product-2f":
             th = np.asarray(p["theta"], dtype=float)
             scale = math.exp(th[1 + j] * t)
@@ -215,13 +198,15 @@ def conditional_model(model: ModelSpec, tmap: SliceMap, t: float) -> Conditional
                 lift[1, 1] = 1.0
                 lift[2, 2] = 1.0
                 lift[3, 0] = -t * math.exp(-t3 * t)
-                return ConditionalModel(_coord_basis_cubic(0), lift, f"x1={t:g}", t)
+                return ConditionalModel(
+                    _family_basis("cubic-gap", 0, "(1, x0, x0^3)"), lift, f"x1={t:g}", t
+                )
             lift = np.zeros((4, 2))
             lift[0, 0] = 1.0
             lift[1, 0] = t
             lift[2, 0] = t**3
             lift[3, 1] = -1.0
-            return ConditionalModel(_coord_basis_xexp(t3, 1), lift, f"x0={t:g}", t)
+            return ConditionalModel(_xexp_basis(t3, 1), lift, f"x0={t:g}", t)
         raise NoConditionalModelError(f"no coordinate conditional model for {fam}")
 
     # linear maps
@@ -233,7 +218,9 @@ def conditional_model(model: ModelSpec, tmap: SliceMap, t: float) -> Conditional
             [t, -1.0, 0.0],
             [0.0, t, -1.0],
         ])
-        return ConditionalModel(_quad_basis(0), lift, f"x0+x1={t:g}", t)
+        return ConditionalModel(
+            _family_basis("polynomial", 0, "(1, x0, x0^2)", degree=2), lift, f"x0+x1={t:g}", t
+        )
     if fam == "exp-product-2f":
         th = np.asarray(p["theta"], dtype=float)
         if _linear_coeffs_match(tmap, (th[1], th[2])):
@@ -333,7 +320,7 @@ def decompose(design: Design, tmap: SliceMap, model: ModelSpec) -> SliceDecompos
     """Group atoms into slices, forming marginal weights and conditional designs."""
     tvals = tmap.values(design.points)
     slices = []
-    for idx in _group_by_value(tvals, tmap.tol):
+    for idx in _group_by_value(tvals, SLICE_TOL):
         t = float(np.mean(tvals[idx]))
         weight = float(design.weights[idx].sum())
         cond = Design(design.points[idx], design.weights[idx] / weight)
@@ -607,7 +594,6 @@ def find_dominator(
     candidates: CandidateSet | np.ndarray,
     model,
     budget: int = 3000,
-    tol: float = 1e-7,
 ) -> AdmissibilityVerdict:
     """Search for a design whose information matrix dominates d1's.
 
@@ -630,10 +616,10 @@ def find_dominator(
         raise ValidationError("candidate set spans less than the design to dominate")
 
     oracle_applies = F.shape[1] <= 2 and points.shape[0] <= 200
-    best = _phase2_oracle(d1, points, F, model, tol) if oracle_applies else None
+    best = _phase2_oracle(d1, points, F, model, DOMINANCE_TOL) if oracle_applies else None
     improving = proven_none = False
     if best is None:
-        best, improving, proven_none = _phase1_ascent(d1, points, F, model, budget, tol)
+        best, improving, proven_none = _phase1_ascent(d1, points, F, model, budget, DOMINANCE_TOL)
     if best is not None:
         return AdmissibilityVerdict(
             admissible=False, dominator=best, note="dominator verified in the Loewner order"
@@ -654,7 +640,9 @@ def find_dominator(
 # audits
 # ---------------------------------------------------------------------------
 
-def splice_slice(design: Design, tmap: SliceMap, t: float, replacement: Design, tol: float = 1e-9) -> Design:
+def splice_slice(
+    design: Design, tmap: SliceMap, t: float, replacement: Design, tol: float = SLICE_TOL
+) -> Design:
     """Replace the conditional design on slice t with ``replacement``."""
     tvals = tmap.values(design.points)
     in_slice = np.abs(tvals - t) <= tol
@@ -669,8 +657,6 @@ def conditional_audit(
     tmap: SliceMap,
     model: ModelSpec,
     budget: int = 3000,
-    step: float = 0.01,
-    tol: float = 1e-7,
 ) -> AdmissibilityVerdict:
     """Necessary-condition audit: every conditional design must be admissible.
 
@@ -682,15 +668,15 @@ def conditional_audit(
     evidence = []
     any_inconclusive = False
     for sl in deco.slices:
-        grid = slice_grid(model, tmap, sl.t, step)
-        verdict = find_dominator(sl.conditional_design, grid, sl.conditional.f_tilde, budget, tol)
+        grid = slice_grid(model, tmap, sl.t, AUDIT_STEP)
+        verdict = find_dominator(sl.conditional_design, grid, sl.conditional.f_tilde, budget)
         evidence.append((sl.t, verdict))
         if verdict.inconclusive:
             any_inconclusive = True
             continue
         if not verdict.admissible:
-            improved = splice_slice(design, tmap, sl.t, verdict.dominator, tmap.tol)
-            if dominates(improved, design, model, tol):
+            improved = splice_slice(design, tmap, sl.t, verdict.dominator)
+            if dominates(improved, design, model, DOMINANCE_TOL):
                 return AdmissibilityVerdict(
                     admissible=False,
                     dominator=improved,
@@ -728,13 +714,7 @@ class ProductAuditReport:
     support_bound: int | None
 
 
-def product_audit(
-    design: Design,
-    model: ModelSpec,
-    budget: int = 3000,
-    step: float = 0.01,
-    tol: float = 1e-7,
-) -> ProductAuditReport:
+def product_audit(design: Design, model: ModelSpec, budget: int = 3000) -> ProductAuditReport:
     """Audit both marginal designs within their marginal models.
 
     On product design spaces, admissibility of the full design requires both
@@ -750,8 +730,8 @@ def product_audit(
         mm = marginal_model(model, axis)
         md = marginal_design(design, axis)
         lo, hi = mm.space.bounds[0]
-        grid = discretize(mm.space, max(step, (hi - lo) / 199.0))
-        verdicts.append(find_dominator(md, grid, mm, budget, tol))
+        grid = discretize(mm.space, max(AUDIT_STEP, (hi - lo) / 199.0))
+        verdicts.append(find_dominator(md, grid, mm, budget))
         margins.append(md)
         bounds.append(admissible_support_bound(mm))
     support_bound = None

@@ -21,6 +21,7 @@ from .errors import ValidationError
 
 NEG_INF = float("-inf")
 _SING_REL = 1e-14  # eigenvalues below this times lambda_max count as zero
+_PSD_TOL = 1e-9    # eigenvalues below -this times lambda_max reject a matrix as indefinite
 E_GAP_REL = 1e-8   # spectral-gap threshold for refusing the one-eigenvector E formula
 
 
@@ -73,7 +74,7 @@ def parse_criterion(text: str, s: int | None = None) -> Criterion:
     raise ValidationError(f"unknown criterion {text!r}; use D, A, E or p:<real>")
 
 
-def psd_eig(M: np.ndarray, s: int | None = None, tol: float = 1e-9):
+def psd_eig(M: np.ndarray, s: int | None = None):
     """Validated eigendecomposition: symmetric, numerically PSD, optional dimension check.
 
     Returns (eigenvalues ascending with negatives clipped to 0, eigenvectors).
@@ -87,7 +88,7 @@ def psd_eig(M: np.ndarray, s: int | None = None, tol: float = 1e-9):
     if np.abs(M - M.T).max() > 1e-10 * scale:
         raise ValidationError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    if vals[0] < -tol * max(vals[-1], 0.0) - 1e-300:
+    if vals[0] < -_PSD_TOL * max(vals[-1], 0.0) - 1e-300:
         raise ValidationError(f"matrix is not nonnegative definite (lambda_min={vals[0]:g})")
     return np.clip(vals, 0.0, None), vecs
 
@@ -120,35 +121,34 @@ def polar(criterion: Criterion, N: np.ndarray) -> float:
     return vals.size * _mean_power(vals, criterion.conjugate)
 
 
-def sym_power(M: np.ndarray, expo: float, floor_rel: float = _SING_REL) -> np.ndarray:
-    """M^expo via eigendecomposition; eigenvalues floored at floor_rel * lambda_max.
+def finite_p_dual(vals: np.ndarray, vecs: np.ndarray, p: float, floor_singular: bool = False):
+    """Closed-form dual matrix N = M^(p-1) / trace(M^p) of a finite p, from M's eigenpairs.
 
-    Negative exponents require a (numerically) positive definite input.
+    Eigenvalues are floored at _SING_REL * lambda_max, and trace(M^0) reads s.
+    A singular M with p < 1 raises unless ``floor_singular``.
     """
-    vals, vecs = psd_eig(M)
-    lmax = vals[-1]
-    if expo < 0 and (lmax <= 0 or vals[0] <= _SING_REL * lmax):
+    lmax = max(vals[-1], 1e-300)
+    if p < 1 and vals[0] <= _SING_REL * lmax and not floor_singular:
         raise ValidationError(
-            "singular matrix cannot be raised to a negative power; "
-            "start the solver from a nonsingular design"
+            "singular information matrix; certificate needs a positive definite input"
         )
-    vals = np.maximum(vals, floor_rel * max(lmax, 1e-300))
-    return (vecs * vals**expo) @ vecs.T
+    floored = np.maximum(vals, _SING_REL * lmax)
+    if p == 0:
+        return (vecs / floored) @ vecs.T / len(vals)
+    return (vecs * floored ** (p - 1.0)) @ vecs.T / (floored**p).sum()
 
 
-def sensitivity(criterion: Criterion, M: np.ndarray, model, x, certificate=None) -> float:
+def sensitivity(criterion: Criterion, M: np.ndarray, model, x) -> float:
     """Directional (sensitivity) value f(x)^T N f(x) against the dual certificate N.
 
     For finite p the certificate is closed-form, N = M^(p-1)/trace(M^p). For
     the E-criterion with a clustered smallest eigenvalue the one-eigenvector
-    formula is wrong; pass the certificate built over the candidate set.
+    formula is wrong; build the certificate over the candidate set instead.
     """
     f = model.eval_many(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-    if certificate is not None:
-        return float(f @ certificate.N @ f)
     p = criterion.p
+    vals, vecs = psd_eig(M)
     if p == NEG_INF:
-        vals, vecs = psd_eig(M)
         if vals[0] <= _SING_REL * max(vals[-1], 1e-300):
             raise ValidationError("singular matrix; E-sensitivity needs a positive definite input")
         if vals[1] - vals[0] < E_GAP_REL * vals[-1]:
@@ -158,6 +158,4 @@ def sensitivity(criterion: Criterion, M: np.ndarray, model, x, certificate=None)
             )
         z = vecs[:, 0]
         return float((z @ f) ** 2 / vals[0])
-    Mp1 = sym_power(M, p - 1.0)
-    tr = float(np.trace(sym_power(M, p))) if p != 0 else float(M.shape[0])
-    return float(f @ Mp1 @ f / tr)
+    return float(f @ finite_p_dual(vals, vecs, p) @ f)

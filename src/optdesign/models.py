@@ -389,17 +389,16 @@ class ModelSpec:
     def k(self) -> int:
         return FAMILIES[self.family].k_of(self.params)
 
-    def eval_many(self, points: np.ndarray, check_bounds: bool = True) -> np.ndarray:
+    def eval_many(self, points: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(points, dtype=float))
         if X.shape[1] != self.space.dimension:
             raise ValidationError(
                 f"points have dimension {X.shape[1]}, space has {self.space.dimension}"
             )
-        if check_bounds:
-            inside = self.space.contains(X)
-            if not np.all(inside):
-                bad = X[~inside][0]
-                raise DomainError(f"point {bad.tolist()} outside design-space bounds")
+        inside = self.space.contains(X)
+        if not np.all(inside):
+            bad = X[~inside][0]
+            raise DomainError(f"point {bad.tolist()} outside design-space bounds")
         F = FAMILIES[self.family].evaluate(self.params, X)
         if not np.all(np.isfinite(F)):
             raise ValidationError("regression vector evaluated to a non-finite value")

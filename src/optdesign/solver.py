@@ -28,20 +28,21 @@ from .errors import DegenerateModelError, EmptyDesignError, NoConditionalModelEr
 from .errors import TruncationSlackError, ValidationError
 from .models import CandidateSet, ModelSpec, gram_rank, interval, truncated_axes
 
+MAX_INNER_ITERS = 3000  # Newton budget of a final weight polish
+WEIGHT_FLOOR = 1e-6     # atoms below this are pruned before reporting
+
 
 @dataclass(frozen=True)
 class SolverOptions:
     max_outer_iters: int = 200
-    max_inner_iters: int = 3000
     kkt_tol: float = 1e-5            # slack allowed in the normalized normality inequality
-    weight_floor: float = 1e-6       # atoms below this are pruned before reporting
     seed: int = 0                    # shuffles the initial spread design
     init: object = "spread"          # "spread" or a Design
 
     def __post_init__(self):
-        if self.kkt_tol <= 0 or self.weight_floor <= 0:
+        if self.kkt_tol <= 0:
             raise ValidationError("tolerances must be positive")
-        if self.max_outer_iters < 1 or self.max_inner_iters < 1:
+        if self.max_outer_iters < 1:
             raise ValidationError("iteration budgets must be >= 1")
 
 
@@ -245,13 +246,7 @@ def _spread_indices(points: np.ndarray, F: np.ndarray, k: int, rng) -> list[int]
     chosen = [int(rng.integers(n))]
     d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
     cap = min(n, 3 * k + 6)
-    while len(chosen) < min(k + 1, n):
-        nxt = int(np.argmax(d2))
-        if d2[nxt] <= 0 and len(chosen) >= 1:
-            break
-        chosen.append(nxt)
-        d2 = np.minimum(d2, ((points - points[nxt]) ** 2).sum(axis=1))
-    while gram_rank(F[chosen]) < k and len(chosen) < cap:
+    while len(chosen) < cap and (len(chosen) < k + 1 or gram_rank(F[chosen]) < k):
         nxt = int(np.argmax(d2))
         if d2[nxt] <= 0:
             break
@@ -280,7 +275,7 @@ def refine_weights(model, support, criterion: Criterion, opts: SolverOptions | N
     if criterion.p <= 0 and gram_rank(F) < k:
         raise DegenerateModelError("support does not span the regression space")
     w = np.full(pts.shape[0], 1.0 / pts.shape[0])
-    w = _refine(F, w, criterion, opts.kkt_tol / 20.0, opts.max_inner_iters)
+    w = _refine(F, w, criterion, opts.kkt_tol / 20.0, MAX_INNER_ITERS)
     keep = w > 1e-12
     return Design(pts[keep], w[keep] / w[keep].sum())
 
@@ -312,9 +307,7 @@ def _marginal_product(model, candidates, F_all, criterion, opts) -> SolveReport 
     pts = np.array([[a[0], b[0]] for a in d1.points for b in d2.points])
     w = np.outer(d1.weights, d2.weights).ravel()
     F_sup = model.eval_many(pts)
-    cert = build_certificate(criterion, gram(F_sup, w), model, candidates, floor_singular=True)
-    sens_all = sweep(F_all, cert.N)
-    viol = float(sens_all.max() - 1.0)
+    sens_all, viol = _violation(model, candidates, F_all, criterion, F_sup, w)
     tight_edge = _boundary_sensitivity(candidates, sens_all) >= 1.0 - 10.0 * opts.kkt_tol
     if viol > opts.kkt_tol or tight_edge:
         return None
@@ -366,25 +359,15 @@ def solve(
     F_sup = model.eval_many(sup_pts)
 
     inner_tol = opts.kkt_tol / 20.0
-    quick_iters = min(300, opts.max_inner_iters)  # full budget is spent in the final polish
-    viol = np.inf
-    sens_all = None
     history = []
     outer = 0
     while outer < opts.max_outer_iters:
         outer += 1
-        w = _refine(F_sup, w, criterion, inner_tol, quick_iters)
-        M = gram(F_sup, w)
-        cert = build_certificate(criterion, M, model, candidates, floor_singular=True)
-        sens_all = sweep(F_all, cert.N)
-        viol = float(sens_all.max() - 1.0)
+        # a short Newton budget per iteration; the full one is spent in the final polish
+        w = _refine(F_sup, w, criterion, inner_tol, 300)
+        sens_all, viol = _violation(model, candidates, F_all, criterion, F_sup, w)
         history.append(_value(F_sup, w, criterion.p))
         if viol <= opts.kkt_tol:
-            sup_pts, w, sens_all, viol = _consolidate(
-                model, candidates, F_all, criterion, opts, inner_tol,
-                (sup_pts, w, sens_all, viol),
-            )
-            F_sup = model.eval_many(sup_pts)
             break
         j = _best_unsupported(sens_all, candidates.points, sup_pts, 1.0 + opts.kkt_tol)
         if j is None:
@@ -392,14 +375,12 @@ def solve(
         sup_pts = np.vstack([sup_pts, candidates.points[j]])
         F_sup = np.vstack([F_sup, F_all[j]])
         w = np.append(w, 0.0)
-    if viol > opts.kkt_tol:
-        # unconverged exit (budget or a fully-supported violation set): report
-        # the cleanest state that does not worsen the residual
-        sup_pts, w, sens_all, viol = _consolidate(
-            model, candidates, F_all, criterion, opts, inner_tol,
-            (sup_pts, w, sens_all, viol), require=viol,
-        )
-        F_sup = model.eval_many(sup_pts)
+    # an unconverged exit (budget or a fully-supported violation set) is
+    # cleaned up too, at its own residual, which the cleanup must not worsen
+    sup_pts, w, sens_all, viol = _consolidate(
+        model, candidates, F_all, criterion, inner_tol,
+        (sup_pts, w, sens_all, viol), max(opts.kkt_tol, viol),
+    )
 
     keep = w > 1e-15
     sup_pts, w = sup_pts[keep], w[keep] / w[keep].sum()
@@ -446,24 +427,31 @@ def _value(F: np.ndarray, w: np.ndarray, p: float) -> float:
     return float(np.exp(_log_phi(F, w, p)[0]))
 
 
-def _consolidate(model, candidates, F_all, criterion, opts, inner_tol, state, require=None):
+def _violation(model, candidates, F_all, criterion, F_sup, w):
+    """Sensitivities over the full grid against the certificate of M(w), and
+    their largest excess over 1."""
+    cert = build_certificate(criterion, gram(F_sup, w), model, candidates, floor_singular=True)
+    sens_all = sweep(F_all, cert.N)
+    return sens_all, float(sens_all.max() - 1.0)
+
+
+def _consolidate(model, candidates, F_all, criterion, inner_tol, state, threshold):
     """Prune dust and merge grid-split atoms at escalating radii, with verification.
 
     Grid discretization can smear one continuum support point over several
     neighboring candidates, so a single grid step is not always enough to
     collapse the cluster. Each rung (prune, then 1x/2x/4x/8x the grid step)
     re-refines the weights with the full inner budget and is accepted only if
-    the normality check still passes (at ``opts.kkt_tol``, or, for unconverged
-    best-effort cleanups, at the incoming residual ``require``); otherwise
+    the violation stays within ``threshold`` (the solver passes its KKT
+    tolerance, or the incoming residual when that is larger); otherwise
     escalation stops and the last verified state is kept.
     """
     sup_pts, w, sens_all, viol = state
-    threshold = opts.kkt_tol if require is None else max(opts.kkt_tol, require)
     step = candidates.max_step
     for radius in (0.0, step, 2 * step, 4 * step, 8 * step):
         keep = w > 1e-15
         try:
-            d = prune(Design(sup_pts[keep], w[keep] / w[keep].sum()), opts.weight_floor)
+            d = prune(Design(sup_pts[keep], w[keep] / w[keep].sum()), WEIGHT_FLOOR)
         except EmptyDesignError:
             break
         if radius > 0:
@@ -471,11 +459,8 @@ def _consolidate(model, candidates, F_all, criterion, opts, inner_tol, state, re
         if d.m == sup_pts.shape[0] and radius > 0:
             continue
         F_sup = model.eval_many(d.points)
-        w2 = _refine(F_sup, d.weights.copy(), criterion, inner_tol, opts.max_inner_iters)
-        M2 = gram(F_sup, w2)
-        cert2 = build_certificate(criterion, M2, model, candidates, floor_singular=True)
-        sens2 = sweep(F_all, cert2.N)
-        viol2 = float(sens2.max() - 1.0)
+        w2 = _refine(F_sup, d.weights.copy(), criterion, inner_tol, MAX_INNER_ITERS)
+        sens2, viol2 = _violation(model, candidates, F_all, criterion, F_sup, w2)
         if viol2 <= threshold:
             sup_pts, w, sens_all, viol = d.points.copy(), w2, sens2, viol2
         elif radius > 0:

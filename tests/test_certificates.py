@@ -213,6 +213,28 @@ def test_garza_symmetric_norm_buckets():
     assert rep.saturation_bound == 6
 
 
+def test_garza_rejects_negative_norm_tol():
+    # with norm_tol = -1 every gap exceeds the tolerance, so the pairs x, -x of
+    # equal norm once read as an injective norm map with bound 3
+    m = make_model("polynomial", degree=2, space=interval(-1.0, 1.0))
+    grid = discretize(m.space, 0.5)
+    assert grid.points.ravel().tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    rep = garza_report(m, grid)
+    assert not rep.injective and rep.saturation_bound == 6
+    with pytest.raises(ValidationError):
+        garza_report(m, grid, norm_tol=-1.0)
+
+
+def test_certify_rejects_negative_tol():
+    # a negative tolerance once made certify reject this D-optimal design
+    m = make_model("polynomial", degree=2, space=interval(-1.0, 1.0))
+    grid = discretize(m.space, 0.5)
+    d = design([[-1.0], [0.0], [1.0]])
+    assert certify(d, m, grid, Criterion(0.0)).optimal
+    with pytest.raises(ValidationError):
+        certify(d, m, grid, Criterion(0.0), tol=-1e-5)
+
+
 @pytest.mark.parametrize("norm_tol", [1e-9, 1e-4, 1e-3, 5e-3])
 def test_garza_buckets_chain_like_a_loop(norm_tol):
     # reference: walk the sorted norms, starting a bucket after every gap > norm_tol

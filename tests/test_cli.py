@@ -128,6 +128,12 @@ def test_garza_command(tmp_path):
         assert (out / name).read_bytes() == (again / name).read_bytes()
 
 
+def test_garza_negative_norm_tol_exits_2(tmp_path, model21):
+    out = tmp_path / "out"
+    assert main(["garza", "--model", str(model21), "--norm-tol", "-1", "--out", str(out)]) == 2
+    assert not (out / "garza.json").exists()
+
+
 def test_write_csv_matches_per_value_format(tmp_path):
     rng = np.random.default_rng(5)
     n = 20_000  # two full blocks and a partial third
