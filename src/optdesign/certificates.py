@@ -254,7 +254,7 @@ def certify(
     three must hold within ``tol`` for ``optimal=True``. This is a computation,
     not a search: it always returns a report.
     """
-    if tol < 0:
+    if not tol >= 0:  # also rejects NaN
         raise ValidationError(f"certify tolerance must be nonnegative, got {tol:g}")
     criterion = Criterion(criterion.p, model.k)
     M = info_matrix(design, model)
@@ -361,7 +361,7 @@ def garza_report(model: ModelSpec, candidates: CandidateSet, norm_tol: float = 1
     bounds optimal supports by k points, and at most N equal-length vectors
     bound them by N*k.
     """
-    if norm_tol < 0:
+    if not norm_tol >= 0:  # also rejects NaN
         raise ValidationError(f"norm tolerance must be nonnegative, got {norm_tol:g}")
     F = model.eval_many(candidates.points)
     norms2 = (F**2).sum(axis=1)

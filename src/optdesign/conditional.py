@@ -22,7 +22,7 @@ from .errors import NoConditionalModelError, ValidationError
 from .models import FAMILIES, CandidateSet, ModelSpec, discretize, gram_rank
 from .models import interval, make_model
 
-SLICE_TOL = 1e-9       # atoms whose t-values differ by at most this share a slice
+SLICE_TOL = 1e-9       # atoms whose t-values (or marginal coordinates) differ by at most this are grouped
 DOMINANCE_TOL = 1e-7   # relative Loewner-order slack of the dominator search
 AUDIT_STEP = 0.01      # grid step of the slice and marginal grids the audits search
 
@@ -305,11 +305,11 @@ def admissible_support_bound(model: ModelSpec) -> int | None:
 # decomposition and recomposition
 # ---------------------------------------------------------------------------
 
-def _group_by_value(values: np.ndarray, tol: float) -> list[list[int]]:
+def _group_by_value(values: np.ndarray) -> list[list[int]]:
     order = np.argsort(values, kind="stable")
     groups: list[list[int]] = [[int(order[0])]]
     for idx in order[1:]:
-        if values[idx] - values[groups[-1][0]] <= tol:
+        if values[idx] - values[groups[-1][0]] <= SLICE_TOL:
             groups[-1].append(int(idx))
         else:
             groups.append([int(idx)])
@@ -320,7 +320,7 @@ def decompose(design: Design, tmap: SliceMap, model: ModelSpec) -> SliceDecompos
     """Group atoms into slices, forming marginal weights and conditional designs."""
     tvals = tmap.values(design.points)
     slices = []
-    for idx in _group_by_value(tvals, SLICE_TOL):
+    for idx in _group_by_value(tvals):
         t = float(np.mean(tvals[idx]))
         weight = float(design.weights[idx].sum())
         cond = Design(design.points[idx], design.weights[idx] / weight)
@@ -377,13 +377,13 @@ def _lambda_min_stack(delta: np.ndarray) -> np.ndarray:
 MATERIAL_FACTOR = 100.0  # a dominator must beat the PSD slack by this margin
 
 
-def _material_dominates(d2: Design, d1: Design, model, tol: float) -> bool:
-    if not dominates(d2, d1, model, tol):
+def _material_dominates(d2: Design, d1: Design, model) -> bool:
+    if not dominates(d2, d1, model, DOMINANCE_TOL):
         return False
     M1 = info_matrix(d1, model)
     M2 = info_matrix(d2, model)
     scale = max(np.abs(M1).max(), np.abs(M2).max(), 1e-300)
-    return float(np.abs(M2 - M1).max()) > MATERIAL_FACTOR * tol * scale
+    return float(np.abs(M2 - M1).max()) > MATERIAL_FACTOR * DOMINANCE_TOL * scale
 
 
 def _nonneg_interval(a, b, c):
@@ -404,7 +404,7 @@ def _nonneg_interval(a, b, c):
     return lo, hi
 
 
-def _phase2_oracle(d1: Design, points: np.ndarray, F: np.ndarray, model, tol: float):
+def _phase2_oracle(d1: Design, points: np.ndarray, F: np.ndarray, model):
     """Exhaustive search over 2-point supports, exact in the weight (k <= 2).
 
     Dominance feasibility lives on a thin set (moment-matching equalities), so
@@ -455,7 +455,7 @@ def _phase2_oracle(d1: Design, points: np.ndarray, F: np.ndarray, model, tol: fl
         maxabs = np.abs(delta).max(axis=(1, 2))
         scale = np.maximum(np.abs(delta + M1).max(axis=(1, 2)), scale1)
         ok = (_lambda_min_stack(delta) >= np.minimum(-1e-12 * scale, target)) & (
-            maxabs > MATERIAL_FACTOR * tol * scale
+            maxabs > MATERIAL_FACTOR * DOMINANCE_TOL * scale
         )
         if not np.any(ok):
             continue
@@ -473,10 +473,10 @@ def _phase2_oracle(d1: Design, points: np.ndarray, F: np.ndarray, model, tol: fl
         cand = Design(points[[i]], np.array([1.0]))
     else:
         cand = Design(points[[i, j]], np.array([w, 1.0 - w]))
-    return cand if _material_dominates(cand, d1, model, tol) else None
+    return cand if _material_dominates(cand, d1, model) else None
 
 
-def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget: int, tol: float):
+def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget: int):
     """Dominator search over all candidates by one Kelley cutting-plane loop.
 
     Every unit direction v gives the cut sum_i w_i (f_i . v)^2 - t >= v^T M1 v,
@@ -489,11 +489,11 @@ def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget:
     capped at the same number of LP solves:
 
     - Stage A maximizes t, an upper bound on max_w lambda_min(M(w) - M1). A
-      bound at or below -tol (relative) proves that no design on these
+      bound at or below -DOMINANCE_TOL (relative) proves that no design on these
       candidates dominates d1. The stage hands over once some w reaches that
       floor, the LP returns the weights of the round before (the new cuts
       would all duplicate cuts already in the pool), or the bound is within
-      ``max(1e-12, tol * |best|)`` of the best margin seen. It runs first
+      ``max(1e-12, DOMINANCE_TOL * |best|)`` of the best margin seen. It runs first
       because its cuts steer stage B toward the cone.
     - Stage B fixes t = 0 and maximizes the trace gain over the relaxed cone.
       An infeasible LP proves none; a solution inside the cone is returned
@@ -507,7 +507,7 @@ def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget:
     M1 = info_matrix(d1, model)
     n = F.shape[0]
     scale1 = max(float(np.abs(M1).max()), 1e-300)
-    floor = -tol * scale1
+    floor = -DOMINANCE_TOL * scale1
     rounds = int(np.clip(budget // 100, 10, 80))
 
     def extract(w_vec):
@@ -516,7 +516,7 @@ def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget:
         if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
             return None
         cand = Design(pts, w_vec[keep] / w_vec[keep].sum())
-        return cand if _material_dominates(cand, d1, model, tol) else None
+        return cand if _material_dominates(cand, d1, model) else None
 
     A_eq = np.append(np.ones(n), 0.0)[None, :]
     # every cut value is at least -lambda_max(M1), so stage A's bound on t
@@ -559,7 +559,7 @@ def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget:
             lam = float(vals[0])
             if stage_a:
                 best = max(best, lam)
-                if upper - best <= max(1e-12, tol * abs(best)):
+                if upper - best <= max(1e-12, DOMINANCE_TOL * abs(best)):
                     break
             else:
                 lam_trail.append(lam)
@@ -616,10 +616,10 @@ def find_dominator(
         raise ValidationError("candidate set spans less than the design to dominate")
 
     oracle_applies = F.shape[1] <= 2 and points.shape[0] <= 200
-    best = _phase2_oracle(d1, points, F, model, DOMINANCE_TOL) if oracle_applies else None
+    best = _phase2_oracle(d1, points, F, model) if oracle_applies else None
     improving = proven_none = False
     if best is None:
-        best, improving, proven_none = _phase1_ascent(d1, points, F, model, budget, DOMINANCE_TOL)
+        best, improving, proven_none = _phase1_ascent(d1, points, F, model, budget)
     if best is not None:
         return AdmissibilityVerdict(
             admissible=False, dominator=best, note="dominator verified in the Loewner order"
@@ -640,12 +640,10 @@ def find_dominator(
 # audits
 # ---------------------------------------------------------------------------
 
-def splice_slice(
-    design: Design, tmap: SliceMap, t: float, replacement: Design, tol: float = SLICE_TOL
-) -> Design:
+def splice_slice(design: Design, tmap: SliceMap, t: float, replacement: Design) -> Design:
     """Replace the conditional design on slice t with ``replacement``."""
     tvals = tmap.values(design.points)
-    in_slice = np.abs(tvals - t) <= tol
+    in_slice = np.abs(tvals - t) <= SLICE_TOL
     wt = float(design.weights[in_slice].sum())
     pts = [design.points[~in_slice], replacement.points]
     ws = [design.weights[~in_slice], wt * replacement.weights]
@@ -698,10 +696,10 @@ def conditional_audit(
     )
 
 
-def marginal_design(design: Design, axis: int, tol: float = 1e-9) -> Design:
+def marginal_design(design: Design, axis: int) -> Design:
     """Projection of a design onto one coordinate axis."""
     coords = design.points[:, axis]
-    groups = _group_by_value(coords, tol)
+    groups = _group_by_value(coords)
     pts = np.array([[float(np.mean(coords[g]))] for g in groups])
     ws = np.array([float(design.weights[g].sum()) for g in groups])
     return Design(pts, ws / ws.sum())

@@ -221,8 +221,9 @@ def test_garza_rejects_negative_norm_tol():
     assert grid.points.ravel().tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
     rep = garza_report(m, grid)
     assert not rep.injective and rep.saturation_bound == 6
-    with pytest.raises(ValidationError):
-        garza_report(m, grid, norm_tol=-1.0)
+    for bad in (-1.0, float("nan")):  # NaN once put every point in one bucket
+        with pytest.raises(ValidationError):
+            garza_report(m, grid, norm_tol=bad)
 
 
 def test_certify_rejects_negative_tol():
@@ -231,8 +232,9 @@ def test_certify_rejects_negative_tol():
     grid = discretize(m.space, 0.5)
     d = design([[-1.0], [0.0], [1.0]])
     assert certify(d, m, grid, Criterion(0.0)).optimal
-    with pytest.raises(ValidationError):
-        certify(d, m, grid, Criterion(0.0), tol=-1e-5)
+    for bad in (-1e-5, float("nan")):  # NaN once gave optimal=False with no violating point
+        with pytest.raises(ValidationError):
+            certify(d, m, grid, Criterion(0.0), tol=bad)
 
 
 @pytest.mark.parametrize("norm_tol", [1e-9, 1e-4, 1e-3, 5e-3])

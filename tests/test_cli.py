@@ -129,9 +129,17 @@ def test_garza_command(tmp_path):
 
 
 def test_garza_negative_norm_tol_exits_2(tmp_path, model21):
+    for bad in ("-1", "nan"):
+        out = tmp_path / f"out{bad}"
+        assert main(["garza", "--model", str(model21), "--norm-tol", bad, "--out", str(out)]) == 2
+        assert not (out / "garza.json").exists()
+
+
+def test_certify_nan_tol_exits_2(tmp_path, model21, design21):
     out = tmp_path / "out"
-    assert main(["garza", "--model", str(model21), "--norm-tol", "-1", "--out", str(out)]) == 2
-    assert not (out / "garza.json").exists()
+    argv = ["certify", "--model", str(model21), "--design", str(design21), "--tol", "nan"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not (out / "certify.json").exists()
 
 
 def test_write_csv_matches_per_value_format(tmp_path):

@@ -201,7 +201,7 @@ def test_phase2_oracle_beats_dense_scan(family, params, lo, hi, step):
         m = int(rng.integers(1, 4))
         d1 = design(lo + (hi - lo) * rng.random((m, 1)), rng.dirichlet(np.ones(m)))
         M1 = info_matrix(d1, model)
-        dom = _phase2_oracle(d1, grid.points, F, model, 1e-7)
+        dom = _phase2_oracle(d1, grid.points, F, model)
         gain = -np.inf if dom is None else float(np.trace(info_matrix(dom, model) - M1))
         scan = _dense_pair_scan_gain(d1, F, model)
         assert gain >= scan - 1e-9 * np.abs(M1).max()
