@@ -18,7 +18,7 @@ import numpy as np
 
 from .criteria import _SING_REL, E_GAP_REL, NEG_INF, Criterion, finite_p_dual
 from .criteria import phi, polar, psd_eig
-from .designs import Design, components, info_matrix, sweep
+from .designs import SWEEP_BLOCK, Design, components, gram, sweep
 from .errors import InconsistencyError, ValidationError
 from .models import FAMILIES, CandidateSet, ModelSpec, make_model, truncated_axes
 
@@ -228,7 +228,7 @@ def build_certificate(
             N = np.outer(vecs[:, 0], vecs[:, 0]) / lam_min
         else:
             V = vecs[:, :r]
-            H = model.eval_many(candidates.points) @ V
+            H = candidates.features(model) @ V
             E = _e_eigenspace_minimax(H)
             N = V @ E @ V.T / lam_min
     else:
@@ -257,13 +257,12 @@ def certify(
     if not tol >= 0:  # also rejects NaN
         raise ValidationError(f"certify tolerance must be nonnegative, got {tol:g}")
     criterion = Criterion(criterion.p, model.k)
-    M = info_matrix(design, model)
+    F_sup = model.eval_many(design.points)
+    M = gram(F_sup, design.weights)
     cert = build_certificate(criterion, M, model, candidates)
-    F = model.eval_many(candidates.points)
-    sens = sweep(F, cert.N)
+    sens = sweep(candidates.features(model), cert.N)
     j = int(np.argmax(sens))
     viol = float(sens[j] - cert.bound)
-    F_sup = model.eval_many(design.points)
     support_sens = sweep(F_sup, cert.N)
     tr = float(np.trace(M @ cert.N))
     product = phi(criterion, M) * polar(criterion, cert.N)
@@ -320,7 +319,7 @@ def polytope_report(
             f"support atom {design.points[i].tolist()} is not active on the certificate "
             f"(value {activity[i]:.8f})"
         )
-    worst = float(sweep(model.eval_many(candidates.points), certificate.N).max())
+    worst = float(sweep(candidates.features(model), certificate.N).max())
     if worst > certificate.bound + ACTIVE_TOL:
         raise InconsistencyError(
             f"certificate violates the normality inequality on the grid (max {worst:.8f})"
@@ -363,8 +362,12 @@ def garza_report(model: ModelSpec, candidates: CandidateSet, norm_tol: float = 1
     """
     if not norm_tol >= 0:  # also rejects NaN
         raise ValidationError(f"norm tolerance must be nonnegative, got {norm_tol:g}")
-    F = model.eval_many(candidates.points)
-    norms2 = (F**2).sum(axis=1)
+    F = candidates.features(model)
+    # in row blocks, so no second n x k temporary is allocated
+    norms2 = np.empty(F.shape[0])
+    for start in range(0, F.shape[0], SWEEP_BLOCK):
+        blk = F[start : start + SWEEP_BLOCK]
+        (blk**2).sum(axis=1, out=norms2[start : start + SWEEP_BLOCK])
     sorted_vals = np.sort(norms2)
     # a bucket ends wherever consecutive sorted values are more than norm_tol apart
     ends = np.concatenate([np.flatnonzero(np.diff(sorted_vals) > norm_tol), [norms2.size - 1]])

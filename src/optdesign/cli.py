@@ -90,8 +90,7 @@ def _parse_slice_map(text: str) -> SliceMap:
 
 def _write_sensitivity(out: Path, model, candidates, certificate) -> None:
     """sensitivity.csv: every candidate with its sensitivity f(x)^T N f(x)."""
-    F = model.eval_many(candidates.points)
-    sens = sweep(F, certificate.N)
+    sens = sweep(candidates.features(model), certificate.N)
     _write_csv(
         out / "sensitivity.csv",
         [f"x{i}" for i in range(candidates.points.shape[1])] + ["sensitivity"],

@@ -608,9 +608,16 @@ def find_dominator(
     stage. Every returned dominator is re-verified. A verdict of admissible
     without such a proof means the search came up empty within budget; it is
     a one-sided statement, not a proof of admissibility.
+
+    A ``CandidateSet`` supplies its regression matrix through
+    ``CandidateSet.features``, which takes a ``ModelSpec``; pass a slice basis
+    with an array of points.
     """
-    points = candidates.points if isinstance(candidates, CandidateSet) else np.atleast_2d(candidates)
-    F = model.eval_many(points)
+    if isinstance(candidates, CandidateSet):
+        points, F = candidates.points, candidates.features(model)
+    else:
+        points = np.atleast_2d(candidates)
+        F = model.eval_many(points)
     M1 = info_matrix(d1, model)
     if gram_rank(F) < np.linalg.matrix_rank(M1, tol=1e-10):
         raise ValidationError("candidate set spans less than the design to dominate")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -104,6 +105,8 @@ class CandidateSet:
     space: DesignSpace
     points: np.ndarray  # (n, q)
     steps: tuple[float, ...]  # effective per-axis grid step
+    # (snapshot of the model, its read-only regression matrix); see features()
+    _features: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -126,6 +129,22 @@ class CandidateSet:
     @property
     def max_step(self) -> float:
         return max(self.steps)
+
+    def features(self, model: ModelSpec) -> np.ndarray:
+        """Read-only n x k matrix ``model.eval_many(self.points)``.
+
+        The grid keeps the matrix of the last model evaluated on it and hands
+        it out again while the model's family, params and space equal their
+        snapshot from the fill. The snapshot is the pickled bytes, so equal
+        bytes mean equal values, and a params dict mutated since the fill
+        misses.
+        """
+        key = pickle.dumps((model.family, model.params, model.space))
+        if self._features is None or self._features[0] != key:
+            F = model.eval_many(self.points)
+            F.setflags(write=False)
+            object.__setattr__(self, "_features", (key, F))
+        return self._features[1]
 
 
 def discretize(space: DesignSpace, resolution: float | tuple[float, ...] = 0.01) -> CandidateSet:

@@ -280,7 +280,7 @@ def refine_weights(model, support, criterion: Criterion, opts: SolverOptions | N
     return Design(pts[keep], w[keep] / w[keep].sum())
 
 
-def _marginal_product(model, candidates, F_all, criterion, opts) -> SolveReport | None:
+def _marginal_product(model, candidates, criterion, opts) -> SolveReport | None:
     """The product of the marginal D-optimal designs if it certifies, else None.
 
     Each marginal is solved on the distinct candidate coordinates of its axis,
@@ -307,7 +307,7 @@ def _marginal_product(model, candidates, F_all, criterion, opts) -> SolveReport 
     pts = np.array([[a[0], b[0]] for a in d1.points for b in d2.points])
     w = np.outer(d1.weights, d2.weights).ravel()
     F_sup = model.eval_many(pts)
-    sens_all, viol = _violation(model, candidates, F_all, criterion, F_sup, w)
+    sens_all, viol = _violation(model, candidates, criterion, F_sup, w)
     tight_edge = _boundary_sensitivity(candidates, sens_all) >= 1.0 - 10.0 * opts.kkt_tol
     if viol > opts.kkt_tol or tight_edge:
         return None
@@ -336,7 +336,7 @@ def solve(
     opts = opts or SolverOptions()
     criterion = Criterion(criterion.p, model.k)
     k = model.k
-    F_all = model.eval_many(candidates.points)
+    F_all = candidates.features(model)
     if criterion.p <= 0 and gram_rank(F_all) < k:
         raise DegenerateModelError(
             f"candidates span only rank {gram_rank(F_all)} < k={k}; "
@@ -344,7 +344,7 @@ def solve(
         )
 
     if criterion.p == 0 and not isinstance(opts.init, Design):
-        report = _marginal_product(model, candidates, F_all, criterion, opts)
+        report = _marginal_product(model, candidates, criterion, opts)
         if report is not None:
             return report
 
@@ -365,7 +365,7 @@ def solve(
         outer += 1
         # a short Newton budget per iteration; the full one is spent in the final polish
         w = _refine(F_sup, w, criterion, inner_tol, 300)
-        sens_all, viol = _violation(model, candidates, F_all, criterion, F_sup, w)
+        sens_all, viol = _violation(model, candidates, criterion, F_sup, w)
         history.append(_value(F_sup, w, criterion.p))
         if viol <= opts.kkt_tol:
             break
@@ -378,7 +378,7 @@ def solve(
     # an unconverged exit (budget or a fully-supported violation set) is
     # cleaned up too, at its own residual, which the cleanup must not worsen
     sup_pts, w, sens_all, viol = _consolidate(
-        model, candidates, F_all, criterion, inner_tol,
+        model, candidates, criterion, inner_tol,
         (sup_pts, w, sens_all, viol), max(opts.kkt_tol, viol),
     )
 
@@ -427,15 +427,15 @@ def _value(F: np.ndarray, w: np.ndarray, p: float) -> float:
     return float(np.exp(_log_phi(F, w, p)[0]))
 
 
-def _violation(model, candidates, F_all, criterion, F_sup, w):
+def _violation(model, candidates, criterion, F_sup, w):
     """Sensitivities over the full grid against the certificate of M(w), and
     their largest excess over 1."""
     cert = build_certificate(criterion, gram(F_sup, w), model, candidates, floor_singular=True)
-    sens_all = sweep(F_all, cert.N)
+    sens_all = sweep(candidates.features(model), cert.N)
     return sens_all, float(sens_all.max() - 1.0)
 
 
-def _consolidate(model, candidates, F_all, criterion, inner_tol, state, threshold):
+def _consolidate(model, candidates, criterion, inner_tol, state, threshold):
     """Prune dust and merge grid-split atoms at escalating radii, with verification.
 
     Grid discretization can smear one continuum support point over several
@@ -460,7 +460,7 @@ def _consolidate(model, candidates, F_all, criterion, inner_tol, state, threshol
             continue
         F_sup = model.eval_many(d.points)
         w2 = _refine(F_sup, d.weights.copy(), criterion, inner_tol, MAX_INNER_ITERS)
-        sens2, viol2 = _violation(model, candidates, F_all, criterion, F_sup, w2)
+        sens2, viol2 = _violation(model, candidates, criterion, F_sup, w2)
         if viol2 <= threshold:
             sup_pts, w, sens_all, viol = d.points.copy(), w2, sens2, viol2
         elif radius > 0:

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -44,3 +45,18 @@ def random_psd(rng, s, scale=1.0, jitter=0.0):
     L = rng.normal(size=(s, s))
     M = L @ L.T * scale / s + jitter * np.eye(s)
     return 0.5 * (M + M.T)
+
+
+def count_evaluations(monkeypatch, family):
+    """Patch a family's evaluator to record the row count of every call."""
+    from optdesign.models import FAMILIES
+
+    fam = FAMILIES[family]
+    rows = []
+
+    def evaluate(params, X):
+        rows.append(X.shape[0])
+        return fam.evaluate(params, X)
+
+    monkeypatch.setitem(FAMILIES, family, dataclasses.replace(fam, evaluate=evaluate))
+    return rows

@@ -21,9 +21,9 @@ from optdesign import (
 )
 from optdesign.certificates import _e_eigenspace_minimax
 from optdesign.criteria import NEG_INF, phi, polar, psd_eig
-from optdesign.designs import info_matrix
+from optdesign.designs import SWEEP_BLOCK, info_matrix
 
-from conftest import random_psd
+from conftest import count_evaluations, random_psd
 
 M21 = np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
 
@@ -305,3 +305,37 @@ def test_certify_warns_on_tight_truncation():
     d = refine_weights(model, [[0.0], [0.8]], Criterion(0.0, 2))
     with pytest.warns(RuntimeWarning, match="truncated"):
         certify(d, model, grid, Criterion(0.0))
+
+
+def test_full_grid_evaluated_once_per_model(monkeypatch):
+    rows = count_evaluations(monkeypatch, "interaction-2f")
+    m = make_model("interaction-2f")
+    grid = discretize(m.space, 0.05)
+    crit = Criterion(0.0)
+    rep = solve(m, grid, crit)
+    check = certify(rep.design, m, grid, crit)
+    polytope_report(check.certificate, rep.design, m, grid)
+    garza_report(m, grid)
+    assert check.optimal
+    assert rows.count(len(grid)) == 1
+
+
+def test_certify_same_on_warm_and_fresh_grid(line2f):
+    crit = Criterion(NEG_INF)
+    d = design([[0.0, 1.0], [1.0, 0.0]])
+    warm = discretize(line2f.space, 0.05)
+    warm.features(line2f)
+    a = certify(d, line2f, warm, crit)
+    b = certify(d, line2f, discretize(line2f.space, 0.05), crit)
+    assert a.optimal and b.optimal
+    assert np.array_equal(a.certificate.N, b.certificate.N)
+    assert np.array_equal(a.support_equalities, b.support_equalities)
+    assert a.duality_products == b.duality_products
+
+
+def test_garza_blocked_norms_match_full_sum():
+    m = make_model("mixture-poly-exp", theta3=1.0)
+    grid = discretize(m.space, 0.02)
+    assert len(grid) > SWEEP_BLOCK and len(grid) % SWEEP_BLOCK
+    F = m.eval_many(grid.points)
+    assert np.array_equal(garza_report(m, grid).norm_values, (F**2).sum(axis=1))

@@ -19,6 +19,8 @@ from optdesign import (
 )
 from optdesign.models import gram_rank, model_from_dict, model_to_dict
 
+from conftest import count_evaluations
+
 
 def test_eval_linear_2f():
     m = make_model("linear-2f-no-intercept")
@@ -220,3 +222,43 @@ def test_model_json_roundtrip(tmp_path):
     assert m2.family == m.family
     assert steps == (0.05,)
     assert not m2.space.is_bounded  # null upper bound survives the round trip
+
+
+def test_features_is_read_only_eval_many():
+    m = make_model("weighted-polynomial", degree=2, efficiency={"kind": "exp", "rate": 1.0})
+    grid = discretize(m.space, 0.01)
+    F = grid.features(m)
+    assert np.array_equal(F, m.eval_many(grid.points))
+    assert not F.flags.writeable
+    with pytest.raises(ValueError):
+        F[0, 0] = 1.0
+    assert grid.features(m) is F
+
+
+def test_features_reuse_follows_model_values(monkeypatch):
+    rows = count_evaluations(monkeypatch, "polynomial")
+    grid = discretize(interval(-1.0, 1.0), 0.1)
+    m = make_model("polynomial", space=interval(-1.0, 1.0), degree=2)
+    F = grid.features(m)
+    assert rows == [21]
+    # an equal-valued new spec hits
+    assert grid.features(make_model("polynomial", space=interval(-1.0, 1.0), degree=2)) is F
+    assert rows == [21]
+    # other params, or another space holding the same grid, miss
+    assert grid.features(make_model("polynomial", space=interval(-1.0, 1.0), degree=3)).shape == (21, 4)
+    assert grid.features(make_model("polynomial", space=interval(-1.0, 2.0), degree=2)).shape == (21, 3)
+    assert rows == [21, 21, 21]
+    # one entry per grid: the last model evaluated takes the slot
+    assert grid.features(m) is not F
+    assert rows == [21] * 4
+
+
+def test_features_miss_after_params_mutation(monkeypatch):
+    rows = count_evaluations(monkeypatch, "polynomial")
+    params = {"degree": 2}
+    m = make_model("polynomial", space=interval(-1.0, 1.0), **params)
+    grid = discretize(m.space, 0.25)
+    assert grid.features(m).shape == (9, 3)
+    m.params["degree"] = 3
+    assert grid.features(m).shape == (9, 4)
+    assert rows == [9, 9]
