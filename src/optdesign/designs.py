@@ -61,12 +61,38 @@ class Design:
 
     @staticmethod
     def from_dict(obj: dict) -> "Design":
-        atoms = obj.get("atoms", [])
+        """Design from its file form {"atoms": [{"x": [...], "w": ...}, ...]}.
+
+        A field of the wrong shape raises ValidationError naming the field.
+        """
+        atoms = obj.get("atoms", []) if isinstance(obj, dict) else None
+        if not isinstance(atoms, list):
+            raise ValidationError(
+                'design file needs a JSON object whose \'atoms\' field is a list of'
+                ' {"x": [...], "w": ...} objects'
+            )
         if not atoms:
             raise EmptyDesignError("design file has no atoms")
-        pts = np.array([a["x"] for a in atoms], dtype=float)
-        w = np.array([a["w"] for a in atoms], dtype=float)
-        return Design(pts, w)
+        for i, atom in enumerate(atoms):
+            if not isinstance(atom, dict) or "x" not in atom or "w" not in atom:
+                raise ValidationError(
+                    f"design atom {i} needs an 'x' and a 'w' field, got {atom!r}"
+                )
+        return Design(_atom_values(atoms, "x"), _atom_values(atoms, "w"))
+
+
+def _atom_values(atoms: list, key: str) -> np.ndarray:
+    """Field ``key`` of every atom of a design file, stacked into one float array."""
+    try:
+        values = np.array([a[key] for a in atoms], dtype=float)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.ndim > 2:
+        raise ValidationError(
+            f"design field {key!r} must be a number or a list of numbers,"
+            " of one length in every atom"
+        )
+    return values
 
 
 def design(points, weights=None, normalize=False) -> Design:

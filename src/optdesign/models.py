@@ -55,10 +55,17 @@ class DesignSpace:
         return all(math.isfinite(hi) for _, hi in self.bounds)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
+        """Row mask of the points within the box, to _BOUND_EPS; NaN rows are out.
+
+        The per-axis comparisons are folded into one n-vector, so no n x q
+        boolean temporary is made.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        lo = np.array([b[0] for b in self.bounds])
-        hi = np.array([b[1] for b in self.bounds])
-        return np.all((pts >= lo - _BOUND_EPS) & (pts <= hi + _BOUND_EPS), axis=1)
+        inside = np.ones(pts.shape[0], dtype=bool)
+        for j, (lo, hi) in enumerate(self.bounds):
+            inside &= pts[:, j] >= lo - _BOUND_EPS
+            inside &= pts[:, j] <= hi + _BOUND_EPS
+        return inside
 
 
 def interval(lo: float, hi: float, note: str | None = None) -> DesignSpace:
@@ -118,8 +125,12 @@ class CandidateSet:
             raise ValidationError("candidate points do not match space dimension")
         if not np.all(self.space.contains(pts)):
             raise ValidationError("candidate point outside design-space bounds")
-        ordered = pts[np.lexsort(pts.T)]  # equal rows end up adjacent
-        if np.all(ordered[1:] == ordered[:-1], axis=1).any():
+        order = np.lexsort(pts.T)  # equal rows end up adjacent
+        same = np.ones(pts.shape[0] - 1, dtype=bool)
+        for j in range(pts.shape[1]):
+            col = pts[order, j]
+            same &= col[1:] == col[:-1]
+        if same.any():
             raise ValidationError("candidate points must be pairwise distinct")
         self.points.setflags(write=False)
 
@@ -396,7 +407,14 @@ class ModelSpec:
                 f"unknown family {self.family!r}; known: {sorted(FAMILIES)}"
             )
         fam = FAMILIES[self.family]
-        fam.validate(self.params)
+        try:
+            fam.validate(self.params)
+        except ValidationError:
+            raise
+        except (TypeError, ValueError) as exc:  # a value of the wrong type, as from a file
+            raise ValidationError(
+                f"model field 'params' is malformed for {self.family}: {exc}"
+            ) from None
         if self.space is None:
             object.__setattr__(self, "space", DesignSpace(fam.default_bounds(self.params)))
         if self.space.dimension != fam.dim:
@@ -479,21 +497,43 @@ def default_candidates(model: ModelSpec, resolution: float | tuple = 0.01) -> Ca
 # ---------------------------------------------------------------------------
 
 def model_from_dict(obj: dict) -> tuple[ModelSpec, tuple | None]:
-    """Build a model from its file representation; returns (model, steps or None)."""
-    if "family" not in obj:
-        raise ValidationError("model file needs a 'family' field")
-    params = dict(obj.get("params", {}))
+    """Build a model from its file representation; returns (model, steps or None).
+
+    A field of the wrong shape raises ValidationError naming the field.
+    """
+    if not isinstance(obj, dict) or "family" not in obj:
+        raise ValidationError("model file needs a JSON object with a 'family' field")
+    if not isinstance(obj["family"], str):
+        raise ValidationError(f"model field 'family' must be a string, got {obj['family']!r}")
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise ValidationError(f"model field 'params' must be an object, got {params!r}")
     space = None
     steps = None
     sp = obj.get("space")
     if sp is not None:
-        bounds = tuple(
-            (float(lo), math.inf if hi is None else float(hi)) for lo, hi in sp["bounds"]
-        )
+        if not isinstance(sp, dict) or "bounds" not in sp:
+            raise ValidationError(
+                f"model field 'space' must be an object with a 'bounds' list, got {sp!r}"
+            )
+        try:
+            bounds = tuple(
+                (float(lo), math.inf if hi is None else float(hi)) for lo, hi in sp["bounds"]
+            )
+        except (TypeError, ValueError):
+            raise ValidationError(
+                "model field 'space.bounds' must be a list of [lo, hi] number pairs"
+                f" (hi null for an unbounded axis), got {sp['bounds']!r}"
+            ) from None
         space = DesignSpace(bounds)
         if sp.get("steps") is not None:
-            steps = tuple(float(s) for s in sp["steps"])
-    return ModelSpec(family=obj["family"], params=params, space=space), steps
+            try:
+                steps = tuple(float(s) for s in sp["steps"])
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"model field 'space.steps' must be a list of numbers, got {sp['steps']!r}"
+                ) from None
+    return ModelSpec(family=obj["family"], params=dict(params), space=space), steps
 
 
 def model_to_dict(model: ModelSpec, steps: tuple | None = None) -> dict:

@@ -241,17 +241,35 @@ def _refine(F, w, criterion: Criterion, tol, max_iter):
 
 
 def _spread_indices(points: np.ndarray, F: np.ndarray, k: int, rng) -> list[int]:
-    """k+1 max-min-distance points from a seeded start, extended until F spans."""
-    n = points.shape[0]
+    """k+1 max-min-distance points from a seeded start, extended until F spans.
+
+    Squared distances are built column by column from strided views of
+    ``points`` into reused n-vectors, so no n x q temporary is made. Adding
+    the q squared columns in order is bit-identical to
+    ``((points - p) ** 2).sum(axis=1)`` for q < 8, where numpy's row sum is
+    a plain left-to-right loop, so the chosen indices are the same.
+    """
+    n, q = points.shape
+    d2, new, col = np.empty(n), np.empty(n), np.empty(n)
+
+    def squared_distances(i: int, out: np.ndarray) -> None:
+        np.subtract(points[:, 0], points[i, 0], out=out)
+        np.square(out, out=out)
+        for j in range(1, q):
+            np.subtract(points[:, j], points[i, j], out=col)
+            np.square(col, out=col)
+            out += col
+
     chosen = [int(rng.integers(n))]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    squared_distances(chosen[0], d2)
     cap = min(n, 3 * k + 6)
     while len(chosen) < cap and (len(chosen) < k + 1 or gram_rank(F[chosen]) < k):
         nxt = int(np.argmax(d2))
         if d2[nxt] <= 0:
             break
         chosen.append(nxt)
-        d2 = np.minimum(d2, ((points - points[nxt]) ** 2).sum(axis=1))
+        squared_distances(nxt, new)
+        np.minimum(d2, new, out=d2)
     return chosen
 
 

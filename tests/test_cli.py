@@ -142,6 +142,14 @@ def test_certify_nan_tol_exits_2(tmp_path, model21, design21):
     assert not (out / "certify.json").exists()
 
 
+def _assert_csv_matches_per_value_format(path, header, table):
+    _write_csv(path, header, table)
+    lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in table]
+    written = path.read_bytes()
+    assert written == ("\n".join(lines) + "\n").encode("utf-8")
+    return written
+
+
 def test_write_csv_matches_per_value_format(tmp_path):
     rng = np.random.default_rng(5)
     n = 20_000  # two full blocks and a partial third
@@ -150,14 +158,76 @@ def test_write_csv_matches_per_value_format(tmp_path):
     table[0] = [-0.0, 5e-324, 1e-300]
     table[CSV_BLOCK - 1 : CSV_BLOCK + 1] = [[1.0, 1e22, -1.5], [-1e22, -5e-324, 0.0]]
     table[-1] = [-0.0, -1e-300, 1.0]
-    header = ["x0", "x1", "value"]
-    _write_csv(tmp_path / "blocked.csv", header, table)
-
-    lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in table]
-    (tmp_path / "per_value.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written = (tmp_path / "blocked.csv").read_bytes()
-    assert written == (tmp_path / "per_value.csv").read_bytes()
+    written = _assert_csv_matches_per_value_format(
+        tmp_path / "blocked.csv", ["x0", "x1", "value"], table
+    )
     assert b"\n-0,4.9406564584124654e-324,1e-300\n" in written
+
+
+def test_write_csv_formats_repeated_values_per_row(tmp_path):
+    # a 2-D grid's coordinate columns: each value repeats many times per block
+    axis = np.linspace(-1.0, 1.0, 151)
+    x0, x1 = (m.ravel() for m in np.meshgrid(axis, axis, indexing="ij"))
+    n = x0.size
+    assert 2 * CSV_BLOCK < n < 3 * CSV_BLOCK
+    rng = np.random.default_rng(11)
+    # few distinct values in the last column, so signed zeros and NaN repeat too
+    pool = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 0.1, 1 / 3, 5e-324])
+    value = pool[rng.integers(pool.size, size=n)]
+    value[:4] = [0.0, -0.0, -0.0, 0.0]  # both zeros in one column of one block
+    # one value on both sides of the first block boundary, and a zero whose sign flips there
+    value[CSV_BLOCK - 3 : CSV_BLOCK + 3] = 0.7
+    value[CSV_BLOCK - 1], value[CSV_BLOCK] = -0.0, 0.0
+    table = np.column_stack((x0, x1, value))
+    written = _assert_csv_matches_per_value_format(
+        tmp_path / "grid.csv", ["x0", "x1", "value"], table
+    )
+    lines = written.decode("utf-8").splitlines()[1:]
+    assert [line.split(",")[2] for line in lines[:4]] == ["0", "-0", "-0", "0"]
+    assert [line.split(",")[2] for line in lines[CSV_BLOCK - 2 : CSV_BLOCK + 2]] == [
+        "0.69999999999999996", "-0", "0", "0.69999999999999996",
+    ]
+    assert any(line.endswith(",nan") for line in lines)
+    assert lines[0].startswith("-1,-1,") and lines[-1].startswith("1,1,")
+
+
+_GOOD_MODEL = {"family": "linear-2f-no-intercept", "params": {}}
+
+
+@pytest.mark.parametrize(
+    "model, dsgn, field",
+    [
+        ({**_GOOD_MODEL, "space": [[-1, 1]]}, None, "'space'"),
+        ({**_GOOD_MODEL, "space": {"bounds": 5}}, None, "'space.bounds'"),
+        ({**_GOOD_MODEL, "space": {"bounds": [[0]]}}, None, "'space.bounds'"),
+        ({**_GOOD_MODEL, "space": {"bounds": [["a", 1]]}}, None, "'space.bounds'"),
+        ({**_GOOD_MODEL, "space": "x"}, None, "'space'"),
+        ({**_GOOD_MODEL, "params": [1]}, None, "'params'"),
+        ({"family": "mixture-poly-exp", "params": {"theta3": "a"}}, None, "'params'"),
+        (_GOOD_MODEL, {"atoms": 3}, "'atoms'"),
+        (_GOOD_MODEL, [], "'atoms'"),
+        (_GOOD_MODEL, {"atoms": [{"x": [0.0, "a"], "w": 1}]}, "'x'"),
+        (_GOOD_MODEL, {"atoms": [{"x": [0.0, 1.0]}]}, "'w'"),
+        (_GOOD_MODEL, {"atoms": [{"x": [[0.0, 1.0]], "w": 1}]}, "'x'"),
+    ],
+    ids=[
+        "space-list", "bounds-number", "bounds-short-pair", "bounds-string", "space-string",
+        "params-list", "params-value-string",
+        "atoms-number", "design-list", "x-string", "atom-without-w", "x-nested",
+    ],
+)
+def test_malformed_input_file_exits_2_naming_the_field(tmp_path, capsys, model, dsgn, field):
+    model_path, design_path = tmp_path / "model.json", tmp_path / "design.json"
+    model_path.write_text(json.dumps(model))
+    design_path.write_text(json.dumps(dsgn if dsgn is not None else {"atoms": [
+        {"x": [1.0, 0.0], "w": 0.5}, {"x": [0.0, 1.0], "w": 0.5},
+    ]}))
+    argv = ["certify", "--model", str(model_path), "--design", str(design_path)]
+    assert main(argv + ["--criterion", "D", "--steps", "0.5", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert ("design" if dsgn is not None else "model") in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_audit_missing_conditional_model_exits_2(tmp_path, model21, design21):

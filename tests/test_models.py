@@ -117,6 +117,36 @@ def test_candidate_set_rejects_duplicate_points():
     assert verdicts == {True, False}
 
 
+def test_grid_checks_read_every_axis():
+    box = DesignSpace(((-1, 1), (0, 2), (0, 1)))
+    good = [[0.0, 1.0, 0.5], [1.0, 2.0, 1.0]]
+    assert box.contains(good).tolist() == [True, True]
+    # rows equal but for their last coordinate are distinct points
+    last_only = [[0.0, 1.0, 0.0], [0.0, 1.0, 0.5], [0.0, 1.0, 1.0]]
+    assert len(CandidateSet(box, last_only, (1,) * 3)) == 3
+    # out of the box on the last axis only, by more than the bound slack
+    out_last = [[0.0, 1.0, 1.0 + 1e-6]]
+    assert box.contains(out_last).tolist() == [False]
+    assert box.contains([[0.0, 1.0, 1.0 + 1e-10]]).tolist() == [True]
+    with pytest.raises(ValidationError, match="outside design-space bounds"):
+        CandidateSet(box, good + out_last, (1,) * 3)
+    for axis in range(3):
+        row = [0.0, 1.0, 0.5]
+        row[axis] = math.nan
+        assert box.contains([row]).tolist() == [False]
+        with pytest.raises(ValidationError, match="outside design-space bounds"):
+            CandidateSet(box, good + [row], (1,) * 3)
+
+
+def test_eval_many_names_first_point_outside():
+    m = make_model("linear-2f-no-intercept")
+    pts = [[0.5, 0.5], [0.5, 1.5], [0.5, math.nan], [2.0, 0.0]]
+    with pytest.raises(DomainError, match=r"point \[0\.5, 1\.5\] outside"):
+        m.eval_many(pts)
+    with pytest.raises(DomainError, match=r"point \[0\.5, nan\] outside"):
+        m.eval_many(pts[2:])
+
+
 def test_truncate():
     sp = DesignSpace(((0.0, math.inf),))
     cut = truncate(sp, 0, 10.0)

@@ -5,6 +5,7 @@ from optdesign import (
     CandidateSet,
     Criterion,
     DegenerateModelError,
+    DesignSpace,
     NoConditionalModelError,
     TruncationSlackError,
     ValidationError,
@@ -22,7 +23,14 @@ from optdesign import (
     solve,
     truncate,
 )
-from optdesign.solver import SolverOptions, _best_unsupported, _log_phi, _smoothed_lambda_min
+from optdesign.models import gram_rank
+from optdesign.solver import (
+    SolverOptions,
+    _best_unsupported,
+    _log_phi,
+    _smoothed_lambda_min,
+    _spread_indices,
+)
 
 
 def test_refine_weights_d(line2f):
@@ -281,6 +289,60 @@ def test_p_near_one_converged_design_certifies(line2f):
     rep = solve(line2f, cands, crit, opts)
     assert rep.converged
     assert certify(rep.design, line2f, cands, crit, tol=2 * opts.kkt_tol).optimal
+
+
+def _spread_indices_by_row_sums(points, F, k, rng):
+    """The farthest-point start as first written, with n x q row sums: the oracle."""
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    cap = min(n, 3 * k + 6)
+    while len(chosen) < cap and (len(chosen) < k + 1 or gram_rank(F[chosen]) < k):
+        nxt = int(np.argmax(d2))
+        if d2[nxt] <= 0:
+            break
+        chosen.append(nxt)
+        d2 = np.minimum(d2, ((points - points[nxt]) ** 2).sum(axis=1))
+    return chosen
+
+
+def _spread_cases():
+    line = discretize(interval(-1.0, 2.0), 0.003).points
+    square = discretize(DesignSpace(((0.0, 1.0), (-1.0, 1.0))), (0.01, 0.02)).points
+    cube = discretize(DesignSpace(((0.0, 1.0),) * 3), 0.05).points
+    rng = np.random.default_rng(3)
+    cloud2 = rng.permutation(rng.standard_normal((3000, 2)) * [1.0, 1e-3])
+    cloud7 = rng.permutation(rng.random((2000, 7)))
+
+    def with_intercept(P, *cols):
+        return np.column_stack((np.ones(P.shape[0]), *cols))
+
+    # the last column vanishes outside a disc of radius 0.2 at the centre, so
+    # the first k + 1 picks (corners and edges) leave F rank-deficient
+    bubble = np.maximum(0.0, 0.04 - (square[:, 0] - 0.5) ** 2 - square[:, 1] ** 2)
+    return {
+        "1d-grid": (line, np.vander(line[:, 0], 4, increasing=True)),
+        "2d-grid": (square, with_intercept(square, square, square.prod(axis=1))),
+        "3d-grid": (cube, with_intercept(cube, cube, cube[:, 0] * cube[:, 2])),
+        "2d-shuffled": (cloud2, with_intercept(cloud2, cloud2, cloud2[:, 0] ** 2)),
+        "7d-shuffled": (cloud7, with_intercept(cloud7, cloud7[:, :3])),
+        "rank-late": (square, with_intercept(square, square, bubble)),
+    }
+
+
+SPREAD_CASES = _spread_cases()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7, 123])
+@pytest.mark.parametrize("case", sorted(SPREAD_CASES))
+def test_spread_indices_match_row_sum_oracle(case, seed):
+    points, F = SPREAD_CASES[case]
+    k = F.shape[1]
+    want = _spread_indices_by_row_sums(points, F, k, np.random.default_rng(seed))
+    assert _spread_indices(points, F, k, np.random.default_rng(seed)) == want
+    assert gram_rank(F[want]) == k
+    if case == "rank-late":
+        assert len(want) > k + 1
 
 
 def test_best_unsupported_skips_supported_violators():
