@@ -112,7 +112,8 @@ class CandidateSet:
     space: DesignSpace
     points: np.ndarray  # (n, q)
     steps: tuple[float, ...]  # effective per-axis grid step
-    # (snapshot of the model, its read-only regression matrix); see features()
+    # (snapshot of the model, its read-only regression matrix, its rank or
+    # None until asked); see features()
     _features: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -150,12 +151,27 @@ class CandidateSet:
         bytes mean equal values, and a params dict mutated since the fill
         misses.
         """
+        return self._feature_entry(model)[1]
+
+    def features_rank(self, model: ModelSpec) -> int:
+        """``gram_rank(self.features(model))``, an SVD of the whole grid.
+
+        Computed on the first call and kept beside the matrix, under the same
+        snapshot, so a refill with another model computes it again.
+        """
+        key, F, rank = self._feature_entry(model)
+        if rank is None:
+            rank = gram_rank(F)
+            object.__setattr__(self, "_features", (key, F, rank))
+        return rank
+
+    def _feature_entry(self, model: ModelSpec) -> tuple:
         key = pickle.dumps((model.family, model.params, model.space))
         if self._features is None or self._features[0] != key:
             F = model.eval_many(self.points)
             F.setflags(write=False)
-            object.__setattr__(self, "_features", (key, F))
-        return self._features[1]
+            object.__setattr__(self, "_features", (key, F, None))
+        return self._features
 
 
 def discretize(space: DesignSpace, resolution: float | tuple[float, ...] = 0.01) -> CandidateSet:

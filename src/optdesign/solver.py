@@ -22,7 +22,7 @@ import numpy as np
 
 from .certificates import build_certificate
 from .conditional import marginal_model
-from .criteria import NEG_INF, Criterion, psd_eig
+from .criteria import _SING_REL, NEG_INF, Criterion, psd_eig
 from .designs import Design, gram, merge_close, prune, sweep
 from .errors import DegenerateModelError, EmptyDesignError, NoConditionalModelError
 from .errors import TruncationSlackError, ValidationError
@@ -214,14 +214,28 @@ def _smoothed_lambda_min(F: np.ndarray, w: np.ndarray, mu: float):
 def _refine_e(F, w, tol, max_iter):
     """E weights on a fixed support by the log-barrier central path.
 
-    Centers psi_mu with ``_projected_newton`` from mu = lambda_max / k down by
-    10x per round, and stops once the largest f_i^T Z f_i over the support is
-    within ``tol`` (relative) of lambda_min: that bound is the duality gap, so
-    the weights are then E-optimal on the support to ``tol``. Each centering
-    runs to tol / 2, leaving the other half of the gap to mu. Every round
-    spends at least one unit of ``max_iter``, so the loop ends.
+    Centers psi_mu with ``_projected_newton`` and cuts mu 100x per round. It
+    stops once the largest f_i^T Z f_i over the support is within ``tol``
+    (relative) of lambda_min: that bound is the duality gap, so the weights
+    are then E-optimal on the support to ``tol``. Each centering runs to
+    tol / 2, leaving the other half of the gap to mu. Every round spends at
+    least one unit of ``max_iter``, so the loop ends.
+
+    The path starts where the incoming weights' own gap puts it. With v the
+    eigenvector of lambda_min(M(w)), every w* on the support has
+    lambda_min(M(w*)) <= v^T M(w*) v <= max_i (f_i^T v)^2, so
+    gap0 = max_i (f_i^T v)^2 - lambda_min bounds how far w is from E-optimal,
+    and mu starts at min(lambda_max / k, max(gap0, tol lambda_min) / (k - 1)).
+    The outer loop hands in near-optimal weights plus one zero-weight atom,
+    where the cold start lambda_max / k spent rounds far above that gap. A
+    singular M(w), or k = 1, starts at lambda_max / k.
     """
-    mu = psd_eig(gram(F, w))[0][-1] / F.shape[1]
+    k = F.shape[1]
+    vals, vecs = psd_eig(gram(F, w))
+    mu = vals[-1] / k
+    if k > 1 and vals[0] > _SING_REL * vals[-1]:
+        gap0 = float(((F @ vecs[:, 0]) ** 2).max()) - vals[0]
+        mu = min(mu, max(gap0, tol * vals[0]) / (k - 1))
     while max_iter > 0:
         w, steps = _projected_newton(lambda v: _smoothed_lambda_min(F, v, mu), w, tol / 2, max_iter)
         max_iter -= max(steps, 1)
@@ -229,7 +243,7 @@ def _refine_e(F, w, tol, max_iter):
         bound = _smoothed_lambda_min(F, w, mu)[1].max()
         if bound - lam_min <= tol * lam_min:
             break
-        mu /= 10.0
+        mu /= 100.0
     return w
 
 
@@ -355,9 +369,9 @@ def solve(
     criterion = Criterion(criterion.p, model.k)
     k = model.k
     F_all = candidates.features(model)
-    if criterion.p <= 0 and gram_rank(F_all) < k:
+    if criterion.p <= 0 and candidates.features_rank(model) < k:
         raise DegenerateModelError(
-            f"candidates span only rank {gram_rank(F_all)} < k={k}; "
+            f"candidates span only rank {candidates.features_rank(model)} < k={k}; "
             "the criterion value is identically zero"
         )
 

@@ -76,6 +76,19 @@ def test_components_order():
     assert [g.tolist() for g in groups] == [[0, 6], [1, 4], [2, 5, 7], [3]]
 
 
+def test_components_match_scipy_csgraph():
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(7)
+    for n in range(1, 30):
+        for density in (0.03, 0.1, 0.3):
+            upper = np.triu(rng.random((n, n)) < density, 1)
+            adj = upper | upper.T
+            count, labels = connected_components(adj, directed=False)
+            expected = [np.flatnonzero(labels == c).tolist() for c in range(count)]
+            assert [g.tolist() for g in components(adj)] == expected
+
+
 def test_prune_examples():
     d = design([[0.0], [1.0], [2.0]], [0.5, 0.5 - 1e-9, 1e-9], normalize=True)
     kept = prune(d, 1e-6)

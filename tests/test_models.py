@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import optdesign.models as models_module
 from optdesign import (
     CandidateSet,
+    Criterion,
+    DegenerateModelError,
     DesignSpace,
     DomainError,
     MustTruncateError,
@@ -15,6 +18,7 @@ from optdesign import (
     eval_f,
     interval,
     make_model,
+    solve,
     truncate,
 )
 from optdesign.models import gram_rank, model_from_dict, model_to_dict
@@ -281,6 +285,29 @@ def test_features_reuse_follows_model_values(monkeypatch):
     # one entry per grid: the last model evaluated takes the slot
     assert grid.features(m) is not F
     assert rows == [21] * 4
+
+
+def test_features_rank_is_kept_with_the_matrix(monkeypatch):
+    ranks = []
+
+    def recorded(F):
+        ranks.append(gram_rank(F))
+        return ranks[-1]
+
+    monkeypatch.setattr(models_module, "gram_rank", recorded)
+    grid = discretize(interval(-1.0, 1.0), 0.1)
+    m = make_model("polynomial", space=interval(-1.0, 1.0), degree=2)
+    assert grid.features_rank(m) == 3
+    solve(m, grid, Criterion(0.0))
+    assert ranks == [3]
+    # a refill with another model computes it again
+    assert grid.features_rank(make_model("polynomial", space=interval(-1.0, 1.0), degree=3)) == 4
+    assert ranks == [3, 4]
+    # the degenerate-grid error takes the rank once
+    few = discretize(interval(-1.0, 1.0), 1.0)
+    with pytest.raises(DegenerateModelError, match="rank 3 < k=4"):
+        solve(make_model("polynomial", space=interval(-1.0, 1.0), degree=3), few, Criterion(0.0))
+    assert ranks == [3, 4, 3]
 
 
 def test_features_miss_after_params_mutation(monkeypatch):

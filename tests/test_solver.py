@@ -23,6 +23,8 @@ from optdesign import (
     solve,
     truncate,
 )
+import optdesign.solver as solver_module
+from optdesign.designs import gram
 from optdesign.models import gram_rank
 from optdesign.solver import (
     SolverOptions,
@@ -63,6 +65,36 @@ def test_refine_weights_e_closes_duality_gap_without_lp(monkeypatch):
     assert calls == []
     lmin = np.linalg.eigvalsh(info_matrix(d, m))[0]
     assert lmin == pytest.approx(1 / 25, rel=1e-10)
+
+
+def test_refine_e_warm_start_ends_the_stalled_path(monkeypatch):
+    # the inputs of the second refinement in the E solve of
+    # linear-2f-no-intercept on discretize(space, 0.01), seed 0: near-optimal
+    # weights plus the zero-weight atom (0, 1). Started at mu = lambda_max / k
+    # and cut 10x per round, the path spent all 300 Newton steps here and
+    # reached mu ~ 5e-17
+    F = np.array([[0.85, 0.92], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    w = np.array([0.43336692172323354, 0.0, 0.5666330782767665, 0.0])
+    tol = SolverOptions().kkt_tol / 20.0
+    steps, mus = [], []
+    newton, smoothed = solver_module._projected_newton, solver_module._smoothed_lambda_min
+
+    def counted(*args):
+        out = newton(*args)
+        steps.append(out[1])
+        return out
+
+    def recorded(F, w, mu):
+        mus.append(mu)
+        return smoothed(F, w, mu)
+
+    monkeypatch.setattr(solver_module, "_projected_newton", counted)
+    monkeypatch.setattr(solver_module, "_smoothed_lambda_min", recorded)
+    out = solver_module._refine_e(F, w, tol, 300)
+    assert sum(steps) <= 50
+    # the stop rule, at the mu of the last round
+    lam_min = np.linalg.eigvalsh(gram(F, out))[0]
+    assert smoothed(F, out, mus[-1])[1].max() - lam_min <= tol * lam_min
 
 
 def test_smoothed_lambda_min_derivatives_match_finite_differences():
@@ -235,8 +267,9 @@ def _matrix_cases():
         (*_MIXTURE, 0.02, "E", True),
         # converged, with a support equality off by 7.3e-5
         (*_MIXTURE, 0.05, "p:0.9", True),
-        # converged, then failed certify by 3.6e-4; now reported unconverged
-        (*_PRODUCT, 0.05, "E", False),
+        # converged, then failed certify by 3.6e-4; then unconverged at residual
+        # 2.4e-5 while the barrier path ran from a cold start
+        (*_PRODUCT, 0.05, "E", True),
         pytest.param(
             *_PRODUCT, 0.05, "p:0.9", False,
             marks=pytest.mark.xfail(
