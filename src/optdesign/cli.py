@@ -279,8 +279,8 @@ def cmd_decompose(args) -> int:
                     "t": sl.t,
                     "weight": sl.weight,
                     "conditional_design": sl.conditional_design.to_dict(),
-                    "conditional_basis": sl.conditional.f_tilde.label,
-                    "p_t": sl.conditional.f_tilde.k,
+                    "conditional_basis": sl.conditional.slice_space,
+                    "p_t": sl.conditional.k,
                     "lift": sl.conditional.lift.tolist(),
                 }
                 for sl in deco.slices
@@ -386,7 +386,7 @@ def _run_golden(entry) -> tuple[bool, str]:
         dsgn = Design.from_dict(entry["design"])
         tmap = _parse_slice_map(entry["slice_map"])
         err = recompose_check(dsgn, tmap, model)
-        if err > 1e-10:
+        if err > 1e-12:
             return False, f"recompose error {err:.3g}"
         deco = decompose(dsgn, tmap, model)
         got = {round(sl.t, 9): sl.weight for sl in deco.slices}

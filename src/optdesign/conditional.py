@@ -1,9 +1,9 @@
 """Slice decompositions, lifted conditional models, and admissibility audits.
 
 Slicing a design by a scalar map t(x) yields marginal weights and conditional
-designs; each registered (model, map) pairing comes with a reduced regression
-vector and a full-column-rank lift matrix tying it back to the full model, so
-the full information matrix recomposes exactly from the slices. Dominance in
+designs. On each slice of a two-factor model the conditional model is f in an
+orthonormal basis of its span there, the lift matrix tying it back to the
+full model, so the full information matrix recomposes exactly. Dominance in
 the Loewner order is tested directly; inadmissibility of any conditional
 design lifts to inadmissibility of the full design by splicing in the
 dominating slice.
@@ -11,15 +11,13 @@ dominating slice.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .designs import Design, gram, info_matrix
 from .errors import NoConditionalModelError, ValidationError
-from .models import FAMILIES, CandidateSet, ModelSpec, discretize, gram_rank
+from .models import CandidateSet, ModelSpec, discretize, gram_rank
 from .models import interval, make_model
 
 SLICE_TOL = 1e-9       # atoms whose t-values (or marginal coordinates) differ by at most this are grouped
@@ -54,32 +52,21 @@ class SliceMap:
 
 
 @dataclass(frozen=True)
-class SliceBasis:
-    """Evaluable conditional regression vector on a slice."""
-
-    k: int
-    label: str
-    fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-
-    def eval_many(self, points: np.ndarray) -> np.ndarray:
-        return self.fn(np.atleast_2d(np.asarray(points, dtype=float)))
-
-
-@dataclass(frozen=True)
 class ConditionalModel:
-    """Conditional regression vector, lift matrix, and slice description."""
+    """f on the slice t(x) = t as f~ = U^T f, where the lift U (k x r) is an
+    orthonormal basis of the span of f there; ``eval_many`` gives f(x)^T U."""
 
-    f_tilde: SliceBasis
-    lift: np.ndarray  # (k, p_t), full column rank
+    model: ModelSpec
+    lift: np.ndarray  # (k, r), orthonormal columns
     slice_space: str
     t: float
 
-    def __post_init__(self):
-        L = np.asarray(self.lift, dtype=float)
-        object.__setattr__(self, "lift", L)
-        if np.linalg.matrix_rank(L) != L.shape[1]:
-            raise ValidationError("lift matrix must have full column rank")
-        L.setflags(write=False)
+    @property
+    def k(self) -> int:
+        return self.lift.shape[1]
+
+    def eval_many(self, points: np.ndarray) -> np.ndarray:
+        return self.model.eval_many(points) @ self.lift
 
 
 @dataclass(frozen=True)
@@ -116,126 +103,26 @@ class AdmissibilityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# conditional-model registry
+# conditional models
 # ---------------------------------------------------------------------------
 
-def _family_basis(family: str, axis: int, label: str, **params) -> SliceBasis:
-    """A catalog family's regression vector in coordinate ``axis``."""
-    fam = FAMILIES[family]
-    return SliceBasis(fam.k_of(params), label, lambda X: fam.evaluate(params, X[:, [axis]]))
-
-
-def _xexp_basis(rate: float, axis: int) -> SliceBasis:
-    return _family_basis("xexp-decay", axis, f"(1, x{axis} e^(-{rate:g} x{axis}))", rate=rate)
-
-
-def _coord_basis_expx(rate: float, axis: int) -> SliceBasis:
-    # weighted-polynomial with efficiency e^(2 r x) spans the same vector, but
-    # through sqrt(e^(2 r x)), which differs from e^(r x) in the last bits
-    def fn(X):
-        x = X[:, axis]
-        e = np.exp(rate * x)
-        return np.stack([e, x * e], axis=1)
-
-    return SliceBasis(2, f"(e^({rate:g} x{axis}), x{axis} e^({rate:g} x{axis}))", fn)
-
-
-def _full_affine_basis() -> SliceBasis:
-    def fn(X):
-        return np.stack([np.ones_like(X[:, 0]), X[:, 0], X[:, 1]], axis=1)
-
-    return SliceBasis(3, "(1, x0, x1)", fn)
-
-
-def _linear_coeffs_match(tmap: SliceMap, expected) -> bool:
-    got = np.asarray(tmap.coeffs, dtype=float)
-    want = np.asarray(expected, dtype=float)
-    return got.shape == want.shape and np.allclose(got, want, rtol=0, atol=1e-12)
-
-
-def conditional_model(model: ModelSpec, tmap: SliceMap, t: float) -> ConditionalModel:
-    """Registered conditional model for (model, slice map) at slice value t."""
-    fam = model.family
-    p = model.params
-    if tmap.kind == "coordinate":
-        j = tmap.axis
-        if j not in (0, 1) or model.space.dimension != 2:
-            raise NoConditionalModelError(
-                f"no coordinate conditional model for {fam} on axis {j}"
-            )
-        other = 1 - j
-        if fam == "interaction-2f":
-            # (1, x1, x2, x1 x2) restricted to x_j = t spans (1, x_other)
-            lift = np.zeros((4, 2))
-            lift[0, 0] = 1.0
-            lift[1 + j, 0] = t
-            lift[1 + other, 1] = 1.0
-            lift[3, 1] = t
-            basis = _family_basis("polynomial", other, f"(1, x{other})", degree=1)
-            return ConditionalModel(basis, lift, f"x{j}={t:g}", t)
-        if fam == "exp-growth-2f":
-            th = np.asarray(p["theta"], dtype=float)
-            lift = np.zeros((3, 2))
-            lift[0, 0] = 1.0
-            lift[1 + j, 0] = -t * math.exp(-th[1 + j] * t)
-            lift[1 + other, 1] = -1.0
-            return ConditionalModel(_xexp_basis(th[1 + other], other), lift, f"x{j}={t:g}", t)
-        if fam == "exp-product-2f":
-            th = np.asarray(p["theta"], dtype=float)
-            scale = math.exp(th[1 + j] * t)
-            lift = np.zeros((3, 2))
-            lift[0, 0] = scale
-            lift[1 + j, 0] = th[0] * t * scale
-            lift[1 + other, 1] = th[0] * scale
-            return ConditionalModel(
-                _coord_basis_expx(th[1 + other], other), lift, f"x{j}={t:g}", t
-            )
-        if fam == "mixture-poly-exp":
-            t3 = float(p["theta3"])
-            if j == 1:
-                lift = np.zeros((4, 3))
-                lift[0, 0] = 1.0
-                lift[1, 1] = 1.0
-                lift[2, 2] = 1.0
-                lift[3, 0] = -t * math.exp(-t3 * t)
-                return ConditionalModel(
-                    _family_basis("cubic-gap", 0, "(1, x0, x0^3)"), lift, f"x1={t:g}", t
-                )
-            lift = np.zeros((4, 2))
-            lift[0, 0] = 1.0
-            lift[1, 0] = t
-            lift[2, 0] = t**3
-            lift[3, 1] = -1.0
-            return ConditionalModel(_xexp_basis(t3, 1), lift, f"x0={t:g}", t)
-        raise NoConditionalModelError(f"no coordinate conditional model for {fam}")
-
-    # linear maps
-    if fam == "interaction-2f" and _linear_coeffs_match(tmap, (1.0, 1.0)):
-        # substitute x2 = t - x1: span (1, x1, x1^2)
-        lift = np.array([
-            [1.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0],
-            [t, -1.0, 0.0],
-            [0.0, t, -1.0],
-        ])
-        return ConditionalModel(
-            _family_basis("polynomial", 0, "(1, x0, x0^2)", degree=2), lift, f"x0+x1={t:g}", t
+def _check_slicing(model: ModelSpec, tmap: SliceMap) -> None:
+    """Raise unless tmap cuts model's two-factor design space into segments."""
+    if model.space.dimension != 2 or (tmap.kind == "coordinate" and tmap.axis > 1):
+        raise NoConditionalModelError(
+            f"no conditional model for {model.family} under {tmap.kind} slicing: "
+            "slices are taken of two-factor models, along axis 0 or 1 or a linear map"
         )
-    if fam == "exp-product-2f":
-        th = np.asarray(p["theta"], dtype=float)
-        if _linear_coeffs_match(tmap, (th[1], th[2])):
-            scale = math.exp(t)
-            lift = np.diag([scale, th[0] * scale, th[0] * scale])
-            return ConditionalModel(
-                _full_affine_basis(), lift, f"{th[1]:g} x0 + {th[2]:g} x1 = {t:g}", t
-            )
-    raise NoConditionalModelError(
-        f"no conditional model registered for {fam} under {tmap.kind} slicing"
-    )
+    if tmap.kind == "linear" and (len(tmap.coeffs) != 2 or 0.0 in tmap.coeffs):
+        hint = f"axis:{1 - tmap.coeffs.index(0.0)}" if len(tmap.coeffs) == 2 else "linear:<a1,a2>"
+        raise ValidationError(
+            f"linear slice map needs 2 nonzero coefficients, got {list(tmap.coeffs)}; use {hint}"
+        )
 
 
 def slice_grid(model: ModelSpec, tmap: SliceMap, t: float, step: float = 0.01) -> np.ndarray:
     """Candidate points on the slice {x : t(x) = t}, as full-dimensional points."""
+    _check_slicing(model, tmap)
     bounds = model.space.bounds
     if tmap.kind == "coordinate":
         j = tmap.axis
@@ -246,20 +133,40 @@ def slice_grid(model: ModelSpec, tmap: SliceMap, t: float, step: float = 0.01) -
         pts[:, j] = t
         pts[:, other] = grid
         return pts
-    coeffs = np.asarray(tmap.coeffs, dtype=float)
     (lo1, hi1), (lo2, hi2) = bounds
-    a1, a2 = coeffs
-    # x0 range keeping x1 = (t - a1*x0)/a2 inside its bounds (a1, a2 > 0 cases)
-    lo = max(lo1, (t - a2 * hi2) / a1)
-    hi = min(hi1, (t - a2 * lo2) / a1)
+    a1, a2 = tmap.coeffs
+    # the x0 range keeping x1 = (t - a1 x0) / a2 inside its bounds
+    ends = sorted(((t - a2 * hi2) / a1, (t - a2 * lo2) / a1))
+    lo = max(lo1, ends[0])
+    hi = min(hi1, ends[1])
     if hi < lo - 1e-12:
         raise ValidationError(f"slice t={t:g} does not intersect the design space")
     if hi - lo < 1e-12:
         xs = np.array([0.5 * (lo + hi)])
     else:
         xs = discretize(interval(lo, hi), step).points[:, 0]
-    pts = np.stack([xs, (t - a1 * xs) / a2], axis=1)
-    return pts
+    return np.stack([xs, (t - a1 * xs) / a2], axis=1)
+
+
+def conditional_model(
+    model: ModelSpec, tmap: SliceMap, t: float, points: np.ndarray
+) -> ConditionalModel:
+    """f on the slice {x : t(x) = t}, in the span of f over the slice grid and
+    ``points`` (the conditional design's atoms, which may lie off the grid).
+
+    The lift is the first ``gram_rank`` right singular vectors, each column's
+    sign fixed so that its largest-magnitude entry is positive. The Loewner
+    order and the dominator search's cuts are invariant under rotations of an
+    orthonormal basis, so any such basis gives the same verdicts.
+    """
+    F = model.eval_many(np.vstack([slice_grid(model, tmap, t, AUDIT_STEP), points]))
+    U = np.linalg.svd(F, full_matrices=False)[2][: gram_rank(F)].T
+    U *= np.sign(U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])])
+    U.setflags(write=False)
+    if tmap.kind == "coordinate":
+        return ConditionalModel(model, U, f"x{tmap.axis}={t:g}", t)
+    a1, a2 = tmap.coeffs
+    return ConditionalModel(model, U, f"{a1:g} x0 + {a2:g} x1 = {t:g}", t)
 
 
 def marginal_model(model: ModelSpec, axis: int) -> ModelSpec:
@@ -318,16 +225,16 @@ def _group_by_value(values: np.ndarray) -> list[list[int]]:
 
 def decompose(design: Design, tmap: SliceMap, model: ModelSpec) -> SliceDecomposition:
     """Group atoms into slices, forming marginal weights and conditional designs."""
+    _check_slicing(model, tmap)
     tvals = tmap.values(design.points)
     slices = []
     for idx in _group_by_value(tvals):
         t = float(np.mean(tvals[idx]))
         weight = float(design.weights[idx].sum())
         cond = Design(design.points[idx], design.weights[idx] / weight)
-        cm = conditional_model(model, tmap, t)
+        cm = conditional_model(model, tmap, t, cond.points)
         F = model.eval_many(cond.points)
-        B = cm.f_tilde.eval_many(cond.points)
-        err = np.abs(F - B @ cm.lift.T).max()
+        err = np.abs(F - F @ cm.lift @ cm.lift.T).max()
         if err > 1e-10 * max(1.0, np.abs(F).max()):
             raise ValidationError(
                 f"lift identity fails on slice t={t:g} (max error {err:.3e})"
@@ -342,7 +249,7 @@ def recompose_check(design: Design, tmap: SliceMap, model: ModelSpec) -> float:
     M = info_matrix(design, model)
     M_rec = np.zeros_like(M)
     for sl in deco.slices:
-        Mt = info_matrix(sl.conditional_design, sl.conditional.f_tilde)
+        Mt = info_matrix(sl.conditional_design, sl.conditional)
         M_rec += sl.weight * sl.conditional.lift @ Mt @ sl.conditional.lift.T
     return float(np.abs(M - M_rec).max())
 
@@ -610,8 +517,8 @@ def find_dominator(
     a one-sided statement, not a proof of admissibility.
 
     A ``CandidateSet`` supplies its regression matrix through
-    ``CandidateSet.features``, which takes a ``ModelSpec``; pass a slice basis
-    with an array of points.
+    ``CandidateSet.features``, which takes a ``ModelSpec``; pass a
+    ``ConditionalModel`` with an array of points, its slice grid.
     """
     if isinstance(candidates, CandidateSet):
         points, F = candidates.points, candidates.features(model)
@@ -674,7 +581,7 @@ def conditional_audit(
     any_inconclusive = False
     for sl in deco.slices:
         grid = slice_grid(model, tmap, sl.t, AUDIT_STEP)
-        verdict = find_dominator(sl.conditional_design, grid, sl.conditional.f_tilde, budget)
+        verdict = find_dominator(sl.conditional_design, grid, sl.conditional, budget)
         evidence.append((sl.t, verdict))
         if verdict.inconclusive:
             any_inconclusive = True

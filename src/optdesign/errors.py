@@ -30,7 +30,7 @@ class InfeasibleRoundingError(ValidationError):
 
 
 class NoConditionalModelError(ValidationError):
-    """No conditional model is registered for the (model, slice map) pairing."""
+    """The slice map does not cut the model's design space into conditional models."""
 
 
 class TruncationSlackError(OptDesignError):

@@ -142,7 +142,7 @@ def _projected_newton(objective, w, tol, max_iter):
     equalities both hold within ``tol``. The first alone accepted support
     atoms with sensitivity below 1: p = 0.9 on linear-2f-no-intercept stopped
     at edge weights 6.8e-5 and 3e-8, where both should be 3.4e-5. Returns
-    (weights, Newton steps taken).
+    (weights, Newton steps taken, gradient at the returned weights).
     """
     value, grad, hess = objective(w)
     steps = 0
@@ -179,7 +179,7 @@ def _projected_newton(objective, w, tol, max_iter):
             step *= 0.5
         else:
             break
-    return w, steps
+    return w, steps, grad
 
 
 def _smoothed_lambda_min(F: np.ndarray, w: np.ndarray, mu: float):
@@ -237,10 +237,12 @@ def _refine_e(F, w, tol, max_iter):
         gap0 = float(((F @ vecs[:, 0]) ** 2).max()) - vals[0]
         mu = min(mu, max(gap0, tol * vals[0]) / (k - 1))
     while max_iter > 0:
-        w, steps = _projected_newton(lambda v: _smoothed_lambda_min(F, v, mu), w, tol / 2, max_iter)
+        w, steps, grad = _projected_newton(
+            lambda v: _smoothed_lambda_min(F, v, mu), w, tol / 2, max_iter
+        )
         max_iter -= max(steps, 1)
         lam_min = psd_eig(gram(F, w))[0][0]
-        bound = _smoothed_lambda_min(F, w, mu)[1].max()
+        bound = grad.max()
         if bound - lam_min <= tol * lam_min:
             break
         mu /= 100.0

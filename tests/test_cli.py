@@ -230,18 +230,44 @@ def test_malformed_input_file_exits_2_naming_the_field(tmp_path, capsys, model, 
     assert not (tmp_path / "out").exists()
 
 
-def test_audit_missing_conditional_model_exits_2(tmp_path, model21, design21):
+def _audit(tmp_path, model, dsgn, slice_map):
     out = tmp_path / "out"
     code = main(
         [
             "audit",
-            "--model", str(model21),
-            "--design", str(design21),
-            "--slice-map", "axis:0",
+            "--model", str(model),
+            "--design", str(dsgn),
+            "--slice-map", slice_map,
             "--out", str(out),
         ]
     )
+    return code, out
+
+
+def test_audit_missing_conditional_model_exits_2(tmp_path, model21, design21):
+    code, out = _audit(tmp_path, model21, design21, "axis:2")
     assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("slice_map,message", [
+    ("linear:1,0", "use axis:0"), ("linear:1,1,1", "use linear:<a1,a2>"),
+])
+def test_audit_linear_map_without_two_nonzero_coefficients_exits_2(
+    tmp_path, capsys, model21, design21, slice_map, message
+):
+    code, out = _audit(tmp_path, model21, design21, slice_map)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_audit_line_model_by_axis(tmp_path, model21, design21):
+    code, out = _audit(tmp_path, model21, design21, "axis:0")
+    assert code == 0
+    rep = json.loads((out / "audit.json").read_text())
+    assert [s["t"] for s in rep["slices"]] == [0.0, 1.0]
 
 
 def test_audit_command(tmp_path):

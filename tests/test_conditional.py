@@ -57,17 +57,44 @@ def test_decompose_interaction_linear():
     deco = decompose(d, SliceMap("linear", coeffs=(1.0, 1.0)), m)
     assert [sl.t for sl in deco.slices] == [0.0, 1.0, 2.0]
     assert all(sl.weight == pytest.approx(1 / 3) for sl in deco.slices)
-    assert all(sl.conditional.f_tilde.k == 3 for sl in deco.slices)
-    assert all("^2" in sl.conditional.f_tilde.label for sl in deco.slices)
 
 
 def test_decompose_growth_coordinate(growth):
     d = design([[0, 0], [0, 1], [1, 0], [1, 1]])
     deco = decompose(d, SliceMap("coordinate", axis=0), growth)
     assert [sl.t for sl in deco.slices] == [0.0, 1.0]
-    assert all(sl.conditional.f_tilde.k == 2 for sl in deco.slices)
-    # the conditional vector for the second factor carries its own rate
-    assert "x1" in deco.slices[0].conditional.f_tilde.label
+    assert [sl.conditional.slice_space for sl in deco.slices] == ["x0=0", "x0=1"]
+
+
+# the rank of f on each slice, in slice order
+CONDITIONAL_RANKS = [
+    # x0 + x1 = t: (1, x0, t - x0, x0 (t - x0)) spans (1, x0, x0^2) on the
+    # inner slice; the corners t = 0 and t = 2 are single points
+    ("interaction-2f", {}, (1.0, 1.0), [[0, 0], [0.5, 0.5], [1, 1]], [1, 3, 1]),
+    ("interaction-2f", {}, 0, [[0, 0], [0, 1], [1, 0.5]], [2, 2]),
+    ("exp-growth-2f", {"theta": [1.0, 1.0, 1.0]}, 0, [[0, 0], [0, 1], [1, 0], [1, 1]], [2, 2]),
+    # theta_1 x0 + theta_2 x1 = t: e^t (1, x0, x1) with x1 affine in x0
+    ("exp-product-2f", {"theta": [1.0, 1.0, 2.0]}, (1.0, 2.0), [[0.5, 0.5], [1, 0.25]], [2]),
+    ("exp-product-2f", {"theta": [1.0, 1.0, 2.0]}, 1, [[0, 0], [1, 0]], [2]),
+    ("mixture-poly-exp", {"theta3": 1.0}, 0, [[-1, 0], [-1, 2]], [2]),
+    ("mixture-poly-exp", {"theta3": 1.0}, 1, [[-1, 1], [0, 1], [1, 1]], [3]),
+    ("linear-2f-no-intercept", {}, 0, [[0, 1], [1, 0], [1, 1]], [1, 2]),
+]
+
+
+@pytest.mark.parametrize("family,params,slicing,points,ranks", CONDITIONAL_RANKS, ids=str)
+def test_conditional_rank(family, params, slicing, points, ranks):
+    model = make_model(family, **params)
+    if isinstance(slicing, tuple):
+        tmap = SliceMap("linear", coeffs=slicing)
+    else:
+        tmap = SliceMap("coordinate", axis=slicing)
+    deco = decompose(design(points), tmap, model)
+    assert [sl.conditional.k for sl in deco.slices] == ranks
+    for sl in deco.slices:
+        U = sl.conditional.lift
+        assert U.shape == (model.k, sl.conditional.k)
+        assert np.allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-14)
 
 
 def test_decompose_single_slice(growth):
@@ -86,7 +113,37 @@ def test_no_conditional_model_registered():
         decompose(d, SliceMap("coordinate", axis=0), m)
     m2 = make_model("interaction-2f")
     with pytest.raises(NoConditionalModelError):
-        decompose(design([[0.5, 0.5]]), SliceMap("linear", coeffs=(1.0, 2.0)), m2)
+        decompose(design([[0.5, 0.5]]), SliceMap("coordinate", axis=2), m2)
+
+
+def test_slice_grid_negative_coefficient_keeps_the_diagonal():
+    m = make_model("interaction-2f")
+    diag = slice_grid(m, SliceMap("linear", coeffs=(1.0, -1.0)), 0.0, step=0.25)
+    assert np.allclose(diag[:, 0], [0, 0.25, 0.5, 0.75, 1.0])
+    assert np.allclose(diag[:, 1], diag[:, 0])
+    d = design([[0, 0], [0.5, 0.5], [1, 1]])
+    deco = decompose(d, SliceMap("linear", coeffs=(1.0, -1.0)), m)
+    assert [sl.t for sl in deco.slices] == [0.0]
+    assert deco.slices[0].conditional.k == 3
+
+
+@pytest.mark.parametrize(
+    "coeffs,message",
+    [
+        ((1.0, 0.0), "use axis:0"),
+        ((0.0, 2.0), "use axis:1"),
+        ((1.0, 1.0, 1.0), "use linear:<a1,a2>"),
+    ],
+    ids=str,
+)
+def test_linear_slice_map_off_two_nonzero_coefficients_is_rejected(coeffs, message):
+    m = make_model("interaction-2f")
+    tmap = SliceMap("linear", coeffs=coeffs)
+    with pytest.raises(ValidationError, match=message) as err:
+        decompose(design([[0.5, 0.5]]), tmap, m)
+    assert not isinstance(err.value, NoConditionalModelError)
+    with pytest.raises(ValidationError, match=message):
+        slice_grid(m, tmap, 0.5)
 
 
 SUPPORTED_PAIRS = [
@@ -100,6 +157,12 @@ SUPPORTED_PAIRS = [
     ("exp-product-2f", {"theta": [1.0, 1.0, 2.0]}, SliceMap("linear", coeffs=(1.0, 2.0))),
     ("mixture-poly-exp", {"theta3": 1.0}, SliceMap("coordinate", axis=0)),
     ("mixture-poly-exp", {"theta3": 1.0}, SliceMap("coordinate", axis=1)),
+    ("linear-2f-no-intercept", {}, SliceMap("coordinate", axis=0)),
+    ("linear-2f-no-intercept", {}, SliceMap("coordinate", axis=1)),
+    ("interaction-2f", {}, SliceMap("linear", coeffs=(1.0, 2.0))),
+    ("interaction-2f", {}, SliceMap("linear", coeffs=(1.0, -1.0))),
+    ("exp-growth-2f", {"theta": [1.0, 1.0, 2.0]}, SliceMap("linear", coeffs=(1.0, 1.0))),
+    ("mixture-poly-exp", {"theta3": 1.0}, SliceMap("linear", coeffs=(1.0, 1.0))),
 ]
 
 
@@ -111,7 +174,7 @@ def test_recomposition_identity(family, params, tmap):
     for _ in range(5):
         idx = rng.choice(len(grid), size=6, replace=False)
         d = design(grid.points[idx], rng.uniform(0.05, 1.0, 6), normalize=True)
-        assert recompose_check(d, tmap, model) <= 1e-10
+        assert recompose_check(d, tmap, model) <= 1e-12
 
 
 def test_dominates_examples(line2f):
