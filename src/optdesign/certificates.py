@@ -18,7 +18,7 @@ import numpy as np
 
 from .criteria import _SING_REL, E_GAP_REL, NEG_INF, Criterion, finite_p_dual
 from .criteria import phi, polar, psd_eig
-from .designs import SWEEP_BLOCK, Design, components, gram, sweep
+from .designs import Design, components, gram, sweep
 from .errors import InconsistencyError, ValidationError
 from .models import FAMILIES, CandidateSet, ModelSpec, make_model, truncated_axes
 
@@ -74,6 +74,23 @@ class GarzaReport:
     monotone_axis_note: str | None
 
 
+def _row_norms2(F: np.ndarray) -> np.ndarray:
+    """||f_i||^2 for every row f_i of F, summed column by column.
+
+    No n x k temporary is made, and the columns of a column-major F are
+    contiguous. Adding the k squared columns in order is bit-identical to
+    ``(F**2).sum(axis=1)`` for k < 8, where numpy's row sum is a plain
+    left-to-right loop; from k = 8 on numpy sums pairwise and the two differ
+    by rounding.
+    """
+    out = np.square(F[:, 0])
+    col = np.empty_like(out)
+    for j in range(1, F.shape[1]):
+        np.square(F[:, j], out=col)
+        out += col
+    return out
+
+
 def _e_eigenspace_minimax(H: np.ndarray) -> np.ndarray:
     """Trace-one PSD E on the minimal eigenspace minimizing max_i h_i' E h_i.
 
@@ -110,7 +127,7 @@ def _e_eigenspace_minimax(H: np.ndarray) -> np.ndarray:
     obj = np.zeros(nv)
     obj[-1] = 1.0
     psd_cuts: list[np.ndarray] = []
-    norms2 = (H**2).sum(axis=1)
+    norms2 = _row_norms2(H)
     best_E, best_worst = np.eye(r) / r, float(norms2.max() / r)
     batch = 10 * nv  # rows that seed the LP and that join it per round
     active = np.sort(np.argsort(-norms2, kind="stable")[:batch])
@@ -228,7 +245,8 @@ def build_certificate(
             N = np.outer(vecs[:, 0], vecs[:, 0]) / lam_min
         else:
             V = vecs[:, :r]
-            H = candidates.features(model) @ V
+            # column-major like the features, for the sweeps of the minimax
+            H = (V.T @ candidates.features(model).T).T
             E = _e_eigenspace_minimax(H)
             N = V @ E @ V.T / lam_min
     else:
@@ -362,12 +380,7 @@ def garza_report(model: ModelSpec, candidates: CandidateSet, norm_tol: float = 1
     """
     if not norm_tol >= 0:  # also rejects NaN
         raise ValidationError(f"norm tolerance must be nonnegative, got {norm_tol:g}")
-    F = candidates.features(model)
-    # in row blocks, so no second n x k temporary is allocated
-    norms2 = np.empty(F.shape[0])
-    for start in range(0, F.shape[0], SWEEP_BLOCK):
-        blk = F[start : start + SWEEP_BLOCK]
-        (blk**2).sum(axis=1, out=norms2[start : start + SWEEP_BLOCK])
+    norms2 = _row_norms2(candidates.features(model))
     sorted_vals = np.sort(norms2)
     # a bucket ends wherever consecutive sorted values are more than norm_tol apart
     ends = np.concatenate([np.flatnonzero(np.diff(sorted_vals) > norm_tol), [norms2.size - 1]])

@@ -11,7 +11,7 @@ dominating slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,12 +54,14 @@ class SliceMap:
 @dataclass(frozen=True)
 class ConditionalModel:
     """f on the slice t(x) = t as f~ = U^T f, where the lift U (k x r) is an
-    orthonormal basis of the span of f there; ``eval_many`` gives f(x)^T U."""
+    orthonormal basis of the span of f there; ``eval_many`` gives f(x)^T U.
+    ``grid`` is the slice grid the lift was taken on and the audit searches."""
 
     model: ModelSpec
     lift: np.ndarray  # (k, r), orthonormal columns
     slice_space: str
     t: float
+    grid: np.ndarray = field(repr=False)  # (n, 2) points of the slice grid
 
     @property
     def k(self) -> int:
@@ -159,14 +161,17 @@ def conditional_model(
     order and the dominator search's cuts are invariant under rotations of an
     orthonormal basis, so any such basis gives the same verdicts.
     """
-    F = model.eval_many(np.vstack([slice_grid(model, tmap, t, AUDIT_STEP), points]))
+    grid = slice_grid(model, tmap, t, AUDIT_STEP)
+    F = model.eval_many(np.vstack([grid, points]))
     U = np.linalg.svd(F, full_matrices=False)[2][: gram_rank(F)].T
     U *= np.sign(U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])])
+    U += 0.0  # a sign flip turns 0.0 into -0.0; the lift's zeros stay unsigned
     U.setflags(write=False)
+    grid.setflags(write=False)
     if tmap.kind == "coordinate":
-        return ConditionalModel(model, U, f"x{tmap.axis}={t:g}", t)
+        return ConditionalModel(model, U, f"x{tmap.axis}={t:g}", t, grid)
     a1, a2 = tmap.coeffs
-    return ConditionalModel(model, U, f"{a1:g} x0 + {a2:g} x1 = {t:g}", t)
+    return ConditionalModel(model, U, f"{a1:g} x0 + {a2:g} x1 = {t:g}", t, grid)
 
 
 def marginal_model(model: ModelSpec, axis: int) -> ModelSpec:
@@ -518,10 +523,12 @@ def find_dominator(
 
     A ``CandidateSet`` supplies its regression matrix through
     ``CandidateSet.features``, which takes a ``ModelSpec``; pass a
-    ``ConditionalModel`` with an array of points, its slice grid.
+    ``ConditionalModel`` with an array of points, its slice grid. The search
+    takes that matrix row-major, as ``eval_many`` returns it, so both inputs
+    give the same LPs to the last bit.
     """
     if isinstance(candidates, CandidateSet):
-        points, F = candidates.points, candidates.features(model)
+        points, F = candidates.points, np.ascontiguousarray(candidates.features(model))
     else:
         points = np.atleast_2d(candidates)
         F = model.eval_many(points)
@@ -580,8 +587,8 @@ def conditional_audit(
     evidence = []
     any_inconclusive = False
     for sl in deco.slices:
-        grid = slice_grid(model, tmap, sl.t, AUDIT_STEP)
-        verdict = find_dominator(sl.conditional_design, grid, sl.conditional, budget)
+        cm = sl.conditional
+        verdict = find_dominator(sl.conditional_design, cm.grid, cm, budget)
         evidence.append((sl.t, verdict))
         if verdict.inconclusive:
             any_inconclusive = True

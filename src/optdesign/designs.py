@@ -10,10 +10,11 @@ import numpy as np
 from .errors import EmptyDesignError, InfeasibleRoundingError, ValidationError
 
 WEIGHT_SUM_TOL = 1e-12
-# rows per block of `sweep`: the (block, k) product stays in a core's L2 cache
-# for small k (256 KB at k = 4). On 641,601 rows, one BLAS thread of a 2-core
-# x86-64 host, blocks of 4096 to 16384 rows took 13-16 ms per sweep at k = 4
-# and one unblocked product 19 ms.
+# rows per block of `sweep` and of the regression-matrix fill: the k x block
+# product stays in a core's L2 cache for small k (256 KB at k = 4). On
+# 641,601 rows, one BLAS thread of a 2-core x86-64 host, blocks of 8192 and
+# 16384 rows took 3.4-3.6 ms per column-major sweep at k = 4, blocks of 4096
+# 5-7 ms and of 32768 3.9-4.1 ms.
 SWEEP_BLOCK = 8192
 
 
@@ -149,16 +150,42 @@ def gram(F: np.ndarray, w: np.ndarray) -> np.ndarray:
 def sweep(F: np.ndarray, N: np.ndarray) -> np.ndarray:
     """f_i^T N f_i for every row f_i of F: the sensitivity surface of N.
 
-    Each block of rows goes through one matrix product and a row-wise dot
-    product. A single three-operand einsum over F, N and F gives the same
-    values to rounding but does not reach BLAS: 76 ms against 14 ms on
-    641,601 rows with k = 4, one thread.
+    Works on F^T in column blocks: one product N^T @ block into a reused
+    k x block buffer, an in-place multiply by the block, and a sum of its k
+    rows. A column-major F, as ``CandidateSet.features`` returns, makes each
+    row of F^T contiguous; a row-major F gives the same values, more slowly.
+    The rows are summed in the order of numpy's two-lane einsum loop, so the
+    result is bit-equal to the row-wise ``einsum("ij,ij->i", F @ N, F)``:
+    even and odd rows go to two partial sums that are added at the end, and
+    within each full group of 8 rows a lane adds its 4 rows last to first.
+    On 641,601 rows, k = 4 and one BLAS thread of a 2-core x86-64 host, this
+    took 3.4 ms against 10 ms for the row-wise einsum on a row-major F (2.2
+    against 8.8 ms at k = 2, 8.2 against 13 ms at k = 6).
     """
-    out = np.empty(F.shape[0])
-    for start in range(0, F.shape[0], SWEEP_BLOCK):
-        blk = F[start : start + SWEEP_BLOCK]
-        np.einsum("ij,ij->i", blk @ N, blk, out=out[start : start + SWEEP_BLOCK])
+    n, k = F.shape
+    out = np.empty(n)
+    FT, NT = F.T, N.T
+    buf = np.empty((k, min(n, SWEEP_BLOCK)))
+    lanes = [_lane_order(k, lane) for lane in (0, 1)]
+    for start in range(0, n, SWEEP_BLOCK):
+        blk = FT[:, start : start + SWEEP_BLOCK]
+        P = buf[:, : blk.shape[1]]
+        np.matmul(NT, blk, out=P)
+        P *= blk
+        for first, *rest in filter(None, lanes):
+            for j in rest:
+                P[first] += P[j]
+        dest = out[start : start + SWEEP_BLOCK]
+        np.add(P[lanes[0][0]], P[lanes[1][0]] if k > 1 else 0.0, out=dest)
+        dest += 0.0  # the lanes start from +0.0, so a sum of -0.0 terms is +0.0
     return out
+
+
+def _lane_order(k: int, lane: int) -> list[int]:
+    """Rows of a k-row product that one lane of the einsum loop adds, in order."""
+    full = k - k % 8
+    order = [g + lane + u for g in range(0, full, 8) for u in (6, 4, 2, 0)]
+    return order + list(range(full + lane, k, 2))
 
 
 def info_matrix(dsgn: Design, model) -> np.ndarray:

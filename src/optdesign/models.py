@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .designs import SWEEP_BLOCK
 from .errors import DomainError, MustTruncateError, ValidationError
 
 _BOUND_EPS = 1e-9
@@ -143,13 +144,15 @@ class CandidateSet:
         return max(self.steps)
 
     def features(self, model: ModelSpec) -> np.ndarray:
-        """Read-only n x k matrix ``model.eval_many(self.points)``.
+        """Read-only n x k matrix ``model.eval_many(self.points)``, column-major.
 
-        The grid keeps the matrix of the last model evaluated on it and hands
-        it out again while the model's family, params and space equal their
-        snapshot from the fill. The snapshot is the pickled bytes, so equal
-        bytes mean equal values, and a params dict mutated since the fill
-        misses.
+        The matrix is filled from ``eval_many`` in blocks of ``SWEEP_BLOCK``
+        rows, so no second n x k copy is ever held, and it is laid out for
+        ``sweep``, which reads its columns as the rows of F^T. The grid keeps
+        the matrix of the last model evaluated on it and hands it out again
+        while the model's family, params and space equal their snapshot from
+        the fill. The snapshot is the pickled bytes, so equal bytes mean
+        equal values, and a params dict mutated since the fill misses.
         """
         return self._feature_entry(model)[1]
 
@@ -168,7 +171,11 @@ class CandidateSet:
     def _feature_entry(self, model: ModelSpec) -> tuple:
         key = pickle.dumps((model.family, model.params, model.space))
         if self._features is None or self._features[0] != key:
-            F = model.eval_many(self.points)
+            n = len(self)
+            F = np.empty((n, model.k), order="F")
+            for start in range(0, n, SWEEP_BLOCK):
+                rows = slice(start, start + SWEEP_BLOCK)
+                F[rows] = model.eval_many(self.points[rows])
             F.setflags(write=False)
             object.__setattr__(self, "_features", (key, F, None))
         return self._features

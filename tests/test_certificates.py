@@ -333,7 +333,7 @@ def test_certify_same_on_warm_and_fresh_grid(line2f):
     assert a.duality_products == b.duality_products
 
 
-def test_garza_blocked_norms_match_full_sum():
+def test_garza_column_norms_match_row_sum():
     m = make_model("mixture-poly-exp", theta3=1.0)
     grid = discretize(m.space, 0.02)
     assert len(grid) > SWEEP_BLOCK and len(grid) % SWEEP_BLOCK

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import optdesign.conditional as conditional_module
 from optdesign import (
     DesignSpace,
     NoConditionalModelError,
@@ -95,6 +96,31 @@ def test_conditional_rank(family, params, slicing, points, ranks):
         U = sl.conditional.lift
         assert U.shape == (model.k, sl.conditional.k)
         assert np.allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-14)
+        assert not np.any(np.signbit(U) & (U == 0.0))  # no -0.0 in the lift
+
+
+def test_lift_has_no_negative_zero():
+    # the two corners of the interaction model's axis-0 slices, whose lifts
+    # hold exact zeros that the sign fix used to turn into -0.0
+    m = make_model("interaction-2f")
+    deco = decompose(design([[0.0, 1.0], [1.0, 0.0]]), SliceMap("coordinate", axis=0), m)
+    lifts = [sl.conditional.lift for sl in deco.slices]
+    assert any(np.any(U == 0.0) for U in lifts)
+    assert not any(np.any(np.signbit(U) & (U == 0.0)) for U in lifts)
+
+
+def test_conditional_audit_builds_each_slice_grid_once(growth, monkeypatch):
+    calls = []
+
+    def counted(model, tmap, t, step=0.01):
+        calls.append(t)
+        return slice_grid(model, tmap, t, step)
+
+    monkeypatch.setattr(conditional_module, "slice_grid", counted)
+    d = design([[0, 0], [0, 1], [1, 0], [1, 1]])
+    verdict = conditional_audit(d, SliceMap("coordinate", axis=0), growth)
+    assert len(verdict.evidence) == 2
+    assert calls == [0.0, 1.0]
 
 
 def test_decompose_single_slice(growth):

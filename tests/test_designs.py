@@ -184,22 +184,48 @@ def test_exact_design_serialization():
     assert all(isinstance(a["reps"], int) for a in obj["atoms"])
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("k", range(1, 9))
 @pytest.mark.parametrize(
     "n, definite",
     [
         (3 * SWEEP_BLOCK + 17, True),  # several blocks, the last one partial
         (SWEEP_BLOCK // 3, True),  # fewer rows than one block
         (2 * SWEEP_BLOCK + 5, False),  # an indefinite N
+        (1, True),
     ],
 )
-def test_sweep_matches_three_operand_einsum(n, definite):
+def test_sweep_matches_three_operand_einsum(n, definite, k, order):
     rng = np.random.default_rng(n)
-    F = rng.standard_normal((n, 5))
-    A = rng.standard_normal((5, 5))
-    N = A @ A.T if definite else A + A.T
-    if not definite:
+    F = np.asarray(rng.standard_normal((n, k)), order=order)
+    A = rng.standard_normal((k, k))
+    if definite:
+        N = A @ A.T
+    else:
+        N = A + A.T
+        N[0, 0] = -abs(N[0, 0]) - 1.0  # a negative diagonal entry
         assert np.linalg.eigvalsh(N)[0] < 0
     ref = np.einsum("ij,jk,ik->i", F, N, F)
     # relative to the size of the terms summed, which an indefinite N cancels
     scale = np.einsum("ij,jk,ik->i", np.abs(F), np.abs(N), np.abs(F))
     assert np.all(np.abs(sweep(F, N) - ref) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_sweep_same_bits_in_either_layout(k):
+    rng = np.random.default_rng(k)
+    F = rng.standard_normal((2 * SWEEP_BLOCK + 3, k)) * np.exp(rng.uniform(-5.0, 5.0, (1, k)))
+    A = rng.standard_normal((k, k))
+    for N in (A @ A.T, A):  # a nonsymmetric N too: the sweep is of f'Nf
+        c = sweep(np.ascontiguousarray(F), N)
+        f = sweep(np.asfortranarray(F), N)
+        assert np.array_equal(c.view(np.int64), f.view(np.int64))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sweep_of_zero_rows_is_positive_zero(k):
+    # -0.0 entries make every product -0.0; the row-wise einsum sums them to +0.0
+    F = np.full((3, k), -0.0, order="F")
+    for N in (np.eye(k), -np.eye(k)):
+        out = sweep(F, N)
+        assert np.array_equal(out, np.zeros(3)) and not np.signbit(out).any()

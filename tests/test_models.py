@@ -21,6 +21,7 @@ from optdesign import (
     solve,
     truncate,
 )
+from optdesign.designs import SWEEP_BLOCK
 from optdesign.models import gram_rank, model_from_dict, model_to_dict
 
 from conftest import count_evaluations
@@ -267,6 +268,18 @@ def test_features_is_read_only_eval_many():
     with pytest.raises(ValueError):
         F[0, 0] = 1.0
     assert grid.features(m) is F
+
+
+def test_features_fill_is_column_major_in_blocks(monkeypatch):
+    rows = count_evaluations(monkeypatch, "interaction-2f")
+    m = make_model("interaction-2f")
+    grid = discretize(m.space, 0.005)  # 40,401 points: 4 full blocks and a partial one
+    full, partial = divmod(len(grid), SWEEP_BLOCK)
+    assert full >= 3 and partial
+    F = grid.features(m)
+    assert rows == [SWEEP_BLOCK] * full + [partial]
+    assert F.flags.f_contiguous and not F.flags.writeable
+    assert np.array_equal(F, m.eval_many(grid.points))
 
 
 def test_features_reuse_follows_model_values(monkeypatch):
