@@ -91,6 +91,21 @@ def _row_norms2(F: np.ndarray) -> np.ndarray:
     return out
 
 
+def _top_rows(values: np.ndarray, count: int) -> np.ndarray:
+    """Ascending indices of the ``count`` largest values, ties to the lowest index.
+
+    The same set as the first ``count`` of a stable descending argsort, found
+    by one partition in O(n) in place of an O(n log n) sort.
+    """
+    n = values.size
+    if count >= n:
+        return np.arange(n)
+    cut = np.partition(values, n - count)[n - count]  # the count-th largest value
+    above = np.flatnonzero(values > cut)
+    ties = np.flatnonzero(values == cut)[: count - above.size]
+    return np.sort(np.concatenate([above, ties]))
+
+
 def _e_eigenspace_minimax(H: np.ndarray) -> np.ndarray:
     """Trace-one PSD E on the minimal eigenspace minimizing max_i h_i' E h_i.
 
@@ -130,7 +145,7 @@ def _e_eigenspace_minimax(H: np.ndarray) -> np.ndarray:
     norms2 = _row_norms2(H)
     best_E, best_worst = np.eye(r) / r, float(norms2.max() / r)
     batch = 10 * nv  # rows that seed the LP and that join it per round
-    active = np.sort(np.argsort(-norms2, kind="stable")[:batch])
+    active = _top_rows(norms2, batch)
 
     def solve_lp(objective, extra_rows=None, extra_rhs=None):
         nonlocal active
@@ -170,7 +185,7 @@ def _e_eigenspace_minimax(H: np.ndarray) -> np.ndarray:
                 return res
             # the most violated rows only: one lopsided LP point can violate
             # nearly every candidate at once
-            new = new[np.argsort(-excess[new], kind="stable")[:batch]]
+            new = new[_top_rows(excess[new], batch)]
             active = np.union1d(active, new)
 
     for _ in range(40):  # eigenvalue-cut rounds

@@ -13,6 +13,7 @@ import json
 import math
 import pickle
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -113,8 +114,8 @@ class CandidateSet:
     space: DesignSpace
     points: np.ndarray  # (n, q)
     steps: tuple[float, ...]  # effective per-axis grid step
-    # (snapshot of the model, its read-only regression matrix, its rank or
-    # None until asked); see features()
+    # (snapshot of the model, its read-only regression matrix, a dict of what
+    # is derived from it: "rank" and "screen" once asked); see features()
     _features: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -162,11 +163,58 @@ class CandidateSet:
         Computed on the first call and kept beside the matrix, under the same
         snapshot, so a refill with another model computes it again.
         """
-        key, F, rank = self._feature_entry(model)
-        if rank is None:
-            rank = gram_rank(F)
-            object.__setattr__(self, "_features", (key, F, rank))
-        return rank
+        return self._derived(model, "rank", gram_rank)
+
+    def screen(self, model: ModelSpec) -> np.ndarray | None:
+        """Ascending indices of the candidates kept by the de la Garza line screen.
+
+        On a coordinate line (one axis varies, the others fixed) where the
+        rows of f have centered rank <= 1, f = a + g b for a scalar g. Moving
+        the mass of an interior point to the line's points of smallest and
+        largest g keeps sum(w) and sum(w g) and raises sum(w g^2), so M rises
+        in the Loewner order and no phi_p value falls: such a line keeps only
+        those two points, and every other line keeps all of its points. The
+        kept sets of all axes are intersected. Along one axis the reduction
+        is exact; the intersection is not proved in general, which is why
+        ``solve`` certifies the reduced optimum on the full grid.
+
+        Needs ``product_axes``. Returns None when the points are not such a
+        product, when nothing is removed, or when the kept rows do not span
+        all k dimensions. Computed on the first call and kept beside the
+        regression matrix, under the same snapshot.
+        """
+        return self._derived(model, "screen", lambda F: _screen(F, self.product_axes))
+
+    @cached_property
+    def product_axes(self) -> tuple[np.ndarray, ...] | None:
+        """Distinct coordinates of each axis, ascending, when the points are
+        exactly their product in ``discretize`` order (the last axis varying
+        fastest), else None. Computed once: ``points`` is read-only.
+        """
+        pts = self.points
+        n = pts.shape[0]
+        axes = []
+        period = n  # rows per full cycle of the current axis
+        for j in range(pts.shape[1]):
+            col = pts[:, j]
+            run = int(np.argmax(col != col[0])) or period  # leading run of equal values
+            if period % run:
+                return None
+            coords = col[:period:run]
+            if np.any(np.diff(coords) <= 0):
+                return None
+            if not np.all(col.reshape(n // period, coords.size, run) == coords[:, None]):
+                return None
+            axes.append(coords.copy())
+            period = run
+        return tuple(axes) if period == 1 else None
+
+    def _derived(self, model: ModelSpec, name: str, compute):
+        """``compute(self.features(model))``, kept beside the matrix under its snapshot."""
+        _, F, derived = self._feature_entry(model)
+        if name not in derived:
+            derived[name] = compute(F)
+        return derived[name]
 
     def _feature_entry(self, model: ModelSpec) -> tuple:
         key = pickle.dumps((model.family, model.params, model.space))
@@ -177,8 +225,85 @@ class CandidateSet:
                 rows = slice(start, start + SWEEP_BLOCK)
                 F[rows] = model.eval_many(self.points[rows])
             F.setflags(write=False)
-            object.__setattr__(self, "_features", (key, F, None))
+            object.__setattr__(self, "_features", (key, F, {}))
         return self._features
+
+
+# a line counts as centered rank <= 1 when its second singular value is
+# within about this fraction of its first (see _line_keep)
+SCREEN_RTOL = 1e-6
+# positions, as fractions of a line, of the points that pre-test each line
+_SCREEN_SAMPLES = (0.0, 0.13, 0.29, 0.47, 0.61, 0.83, 1.0)
+
+
+def _screen(F: np.ndarray, axes: tuple | None) -> np.ndarray | None:
+    """``CandidateSet.screen`` on the regression matrix F of the product grid ``axes``.
+
+    The lines of axis j are ``cols[c][a, :, b]``, views of F's contiguous
+    columns. Each line is first tested on a few sampled points: a line whose
+    samples already span two directions keeps all of its points. So does a
+    line whose points the earlier axes have all removed, as the intersection
+    drops them anyway. Only the other lines are tested in full, in blocks of
+    about ``SWEEP_BLOCK`` rows.
+    """
+    if axes is None:
+        return None
+    n, k = F.shape
+    keep = np.ones(n, dtype=bool)
+    sizes = [a.size for a in axes]
+    for j, m in enumerate(sizes):
+        if m <= 2:
+            continue  # a line of at most two points keeps them all
+        outer = math.prod(sizes[:j])
+        inner = n // (outer * m)
+        cols = [F[:, c].reshape(outer, m, inner) for c in range(k)]
+        kept = keep.reshape(outer, m, inner)
+        samples = sorted({round(f * (m - 1)) for f in _SCREEN_SAMPLES})
+        maybe = _line_keep([c[:, samples, :] for c in cols]).sum(axis=1) <= 2
+        if j > 0:
+            maybe &= kept.any(axis=1)  # a line that earlier axes emptied changes nothing
+        db = min(inner, max(1, SWEEP_BLOCK // m))
+        da = max(1, SWEEP_BLOCK // (m * db))
+        for a in range(0, outer, da):
+            for b in range(0, inner, db):
+                if maybe[a : a + da, b : b + db].any():
+                    lines = [c[a : a + da, :, b : b + db] for c in cols]
+                    kept[a : a + da, :, b : b + db] &= _line_keep(lines)
+    if keep.all():
+        return None
+    idx = np.flatnonzero(keep)
+    return idx if gram_rank(F[idx]) == k else None
+
+
+def _line_keep(cols: list) -> np.ndarray:
+    """Kept-point mask of the lines ``cols[c][a, :, b]``, one (lines, points, lines) array per column.
+
+    The differences D (k x points) of each line's rows from its first row
+    have rank <= 1 exactly when the line's centered rows do, that is when
+    the eigenvalues of G = D D' have sum(l_i l_j, i < j) = 0. A line where
+    that sum, (tr(G)^2 - |G|_F^2) / 2, stays within (SCREEN_RTOL tr(G))^2,
+    which near rank 1 says sigma_2 <= SCREEN_RTOL sigma_1 for D, keeps only its points of smallest and largest g = b'D, with b the column
+    of G of largest diagonal (the lowest index among ties); every other line
+    keeps all of its points. A constant line has D = 0 and keeps its first
+    point. D is laid out lines x k x points, so both products are batched
+    matrix products.
+    """
+    da, m, db = cols[0].shape
+    D = np.empty((da, db, len(cols), m))
+    for c, col in enumerate(cols):
+        np.subtract(col.transpose(0, 2, 1), col[:, :1, :].transpose(0, 2, 1), out=D[:, :, c, :])
+    D = D.reshape(da * db, len(cols), m)
+    G = D @ D.transpose(0, 2, 1)
+    diag = np.diagonal(G, axis1=1, axis2=2)
+    tr = diag.sum(axis=1)
+    affine = tr**2 - (G * G).sum(axis=(1, 2)) <= 2.0 * (SCREEN_RTOL * tr) ** 2
+    lines = np.arange(D.shape[0])
+    b = G[lines, :, diag.argmax(axis=1)]
+    g = (b[:, None, :] @ D)[:, 0, :]
+    keep = np.repeat(~affine[:, None], m, axis=1)
+    keep[lines, g.argmin(axis=1)] = True
+    keep[lines, g.argmax(axis=1)] = True
+    return keep.reshape(da, db, m).transpose(0, 2, 1)
 
 
 def discretize(space: DesignSpace, resolution: float | tuple[float, ...] = 0.01) -> CandidateSet:

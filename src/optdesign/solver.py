@@ -12,6 +12,14 @@ product of the marginal D-optimal designs, D-optimal for additive models with
 an intercept and for Kronecker-product models (Schwabe 1996, Optimum Designs
 for Multi-Factor Models, LNS 113), whose D optima are not unique. The
 full-grid certificate decides: a product that fails it falls to the loop.
+
+Every finite p, D after a declined product, is first solved on the
+candidates that ``CandidateSet.screen`` keeps: on coordinate lines where f is
+affine in one scalar, only the two extremes of that scalar (de la Garza
+1954). A converged optimum there starts the full-grid loop, which certifies
+it with one sweep or adds the violators it finds; an unconverged one is
+dropped for the spread start. E keeps the full grid: its eigenspace LP does
+not yet certify a design on its own support.
 """
 
 from __future__ import annotations
@@ -53,7 +61,8 @@ class SolveReport:
     ``iterations`` counts outer iterations and ``history`` holds the refined
     criterion value after each. A D design built from its marginals (see the
     module docstring) reports 0 and (): the outer loop did not run, and the
-    marginal solves' own counts are not carried over.
+    marginal solves' own counts are not carried over. Likewise a solve started
+    from the screened subset reports its full-grid iterations only.
     """
 
     design: Design
@@ -317,18 +326,19 @@ def refine_weights(model, support, criterion: Criterion, opts: SolverOptions | N
 def _marginal_product(model, candidates, criterion, opts) -> SolveReport | None:
     """The product of the marginal D-optimal designs if it certifies, else None.
 
-    Each marginal is solved on the distinct candidate coordinates of its axis,
-    whose pairs must be the whole candidate set. The product must pass the
-    checks the outer loop ends with: the full-grid normality inequality within
-    ``opts.kkt_tol``, and slack at every truncated boundary.
+    Each marginal is solved on the distinct candidate coordinates of its axis
+    (``product_axes``), whose pairs must be the whole candidate set in grid
+    order. The product must pass the checks the outer loop ends with: the
+    full-grid normality inequality within ``opts.kkt_tol``, and slack at
+    every truncated boundary.
     """
     try:
         marginals = [marginal_model(model, axis) for axis in (0, 1)]
     except NoConditionalModelError:
         return None
-    coords = [np.unique(candidates.points[:, axis])[:, None] for axis in (0, 1)]
-    if len(candidates) != coords[0].size * coords[1].size:
+    if candidates.product_axes is None:
         return None
+    coords = [c[:, None] for c in candidates.product_axes]
     margins = []
     for axis, mm in enumerate(marginals):
         lo, hi = candidates.space.bounds[axis]
@@ -354,6 +364,26 @@ def _marginal_product(model, candidates, criterion, opts) -> SolveReport | None:
     )
 
 
+def _screened_start(model, candidates, criterion, opts) -> Design | None:
+    """The design solved on the screened candidates, if the screen removes any
+    and that solve converges, else None.
+
+    See ``CandidateSet.screen``. The reduced set keeps the grid's space and
+    steps, and the screen leaves it of full rank; the exchange loop runs on it
+    from the spread start. Its optimum is only a start: the full-grid loop
+    decides convergence.
+    """
+    kept = candidates.screen(model)
+    if kept is None:
+        return None
+    reduced = CandidateSet(candidates.space, candidates.points[kept], candidates.steps)
+    try:
+        rep = _exchange(model, reduced, criterion, opts, "spread")
+    except TruncationSlackError:
+        return None
+    return rep.design if rep.converged else None
+
+
 def solve(
     model: ModelSpec,
     candidates: CandidateSet,
@@ -370,24 +400,31 @@ def solve(
     opts = opts or SolverOptions()
     criterion = Criterion(criterion.p, model.k)
     k = model.k
-    F_all = candidates.features(model)
     if criterion.p <= 0 and candidates.features_rank(model) < k:
         raise DegenerateModelError(
             f"candidates span only rank {candidates.features_rank(model)} < k={k}; "
             "the criterion value is identically zero"
         )
 
-    if criterion.p == 0 and not isinstance(opts.init, Design):
+    init = opts.init
+    if criterion.p == 0 and not isinstance(init, Design):
         report = _marginal_product(model, candidates, criterion, opts)
         if report is not None:
             return report
+    if criterion.p != NEG_INF and not isinstance(init, Design):
+        init = _screened_start(model, candidates, criterion, opts) or init
+    return _exchange(model, candidates, criterion, opts, init)
 
-    rng = np.random.default_rng(opts.seed)
-    if isinstance(opts.init, Design):
-        sup_pts = np.array(opts.init.points, dtype=float)
-        w = np.array(opts.init.weights, dtype=float)
+
+def _exchange(model, candidates, criterion, opts, init) -> SolveReport:
+    """The outer exchange loop of ``solve`` from ``init``, a Design or the spread start."""
+    k = model.k
+    F_all = candidates.features(model)
+    if isinstance(init, Design):
+        sup_pts = np.array(init.points, dtype=float)
+        w = np.array(init.weights, dtype=float)
     else:
-        idx = _spread_indices(candidates.points, F_all, k, rng)
+        idx = _spread_indices(candidates.points, F_all, k, np.random.default_rng(opts.seed))
         sup_pts = candidates.points[idx].copy()
         w = np.full(len(idx), 1.0 / len(idx))
     F_sup = model.eval_many(sup_pts)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from optdesign import (
+    CandidateSet,
     Criterion,
     DesignSpace,
     InconsistencyError,
@@ -19,7 +20,7 @@ from optdesign import (
     rescale_invariance_check,
     solve,
 )
-from optdesign.certificates import _e_eigenspace_minimax
+from optdesign.certificates import _e_eigenspace_minimax, _top_rows
 from optdesign.criteria import NEG_INF, phi, polar, psd_eig
 from optdesign.designs import SWEEP_BLOCK, info_matrix
 
@@ -339,3 +340,32 @@ def test_garza_column_norms_match_row_sum():
     assert len(grid) > SWEEP_BLOCK and len(grid) % SWEEP_BLOCK
     F = m.eval_many(grid.points)
     assert np.array_equal(garza_report(m, grid).norm_values, (F**2).sum(axis=1))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the E-minimax LP spends its 40 eigenvalue-cut rounds (41 LPs) and falls back "
+    "to E = I/r, violation 0.034; ROADMAP item 6 replaces it with the solver's barrier",
+)
+def test_e_certificate_on_its_own_support():
+    # a design optimal on the full grid is optimal on any subset that holds
+    # its support: growth E at h = 0.02 certifies on the 2,601-point grid with
+    # violation 1.8e-9
+    m = make_model("exp-growth-2f", theta=[1.0, 1.0, 1.0])
+    cands = discretize(m.space, 0.02)
+    crit = parse_criterion("E", m.k)
+    rep = solve(m, cands, crit)
+    assert certify(rep.design, m, cands, crit, tol=2e-5).optimal
+    own = CandidateSet(cands.space, rep.design.points, cands.steps)
+    assert certify(rep.design, m, own, crit, tol=2e-5).optimal
+
+
+def test_top_rows_matches_a_stable_descending_argsort():
+    rng = np.random.default_rng(0)
+    for trial in range(200):
+        n = int(rng.integers(1, 60))
+        values = rng.integers(0, 4, n).astype(float) if trial % 2 else rng.normal(size=n)
+        count = int(rng.integers(1, 70))
+        expected = np.sort(np.argsort(-values, kind="stable")[:count])
+        assert np.array_equal(_top_rows(values, count), expected)

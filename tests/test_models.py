@@ -332,3 +332,117 @@ def test_features_miss_after_params_mutation(monkeypatch):
     m.params["degree"] = 3
     assert grid.features(m).shape == (9, 4)
     assert rows == [9, 9]
+
+
+def test_product_axes_of_a_discretized_grid():
+    grid = discretize(DesignSpace(((0.0, 1.0), (-1.0, 1.0), (2.0, 2.0))), 0.5)
+    axes = grid.product_axes
+    assert [a.tolist() for a in axes] == [[0.0, 0.5, 1.0], [-1.0, -0.5, 0.0, 0.5, 1.0], [2.0]]
+    assert grid.product_axes is axes  # computed once
+
+
+def test_product_axes_none_off_a_full_product_in_order():
+    grid = discretize(DesignSpace(((0.0, 1.0), (0.0, 1.0))), 0.25)
+    shuffled = np.random.default_rng(0).permutation(len(grid))
+    for points in (grid.points[shuffled], grid.points[::-1], grid.points[:-1]):
+        assert CandidateSet(grid.space, points, grid.steps).product_axes is None
+
+
+def test_screen_keeps_the_extremes_of_affine_lines():
+    # interaction-2f is affine along both axes: the corners are left
+    m = make_model("interaction-2f")
+    grid = discretize(m.space, 0.0025)
+    kept = grid.screen(m)
+    assert grid.points[kept].tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+    assert grid.screen(m) is kept  # kept beside the regression matrix
+    # the same grid, shuffled, is not screened
+    order = np.random.default_rng(1).permutation(len(grid))
+    assert CandidateSet(grid.space, grid.points[order], grid.steps).screen(m) is None
+
+
+def test_screen_keeps_every_x1_on_mixture():
+    # f = (1, x1, x1^3, -x2 exp(-x2)): rank 2 along x1, affine in
+    # g = -x2 exp(-x2) along x2, whose extremes on [0, 2] are x2 = 0 and 1
+    m = make_model("mixture-poly-exp", theta3=1.0)
+    grid = discretize(m.space, 0.0025)
+    pts = grid.points[grid.screen(m)]
+    assert len(pts) == 1602
+    assert np.array_equal(np.unique(pts[:, 1]), [0.0, 1.0])
+    assert np.unique(pts[:, 0]).size == 801
+
+
+def test_screen_leaves_exp_product_whole():
+    m = make_model("exp-product-2f", theta=[1.0, 1.0, 1.0])
+    assert discretize(m.space, 0.0025).screen(m) is None
+
+
+def test_screen_on_one_factor_keeps_the_extremes_of_g():
+    # f = (1, x exp(-r x)): g peaks at 1 / r
+    m = make_model("xexp-decay", space=interval(0.0, 3.0), rate=2.0)
+    grid = discretize(m.space, 0.01)
+    assert grid.points[grid.screen(m), 0].tolist() == [0.0, 0.5]
+    # degree 2 is not affine in any scalar
+    quad = make_model("polynomial", space=interval(0.0, 3.0), degree=2)
+    assert grid.screen(quad) is None
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("interaction-2f", {}),
+        ("exp-growth-2f", {"theta": [1.0, 1.0, 1.0]}),
+        ("linear-2f-no-intercept", {}),
+        ("mixture-poly-exp", {"theta3": 1.0}),
+    ],
+)
+def test_moving_line_mass_to_its_extremes_raises_m(family, params):
+    # the screen's argument: on a line where f = a + g b, mass moved from s to
+    # the points of smallest and largest g, keeping its mean g, adds a
+    # nonnegative multiple of b b' to M
+    m = make_model(family, **params)
+    grid = discretize(m.space, 0.05)
+    F = grid.features(m)
+    kept = grid.screen(m)
+    axes = grid.product_axes
+    rng = np.random.default_rng(0)
+    tested = 0
+    for _ in range(40):
+        axis = int(rng.integers(2))
+        fixed = rng.choice(axes[1 - axis])
+        on_line = np.flatnonzero(grid.points[:, 1 - axis] == fixed)
+        diffs = F[on_line] - F[on_line[0]]
+        _, sv, vt = np.linalg.svd(diffs, full_matrices=False)
+        if sv.size > 1 and sv[1] > 1e-9 * sv[0]:
+            continue  # not affine in one scalar
+        g = diffs @ vt[0]
+        lo, hi = on_line[np.argmin(g)], on_line[np.argmax(g)]
+        # the screen keeps no other point of the line
+        assert set(np.intersect1d(kept, on_line)) <= {lo, hi}
+        span = F[hi] - F[lo]
+        t = np.clip((F[on_line] - F[lo]) @ span / (span @ span), 0.0, 1.0)
+        support = rng.choice(len(grid), size=5, replace=False)
+        w_line = rng.uniform(0.0, 1.0, on_line.size) * (rng.uniform(size=on_line.size) < 0.3)
+        w_rest = rng.uniform(0.1, 1.0, support.size)
+        M = F[on_line].T @ (w_line[:, None] * F[on_line]) + F[support].T @ (w_rest[:, None] * F[support])
+        moved = (
+            (w_line * (1 - t)).sum() * np.outer(F[lo], F[lo])
+            + (w_line * t).sum() * np.outer(F[hi], F[hi])
+            + F[support].T @ (w_rest[:, None] * F[support])
+        )
+        assert np.linalg.eigvalsh(moved - M).min() >= -1e-12
+        tested += 1
+    assert tested >= 10
+
+
+def test_screen_on_three_factors():
+    # f = (1, x1, x2, x3, x1 x2 x3) is affine along every axis: the 8 corners
+    # are left; with x2^2 added, x2 keeps all of its values
+    grid = discretize(DesignSpace(((0.0, 1.0),) * 3), 0.1)
+    x = grid.points
+    F = np.asfortranarray(np.column_stack([np.ones(len(grid)), x, x.prod(axis=1)]))
+    kept = models_module._screen(F, grid.product_axes)
+    assert x[kept].tolist() == [[a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    F2 = np.asfortranarray(np.column_stack([F, x[:, 1] ** 2]))
+    kept2 = models_module._screen(F2, grid.product_axes)
+    assert len(kept2) == 2 * 11 * 2
+    assert np.array_equal(np.unique(x[kept2, 1]), grid.product_axes[1])

@@ -555,3 +555,82 @@ def test_d_product_path_needs_a_product_grid():
     rep = solve(m, cands, Criterion(0.0, m.k))
     assert rep.converged and rep.iterations > 0
     assert not np.any(np.all(rep.design.points == 1.0, axis=1))
+
+
+_LINE2F = ("linear-2f-no-intercept", {})
+_INTERACTION = ("interaction-2f", {})
+
+
+@pytest.mark.parametrize("h", (0.05, 0.02))
+@pytest.mark.parametrize("crit", ("A", "p:-2", "p:0.5"))
+@pytest.mark.parametrize(
+    "family, params",
+    [_LINE2F, _INTERACTION, _GROWTH, _PRODUCT, _MIXTURE],
+    ids=["line2f", "interaction", "growth", "product", "mixture"],
+)
+def test_screened_solve_matches_the_full_grid_solve(monkeypatch, family, params, crit, h):
+    m = make_model(family, **params)
+    cands = default_candidates(m, h)
+    c = parse_criterion(crit, m.k)
+    opts = SolverOptions()
+    screened = solve(m, cands, c, opts)
+    monkeypatch.setattr(CandidateSet, "screen", lambda self, model: None)
+    full = solve(m, cands, c, opts)
+    for rep in (screened, full):
+        assert rep.converged
+        assert certify(rep.design, m, cands, c, tol=2 * opts.kkt_tol).optimal
+    assert screened.criterion_value == pytest.approx(full.criterion_value, rel=2 * opts.kkt_tol)
+
+
+def test_screened_solve_starts_the_full_grid_loop():
+    # the 4 corners hold the A optimum of interaction-2f: one full-grid
+    # iteration confirms it
+    m = make_model("interaction-2f")
+    cands = discretize(m.space, 0.0025)
+    rep = solve(m, cands, parse_criterion("A", m.k))
+    assert rep.converged and rep.iterations == 1
+    assert sorted(map(tuple, rep.design.points)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_unconverged_screened_solve_falls_back_to_the_spread_start():
+    # on the 82 screened candidates p = 0.9 ends unconverged at residual
+    # 1.1e-3; the full-grid loop started from that design ended unconverged
+    # too, at 5.3e-5, where the spread start converges
+    m = make_model(_MIXTURE[0], **_MIXTURE[1])
+    cands = default_candidates(m, 0.05)
+    crit = parse_criterion("p:0.9", m.k)
+    opts = SolverOptions()
+    reduced = CandidateSet(cands.space, cands.points[cands.screen(m)], cands.steps)
+    assert len(reduced) == 82
+    assert not solve(m, reduced, crit, opts).converged
+    rep = solve(m, cands, crit, opts)
+    assert rep.converged
+    assert certify(rep.design, m, cands, crit, tol=2 * opts.kkt_tol).optimal
+
+
+def test_e_skips_the_screen(monkeypatch):
+    # an E design certified on the full grid fails certify on its own support
+    # (see test_e_certificate_on_its_own_support), so E solves on the full grid
+    monkeypatch.setattr(CandidateSet, "screen", lambda self, model: pytest.fail("screened"))
+    m = make_model("interaction-2f")
+    assert solve(m, discretize(m.space, 0.05), parse_criterion("E", m.k)).converged
+
+
+def test_tight_truncation_in_the_screened_solve_falls_back(monkeypatch):
+    # g = x exp(-x) rises on [0, 0.5], so the screen keeps 0 and the truncated
+    # boundary 0.5; the subset solve's boundary error drops its design, and the
+    # full-grid loop from the spread start reports the same error
+    m = make_model("xexp-decay", space=interval(0.0, 0.5, note="axis 0 truncated at 0.5"), rate=1.0)
+    cands = discretize(m.space, 0.01)
+    assert cands.points[cands.screen(m), 0].tolist() == [0.0, 0.5]
+    sizes = []
+    exchange = solver_module._exchange
+
+    def recorded(model, candidates, *args):
+        sizes.append(len(candidates))
+        return exchange(model, candidates, *args)
+
+    monkeypatch.setattr(solver_module, "_exchange", recorded)
+    with pytest.raises(TruncationSlackError):
+        solve(m, cands, parse_criterion("A", m.k))
+    assert sizes == [2, 51]
