@@ -51,21 +51,18 @@ from .conditional import (  # noqa: E402
 from .criteria import Criterion, parse_criterion, phi, polar, sensitivity  # noqa: E402
 from .designs import (  # noqa: E402
     Design,
-    ExactDesign,
     design,
     info_matrix,
     load_design,
     merge_close,
     mix_designs,
     prune,
-    round_to_n,
 )
 from .errors import (  # noqa: E402
     DegenerateModelError,
     DomainError,
     EmptyDesignError,
     InconsistencyError,
-    InfeasibleRoundingError,
     MustTruncateError,
     NoConditionalModelError,
     OptDesignError,
@@ -78,7 +75,6 @@ from .models import (  # noqa: E402
     ModelSpec,
     default_candidates,
     discretize,
-    eval_efficiency,
     eval_f,
     interval,
     load_model,

@@ -4,7 +4,8 @@ and a bundled golden-example suite.
 Reports are JSON (sorted keys, embedding the config hash and package version)
 plus CSV traces for per-candidate quantities, so runs with identical config
 and seed are byte-stable. Exit codes: 0 success, 2 validation error, 3
-non-convergence or inconclusive result.
+non-convergence, a solved design that the certificate rejects, or an
+inconclusive result.
 """
 
 from __future__ import annotations
@@ -31,6 +32,45 @@ EXIT_VALIDATION = 2
 EXIT_UNSETTLED = 3
 CSV_BLOCK = 8192
 
+# Range of |x| that _exact_text formats. There x = m * 2**e with a 53-bit m,
+# q = 16 - floor(log10|x|) lies in 2..26 (1..27 where log10 is one off), so
+# 5**q fits in 64 bits, m * 5**q in 116, and the shift e + q in -62..-1. The
+# decimal exponent lies in -10..14, and no value rounds up to the next power
+# of ten at 17 digits.
+_EXACT_MIN, _EXACT_MAX = 1e-10, 1e15
+_POW5 = np.array([5**q for q in range(28)], dtype=np.uint64)
+# Byte slots of one value's text: sign, "0.000", 18 slots of digits and point,
+# "e-XX". Unused slots hold 0 bytes, which the writer deletes.
+_WIDTH = 28
+
+
+def _layouts():
+    """%g's layout of 17 significant digits for each decimal exponent X in -10..14.
+
+    Row X + 10 holds the number of digits before the point, the digit-region
+    slots of those digits, the slots of the fraction digits for each count of
+    significant digits kept, and the fixed bytes with and without a point:
+    "0." and leading zeros below 1, "e-XX" below 1e-4. In the digit region,
+    slot j holds digit j before the point and digit j - 1 after it.
+    """
+    xs = np.arange(-10, 15)
+    before = np.where(xs < -4, 1, np.maximum(xs + 1, 0))
+    slot = np.arange(18)
+    int_mask = (slot < before[:, None]).astype(np.uint8)
+    frac_mask = (slot > before[:, None, None]) & (slot <= slot[:, None])
+    fixed = np.zeros((xs.size, 2, _WIDTH), np.uint8)
+    for row, x in enumerate(xs.tolist()):
+        if -4 <= x < 0:
+            fixed[row, :, 1 : 2 - x] = np.frombuffer(b"0.000"[: 1 - x], np.uint8)
+        else:
+            fixed[row, 1, 6 + before[row]] = ord(".")
+        if x < -4:
+            fixed[row, :, 24:] = np.frombuffer(b"e-%02d" % -x, np.uint8)
+    return before, int_mask, frac_mask.astype(np.uint8).reshape(-1, 18), fixed.reshape(-1, _WIDTH)
+
+
+_BEFORE, _INT_SLOTS, _FRAC_SLOTS, _FIXED = _layouts()
+
 
 def _config_hash(payload: dict) -> str:
     canon = json.dumps(payload, sort_keys=True, default=str)
@@ -41,6 +81,80 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _scaled(m, e, q):
+    """m * 5**q * 2**(e + q) for -63 < e + q < 0: truncated, and rounded half to even.
+
+    m * 5**q is formed exactly in 128 bits from 32-bit halves.
+    """
+    b = _POW5[q]
+    m0, m1, b0, b1 = m & 0xFFFFFFFF, m >> 32, b & 0xFFFFFFFF, b >> 32
+    lo = m0 * b0
+    mid = m1 * b0 + m0 * b1 + (lo >> 32)  # < 2**63 + 2**53 + 2**32
+    hi = m1 * b1 + (mid >> 32)
+    lo = (mid << 32) | (lo & 0xFFFFFFFF)
+    r = (-(e + q)).astype(np.uint64)
+    t = (hi << (64 - r)) | (lo >> r)
+    rem = lo & ((1 << r) - 1)
+    half = 1 << (r - 1)
+    return t, t + ((rem > half) | ((rem == half) & (t & 1 == 1)))
+
+
+def _exact_text(x: np.ndarray) -> np.ndarray:
+    """"%.17g" % v of each v in x, _EXACT_MIN <= |v| < _EXACT_MAX, as _WIDTH byte slots.
+
+    The 17 significant digits are round(|v| * 10**q) with q = 16 - floor(log10|v|),
+    computed in exact integer arithmetic and rounded half to even, as printf does.
+    """
+    bits = x.view(np.uint64)
+    m = (bits & (1 << 52) - 1) | 1 << 52
+    e = (bits >> 52 & 0x7FF).astype(np.int64) - 1075
+    q = 16 - np.floor(np.log10(np.abs(x))).astype(np.int64)
+    t, d = _scaled(m, e, q)
+    # log10 can be one off next to a power of ten; t then has 16 or 18 digits
+    off = (t >= 10**17).astype(np.int64) - (t < 10**16)
+    fix = np.flatnonzero(off)
+    if fix.size:
+        q[fix] -= off[fix]
+        d[fix] = _scaled(m[fix], e[fix], q[fix])[1]
+    row = 26 - q  # decimal exponent + 10
+    # digit i in column i + 1: column j of buf[:, 1:] holds digit j, and of
+    # buf[:, :-1] digit j - 1, as the digit region wants before and after the point
+    buf = np.zeros((x.size, 19), np.uint8)
+    for i in range(17, 0, -1):
+        rest = d // 10
+        buf[:, i] = d - rest * 10 + ord("0")
+        d = rest
+    # significant digits up to the last nonzero one; the first digit is never 0
+    keep = np.full(x.size, 17)
+    z = np.flatnonzero(buf[:, 17] == ord("0"))
+    keep[z] = 17 - np.argmax(buf[z, 17:0:-1] != ord("0"), axis=1)
+    text = np.take(_FIXED, 2 * row + (keep > np.take(_BEFORE, row)), axis=0)
+    text[:, 0] = (x < 0) * ord("-")
+    ints = buf[:, 1:] * np.take(_INT_SLOTS, row, axis=0)
+    fracs = buf[:, :-1] * np.take(_FRAC_SLOTS, 18 * row + keep, axis=0)
+    text[:, 6:24] += ints + fracs
+    return text
+
+
+def _format_17g(x: np.ndarray) -> np.ndarray:
+    """"%.17g" % v of every v in x, as rows of _WIDTH byte slots padded with 0 bytes.
+
+    _exact_text formats the exact range; every other value (zeros, NaN,
+    infinities, subnormals, tiny or huge) goes through "%.17g" itself.
+    """
+    mag = np.abs(x)
+    other = np.flatnonzero(~((mag >= _EXACT_MIN) & (mag < _EXACT_MAX)))
+    inside = x.copy()
+    inside[other] = 1.0  # formatted below
+    text = _exact_text(inside)
+    text[other] = (
+        np.array(["%.17g" % v for v in x[other].tolist()], dtype=f"S{_WIDTH}")
+        .view(np.uint8)
+        .reshape(-1, _WIDTH)
+    )
+    return text
+
+
 def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
     """Header line, then one line per row of ``table`` with every value in %.17g.
 
@@ -48,20 +162,23 @@ def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
     grid-sized table is never held whole in memory. Within a block each
     distinct value of a column is formatted once: values are matched on
     their bit patterns, which keeps ``-0.0`` apart from ``0.0``, and grid
-    coordinate columns repeat heavily.
+    coordinate columns repeat heavily. Each value fills fixed byte slots
+    whose unused ones hold 0 bytes; the block's bytes are written with those
+    deleted.
     """
-    ncol = table.shape[1]
-    row_fmt = ",".join(["%s"] * ncol) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, table.shape[0], CSV_BLOCK):
+    n, ncol = table.shape
+    slots = np.empty((min(n, CSV_BLOCK), ncol, _WIDTH + 1), np.uint8)
+    slots[:, :, _WIDTH] = ord(",")
+    slots[:, -1, _WIDTH] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        for start in range(0, n, CSV_BLOCK):
             block = table[start : start + CSV_BLOCK]
-            cells = np.empty(block.shape, dtype=object)
+            rows = slots[: block.shape[0]]
             for j in range(ncol):
                 bits, inverse = np.unique(block[:, j].view(np.int64), return_inverse=True)
-                text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
-                cells[:, j] = np.array(text, dtype=object)[inverse]
-            fh.write((row_fmt * block.shape[0]) % tuple(cells.ravel().tolist()))
+                rows[:, j, :_WIDTH] = np.take(_format_17g(bits.view(np.float64)), inverse, axis=0)
+            fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def _report_base(args, command: str) -> dict:
@@ -135,9 +252,9 @@ def cmd_solve(args) -> int:
     )
     _write_json(out / "report.json", body)
     _write_sensitivity(out, model, cands, check.certificate)
-    print(f"solve[{criterion.name}] converged={report.converged} "
+    print(f"solve[{criterion.name}] converged={report.converged} certified={check.optimal} "
           f"value={report.criterion_value:.8g} atoms={report.design.m}")
-    return EXIT_OK if report.converged else EXIT_UNSETTLED
+    return EXIT_OK if report.converged and check.optimal else EXIT_UNSETTLED
 
 
 def _certificate_payload(cert) -> dict:

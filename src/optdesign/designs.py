@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDesignError, InfeasibleRoundingError, ValidationError
+from .errors import EmptyDesignError, ValidationError
 
 WEIGHT_SUM_TOL = 1e-12
 # rows per block of `sweep` and of the regression-matrix fill: the k x block
@@ -111,34 +111,6 @@ def design(points, weights=None, normalize=False) -> Design:
 def load_design(path) -> Design:
     with open(path, "r", encoding="utf-8") as fh:
         return Design.from_dict(json.load(fh))
-
-
-@dataclass(frozen=True)
-class ExactDesign:
-    """Integer-replication design for n experimental runs."""
-
-    points: np.ndarray
-    reps: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        reps = np.asarray(self.reps, dtype=int).ravel()
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "reps", reps)
-        if reps.sum() != self.n:
-            raise ValidationError("replications must sum to n")
-        if np.any(reps < 0):
-            raise ValidationError("replications must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {
-            "n": int(self.n),
-            "atoms": [
-                {"x": list(map(float, x)), "reps": int(r)}
-                for x, r in zip(self.points, self.reps)
-            ],
-        }
 
 
 def gram(F: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -262,24 +234,3 @@ def prune(dsgn: Design, wmin: float) -> Design:
         raise EmptyDesignError(f"all atoms fall below the weight floor {wmin:g}")
     w = dsgn.weights[keep]
     return Design(dsgn.points[keep], w / w.sum())
-
-
-def round_to_n(dsgn: Design, n: int) -> ExactDesign:
-    """Efficient apportionment of n runs to the design weights.
-
-    Start from ceil((n - m/2) * w) and repair one run at a time using the
-    multiplier rule: increment the atom minimizing reps/w, decrement the atom
-    maximizing (reps - 1)/w. Ties break on the lowest atom index. Every atom
-    keeps at least one run.
-    """
-    m = dsgn.m
-    if n < m:
-        raise InfeasibleRoundingError(f"n={n} runs cannot cover {m} support points")
-    w = dsgn.weights
-    reps = np.ceil((n - m / 2.0) * w - 1e-12).astype(int)
-    reps = np.maximum(reps, 1)
-    while reps.sum() < n:
-        reps[np.argmin(reps / w)] += 1
-    while reps.sum() > n:
-        reps[np.argmax((reps - 1) / w)] -= 1
-    return ExactDesign(dsgn.points.copy(), reps, n)

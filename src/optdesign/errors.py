@@ -25,10 +25,6 @@ class EmptyDesignError(ValidationError):
     """An operation would leave a design with no atoms."""
 
 
-class InfeasibleRoundingError(ValidationError):
-    """Requested run count is smaller than the number of support points."""
-
-
 class NoConditionalModelError(ValidationError):
     """The slice map does not cut the model's design space into conditional models."""
 

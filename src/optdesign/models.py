@@ -599,16 +599,6 @@ def eval_f(model: ModelSpec, x) -> np.ndarray:
     return model.eval_many(np.atleast_2d(np.asarray(x, dtype=float)))[0]
 
 
-def eval_efficiency(model: ModelSpec, x) -> float:
-    """Efficiency value lambda(x) of a weighted-polynomial model."""
-    if model.family != "weighted-polynomial":
-        raise ValidationError("eval_efficiency is defined for the weighted-polynomial family only")
-    xv = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    return float(
-        _efficiency_values(model.params.get("efficiency", {"kind": "one"}), xv[:1])[0]
-    )
-
-
 def gram_rank(F: np.ndarray, rtol: float = 1e-8) -> int:
     """Numerical rank of a stack of regression vectors."""
     sv = np.linalg.svd(np.atleast_2d(F), compute_uv=False)

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from optdesign import default_candidates, garza_report, load_model
-from optdesign.cli import CSV_BLOCK, GOLDEN, _write_csv, main
+from optdesign.cli import (
+    CSV_BLOCK,
+    GOLDEN,
+    _EXACT_MAX,
+    _EXACT_MIN,
+    _format_17g,
+    _write_csv,
+    main,
+)
 
 
 @pytest.fixture()
@@ -189,6 +197,79 @@ def test_write_csv_formats_repeated_values_per_row(tmp_path):
     ]
     assert any(line.endswith(",nan") for line in lines)
     assert lines[0].startswith("-1,-1,") and lines[-1].startswith("1,1,")
+
+
+def _formatted(values):
+    """The text _format_17g gives each value, formatted CSV_BLOCK values at a time."""
+    out = []
+    for start in range(0, values.size, CSV_BLOCK):
+        text = _format_17g(values[start : start + CSV_BLOCK])
+        lines = np.empty((text.shape[0], text.shape[1] + 1), np.uint8)
+        lines[:, :-1] = text
+        lines[:, -1] = ord("\n")
+        out += lines.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    return out
+
+
+def _printf_cases(rng):
+    def both_signs(x):
+        return np.concatenate([x, -x])
+
+    # random bit patterns over all finite doubles, both signs
+    bits = rng.integers(0, 2**64, size=300_000, dtype=np.uint64).view(np.float64)
+    parts = [bits[np.isfinite(bits)]]
+    # every decade of the exact range
+    for k in range(-10, 15):
+        parts.append(both_signs(10.0**k * rng.uniform(1.0, 10.0, 12_000)))
+    # both range edges, the powers of ten, and their neighbours up to 3 ulps away
+    marks = np.array([_EXACT_MIN, _EXACT_MAX] + [float(f"1e{k}") for k in range(-12, 18)])
+    for _ in range(3):
+        marks = np.concatenate([marks, np.nextafter(marks, 0.0), np.nextafter(marks, np.inf)])
+    parts.append(both_signs(np.unique(marks)))
+    # integers of 1 to 17 digits, their halves and their eighths: short exact
+    # expansions, so trailing zeros and ties at the 17th digit
+    for digits in range(1, 18):
+        n = rng.integers(10 ** (digits - 1), 10**digits, size=3_000).astype(np.float64)
+        parts.append(both_signs(np.concatenate([n, n / 2, n / 8])))
+    # exact halfway cases at 17 digits: x = r * 2**-(q + 1), r odd, so that
+    # x * 10**q = r * 5**q / 2 ends in .5 and round-half-even sets the last
+    # digit; for q >= 25 every odd r gives 18 or more digits, so no such case
+    for q in range(1, 28):
+        lo = -(-2 * 10**16 // 5**q)
+        hi = min(2 * 10**17 // 5**q, 2**53)
+        if lo >= hi:
+            assert q >= 25
+            continue
+        r = rng.integers(lo, hi, size=4_000) | 1
+        r = r[r < hi]
+        parts.append(both_signs(r.astype(np.float64) * 2.0 ** -(q + 1)))
+    return np.concatenate(parts)
+
+
+def test_format_17g_matches_printf():
+    values = _printf_cases(np.random.default_rng(17))
+    assert values.size >= 1_000_000
+    exact = (np.abs(values) >= _EXACT_MIN) & (np.abs(values) < _EXACT_MAX)
+    assert exact.sum() >= 800_000  # most values go through the integer kernel
+    want = ["%.17g" % v for v in values.tolist()]
+    got = _formatted(values)
+    wrong = [(repr(v), g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert len(got) == len(want)
+    assert not wrong, f"{len(wrong)} values misformatted, first: {wrong[:5]}"
+
+
+def test_solve_exits_3_when_certify_rejects_the_converged_design(tmp_path, capsys):
+    # p:0.9 on the mixture: the solver stops with violation 6.9e-15, but a
+    # support atom fails certify's support equality
+    model = tmp_path / "mixture.json"
+    model.write_text(json.dumps({"family": "mixture-poly-exp", "params": {"theta3": 1.0}}))
+    out = tmp_path / "out"
+    argv = ["solve", "--model", str(model), "--steps", "0.02", "--criterion", "p:0.9"]
+    assert main(argv + ["--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is True
+    assert report["certified_optimal"] is False
+    assert "converged=True certified=False" in capsys.readouterr().out
 
 
 _GOOD_MODEL = {"family": "linear-2f-no-intercept", "params": {}}

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from optdesign import (
     Design,
     EmptyDesignError,
-    InfeasibleRoundingError,
     ValidationError,
     design,
     info_matrix,
@@ -14,13 +13,8 @@ from optdesign import (
     merge_close,
     mix_designs,
     prune,
-    round_to_n,
 )
 from optdesign.designs import SWEEP_BLOCK, components, sweep
-
-weights_lists = st.lists(
-    st.floats(min_value=1e-3, max_value=1.0, allow_nan=False), min_size=1, max_size=8
-)
 
 
 def test_info_matrix_d_optimal(line2f, design_21d):
@@ -105,31 +99,6 @@ def test_prune_examples():
         prune(d3, 0.9)
 
 
-def test_round_to_n_examples():
-    d = design([[0.0], [1.0], [2.0]], [1 / 3, 1 / 3, 1 / 3])
-    assert round_to_n(d, 9).reps.tolist() == [3, 3, 3]
-    assert round_to_n(d, 10).reps.tolist() == [4, 3, 3]  # tie goes to the lowest index
-
-    d2 = design([[0.0], [1.0]], [0.5, 0.5])
-    assert round_to_n(d2, 2).reps.tolist() == [1, 1]
-
-    with pytest.raises(InfeasibleRoundingError):
-        round_to_n(d, 2)
-
-
-@given(weights_lists)
-def test_round_to_n_approximation_bound(ws):
-    w = np.asarray(ws) / np.sum(ws)
-    d = Design(np.arange(len(w), dtype=float)[:, None], w)
-    for n in (len(w), 3 * len(w) + 1, 50):
-        if n < len(w):
-            continue
-        ex = round_to_n(d, n)
-        assert ex.reps.sum() == n
-        assert np.all(ex.reps >= 1)
-        assert np.abs(ex.reps / n - w).max() <= len(w) / n + 1e-12
-
-
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
 def test_info_matrix_linear_in_design(seed, alpha):
     rng = np.random.default_rng(seed)
@@ -173,15 +142,6 @@ def test_design_json_roundtrip():
     d2 = Design.from_dict(d.to_dict())
     assert np.array_equal(d.points, d2.points)
     assert np.array_equal(d.weights, d2.weights)
-
-
-def test_exact_design_serialization():
-    d = design([[0.0], [1.0], [2.0]], [0.5, 0.3, 0.2])
-    ex = round_to_n(d, 10)
-    obj = ex.to_dict()
-    assert obj["n"] == 10
-    assert sum(a["reps"] for a in obj["atoms"]) == 10
-    assert all(isinstance(a["reps"], int) for a in obj["atoms"])
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

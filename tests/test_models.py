@@ -14,7 +14,6 @@ from optdesign import (
     ValidationError,
     default_candidates,
     discretize,
-    eval_efficiency,
     eval_f,
     interval,
     make_model,
@@ -49,28 +48,10 @@ def test_eval_mixture_components():
     assert np.allclose(f, [1.0, 0.5, 0.125, -math.exp(-2.0)])
 
 
-@pytest.mark.parametrize(
-    "eff,x,expected",
-    [
-        ({"kind": "one"}, 0.5, 1.0),
-        ({"kind": "exp", "rate": 1.0}, 0.0, 1.0),
-        ({"kind": "affine", "slope": 1.0}, 1.0, 2.0),
-    ],
-)
-def test_eval_efficiency(eff, x, expected):
-    m = make_model("weighted-polynomial", degree=2, efficiency=eff)
-    assert eval_efficiency(m, [x]) == pytest.approx(expected)
-
-
 def test_efficiency_must_be_positive():
     m = make_model("weighted-polynomial", degree=1, efficiency={"kind": "affine", "slope": -2.0})
     with pytest.raises(ValidationError):
         m.eval_many([[1.0]])
-
-
-def test_eval_efficiency_wrong_family():
-    with pytest.raises(ValidationError):
-        eval_efficiency(make_model("polynomial", degree=1), [0.5])
 
 
 def test_discretize_counts():
