@@ -12,6 +12,7 @@ dominating slice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -266,36 +267,20 @@ def recompose_check(design: Design, tmap: SliceMap, model: ModelSpec) -> float:
 def dominates(d2: Design, d1: Design, model, tol: float = 1e-9) -> bool:
     """True iff M(d2) - M(d1) is nonnegative definite and nonzero (both within
     tol relative to the larger matrix scale)."""
-    M1 = info_matrix(d1, model)
-    M2 = info_matrix(d2, model)
-    delta = M2 - M1
-    scale = max(np.abs(M1).max(), np.abs(M2).max(), 1e-300)
-    lmin = float(np.linalg.eigvalsh(0.5 * (delta + delta.T))[0])
-    return lmin >= -tol * scale and float(np.abs(delta).max()) > tol * scale
-
-
-def _lambda_min_stack(delta: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of a stack of symmetric 1x1 or 2x2 matrices."""
-    if delta.shape[-1] == 1:
-        return delta[..., 0, 0]
-    a = delta[..., 0, 0]
-    b = delta[..., 1, 1]
-    c = delta[..., 0, 1]
-    half = 0.5 * (a + b)
-    rad = np.sqrt(np.maximum(0.25 * (a - b) ** 2 + c**2, 0.0))
-    return half - rad
+    return _dominates_m1(d2, info_matrix(d1, model), model, tol, 1.0)
 
 
 MATERIAL_FACTOR = 100.0  # a dominator must beat the PSD slack by this margin
 
 
-def _material_dominates(d2: Design, d1: Design, model) -> bool:
-    if not dominates(d2, d1, model, DOMINANCE_TOL):
-        return False
-    M1 = info_matrix(d1, model)
+def _dominates_m1(d2: Design, M1: np.ndarray, model, tol=DOMINANCE_TOL, factor=MATERIAL_FACTOR):
+    """``dominates`` against the design of information matrix M1; by default the
+    gap's largest entry must beat the search's slack by MATERIAL_FACTOR."""
     M2 = info_matrix(d2, model)
+    delta = M2 - M1
     scale = max(np.abs(M1).max(), np.abs(M2).max(), 1e-300)
-    return float(np.abs(M2 - M1).max()) > MATERIAL_FACTOR * DOMINANCE_TOL * scale
+    lmin = float(np.linalg.eigvalsh(0.5 * (delta + delta.T))[0])
+    return lmin >= -tol * scale and float(np.abs(delta).max()) > factor * tol * scale
 
 
 def _nonneg_interval(a, b, c):
@@ -309,86 +294,100 @@ def _nonneg_interval(a, b, c):
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         q = -0.5 * (b + np.where(b >= 0, 1.0, -1.0) * np.sqrt(b**2 - 4.0 * a * c))
-        roots = np.stack([q / (q + a), c / (c + q)])
-    inside = (roots >= 0.0) & (roots <= 1.0)
-    lo = np.where(c >= 0, 0.0, np.where(inside, roots, np.inf).min(axis=0))
-    hi = np.where(a >= 0, 1.0, np.where(inside, roots, -np.inf).max(axis=0))
+        r1, r2 = q / (q + a), c / (c + q)
+    in1, in2 = (r1 >= 0.0) & (r1 <= 1.0), (r2 >= 0.0) & (r2 <= 1.0)
+    # np.minimum of the two roots: a reduce over a length-2 axis is far slower
+    lo = np.where(c >= 0, 0.0, np.minimum(np.where(in1, r1, np.inf), np.where(in2, r2, np.inf)))
+    hi = np.where(a >= 0, 1.0, np.maximum(np.where(in1, r1, -np.inf), np.where(in2, r2, -np.inf)))
     return lo, hi
 
 
-def _phase2_oracle(d1: Design, points: np.ndarray, F: np.ndarray, model):
+@lru_cache(maxsize=8)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k=1)``, read-only, kept per n."""
+    ii, jj = np.triu_indices(n, k=1)
+    ii.setflags(write=False)
+    jj.setflags(write=False)
+    return ii, jj
+
+
+def _phase2_oracle(M1: np.ndarray, points: np.ndarray, F: np.ndarray, model):
     """Exhaustive search over 2-point supports, exact in the weight (k <= 2).
 
     Dominance feasibility lives on a thin set (moment-matching equalities), so
-    no fixed weight lattice can land on it. For every candidate pair the gap
-    Delta(w) = w A_i + (1 - w) A_j - M1 is affine in w, and a 2x2 matrix
-    (a 1x1 one is padded with a unit diagonal entry) is nonnegative definite
-    exactly when its trace and determinant are: the trace is linear in w and
-    the determinant a concave quadratic, since det(A_i - A_j) is
-    -(f_i x f_j)^2. Their sign intervals give in closed form where
-    lambda_min(Delta(w)) >= target / 2; the trace gain is linear in w, so only
-    the two interval ends are candidates. The dominator with the largest
-    trace gain is returned after re-verification.
+    no fixed weight lattice can land on it. For the pair (i, j) the gap
+    Delta(w) = w A_i + (1 - w) A_j - M1, less (target / 2) I, is
+    w X_i + (1 - w) X_j with X_p = A_p - M1 - (target / 2) I, which is formed
+    once per point (a 1x1 one padded with a unit diagonal entry); each pair
+    gathers its coefficients from those entries, so no per-pair matrix is
+    formed. A 2x2 matrix is nonnegative definite exactly when its trace and
+    determinant are: the trace is linear in w and the determinant a concave
+    quadratic, since det(A_i - A_j) is -(f_i x f_j)^2. Their sign intervals
+    give in closed form where lambda_min(Delta(w)) >= target / 2; the trace
+    gain is linear in w, so only the two interval ends are candidates. The
+    dominator with the largest trace gain is returned after re-verification.
     """
-    M1 = info_matrix(d1, model)
     n, k = F.shape
-    A = np.einsum("ni,nj->nij", F, F)
-    ii, jj = np.triu_indices(n, k=1)
-    Ai, Aj = A[ii], A[jj]
     scale1 = max(float(np.abs(M1).max()), 1e-300)
     target = -1e-12 * scale1        # returned weights must be PSD to machine noise
 
-    # Delta(w) - (target / 2) I = w X + (1 - w) Y, padded to 2x2; the half
-    # leaves room for rounding, so the interval ends pass the check at target
-    X = np.broadcast_to(np.eye(2), (ii.size, 2, 2)).copy()
-    Y = X.copy()
-    X[:, :k, :k] = Ai - M1 - 0.5 * target * np.eye(k)
-    Y[:, :k, :k] = Aj - M1 - 0.5 * target * np.eye(k)
-    (x00, x01, x11), (y00, y01, y11) = (Z[:, [0, 0, 1], [0, 1, 1]].T for Z in (X, Y))
-    # a linear trace is the quadratic (w tr X + (1 - w) tr Y) (w + 1 - w)
-    tr_lo, tr_hi = _nonneg_interval(x00 + x11, x00 + x11 + y00 + y11, y00 + y11)
+    # half of target leaves room for rounding: the interval ends pass at target
+    A = np.einsum("ni,nj->nij", F, F)
+    X = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
+    X[:, :k, :k] = A - M1 - 0.5 * target * np.eye(k)
+    x00, x01, x11 = X[:, 0, 0], X[:, 0, 1], X[:, 1, 1]
+    tr, det = x00 + x11, x00 * x11 - x01**2
+    ii, jj = _pairs(n)
+    # a linear trace is the quadratic (w tr X_i + (1 - w) tr X_j) (w + 1 - w)
+    tr_lo, tr_hi = _nonneg_interval(tr[ii], tr[ii] + x00[jj] + x11[jj], tr[jj])
     det_lo, det_hi = _nonneg_interval(
-        x00 * x11 - x01**2, x00 * y11 + x11 * y00 - 2.0 * x01 * y01, y00 * y11 - y01**2
+        det[ii], x00[ii] * x11[jj] + x11[ii] * x00[jj] - 2.0 * x01[ii] * x01[jj], det[jj]
     )
-    w_lo = np.maximum(tr_lo, det_lo)
-    w_hi = np.minimum(tr_hi, det_hi)
+    w_lo, w_hi = np.maximum(tr_lo, det_lo), np.minimum(tr_hi, det_hi)
     idx = np.nonzero(w_lo <= w_hi)[0]
     if idx.size == 0:
         return None
 
-    Ai_f, Aj_f = Ai[idx], Aj[idx]
-    tr_i = np.trace(Ai_f, axis1=1, axis2=2)
-    tr_j = np.trace(Aj_f, axis1=1, axis2=2)
+    # the gap's distinct entries, each an array over the surviving pairs
+    entries = [(0, 0), (0, 1), (1, 1)] if k == 2 else [(0, 0)]
+    Ae, m1 = [A[:, r, c] for r, c in entries], [M1[r, c] for r, c in entries]
+    ii, jj = ii[idx], jj[idx]
+    Ai, Aj = [e[ii] for e in Ae], [e[jj] for e in Ae]
+    tr_a = np.trace(A, axis1=1, axis2=2)
     tr_m1 = float(np.trace(M1))
 
     best = None  # (trace_gain, pair index into idx, w)
     for w_arr in (w_lo[idx], w_hi[idx]):
-        delta = w_arr[:, None, None] * Ai_f + (1.0 - w_arr)[:, None, None] * Aj_f - M1
-        maxabs = np.abs(delta).max(axis=(1, 2))
-        scale = np.maximum(np.abs(delta + M1).max(axis=(1, 2)), scale1)
-        ok = (_lambda_min_stack(delta) >= np.minimum(-1e-12 * scale, target)) & (
-            maxabs > MATERIAL_FACTOR * DOMINANCE_TOL * scale
-        )
+        delta = [w_arr * ai + (1.0 - w_arr) * aj - m for ai, aj, m in zip(Ai, Aj, m1)]
+        maxabs = reduce(np.maximum, [np.abs(d) for d in delta])
+        scale = reduce(np.maximum, [np.abs(d + m) for d, m in zip(delta, m1)], scale1)
+        if k == 1:
+            lam = delta[0]
+        else:
+            d00, d01, d11 = delta
+            lam = 0.5 * (d00 + d11) - np.sqrt(np.maximum(0.25 * (d00 - d11) ** 2 + d01**2, 0.0))
+        ok = lam >= np.minimum(-1e-12 * scale, target)
+        ok &= maxabs > MATERIAL_FACTOR * DOMINANCE_TOL * scale
         if not np.any(ok):
             continue
-        tr = np.where(ok, w_arr * tr_i + (1.0 - w_arr) * tr_j - tr_m1, -np.inf)
-        b = int(np.argmax(tr))
-        if best is None or tr[b] > best[0]:
-            best = (float(tr[b]), b, float(w_arr[b]))
+        gain = np.where(ok, w_arr * tr_a[ii] + (1.0 - w_arr) * tr_a[jj] - tr_m1, -np.inf)
+        b = int(np.argmax(gain))
+        if best is None or gain[b] > best[0]:
+            best = (float(gain[b]), b, float(w_arr[b]))
     if best is None:
         return None
     _, b, w = best
-    i, j = int(ii[idx[b]]), int(jj[idx[b]])
+    i, j = int(ii[b]), int(jj[b])
     if w <= 1e-12:
         cand = Design(points[[j]], np.array([1.0]))
     elif w >= 1.0 - 1e-12:
         cand = Design(points[[i]], np.array([1.0]))
     else:
         cand = Design(points[[i, j]], np.array([w, 1.0 - w]))
-    return cand if _material_dominates(cand, d1, model) else None
+    return cand if _dominates_m1(cand, M1, model) else None
 
 
-def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget: int):
+def _phase1_ascent(M1: np.ndarray, points: np.ndarray, F: np.ndarray, model, budget: int):
     """Dominator search over all candidates by one Kelley cutting-plane loop.
 
     Every unit direction v gives the cut sum_i w_i (f_i . v)^2 - t >= v^T M1 v,
@@ -416,7 +415,6 @@ def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget:
     """
     from scipy.optimize import linprog
 
-    M1 = info_matrix(d1, model)
     n = F.shape[0]
     scale1 = max(float(np.abs(M1).max()), 1e-300)
     floor = -DOMINANCE_TOL * scale1
@@ -428,7 +426,7 @@ def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget:
         if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
             return None
         cand = Design(pts, w_vec[keep] / w_vec[keep].sum())
-        return cand if _material_dominates(cand, d1, model) else None
+        return cand if _dominates_m1(cand, M1, model) else None
 
     A_eq = np.append(np.ones(n), 0.0)[None, :]
     # every cut value is at least -lambda_max(M1), so stage A's bound on t
@@ -529,18 +527,20 @@ def find_dominator(
     """
     if isinstance(candidates, CandidateSet):
         points, F = candidates.points, np.ascontiguousarray(candidates.features(model))
+        rank = candidates.features_rank(model)
     else:
         points = np.atleast_2d(candidates)
         F = model.eval_many(points)
+        rank = gram_rank(F)
     M1 = info_matrix(d1, model)
-    if gram_rank(F) < np.linalg.matrix_rank(M1, tol=1e-10):
+    if rank < np.linalg.matrix_rank(M1, tol=1e-10):
         raise ValidationError("candidate set spans less than the design to dominate")
 
     oracle_applies = F.shape[1] <= 2 and points.shape[0] <= 200
-    best = _phase2_oracle(d1, points, F, model) if oracle_applies else None
+    best = _phase2_oracle(M1, points, F, model) if oracle_applies else None
     improving = proven_none = False
     if best is None:
-        best, improving, proven_none = _phase1_ascent(d1, points, F, model, budget)
+        best, improving, proven_none = _phase1_ascent(M1, points, F, model, budget)
     if best is not None:
         return AdmissibilityVerdict(
             admissible=False, dominator=best, note="dominator verified in the Loewner order"

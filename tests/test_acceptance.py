@@ -241,7 +241,7 @@ def test_criterion_9_admissibility_oracle_agreement():
             assert dominates(verdict.dominator, d1, model, tol=1e-7)
         two_point = design([[0.0], [1.0]], [0.5, 0.5])
         F = model.eval_many(grid.points)
-        assert _phase2_oracle(two_point, grid.points, F, model) is None
+        assert _phase2_oracle(info_matrix(two_point, model), grid.points, F, model) is None
         assert find_dominator(two_point, grid, model).admissible
 
 

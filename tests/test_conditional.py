@@ -23,8 +23,9 @@ from optdesign import (
     solve,
 )
 from optdesign.conditional import (
+    DOMINANCE_TOL,
     MATERIAL_FACTOR,
-    _lambda_min_stack,
+    _dominates_m1,
     _phase2_oracle,
     admissible_support_bound,
     slice_grid,
@@ -248,6 +249,18 @@ def test_find_dominator_three_point(xexp_grid):
     assert dominates(verdict.dominator, d1, m)
 
 
+def _lambda_min_stack(delta: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of a stack of symmetric 1x1 or 2x2 matrices."""
+    if delta.shape[-1] == 1:
+        return delta[..., 0, 0]
+    a = delta[..., 0, 0]
+    b = delta[..., 1, 1]
+    c = delta[..., 0, 1]
+    half = 0.5 * (a + b)
+    rad = np.sqrt(np.maximum(0.25 * (a - b) ** 2 + c**2, 0.0))
+    return half - rad
+
+
 def _dense_pair_scan_gain(d1, F, model, tol=1e-7):
     """Largest trace gain over every candidate pair x a fine weight lattice,
     among gaps that are nonnegative definite and material."""
@@ -290,7 +303,7 @@ def test_phase2_oracle_beats_dense_scan(family, params, lo, hi, step):
         m = int(rng.integers(1, 4))
         d1 = design(lo + (hi - lo) * rng.random((m, 1)), rng.dirichlet(np.ones(m)))
         M1 = info_matrix(d1, model)
-        dom = _phase2_oracle(d1, grid.points, F, model)
+        dom = _phase2_oracle(M1, grid.points, F, model)
         gain = -np.inf if dom is None else float(np.trace(info_matrix(dom, model) - M1))
         scan = _dense_pair_scan_gain(d1, F, model)
         assert gain >= scan - 1e-9 * np.abs(M1).max()
@@ -298,6 +311,127 @@ def test_phase2_oracle_beats_dense_scan(family, params, lo, hi, step):
             assert dominates(dom, d1, model)
             found += 1
     assert found > 0
+
+
+def _stacked_nonneg_interval(a, b, c):
+    """``_nonneg_interval`` as first written, reducing over a stack of both roots."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.where(b >= 0, 1.0, -1.0) * np.sqrt(b**2 - 4.0 * a * c))
+        roots = np.stack([q / (q + a), c / (c + q)])
+    inside = (roots >= 0.0) & (roots <= 1.0)
+    lo = np.where(c >= 0, 0.0, np.where(inside, roots, np.inf).min(axis=0))
+    hi = np.where(a >= 0, 1.0, np.where(inside, roots, -np.inf).max(axis=0))
+    return lo, hi
+
+
+def _pair_array_oracle(M1, points, F, model):
+    """The two-point oracle as first written, with 2x2 matrices for every
+    candidate pair: the reference for the per-point form."""
+    n, k = F.shape
+    A = np.einsum("ni,nj->nij", F, F)
+    ii, jj = np.triu_indices(n, k=1)
+    Ai, Aj = A[ii], A[jj]
+    scale1 = max(float(np.abs(M1).max()), 1e-300)
+    target = -1e-12 * scale1
+    X = np.broadcast_to(np.eye(2), (ii.size, 2, 2)).copy()
+    Y = X.copy()
+    X[:, :k, :k] = Ai - M1 - 0.5 * target * np.eye(k)
+    Y[:, :k, :k] = Aj - M1 - 0.5 * target * np.eye(k)
+    (x00, x01, x11), (y00, y01, y11) = (Z[:, [0, 0, 1], [0, 1, 1]].T for Z in (X, Y))
+    tr_lo, tr_hi = _stacked_nonneg_interval(x00 + x11, x00 + x11 + y00 + y11, y00 + y11)
+    det_lo, det_hi = _stacked_nonneg_interval(
+        x00 * x11 - x01**2, x00 * y11 + x11 * y00 - 2.0 * x01 * y01, y00 * y11 - y01**2
+    )
+    w_lo = np.maximum(tr_lo, det_lo)
+    w_hi = np.minimum(tr_hi, det_hi)
+    idx = np.nonzero(w_lo <= w_hi)[0]
+    if idx.size == 0:
+        return None
+    Ai_f, Aj_f = Ai[idx], Aj[idx]
+    tr_i = np.trace(Ai_f, axis1=1, axis2=2)
+    tr_j = np.trace(Aj_f, axis1=1, axis2=2)
+    tr_m1 = float(np.trace(M1))
+    best = None
+    for w_arr in (w_lo[idx], w_hi[idx]):
+        delta = w_arr[:, None, None] * Ai_f + (1.0 - w_arr)[:, None, None] * Aj_f - M1
+        maxabs = np.abs(delta).max(axis=(1, 2))
+        scale = np.maximum(np.abs(delta + M1).max(axis=(1, 2)), scale1)
+        ok = (_lambda_min_stack(delta) >= np.minimum(-1e-12 * scale, target)) & (
+            maxabs > MATERIAL_FACTOR * DOMINANCE_TOL * scale
+        )
+        if not np.any(ok):
+            continue
+        tr = np.where(ok, w_arr * tr_i + (1.0 - w_arr) * tr_j - tr_m1, -np.inf)
+        b = int(np.argmax(tr))
+        if best is None or tr[b] > best[0]:
+            best = (float(tr[b]), b, float(w_arr[b]))
+    if best is None:
+        return None
+    _, b, w = best
+    i, j = int(ii[idx[b]]), int(jj[idx[b]])
+    if w <= 1e-12:
+        cand = design(points[[j]], [1.0])
+    elif w >= 1.0 - 1e-12:
+        cand = design(points[[i]], [1.0])
+    else:
+        cand = design(points[[i, j]], [w, 1.0 - w])
+    return cand if _dominates_m1(cand, M1, model) else None
+
+
+def _oracle_cases():
+    xexp = make_model("xexp-decay", rate=1.0, space=interval(0.0, 3.0))
+    grid = discretize(xexp.space, 0.02)  # the benchmark's dominator grid
+    cases = []
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            idx = rng.choice(len(grid), size=3, replace=False)
+            d1 = design(grid.points[idx], rng.uniform(0.05, 1.0, 3), normalize=True)
+            cases.append((xexp, grid, d1))
+    cases.append((xexp, grid, design([[0.0], [1.0]])))  # admissible: no dominator
+    # k = 1: the 1x1 gap takes the padded path
+    const = make_model("weighted-polynomial", space=interval(0.0, 2.0), degree=0,
+                       efficiency={"kind": "affine"})
+    const_grid = discretize(const.space, 0.02)
+    rng = np.random.default_rng(4)
+    for m in (1, 2, 3, 3):
+        d1 = design(2.0 * rng.random((m, 1)), rng.dirichlet(np.ones(m)))
+        cases.append((const, const_grid, d1))
+    cases.append((const, const_grid, design([[2.0]])))
+    # 1-3 atoms, on the grid and off it
+    for model, step in (
+        (make_model("polynomial", space=interval(-1.0, 1.0), degree=1), 0.05),
+        (make_model("weighted-polynomial", space=interval(0.0, 2.0), degree=1,
+                    efficiency={"kind": "exp"}), 0.02),
+    ):
+        model_grid = discretize(model.space, step)
+        lo, hi = model.space.bounds[0]
+        for t in range(12):
+            m = int(rng.integers(1, 4))
+            if t % 2:
+                pts = lo + (hi - lo) * rng.random((m, 1))
+            else:
+                pts = model_grid.points[rng.choice(len(model_grid), size=m, replace=False)]
+            cases.append((model, model_grid, design(pts, rng.dirichlet(np.ones(m)))))
+    return cases
+
+
+def test_phase2_oracle_matches_pair_array_reference():
+    # the per-point form reorders no floating-point operation, so every
+    # returned design is the reference's to the last bit
+    found = none = 0
+    for model, grid, d1 in _oracle_cases():
+        M1 = info_matrix(d1, model)
+        F = model.eval_many(grid.points)
+        got = _phase2_oracle(M1, grid.points, F, model)
+        want = _pair_array_oracle(M1, grid.points, F, model)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got.points, want.points)
+            assert np.array_equal(got.weights, want.weights)
+        found += got is not None
+        none += got is None
+    assert (found, none) == (87, 3)  # both answers are covered
 
 
 def test_find_dominator_oracle_first_skips_lp(xexp_grid, monkeypatch):
