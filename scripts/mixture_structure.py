@@ -49,7 +49,8 @@ def main() -> int:
     audit = product_audit(rep.design, model)
     print(f"marginal audit bound: {audit.support_bound}")
     for axis, (verdict, marg) in enumerate(zip(audit.factor_verdicts, audit.marginal_designs)):
-        xs = [round(float(x[0]), 4) for x, _ in sorted(marg.atoms())]
+        # each marginal design lies on its axis line: read the axis's own coordinate
+        xs = sorted(round(float(x[axis]), 4) for x, _ in marg.atoms())
         print(f"  axis {axis}: admissible={verdict.admissible} support={xs}")
     return 0
 

@@ -3,10 +3,11 @@
 Slicing a design by a scalar map t(x) yields marginal weights and conditional
 designs. On each slice of a two-factor model the conditional model is f in an
 orthonormal basis of its span there, the lift matrix tying it back to the
-full model, so the full information matrix recomposes exactly. Dominance in
-the Loewner order is tested directly; inadmissibility of any conditional
-design lifts to inadmissibility of the full design by splicing in the
-dominating slice.
+full model, so the full information matrix recomposes exactly. A marginal
+model is the conditional model of one axis line, where the span of f is the
+same on every parallel line. Dominance in the Loewner order is tested
+directly; inadmissibility of any conditional design lifts to inadmissibility
+of the full design by splicing in the dominating slice.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 
 from .designs import Design, gram, info_matrix
 from .errors import NoConditionalModelError, ValidationError
-from .models import CandidateSet, ModelSpec, discretize, gram_rank
-from .models import interval, make_model
+from .models import _SCREEN_SAMPLES, CandidateSet, ModelSpec, discretize, gram_rank, interval
 
 SLICE_TOL = 1e-9       # atoms whose t-values (or marginal coordinates) differ by at most this are grouped
 DOMINANCE_TOL = 1e-7   # relative Loewner-order slack of the dominator search
@@ -128,20 +128,15 @@ def slice_grid(model: ModelSpec, tmap: SliceMap, t: float, step: float = 0.01) -
     _check_slicing(model, tmap)
     bounds = model.space.bounds
     if tmap.kind == "coordinate":
-        j = tmap.axis
-        other = 1 - j
-        lo, hi = bounds[other]
-        grid = discretize(interval(lo, hi), step).points[:, 0]
-        pts = np.empty((grid.size, 2))
-        pts[:, j] = t
-        pts[:, other] = grid
+        grid = discretize(interval(*bounds[1 - tmap.axis]), step).points[:, 0]
+        pts = np.full((grid.size, 2), float(t))
+        pts[:, 1 - tmap.axis] = grid
         return pts
     (lo1, hi1), (lo2, hi2) = bounds
     a1, a2 = tmap.coeffs
     # the x0 range keeping x1 = (t - a1 x0) / a2 inside its bounds
     ends = sorted(((t - a2 * hi2) / a1, (t - a2 * lo2) / a1))
-    lo = max(lo1, ends[0])
-    hi = min(hi1, ends[1])
+    lo, hi = max(lo1, ends[0]), min(hi1, ends[1])
     if hi < lo - 1e-12:
         raise ValidationError(f"slice t={t:g} does not intersect the design space")
     if hi - lo < 1e-12:
@@ -151,19 +146,11 @@ def slice_grid(model: ModelSpec, tmap: SliceMap, t: float, step: float = 0.01) -
     return np.stack([xs, (t - a1 * xs) / a2], axis=1)
 
 
-def conditional_model(
-    model: ModelSpec, tmap: SliceMap, t: float, points: np.ndarray
-) -> ConditionalModel:
-    """f on the slice {x : t(x) = t}, in the span of f over the slice grid and
-    ``points`` (the conditional design's atoms, which may lie off the grid).
-
-    The lift is the first ``gram_rank`` right singular vectors, each column's
-    sign fixed so that its largest-magnitude entry is positive. The Loewner
-    order and the dominator search's cuts are invariant under rotations of an
-    orthonormal basis, so any such basis gives the same verdicts.
-    """
-    grid = slice_grid(model, tmap, t, AUDIT_STEP)
-    F = model.eval_many(np.vstack([grid, points]))
+def _conditional(model, tmap: SliceMap, t: float, grid: np.ndarray, F: np.ndarray):
+    """The model on slice t in the first ``gram_rank(F)`` right singular vectors
+    of F, each signed so that its largest-magnitude entry is positive. The
+    Loewner order and the dominator search's cuts are invariant under
+    rotations of an orthonormal basis, so any such basis gives the same verdicts."""
     U = np.linalg.svd(F, full_matrices=False)[2][: gram_rank(F)].T
     U *= np.sign(U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])])
     U += 0.0  # a sign flip turns 0.0 into -0.0; the lift's zeros stay unsigned
@@ -175,42 +162,59 @@ def conditional_model(
     return ConditionalModel(model, U, f"{a1:g} x0 + {a2:g} x1 = {t:g}", t, grid)
 
 
-def marginal_model(model: ModelSpec, axis: int) -> ModelSpec:
-    """Marginal model for one factor when the conditional vector is free of t."""
-    fam = model.family
-    if model.space.dimension != 2 or axis not in (0, 1):
-        raise NoConditionalModelError(f"no marginal model for {fam} on axis {axis}")
-    lo, hi = model.space.bounds[axis]
-    p = model.params
-    if fam == "interaction-2f":
-        return make_model("polynomial", space=interval(lo, hi), degree=1)
-    if fam == "exp-growth-2f":
-        th = np.asarray(p["theta"], dtype=float)
-        return make_model("xexp-decay", space=interval(lo, hi), rate=float(th[1 + axis]))
-    if fam == "exp-product-2f":
-        th = np.asarray(p["theta"], dtype=float)
-        return make_model(
-            "weighted-polynomial",
-            space=interval(lo, hi),
-            degree=1,
-            efficiency={"kind": "exp", "rate": 2.0 * float(th[1 + axis])},
-        )
-    if fam == "mixture-poly-exp":
-        if axis == 0:
-            return make_model("cubic-gap", space=interval(lo, hi))
-        return make_model("xexp-decay", space=interval(lo, hi), rate=float(p["theta3"]))
-    raise NoConditionalModelError(f"no marginal model registered for {fam}")
+def conditional_model(
+    model: ModelSpec, tmap: SliceMap, t: float, points: np.ndarray
+) -> ConditionalModel:
+    """f on the slice {x : t(x) = t}, in the span of f over the slice grid and
+    ``points`` (the conditional design's atoms, which may lie off the grid)."""
+    grid = slice_grid(model, tmap, t, AUDIT_STEP)
+    return _conditional(model, tmap, t, grid, model.eval_many(np.vstack([grid, points])))
 
 
-def admissible_support_bound(model: ModelSpec) -> int | None:
-    """Known support-size bound for the admissible class of a marginal family."""
-    fam = model.family
-    if fam == "polynomial" or fam == "weighted-polynomial":
-        return model.params["degree"] + 1
-    if fam == "xexp-decay":
+def _spans(A: np.ndarray, B: np.ndarray) -> bool:
+    """Whether the columns of B lie in the column span of A, at ``gram_rank``'s tolerance."""
+    return gram_rank(np.hstack([A, B])) == gram_rank(A)
+
+
+def marginal_model(model: ModelSpec, axis: int) -> ConditionalModel:
+    """The conditional model of the axis line through the other factor's lower
+    bound, on at most 200 points, when the conditional vector is free of the
+    other factor t: f on the lines at 7 values of t (the screen's samples),
+    side by side, must have the rank of f on the first line alone."""
+    if model.space.dimension != 2 or axis not in (0, 1) or not model.space.is_bounded:
+        raise NoConditionalModelError(f"no marginal model for {model.family} on axis {axis}")
+    other, samples = 1 - axis, np.asarray(_SCREEN_SAMPLES)
+    (a, b), (lo, hi) = model.space.bounds[axis], model.space.bounds[other]
+    tmap = SliceMap("coordinate", axis=other)
+    grid = slice_grid(model, tmap, lo, max(AUDIT_STEP, (b - a) / 199.0))
+    lines = np.tile(grid, (samples.size, 1))
+    lines[:, other] = np.repeat(lo + (hi - lo) * samples, len(grid))
+    F = model.eval_many(lines).reshape(samples.size, len(grid), -1)
+    if not _spans(F[0], np.hstack(F[1:])):
+        raise NoConditionalModelError(f"{model.family}: the axis-{axis} span varies with x{other}")
+    return _conditional(model, tmap, lo, grid, F[0])
+
+
+def _has_constants(cm: ConditionalModel) -> bool:
+    """Whether the constants lie in the span of cm on its grid."""
+    return _spans(cm.eval_many(cm.grid), np.ones((len(cm.grid), 1)))
+
+
+def admissible_support_bound(cm: ConditionalModel) -> int | None:
+    """Support bound of the admissible class of a one-factor model, from its
+    span on its grid (de la Garza 1954): 2 for the constants plus one function
+    g, as moving an interior point's mass to the ends of g raises M (see
+    ``CandidateSet.screen``); else d + 1 for the smallest d <= k + 1 with the
+    span in h P_d, h > 0 the full model's first regression function and P_d
+    the polynomials of degree <= d; else None."""
+    if cm.k == 2 and _has_constants(cm):
         return 2
-    if fam == "cubic-gap":
-        return 4
+    full = cm.model.eval_many(cm.grid)
+    if np.all(full[:, 0] > 0):
+        x = cm.grid[:, np.ptp(cm.grid, axis=0).argmax()]
+        for d in range(cm.k - 1, cm.k + 2):
+            if _spans(full[:, :1] * np.vander(x, d + 1, increasing=True), full @ cm.lift):
+                return d + 1
     return None
 
 
@@ -519,11 +523,10 @@ def find_dominator(
     without such a proof means the search came up empty within budget; it is
     a one-sided statement, not a proof of admissibility.
 
-    A ``CandidateSet`` supplies its regression matrix through
-    ``CandidateSet.features``, which takes a ``ModelSpec``; pass a
-    ``ConditionalModel`` with an array of points, its slice grid. The search
-    takes that matrix row-major, as ``eval_many`` returns it, so both inputs
-    give the same LPs to the last bit.
+    A ``CandidateSet`` supplies its regression matrix through ``features``,
+    for any model, and an array of points (such as a conditional model's
+    grid) through ``eval_many``; the search takes the matrix row-major, so
+    both inputs give the same LPs to the last bit.
     """
     if isinstance(candidates, CandidateSet):
         points, F = candidates.points, np.ascontiguousarray(candidates.features(model))
@@ -639,25 +642,19 @@ def product_audit(design: Design, model: ModelSpec, budget: int = 3000) -> Produ
     On product design spaces, admissibility of the full design requires both
     marginals to be admissible; when the marginal admissible classes have at
     most p_1 and p_2 support points, the full class needs at most p_1 * p_2.
-    Marginal grids are capped at 200 points so the exhaustive dominator oracle
-    stays applicable.
+    Each marginal design is audited and reported on its marginal model's
+    axis line, against that line's grid of at most 200 points, so the
+    exhaustive dominator oracle stays applicable.
     """
-    verdicts = []
-    margins = []
-    bounds = []
+    verdicts, margins, bounds = [], [], []
     for axis in range(model.space.dimension):
         mm = marginal_model(model, axis)
-        md = marginal_design(design, axis)
-        lo, hi = mm.space.bounds[0]
-        grid = discretize(mm.space, max(AUDIT_STEP, (hi - lo) / 199.0))
-        verdicts.append(find_dominator(md, grid, mm, budget))
-        margins.append(md)
+        coords = marginal_design(design, axis)
+        pts = np.repeat(mm.grid[:1], coords.m, axis=0)
+        pts[:, axis] = coords.points[:, 0]
+        margins.append(Design(pts, coords.weights))
+        verdicts.append(find_dominator(margins[-1], mm.grid, mm, budget))
         bounds.append(admissible_support_bound(mm))
-    support_bound = None
-    if all(b is not None for b in bounds):
-        support_bound = int(np.prod(bounds))
     return ProductAuditReport(
-        factor_verdicts=tuple(verdicts),
-        marginal_designs=tuple(margins),
-        support_bound=support_bound,
+        tuple(verdicts), tuple(margins), None if None in bounds else int(np.prod(bounds))
     )

@@ -144,20 +144,20 @@ class CandidateSet:
     def max_step(self) -> float:
         return max(self.steps)
 
-    def features(self, model: ModelSpec) -> np.ndarray:
+    def features(self, model) -> np.ndarray:
         """Read-only n x k matrix ``model.eval_many(self.points)``, column-major.
 
         The matrix is filled from ``eval_many`` in blocks of ``SWEEP_BLOCK``
         rows, so no second n x k copy is ever held, and it is laid out for
         ``sweep``, which reads its columns as the rows of F^T. The grid keeps
-        the matrix of the last model evaluated on it and hands it out again
-        while the model's family, params and space equal their snapshot from
-        the fill. The snapshot is the pickled bytes, so equal bytes mean
-        equal values, and a params dict mutated since the fill misses.
+        the matrix of the last model (a ``ModelSpec`` or a ``ConditionalModel``)
+        evaluated on it and hands it out again while the model's pickled bytes
+        equal their snapshot from the fill: equal bytes mean equal values, and
+        a params dict mutated since the fill misses.
         """
         return self._feature_entry(model)[1]
 
-    def features_rank(self, model: ModelSpec) -> int:
+    def features_rank(self, model) -> int:
         """``gram_rank(self.features(model))``, an SVD of the whole grid.
 
         Computed on the first call and kept beside the matrix, under the same
@@ -165,7 +165,7 @@ class CandidateSet:
         """
         return self._derived(model, "rank", gram_rank)
 
-    def screen(self, model: ModelSpec) -> np.ndarray | None:
+    def screen(self, model) -> np.ndarray | None:
         """Ascending indices of the candidates kept by the de la Garza line screen.
 
         On a coordinate line (one axis varies, the others fixed) where the
@@ -209,15 +209,15 @@ class CandidateSet:
             period = run
         return tuple(axes) if period == 1 else None
 
-    def _derived(self, model: ModelSpec, name: str, compute):
+    def _derived(self, model, name: str, compute):
         """``compute(self.features(model))``, kept beside the matrix under its snapshot."""
         _, F, derived = self._feature_entry(model)
         if name not in derived:
             derived[name] = compute(F)
         return derived[name]
 
-    def _feature_entry(self, model: ModelSpec) -> tuple:
-        key = pickle.dumps((model.family, model.params, model.space))
+    def _feature_entry(self, model) -> tuple:
+        key = pickle.dumps(model)
         if self._features is None or self._features[0] != key:
             n = len(self)
             F = np.empty((n, model.k), order="F")
@@ -524,7 +524,7 @@ FAMILIES: dict[str, _Family] = {
         "mixture-poly-exp", 2, lambda p: 4, _mixture_validate, _mixture_eval,
         lambda p: ((-1.0, 1.0), (0.0, 2.0)),
     ),
-    # one-factor marginal families used by the admissibility machinery
+    # one-factor models of the marginal spans of the two-factor families
     "xexp-decay": _Family(
         "xexp-decay", 1, lambda p: 2, _xexp_validate, _xexp_eval,
         lambda p: ((0.0, 1.0),),

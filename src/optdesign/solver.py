@@ -7,10 +7,10 @@ every finite exponent, D included, and for E of the log-barrier smoothing of
 the smallest eigenvalue along its central path, whose duality gap is the
 stop rule (Boyd & Vandenberghe, Convex Optimization, ch. 11).
 
-D on a two-factor model with a marginal model on both axes first tries the
-product of the marginal D-optimal designs, D-optimal for additive models with
-an intercept and for Kronecker-product models (Schwabe 1996, Optimum Designs
-for Multi-Factor Models, LNS 113), whose D optima are not unique. The
+D on a two-factor model that can be additive with an intercept or a Kronecker
+product of its marginal models (the span of f on each axis line) first tries
+the product of the marginal D-optimal designs, D-optimal there though not
+unique (Schwabe 1996, Optimum Designs for Multi-Factor Models, LNS 113). The
 full-grid certificate decides: a product that fails it falls to the loop.
 
 Every finite p, D after a declined product, is first solved on the
@@ -29,12 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import build_certificate
-from .conditional import marginal_model
+from .conditional import _has_constants, marginal_model
 from .criteria import _SING_REL, NEG_INF, Criterion, psd_eig
 from .designs import Design, gram, merge_close, prune, sweep
 from .errors import DegenerateModelError, EmptyDesignError, NoConditionalModelError
 from .errors import TruncationSlackError, ValidationError
-from .models import CandidateSet, ModelSpec, gram_rank, interval, truncated_axes
+from .models import CandidateSet, DesignSpace, ModelSpec, gram_rank, truncated_axes
 
 MAX_INNER_ITERS = 3000  # Newton budget of a final weight polish
 WEIGHT_FLOOR = 1e-6     # atoms below this are pruned before reporting
@@ -326,29 +326,35 @@ def refine_weights(model, support, criterion: Criterion, opts: SolverOptions | N
 def _marginal_product(model, candidates, criterion, opts) -> SolveReport | None:
     """The product of the marginal D-optimal designs if it certifies, else None.
 
-    Each marginal is solved on the distinct candidate coordinates of its axis
-    (``product_axes``), whose pairs must be the whole candidate set in grid
-    order. The product must pass the checks the outer loop ends with: the
-    full-grid normality inequality within ``opts.kkt_tol``, and slack at
-    every truncated boundary.
+    Tried where Schwabe's theorem can hold: k = k1 k2 (Kronecker), or
+    k = k1 + k2 - 1 with the constants in both marginal spans (additive), and
+    never for a conditional model, such as a marginal in its own solve. Each
+    marginal is solved on its axis line at the distinct candidate coordinates
+    of its axis (``product_axes``), whose pairs must be the whole candidate
+    set in grid order. The product must pass the outer loop's final checks:
+    full-grid normality within ``opts.kkt_tol`` and truncated-boundary slack.
     """
+    if not isinstance(model, ModelSpec) or candidates.product_axes is None:
+        return None
     try:
         marginals = [marginal_model(model, axis) for axis in (0, 1)]
     except NoConditionalModelError:
         return None
-    if candidates.product_axes is None:
+    (k1, k2), k = (mm.k for mm in marginals), model.k
+    if k != k1 * k2 and not (k == k1 + k2 - 1 and all(map(_has_constants, marginals))):
         return None
-    coords = [c[:, None] for c in candidates.product_axes]
     margins = []
-    for axis, mm in enumerate(marginals):
-        lo, hi = candidates.space.bounds[axis]
-        sub = CandidateSet(interval(lo, hi), coords[axis], (candidates.steps[axis],))
+    for axis, (mm, coords) in enumerate(zip(marginals, candidates.product_axes)):
+        line = np.repeat(mm.grid[:1], coords.size, axis=0)
+        line[:, axis] = coords
+        # merge radius: the axis's step; no truncation note: the product is checked below
+        sub = CandidateSet(DesignSpace(model.space.bounds), line, (candidates.steps[axis],) * 2)
         try:
             margins.append(solve(mm, sub, Criterion(0.0, mm.k), opts).design)
         except DegenerateModelError:  # too few coordinates to fit the marginal
             return None
     d1, d2 = margins
-    pts = np.array([[a[0], b[0]] for a in d1.points for b in d2.points])
+    pts = np.array([[a[0], b[1]] for a in d1.points for b in d2.points])
     w = np.outer(d1.weights, d2.weights).ravel()
     F_sup = model.eval_many(pts)
     sens_all, viol = _violation(model, candidates, criterion, F_sup, w)
@@ -356,11 +362,8 @@ def _marginal_product(model, candidates, criterion, opts) -> SolveReport | None:
     if viol > opts.kkt_tol or tight_edge:
         return None
     return SolveReport(
-        design=Design(pts, w),
-        criterion_value=_value(F_sup, w, criterion.p),
-        iterations=0,
-        max_sensitivity_violation=max(viol, 0.0),
-        converged=True,
+        design=Design(pts, w), criterion_value=_value(F_sup, w, criterion.p), iterations=0,
+        max_sensitivity_violation=max(viol, 0.0), converged=True,
     )
 
 
@@ -408,8 +411,7 @@ def solve(
 
     init = opts.init
     if criterion.p == 0 and not isinstance(init, Design):
-        report = _marginal_product(model, candidates, criterion, opts)
-        if report is not None:
+        if (report := _marginal_product(model, candidates, criterion, opts)) is not None:
             return report
     if criterion.p != NEG_INF and not isinstance(init, Design):
         init = _screened_start(model, candidates, criterion, opts) or init

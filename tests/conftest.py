@@ -60,3 +60,26 @@ def count_evaluations(monkeypatch, family):
 
     monkeypatch.setitem(FAMILIES, family, dataclasses.replace(fam, evaluate=evaluate))
     return rows
+
+
+def registered_marginal(model, axis):
+    """The one-factor family that spans a two-factor family's marginal on one
+    axis, over that axis's interval: the reference for the derived marginals."""
+    from optdesign import interval, make_model
+
+    space = interval(*model.space.bounds[axis])
+    p = model.params
+    if model.family == "interaction-2f":
+        return make_model("polynomial", space=space, degree=1)
+    if model.family == "exp-growth-2f":
+        return make_model("xexp-decay", space=space, rate=float(p["theta"][1 + axis]))
+    if model.family == "exp-product-2f":
+        rate = 2.0 * float(p["theta"][1 + axis])
+        return make_model(
+            "weighted-polynomial", space=space, degree=1, efficiency={"kind": "exp", "rate": rate}
+        )
+    if model.family == "mixture-poly-exp":
+        if axis == 0:
+            return make_model("cubic-gap", space=space)
+        return make_model("xexp-decay", space=space, rate=float(p["theta3"]))
+    raise KeyError(f"no registered marginal for {model.family}")

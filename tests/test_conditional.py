@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import subspace_angles
 
 import optdesign.conditional as conditional_module
 from optdesign import (
@@ -32,6 +33,9 @@ from optdesign.conditional import (
     splice_slice,
 )
 from optdesign.designs import info_matrix
+from optdesign.models import gram_rank
+
+from conftest import registered_marginal
 
 
 @pytest.fixture(scope="module")
@@ -569,28 +573,43 @@ def test_marginal_design_projection():
     assert got[1.0] == pytest.approx(0.7)
 
 
-def test_marginal_models(growth, mixture):
-    g0 = marginal_model(growth, 0)
-    assert g0.family == "xexp-decay" and g0.space.bounds == ((0.0, 1.0),)
-    m0 = marginal_model(mixture, 0)
-    assert m0.family == "cubic-gap"
-    m1 = marginal_model(mixture, 1)
-    assert m1.family == "xexp-decay" and m1.space.bounds == ((0.0, 2.0),)
-    prod = make_model("exp-product-2f", theta=[2.0, 1.0, 1.0])
-    p0 = marginal_model(prod, 0)
-    # exp(theta*x) * (1, x) realized as a heteroscedastic line
-    grid = np.linspace(0, 1, 7)[:, None]
-    F = p0.eval_many(grid)
-    assert np.allclose(F[:, 0], np.exp(grid[:, 0]))
-    assert np.allclose(F[:, 1], grid[:, 0] * np.exp(grid[:, 0]))
-    with pytest.raises(NoConditionalModelError):
-        marginal_model(make_model("linear-2f-no-intercept"), 0)
+@pytest.mark.parametrize(
+    "family, params, bounds, product_bound",
+    [
+        ("interaction-2f", {}, (2, 2), 4),
+        ("exp-growth-2f", {"theta": [1.0, 1.0, 1.0]}, (2, 2), 4),
+        ("exp-product-2f", {"theta": [2.0, 1.0, 1.5]}, (2, 2), 4),
+        ("mixture-poly-exp", {"theta3": 1.0}, (4, 2), 8),
+    ],
+    ids=["interaction", "growth", "exp-product", "mixture"],
+)
+def test_marginal_model_from_the_span(family, params, bounds, product_bound):
+    model = make_model(family, **params)
+    for axis in (0, 1):
+        mm = marginal_model(model, axis)
+        ref = registered_marginal(model, axis)
+        # the axis line through the other factor's lower bound
+        other = 1 - axis
+        lo = model.space.bounds[other][0]
+        assert mm.t == lo and np.all(mm.grid[:, other] == lo)
+        assert len(mm.grid) <= 200
+        # spans exactly the registered family's functions, off its grid too
+        line = np.full((401, 2), lo)
+        line[:, axis] = np.linspace(*model.space.bounds[axis], 401)
+        F, G = mm.eval_many(line), ref.eval_many(line[:, [axis]])
+        assert mm.k == ref.k == gram_rank(F)
+        assert np.max(np.sin(subspace_angles(F, G))) < 1e-12
+        assert admissible_support_bound(mm) == bounds[axis]
+    corners = design([[a, b] for a in model.space.bounds[0] for b in model.space.bounds[1]])
+    assert product_audit(corners, model).support_bound == product_bound
 
 
-def test_admissible_support_bounds(growth, mixture):
-    assert admissible_support_bound(marginal_model(growth, 0)) == 2
-    assert admissible_support_bound(marginal_model(mixture, 0)) == 4
-    assert admissible_support_bound(marginal_model(mixture, 1)) == 2
+def test_marginal_model_needs_f_free_of_the_other_factor():
+    # f = (x0, x1): on the line x1 = 0 it spans x0 alone, elsewhere x0 and 1
+    line2f = make_model("linear-2f-no-intercept")
+    for axis in (0, 1):
+        with pytest.raises(NoConditionalModelError):
+            marginal_model(line2f, axis)
 
 
 def test_product_audit_growth(growth):
@@ -610,8 +629,10 @@ def test_product_audit_mixture(mixture, mixture_solution):
     report = product_audit(mixture_solution.design, mixture)
     assert report.support_bound == 8
     assert all(v.admissible for v in report.factor_verdicts)
+    # each marginal design lies on its axis line through the other factor's lower bound
+    m0, m1 = report.marginal_designs
+    assert np.all(m0.points[:, 1] == 0.0) and np.all(m1.points[:, 0] == -1.0)
     # first marginal: at most four points, ends included, interior pair symmetric
-    m0 = report.marginal_designs[0]
     xs = sorted(float(x[0]) for x, _ in m0.atoms())
     assert len(xs) <= 4
     assert xs[0] == pytest.approx(-1.0) and xs[-1] == pytest.approx(1.0)
@@ -619,8 +640,7 @@ def test_product_audit_mixture(mixture, mixture_solution):
     if len(interior) == 2:
         assert interior[0] == pytest.approx(-interior[1], abs=0.02)
     # second marginal: supported on {0, x2*} with x2* = min(1/theta3, 2)
-    m1 = report.marginal_designs[1]
-    xs1 = sorted(float(x[0]) for x, _ in m1.atoms())
+    xs1 = sorted(float(x[1]) for x, _ in m1.atoms())
     assert xs1[0] == pytest.approx(0.0, abs=0.02)
     assert xs1[-1] == pytest.approx(1.0, abs=0.02)
 

@@ -11,6 +11,7 @@ from optdesign import (
     DesignSpace,
     DomainError,
     MustTruncateError,
+    SliceMap,
     ValidationError,
     default_candidates,
     discretize,
@@ -20,6 +21,7 @@ from optdesign import (
     solve,
     truncate,
 )
+from optdesign.conditional import conditional_model
 from optdesign.designs import SWEEP_BLOCK
 from optdesign.models import gram_rank, model_from_dict, model_to_dict
 
@@ -313,6 +315,20 @@ def test_features_miss_after_params_mutation(monkeypatch):
     m.params["degree"] = 3
     assert grid.features(m).shape == (9, 4)
     assert rows == [9, 9]
+
+
+def test_features_of_conditional_models():
+    m = make_model("interaction-2f")
+    grid = discretize(m.space, 0.05)
+    tmap = SliceMap("coordinate", axis=0)
+    near, far = (conditional_model(m, tmap, t, np.empty((0, 2))) for t in (0.25, 0.75))
+    F = grid.features(near)
+    assert np.array_equal(F, near.eval_many(grid.points))  # bit for bit
+    assert grid.features(near) is F
+    # another line's model on the same grid takes its own matrix
+    G = grid.features(far)
+    assert G is not F and np.array_equal(G, far.eval_many(grid.points))
+    assert not np.array_equal(F, G)
 
 
 def test_product_axes_of_a_discretized_grid():

@@ -34,6 +34,8 @@ from optdesign.solver import (
     _spread_indices,
 )
 
+from conftest import registered_marginal
+
 
 def test_refine_weights_d(line2f):
     d = refine_weights(line2f, [[1, 1], [1, 0], [0, 1]], Criterion(0.0, 2))
@@ -477,10 +479,11 @@ def test_truncation_slack_passes_on_default_box():
 
 
 def _marginal_product(model, cands):
-    """Product of the marginal D-optimal designs on the distinct grid coordinates."""
+    """Product of the marginal D-optimal designs on the distinct grid coordinates,
+    each solved in its registered one-factor family."""
     margins = []
     for axis in (0, 1):
-        mm = marginal_model(model, axis)
+        mm = registered_marginal(model, axis)
         coords = np.unique(cands.points[:, axis])[:, None]
         sub = CandidateSet(interval(*cands.space.bounds[axis]), coords, (cands.steps[axis],))
         margins.append(solve(mm, sub, Criterion(0.0, mm.k)).design)
@@ -527,6 +530,25 @@ def test_d_product_rejected_falls_back_to_loop():
     assert rep.converged
     assert certify(rep.design, m, cands, crit, tol=2 * opts.kkt_tol).optimal
     assert rep.criterion_value == pytest.approx(4.797305365, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "family, params, tried",
+    [("interaction-2f", {}, True), (*_GROWTH, True), (*_MIXTURE, True), (*_PRODUCT, False)],
+    ids=["interaction", "growth", "mixture", "product"],
+)
+def test_d_product_path_only_where_the_product_theorem_can_hold(monkeypatch, family, params, tried):
+    # Kronecker (k = k1 k2: interaction) or additive with an intercept
+    # (k = k1 + k2 - 1: growth, mixture); exp-product-2f has k = 3 and
+    # marginals exp(theta x) (1, x), which hold no constants
+    m = make_model(family, **params)
+    solved = []
+    inner = solver_module.solve
+    monkeypatch.setattr(solver_module, "solve", lambda mm, *a: solved.append(mm.k) or inner(mm, *a))
+    opts = SolverOptions()
+    rep = solver_module._marginal_product(m, discretize(m.space, 0.05), Criterion(0.0, m.k), opts)
+    assert (rep is not None) == tried
+    assert len(solved) == (2 if tried else 0)
 
 
 def test_d_without_marginal_model_runs_loop(line2f):
