@@ -8,6 +8,13 @@ model is the conditional model of one axis line, where the span of f is the
 same on every parallel line. Dominance in the Loewner order is tested
 directly; inadmissibility of any conditional design lifts to inadmissibility
 of the full design by splicing in the dominating slice.
+
+The dominator search is a chain that stops at the first verified dominator
+(a single candidate takes one comparison): the exhaustive two-point oracle
+(at most two parameters, at most 200 candidates); then, where the span of f
+on a line is h P_d (h > 0, P_d the polynomials of degree <= d), de la
+Garza's moment problem as one LP with 2d + 1 rows; then one Kelley
+cutting-plane loop.
 """
 
 from __future__ import annotations
@@ -200,22 +207,43 @@ def _has_constants(cm: ConditionalModel) -> bool:
     return _spans(cm.eval_many(cm.grid), np.ones((len(cm.grid), 1)))
 
 
+def _line_coordinate(points: np.ndarray, at: np.ndarray) -> np.ndarray | None:
+    """The coordinate of largest spread over ``points``, read at the rows of
+    ``at`` and mapped affinely so that ``points`` span [-1, 1]; None when
+    the points do not spread."""
+    j = int(np.ptp(points, axis=0).argmax())
+    lo, hi = float(points[:, j].min()), float(points[:, j].max())
+    if hi <= lo:
+        return None
+    return (2.0 * at[:, j] - (lo + hi)) / (hi - lo)
+
+
+def _span_degree(h: np.ndarray, x: np.ndarray, F: np.ndarray) -> int | None:
+    """The smallest d <= rank(F) + 1 with the columns of F in h P_d, where h
+    must be positive and P_d is the polynomials of degree <= d in x (taken on
+    [-1, 1], in the Chebyshev basis); None when there is no such d."""
+    if not np.all(h > 0):
+        return None
+    r = gram_rank(F)
+    for d in range(max(r - 1, 0), r + 2):
+        if _spans(h[:, None] * np.polynomial.chebyshev.chebvander(x, d), F):
+            return d
+    return None
+
+
 def admissible_support_bound(cm: ConditionalModel) -> int | None:
     """Support bound of the admissible class of a one-factor model, from its
     span on its grid (de la Garza 1954): 2 for the constants plus one function
     g, as moving an interior point's mass to the ends of g raises M (see
     ``CandidateSet.screen``); else d + 1 for the smallest d <= k + 1 with the
     span in h P_d, h > 0 the full model's first regression function and P_d
-    the polynomials of degree <= d; else None."""
+    the polynomials of degree <= d (``_span_degree``); else None."""
     if cm.k == 2 and _has_constants(cm):
         return 2
     full = cm.model.eval_many(cm.grid)
-    if np.all(full[:, 0] > 0):
-        x = cm.grid[:, np.ptp(cm.grid, axis=0).argmax()]
-        for d in range(cm.k - 1, cm.k + 2):
-            if _spans(full[:, :1] * np.vander(x, d + 1, increasing=True), full @ cm.lift):
-                return d + 1
-    return None
+    x = _line_coordinate(cm.grid, cm.grid)
+    d = None if x is None else _span_degree(full[:, 0], x, full @ cm.lift)
+    return None if d is None else d + 1
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +419,64 @@ def _phase2_oracle(M1: np.ndarray, points: np.ndarray, F: np.ndarray, model):
     return cand if _dominates_m1(cand, M1, model) else None
 
 
+def _weights_dominator(w: np.ndarray, points: np.ndarray, M1: np.ndarray, model):
+    """The design of candidate weights w (entries above 1e-12, renormalized)
+    if it verifies as a dominator of M1, else None."""
+    keep = w > 1e-12
+    pts = points[keep]
+    if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
+        return None
+    cand = Design(pts, w[keep] / w[keep].sum())
+    return cand if _dominates_m1(cand, M1, model) else None
+
+
+def _moment_oracle(d1: Design, F1: np.ndarray, M1: np.ndarray, points, F, model):
+    """De la Garza's moment problem as one LP, for a span that is polynomial on a line.
+
+    Let x be the candidates' coordinate of largest spread, mapped onto
+    [-1, 1], and h > 0 the full model's first regression function. When f on
+    the candidates and d1's atoms spans a subspace of h P_d (smallest such d),
+    f = C h p(x) with p the degree-d Chebyshev polynomials, so M(w) is
+    C H(w) C' for the Hankel-structured matrix H(w) of the moments
+    sum_i w_i h_i^2 T_j(x_i), j = 0..2d. The LP over candidate weights w >= 0,
+    sum w = 1, matches moments 0..2d-1 to d1's and maximizes moment 2d; then
+    H(w) - H(d1) is a nonnegative multiple of e_d e_d', so M(w) - M(d1) is
+    rank one and nonnegative definite. It has 2d + 1 equality rows, so a
+    vertex has at most 2d + 1 atoms. When d1 has at most d - 1 distinct atoms
+    strictly inside the candidates' x-range, no other measure there shares
+    its lower moments (Karlin & Studden 1966: its index is below d, or d1 is
+    the upper principal representation), so no LP is solved. The answer is
+    returned only once it verifies.
+    """
+    from scipy.optimize import linprog
+
+    n = points.shape[0]
+    P = np.vstack([points, d1.points])
+    x = _line_coordinate(points, P)
+    if x is None:
+        return None
+    if isinstance(model, ConditionalModel):
+        h = model.model.eval_many(P)[:, 0]
+    else:
+        h = np.concatenate([F[:, 0], F1[:, 0]])
+    d = _span_degree(h, x, np.vstack([F, F1]))
+    if d is None:
+        return None
+    inner = np.sort(x[n:][np.abs(x[n:]) < 1.0 - SLICE_TOL])
+    if inner.size - np.count_nonzero(np.diff(inner) <= SLICE_TOL) < d:
+        return None  # at most d - 1 distinct interior atoms
+    h = h / h.max()
+    V = (h * h)[:, None] * np.polynomial.chebyshev.chebvander(x, 2 * d)
+    moments = d1.weights @ V[n:]
+    res = linprog(
+        -V[:n, 2 * d], A_eq=np.vstack([np.ones(n), V[:n, : 2 * d].T]),
+        b_eq=np.append(1.0, moments[: 2 * d]), bounds=(0.0, None), method="highs",
+    )
+    if res.status != 0:
+        return None
+    return _weights_dominator(np.maximum(res.x, 0.0), points, M1, model)
+
+
 def _phase1_ascent(M1: np.ndarray, points: np.ndarray, F: np.ndarray, model, budget: int):
     """Dominator search over all candidates by one Kelley cutting-plane loop.
 
@@ -423,15 +509,6 @@ def _phase1_ascent(M1: np.ndarray, points: np.ndarray, F: np.ndarray, model, bud
     scale1 = max(float(np.abs(M1).max()), 1e-300)
     floor = -DOMINANCE_TOL * scale1
     rounds = int(np.clip(budget // 100, 10, 80))
-
-    def extract(w_vec):
-        keep = w_vec > 1e-12
-        pts = points[keep]
-        if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
-            return None
-        cand = Design(pts, w_vec[keep] / w_vec[keep].sum())
-        return cand if _dominates_m1(cand, M1, model) else None
-
     A_eq = np.append(np.ones(n), 0.0)[None, :]
     # every cut value is at least -lambda_max(M1), so stage A's bound on t
     # leaves its LP optimum unchanged
@@ -480,7 +557,7 @@ def _phase1_ascent(M1: np.ndarray, points: np.ndarray, F: np.ndarray, model, bud
                 if lam > best_lam:
                     best_lam, best_w = lam, w
                 if lam >= floor:
-                    cand = extract(w)
+                    cand = _weights_dominator(w, points, M1, model)
                     if cand is not None:
                         return cand, False, False
                 if len(lam_trail) >= 3 and abs(lam_trail[-1] - lam_trail[-2]) <= 1e-16 * scale1:
@@ -493,7 +570,7 @@ def _phase1_ascent(M1: np.ndarray, points: np.ndarray, F: np.ndarray, model, bud
                     cuts.append((va + vb) / np.sqrt(2.0))
                     cuts.append((va - vb) / np.sqrt(2.0))
     if best_w is not None:
-        cand = extract(best_w)
+        cand = _weights_dominator(best_w, points, M1, model)
         if cand is not None:
             return cand, False, False
     # unsettled: the margin was still being driven toward feasibility at budget
@@ -511,17 +588,32 @@ def find_dominator(
 ) -> AdmissibilityVerdict:
     """Search for a design whose information matrix dominates d1's.
 
-    On small problems (dimension <= 2, at most 200 candidates) the exhaustive
-    two-point oracle runs first: it is exact in the weight and its answer is
-    interpretable. When it does not apply or finds nothing, one Kelley
-    cutting-plane loop runs over all candidates: it first bounds the best
-    achievable smallest eigenvalue of M(w) - M(d1), then maximizes the trace
-    gain over the cut relaxation of the dominance cone. Either stage can prove
-    that no candidate design dominates (a bound below tolerance, or an empty
-    relaxation); ``budget // 100`` LP solves, clipped to [10, 80], cap each
-    stage. Every returned dominator is re-verified. A verdict of admissible
-    without such a proof means the search came up empty within budget; it is
-    a one-sided statement, not a proof of admissibility.
+    A chain of searches runs until one returns a verified dominator:
+
+    - A single candidate is decided by one comparison: the only design on it
+      is that point.
+    - On small problems (dimension <= 2, at most 200 candidates) the
+      exhaustive two-point oracle runs first: it is exact in the weight and
+      its answer is interpretable.
+    - When the span of f on the candidates and d1's atoms is h P_d on a line
+      (h > 0 the full model's first regression function, P_d the polynomials
+      of degree <= d in the candidates' coordinate of largest spread), de la
+      Garza's moment problem is one LP with 2d + 1 equality rows: match d1's
+      moments 0..2d-1 of h^2 and raise moment 2d, which makes the gap
+      M(w) - M(d1) rank one and nonnegative definite (``_moment_oracle``).
+      It is skipped, with no LP, when d1 has at most d - 1 atoms inside the
+      candidates' range, as then no other design shares those moments.
+    - Otherwise one Kelley cutting-plane loop runs over all candidates: it
+      first bounds the best achievable smallest eigenvalue of M(w) - M(d1),
+      then maximizes the trace gain over the cut relaxation of the dominance
+      cone. Either stage can prove that no candidate design dominates (a
+      bound below tolerance, or an empty relaxation); ``budget // 100`` LP
+      solves, clipped to [10, 80], cap each stage.
+
+    Every returned dominator is re-verified. A verdict of admissible without
+    a proof means the search came up empty within budget; it is a one-sided
+    statement, not a proof of admissibility. The candidates must span at
+    least the rank of d1's regression rows (both by ``gram_rank``).
 
     A ``CandidateSet`` supplies its regression matrix through ``features``,
     for any model, and an array of points (such as a conditional model's
@@ -535,28 +627,36 @@ def find_dominator(
         points = np.atleast_2d(candidates)
         F = model.eval_many(points)
         rank = gram_rank(F)
-    M1 = info_matrix(d1, model)
-    if rank < np.linalg.matrix_rank(M1, tol=1e-10):
+    F1 = model.eval_many(d1.points)
+    if rank < gram_rank(F1):
         raise ValidationError("candidate set spans less than the design to dominate")
+    M1 = gram(F1, d1.weights)
 
     oracle_applies = F.shape[1] <= 2 and points.shape[0] <= 200
-    best = _phase2_oracle(M1, points, F, model) if oracle_applies else None
-    improving = proven_none = False
-    if best is None:
-        best, improving, proven_none = _phase1_ascent(M1, points, F, model, budget)
+    improving, proof = False, ""
+    if points.shape[0] == 1:
+        best = _weights_dominator(np.ones(1), points, M1, model)
+        proof = "" if best is not None else "the only candidate does not dominate"
+    else:
+        best = _phase2_oracle(M1, points, F, model) if oracle_applies else None
+        if best is None:
+            best = _moment_oracle(d1, F1, M1, points, F, model)
+        if best is None:
+            best, improving, proven_none = _phase1_ascent(M1, points, F, model, budget)
+            proof = "dual bound below tolerance" if proven_none else ""
     if best is not None:
         return AdmissibilityVerdict(
             admissible=False, dominator=best, note="dominator verified in the Loewner order"
         )
-    if improving and not oracle_applies and not proven_none:
+    if improving and not oracle_applies:
         return AdmissibilityVerdict(
             admissible=False,
             inconclusive=True,
             note="budget exhausted while the constrained ascent was still improving",
         )
     note = "no dominator found within budget (one-sided: not a proof of admissibility)"
-    if proven_none:
-        note = "no design on these candidates dominates (dual bound below tolerance)"
+    if proof:
+        note = f"no design on these candidates dominates ({proof})"
     return AdmissibilityVerdict(admissible=True, note=note)
 
 

@@ -27,12 +27,13 @@ from optdesign.conditional import (
     DOMINANCE_TOL,
     MATERIAL_FACTOR,
     _dominates_m1,
+    _moment_oracle,
     _phase2_oracle,
     admissible_support_bound,
     slice_grid,
     splice_slice,
 )
-from optdesign.designs import info_matrix
+from optdesign.designs import gram, info_matrix
 from optdesign.models import gram_rank
 
 from conftest import registered_marginal
@@ -438,7 +439,7 @@ def test_phase2_oracle_matches_pair_array_reference():
     assert (found, none) == (87, 3)  # both answers are covered
 
 
-def test_find_dominator_oracle_first_skips_lp(xexp_grid, monkeypatch):
+def _count_linprog(monkeypatch):
     import scipy.optimize
 
     calls = []
@@ -449,6 +450,11 @@ def test_find_dominator_oracle_first_skips_lp(xexp_grid, monkeypatch):
         return linprog(*args, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    return calls
+
+
+def test_find_dominator_oracle_first_skips_lp(xexp_grid, monkeypatch):
+    calls = _count_linprog(monkeypatch)
     m, grid = xexp_grid
     d1 = design([[0.5], [1.5], [2.5]], [0.3, 0.3, 0.4])
     verdict = find_dominator(d1, grid, m)
@@ -494,19 +500,29 @@ def _sweep_draw(model, step, index):
     return design(grid.points[idx], w, normalize=True), grid
 
 
+RANDOM_DRAWS = [("polynomial", {"degree": 3}, interval(-1.0, 1.0), 0.02, i, f"poly3-{i}")
+                for i in (4, 7, 9)]
+RANDOM_DRAWS += [("interaction-2f", {}, None, 0.1, i, f"interaction-{i}") for i in range(3)]
+
+
 @pytest.mark.parametrize(
-    "family,params,space,step,draw",
-    [
-        pytest.param("polynomial", {"degree": 3}, interval(-1.0, 1.0), 0.02, i, id=f"poly3-{i}")
-        for i in (4, 7, 9)
-    ]
-    + [pytest.param("interaction-2f", {}, None, 0.1, i, id=f"interaction-{i}") for i in range(3)],
+    "family,params,space,step,draw,moment_oracle",
+    [pytest.param(*case[:-1], True, id=case[-1]) for case in RANDOM_DRAWS]
+    + [pytest.param(*case[:-1], False, id=f"{case[-1]}-kelley") for case in RANDOM_DRAWS],
 )
-def test_find_dominator_random_inadmissible_designs(family, params, space, step, draw):
+def test_find_dominator_random_inadmissible_designs(
+    family, params, space, step, draw, moment_oracle, monkeypatch
+):
     # the cubic draws have 5 interior support points, above the index bound
-    # (m + 1) / 2 = 2 of admissible cubic designs (Karlin & Studden 1966),
-    # and take both cutting-plane stages; the interaction draws (k = 4) are
-    # past the two-point oracle and need stage A's cuts to steer stage B
+    # (m + 1) / 2 = 2 of admissible cubic designs (Karlin & Studden 1966):
+    # the moment LP decides them, and with it switched off they take both
+    # cutting-plane stages; the interaction draws (k = 4, a span that is no
+    # polynomial on a line) are past both oracles and need stage A's cuts to
+    # steer stage B
+    if not moment_oracle:
+        monkeypatch.setattr(conditional_module, "_moment_oracle", lambda *args: None)
+    elif family == "polynomial":
+        monkeypatch.setattr(conditional_module, "_phase1_ascent", _no_kelley)
     model = make_model(family, space=space, **params)
     d1, grid = _sweep_draw(model, step, draw)
     verdict = find_dominator(d1, grid, model)
@@ -518,6 +534,31 @@ def test_find_dominator_rank_precondition(line2f):
     d = design([[1.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
     with pytest.raises(ValidationError):
         find_dominator(d, np.array([[1.0, 1.0]]), line2f)
+
+
+@pytest.mark.parametrize("b", [1.0, 0.01])
+def test_find_dominator_rank_precondition_is_scale_free(b):
+    # four atoms of a cubic span four dimensions, two candidates only two, at
+    # every scale b; an absolute rank tolerance on M(d1) missed it at b = 0.01
+    cubic = make_model("polynomial", space=interval(0.0, 1.0), degree=3)
+    d1 = design(b * np.array([[0.1], [0.4], [0.7], [1.0]]))
+    with pytest.raises(ValidationError, match="spans less"):
+        find_dominator(d1, np.array([[0.0], [b]]), cubic)
+
+
+def test_find_dominator_one_candidate_is_one_comparison(line2f, monkeypatch):
+    calls = _count_linprog(monkeypatch)
+    # f = (x0, x1): (1, 1) is parallel to (0.5, 0.5) and longer, so it dominates
+    d1 = design([[0.5, 0.5]])
+    verdict = find_dominator(d1, np.array([[1.0, 1.0]]), line2f)
+    assert not verdict.admissible and dominates(verdict.dominator, d1, line2f)
+    # the only design on the design's own point is the design itself
+    verdict = find_dominator(d1, np.array([[0.5, 0.5]]), line2f)
+    assert verdict.admissible and not verdict.inconclusive
+    assert verdict.note == (
+        "no design on these candidates dominates (the only candidate does not dominate)"
+    )
+    assert calls == []
 
 
 def test_splice_slice(growth):
@@ -545,15 +586,109 @@ def test_conditional_audit_passes_on_class(growth):
     assert all(v.admissible for _, v in verdict.evidence)
 
 
-def test_conditional_audit_linear_slices():
-    # the quadratic conditional on a diagonal slice has dimension three, so
-    # only the constrained-ascent phase is available; a two-interior-atom
-    # conditional is dominated there and the splice verifies in full
+def _no_kelley(*args, **kwargs):
+    raise AssertionError("the Kelley loop ran")
+
+
+def test_conditional_audit_linear_slices(monkeypatch):
+    # the quadratic conditional on a diagonal slice has dimension three, past
+    # the two-point oracle; its two interior atoms reach d = 2, so the moment
+    # LP dominates it with the de la Garza design on three points, and the
+    # splice verifies in full. The corner slice t = 0 is one candidate.
+    monkeypatch.setattr(conditional_module, "_phase1_ascent", _no_kelley)
+    calls = _count_linprog(monkeypatch)
     m = make_model("interaction-2f")
     d = design([[0.3, 0.7], [0.6, 0.4], [0.0, 0.0]], [0.3, 0.3, 0.4])
     verdict = conditional_audit(d, SliceMap("linear", coeffs=(1.0, 1.0)), m)
     assert not verdict.admissible and not verdict.inconclusive
     assert dominates(verdict.dominator, d, m, tol=1e-7)
+    (t0, corner), (t1, diagonal) = verdict.evidence
+    assert (t0, t1) == (0.0, 1.0)
+    assert corner.admissible and corner.note.startswith("no design on these candidates dominates")
+    assert diagonal.dominator.m == 3
+    assert sorted(diagonal.dominator.points[:, 0])[::2] == [0.0, 1.0]
+    assert calls == [1]
+
+
+def _moment_case(d1, points, model):
+    F1 = model.eval_many(d1.points)
+    return _moment_oracle(d1, F1, gram(F1, d1.weights), points, model.eval_many(points), model)
+
+
+def _stratified_draw(rng, n, d):
+    """Grid indices of one interior atom in each of d equal strata of n
+    points, plus up to two more grid points, anywhere."""
+    cuts = np.linspace(1, n - 1, d + 1).astype(int)
+    inner = [int(rng.integers(a + 1, b)) for a, b in zip(cuts[:-1], cuts[1:])]
+    extra = rng.choice(n, int(rng.integers(0, 3)), replace=False)
+    return np.unique(np.concatenate([inner, extra]).astype(int))
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 3.0)])
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_moment_oracle_dominates_designs_with_d_interior_atoms(degree, lo, hi, monkeypatch):
+    # with d interior atoms at least two grid steps apart, no polynomial of
+    # degree 2d with a negative leading coefficient is nonnegative on the
+    # grid and vanishes on d1's support (it would need 2d + 2 roots), so by
+    # LP duality the LP raises the top moment;
+    # weights in [0.5, 1] keep that gain above the material margin, which is
+    # relative to M's largest entry (up to 3^8 on [0, 3] at degree 4)
+    monkeypatch.setattr(conditional_module, "_phase1_ascent", _no_kelley)
+    model = make_model("polynomial", space=interval(lo, hi), degree=degree)
+    grid = discretize(model.space, 0.05)
+    rng = np.random.default_rng(degree)
+    for _ in range(4):
+        idx = _stratified_draw(rng, len(grid), degree)
+        d1 = design(grid.points[idx], rng.uniform(0.5, 1.0, idx.size), normalize=True)
+        verdict = find_dominator(d1, grid, model)
+        dom = verdict.dominator
+        assert dom is not None and dominates(dom, d1, model, tol=1e-7)
+        assert gram_rank(info_matrix(dom, model) - info_matrix(d1, model)) == 1
+        assert dom.m <= 2 * degree + 1
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_moment_oracle_skips_designs_with_fewer_interior_atoms(degree, monkeypatch):
+    # at most d - 1 interior atoms: d1 is the only measure with its lower
+    # moments, or their upper principal representation, so no LP is solved
+    calls = _count_linprog(monkeypatch)
+    model = make_model("polynomial", space=interval(0.0, 3.0), degree=degree)
+    grid = discretize(model.space, 0.05).points
+    rng = np.random.default_rng(degree)
+    for inner in range(degree):
+        pts = np.concatenate([[0.0, 3.0], rng.choice(grid[1:-1, 0], inner, replace=False)])
+        d1 = design(pts[:, None], rng.dirichlet(np.ones(pts.size)))
+        assert _moment_case(d1, grid, model) is None
+    assert calls == []
+
+
+def _same_verdict(a, b):
+    assert (a.admissible, a.inconclusive, a.note) == (b.admissible, b.inconclusive, b.note)
+    assert (a.dominator is None) == (b.dominator is None)
+    if a.dominator is not None:
+        assert np.array_equal(a.dominator.points, b.dominator.points)
+        assert np.array_equal(a.dominator.weights, b.dominator.weights)
+
+
+def test_moment_oracle_declines_and_the_chain_runs_on(growth, monkeypatch):
+    calls = _count_linprog(monkeypatch)
+    # exp-growth-2f on x0 = 0.5 spans {1, x1 e^{-x1}}: no polynomial, no LP
+    d = design([[0.5, 0.2], [0.5, 0.5], [0.5, 0.8]], [0.3, 0.3, 0.4])
+    sl = decompose(d, SliceMap("coordinate", axis=0), growth).slices[0]
+    cm, d1 = sl.conditional, sl.conditional_design
+    assert _moment_case(d1, cm.grid, cm) is None and calls == []
+    # two close atoms off a coarse grid: no grid measure has their moments,
+    # so the one LP is infeasible
+    quad = make_model("polynomial", space=interval(-1.0, 1.0), degree=2)
+    grid = discretize(quad.space, 0.5).points
+    off = design([[0.2], [0.3]])
+    assert _moment_case(off, grid, quad) is None and calls == [1]
+    # either way the verdict is the one of the chain without the oracle
+    cases = [(d1, cm.grid, cm), (off, grid, quad)]
+    got = [find_dominator(*case) for case in cases]
+    monkeypatch.setattr(conditional_module, "_moment_oracle", lambda *args: None)
+    for verdict, case in zip(got, cases):
+        _same_verdict(verdict, find_dominator(*case))
 
 
 def test_conditional_audit_single_atom(growth):
