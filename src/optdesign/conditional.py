@@ -10,10 +10,13 @@ directly; inadmissibility of any conditional design lifts to inadmissibility
 of the full design by splicing in the dominating slice.
 
 The dominator search is a chain that stops at the first verified dominator
-(a single candidate takes one comparison): the exhaustive two-point oracle
-(at most two parameters, at most 200 candidates); then, where the span of f
-on a line is h P_d (h > 0, P_d the polynomials of degree <= d), de la
-Garza's moment problem as one LP with 2d + 1 rows; then one Kelley
+or proof (a single candidate takes one comparison): where f spans the
+constants plus one function g, de la Garza's closed form (the atoms at the
+two ends of g prove admissibility, else the two-end design at the same mean
+of g dominates); the exhaustive two-point oracle (at most two parameters,
+at most 200 candidates); then, where the span of f on a line is h P_d
+(h > 0, P_d the polynomials of degree <= d), de la Garza's moment problem
+as one LP with 2d + 1 rows, or with no LP its index proof; then one Kelley
 cutting-plane loop.
 """
 
@@ -94,10 +97,12 @@ class SliceDecomposition:
 
 @dataclass(frozen=True)
 class AdmissibilityVerdict:
-    """One-sided verdict: ``admissible`` means no dominator was found within
-    budget, which is evidence, not proof; ``inadmissible`` carries a verified
-    dominator. ``inconclusive`` marks a search that ran out of budget while
-    still making progress."""
+    """``inadmissible`` carries a verified dominator. ``admissible`` is a
+    proof when ``note`` says that no design on the candidates dominates (by
+    de la Garza's ends of g, the index of a polynomial design, a Kelley dual
+    bound, or a single candidate); otherwise it means no dominator was found
+    within budget, which is evidence, not proof. ``inconclusive`` marks a
+    search that ran out of budget while still making progress."""
 
     admissible: bool
     dominator: Design | None = None
@@ -299,20 +304,39 @@ def recompose_check(design: Design, tmap: SliceMap, model: ModelSpec) -> float:
 def dominates(d2: Design, d1: Design, model, tol: float = 1e-9) -> bool:
     """True iff M(d2) - M(d1) is nonnegative definite and nonzero (both within
     tol relative to the larger matrix scale)."""
-    return _dominates_m1(d2, info_matrix(d1, model), model, tol, 1.0)
+    return _loewner_gap(info_matrix(d2, model), info_matrix(d1, model), tol)
 
 
-MATERIAL_FACTOR = 100.0  # a dominator must beat the PSD slack by this margin
-
-
-def _dominates_m1(d2: Design, M1: np.ndarray, model, tol=DOMINANCE_TOL, factor=MATERIAL_FACTOR):
-    """``dominates`` against the design of information matrix M1; by default the
-    gap's largest entry must beat the search's slack by MATERIAL_FACTOR."""
-    M2 = info_matrix(d2, model)
+def _loewner_gap(M2: np.ndarray, M1: np.ndarray, tol: float) -> bool:
+    """``dominates`` on information matrices."""
     delta = M2 - M1
     scale = max(np.abs(M1).max(), np.abs(M2).max(), 1e-300)
     lmin = float(np.linalg.eigvalsh(0.5 * (delta + delta.T))[0])
-    return lmin >= -tol * scale and float(np.abs(delta).max()) > factor * tol * scale
+    return lmin >= -tol * scale and float(np.abs(delta).max()) > tol * scale
+
+
+MATERIAL_FACTOR = 100.0  # a dominator's gap must clear this many tolerances (see _dominates_m1)
+
+
+def _dominates_m1(d2: Design, M1: np.ndarray, model, tol=DOMINANCE_TOL):
+    """``dominates(d2, d1, model, tol)`` for d1 of information matrix M1, with
+    a material gap. In the frame whitened by M1 + M2 the gap's eigenvalues
+    lie in [-1, 1] and are free of the basis of f: the smallest must be at
+    least -MATERIAL_FACTOR * tol and the largest above MATERIAL_FACTOR * tol.
+    ``dominates``' slack is relative to M's largest entry; here a gap that
+    is negative only where M1 + M2 is small fails, and one that is small
+    against M's largest entry but large where M1 + M2 is small counts.
+    Eigenvalues of M1 + M2 below 1e-10 of its largest are taken as its null
+    space, where the gap vanishes too; above that cut, rounding in the gap
+    reads as at most about 1e-6."""
+    M2 = info_matrix(d2, model)
+    if not _loewner_gap(M2, M1, tol):
+        return False
+    vals, vecs = np.linalg.eigh(M1 + M2)
+    keep = vals > 1e-10 * vals[-1]
+    W = vecs[:, keep] / np.sqrt(vals[keep])
+    lam = np.linalg.eigvalsh(W.T @ (M2 - M1) @ W)
+    return float(lam[0]) >= -MATERIAL_FACTOR * tol and float(lam[-1]) > MATERIAL_FACTOR * tol
 
 
 def _nonneg_interval(a, b, c):
@@ -430,6 +454,67 @@ def _weights_dominator(w: np.ndarray, points: np.ndarray, M1: np.ndarray, model)
     return cand if _dominates_m1(cand, M1, model) else None
 
 
+def _two_end_stage(d1: Design, F1: np.ndarray, M1: np.ndarray, points, F, model):
+    """De la Garza's closed form where f spans the constants plus one function g.
+
+    It applies when k = 2 and the constants lie in the span of f on the
+    candidates and d1's atoms; g is then the span's direction off the
+    constants. In the basis (1, g) the gap M(w) - M(d1) has entry 0 in the
+    corner (sum w = 1), so a nonnegative definite gap matches d1's mean of g,
+    and among the measures on [g_lo, g_hi] with that mean the one on the two
+    ends alone has the largest mean of g^2. Hence:
+
+    - d1's atoms all at an end of g over the candidates and its atoms
+      (within SLICE_TOL of the range) is a proof that no design dominates;
+    - d1's atoms inside the candidates' range of g are dominated by the
+      two-end design of mass (E g - g_lo) / (g_hi - g_lo) on the candidates'
+      g-maximizer, returned once it verifies.
+
+    Returns (dominator or None, proof or ""); both empty leave d1 to the
+    rest of the chain.
+    """
+    G = np.vstack([F, F1])
+    if F.shape[1] != 2 or gram_rank(G) != 2 or not _spans(G, np.ones((len(G), 1))):
+        return None, ""
+    centered = G - G.mean(axis=0)
+    g = centered @ np.linalg.svd(centered, full_matrices=False)[2][0]
+    n, lo, hi = len(points), g.min(), g.max()
+    tol = SLICE_TOL * (hi - lo)
+    g1 = g[n:]
+    if np.all((g1 <= lo + tol) | (g1 >= hi - tol)):
+        return None, "de la Garza: its atoms sit at the two ends of g"
+    i_lo, i_hi = int(g[:n].argmin()), int(g[:n].argmax())
+    if g1.min() < g[i_lo] - tol or g1.max() > g[i_hi] + tol:
+        return None, ""
+    w = np.zeros(n)
+    w[i_hi] = np.clip((d1.weights @ g1 - g[i_lo]) / (g[i_hi] - g[i_lo]), 0.0, 1.0)
+    w[i_lo] = 1.0 - w[i_hi]
+    return _weights_dominator(w, points, M1, model), ""
+
+
+def _distinct(values: np.ndarray) -> int:
+    """The number of distinct values, grouping those within SLICE_TOL."""
+    v = np.sort(values)
+    return v.size - int(np.count_nonzero(np.diff(v) <= SLICE_TOL))
+
+
+def _index_proof(x: np.ndarray, h: np.ndarray, G: np.ndarray, n: int, d: int) -> bool:
+    """Whether the atoms x[n:] of d1 are proven admissible by their index:
+    f on the candidates x[:n] and d1's atoms (rows of G) spans all of P_d,
+    h is constant, and d1 has at most d - 1 distinct atoms strictly inside
+    the hull of x. Then M(w) - M(d1) nonnegative definite forces w to match
+    d1's moments 0..2d-1 (the Hankel gap has a zero corner), and among such
+    measures on the hull d1 is the only one or the upper principal
+    representation, which has the largest moment 2d (Kiefer 1959; Karlin &
+    Studden 1966), so the gap is 0. A proper subspace of P_d, such as
+    (1, x, x^3), leaves moments out of M, and a nonconstant h makes
+    sum w = 1 no moment of h^2, so neither case is proven."""
+    if gram_rank(G) != d + 1 or np.ptp(h) > SLICE_TOL * np.abs(h).max():
+        return False
+    a = x[n:]
+    return _distinct(a[(a > x.min() + SLICE_TOL) & (a < x.max() - SLICE_TOL)]) <= d - 1
+
+
 def _moment_oracle(d1: Design, F1: np.ndarray, M1: np.ndarray, points, F, model):
     """De la Garza's moment problem as one LP, for a span that is polynomial on a line.
 
@@ -445,8 +530,11 @@ def _moment_oracle(d1: Design, F1: np.ndarray, M1: np.ndarray, points, F, model)
     vertex has at most 2d + 1 atoms. When d1 has at most d - 1 distinct atoms
     strictly inside the candidates' x-range, no other measure there shares
     its lower moments (Karlin & Studden 1966: its index is below d, or d1 is
-    the upper principal representation), so no LP is solved. The answer is
+    the upper principal representation), so no LP is solved; where
+    ``_index_proof`` holds, that is a proof of admissibility. The answer is
     returned only once it verifies.
+
+    Returns (dominator or None, proof or "").
     """
     from scipy.optimize import linprog
 
@@ -454,17 +542,19 @@ def _moment_oracle(d1: Design, F1: np.ndarray, M1: np.ndarray, points, F, model)
     P = np.vstack([points, d1.points])
     x = _line_coordinate(points, P)
     if x is None:
-        return None
+        return None, ""
     if isinstance(model, ConditionalModel):
         h = model.model.eval_many(P)[:, 0]
     else:
         h = np.concatenate([F[:, 0], F1[:, 0]])
-    d = _span_degree(h, x, np.vstack([F, F1]))
+    G = np.vstack([F, F1])
+    d = _span_degree(h, x, G)
     if d is None:
-        return None
-    inner = np.sort(x[n:][np.abs(x[n:]) < 1.0 - SLICE_TOL])
-    if inner.size - np.count_nonzero(np.diff(inner) <= SLICE_TOL) < d:
-        return None  # at most d - 1 distinct interior atoms
+        return None, ""
+    if _distinct(x[n:][np.abs(x[n:]) < 1.0 - SLICE_TOL]) < d:
+        # at most d - 1 distinct interior atoms
+        proof = f"Karlin-Studden index: at most {d - 1} interior atoms under P_{d}"
+        return None, proof if _index_proof(x, h, G, n, d) else ""
     h = h / h.max()
     V = (h * h)[:, None] * np.polynomial.chebyshev.chebvander(x, 2 * d)
     moments = d1.weights @ V[n:]
@@ -473,8 +563,8 @@ def _moment_oracle(d1: Design, F1: np.ndarray, M1: np.ndarray, points, F, model)
         b_eq=np.append(1.0, moments[: 2 * d]), bounds=(0.0, None), method="highs",
     )
     if res.status != 0:
-        return None
-    return _weights_dominator(np.maximum(res.x, 0.0), points, M1, model)
+        return None, ""
+    return _weights_dominator(np.maximum(res.x, 0.0), points, M1, model), ""
 
 
 def _phase1_ascent(M1: np.ndarray, points: np.ndarray, F: np.ndarray, model, budget: int):
@@ -588,12 +678,18 @@ def find_dominator(
 ) -> AdmissibilityVerdict:
     """Search for a design whose information matrix dominates d1's.
 
-    A chain of searches runs until one returns a verified dominator:
+    A chain of searches runs until one returns a verified dominator or a
+    proof that none exists:
 
     - A single candidate is decided by one comparison: the only design on it
       is that point.
+    - When k = 2 and f on the candidates and d1's atoms spans the constants
+      plus one function g, de la Garza's argument decides in closed form
+      (``_two_end_stage``): d1 with every atom at an end of g's range is
+      proven admissible, and d1 inside the candidates' range of g is
+      dominated by the two-end design with d1's mean of g. No search runs.
     - On small problems (dimension <= 2, at most 200 candidates) the
-      exhaustive two-point oracle runs first: it is exact in the weight and
+      exhaustive two-point oracle runs next: it is exact in the weight and
       its answer is interpretable.
     - When the span of f on the candidates and d1's atoms is h P_d on a line
       (h > 0 the full model's first regression function, P_d the polynomials
@@ -602,7 +698,9 @@ def find_dominator(
       moments 0..2d-1 of h^2 and raise moment 2d, which makes the gap
       M(w) - M(d1) rank one and nonnegative definite (``_moment_oracle``).
       It is skipped, with no LP, when d1 has at most d - 1 atoms inside the
-      candidates' range, as then no other design shares those moments.
+      candidates' range, as then no other design shares those moments; when
+      the span is all of P_d and h is constant, that skip is a proof of
+      admissibility (``_index_proof``).
     - Otherwise one Kelley cutting-plane loop runs over all candidates: it
       first bounds the best achievable smallest eigenvalue of M(w) - M(d1),
       then maximizes the trace gain over the cut relaxation of the dominance
@@ -638,10 +736,12 @@ def find_dominator(
         best = _weights_dominator(np.ones(1), points, M1, model)
         proof = "" if best is not None else "the only candidate does not dominate"
     else:
-        best = _phase2_oracle(M1, points, F, model) if oracle_applies else None
-        if best is None:
-            best = _moment_oracle(d1, F1, M1, points, F, model)
-        if best is None:
+        best, proof = _two_end_stage(d1, F1, M1, points, F, model)
+        if best is None and not proof and oracle_applies:
+            best = _phase2_oracle(M1, points, F, model)
+        if best is None and not proof:
+            best, proof = _moment_oracle(d1, F1, M1, points, F, model)
+        if best is None and not proof:
             best, improving, proven_none = _phase1_ascent(M1, points, F, model, budget)
             proof = "dual bound below tolerance" if proven_none else ""
     if best is not None:
@@ -743,8 +843,12 @@ def product_audit(design: Design, model: ModelSpec, budget: int = 3000) -> Produ
     marginals to be admissible; when the marginal admissible classes have at
     most p_1 and p_2 support points, the full class needs at most p_1 * p_2.
     Each marginal design is audited and reported on its marginal model's
-    axis line, against that line's grid of at most 200 points, so the
-    exhaustive dominator oracle stays applicable.
+    axis line, against that line's grid of at most 200 points. A marginal
+    spanning the constants plus one function g is decided in closed form,
+    with a proof when the design sits on the two ends of g (an end may lie
+    off the grid, at an atom of the design); at most 200 points keep the
+    exhaustive two-point oracle applicable to the other two-parameter
+    marginals.
     """
     verdicts, margins, bounds = [], [], []
     for axis in range(model.space.dimension):

@@ -520,7 +520,7 @@ def test_find_dominator_random_inadmissible_designs(
     # polynomial on a line) are past both oracles and need stage A's cuts to
     # steer stage B
     if not moment_oracle:
-        monkeypatch.setattr(conditional_module, "_moment_oracle", lambda *args: None)
+        monkeypatch.setattr(conditional_module, "_moment_oracle", lambda *args: (None, ""))
     elif family == "polynomial":
         monkeypatch.setattr(conditional_module, "_phase1_ascent", _no_kelley)
     model = make_model(family, space=space, **params)
@@ -650,16 +650,96 @@ def test_moment_oracle_dominates_designs_with_d_interior_atoms(degree, lo, hi, m
 @pytest.mark.parametrize("degree", [2, 3, 4])
 def test_moment_oracle_skips_designs_with_fewer_interior_atoms(degree, monkeypatch):
     # at most d - 1 interior atoms: d1 is the only measure with its lower
-    # moments, or their upper principal representation, so no LP is solved
+    # moments, or their upper principal representation, so no LP is solved,
+    # and on all of P_d that is a proof
     calls = _count_linprog(monkeypatch)
     model = make_model("polynomial", space=interval(0.0, 3.0), degree=degree)
     grid = discretize(model.space, 0.05).points
     rng = np.random.default_rng(degree)
+    proof = f"Karlin-Studden index: at most {degree - 1} interior atoms under P_{degree}"
     for inner in range(degree):
         pts = np.concatenate([[0.0, 3.0], rng.choice(grid[1:-1, 0], inner, replace=False)])
         d1 = design(pts[:, None], rng.dirichlet(np.ones(pts.size)))
-        assert _moment_case(d1, grid, model) is None
+        assert _moment_case(d1, grid, model) == (None, proof)
     assert calls == []
+
+
+def _index_designs(rng, grid, degree):
+    """Designs of at most degree - 1 interior grid atoms, with both ends of
+    the grid, one of them, or neither."""
+    lo, hi = grid[0, 0], grid[-1, 0]
+    out = []
+    for ends in ([lo, hi], [lo], [hi], []):
+        for inner in range(max(1 - len(ends), 0), degree):
+            pts = np.concatenate([ends, rng.choice(grid[1:-1, 0], inner, replace=False)])
+            out.append(design(pts[:, None], rng.dirichlet(np.ones(pts.size))))
+    return out
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 3.0)])
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_index_proof_decides_designs_with_fewer_interior_atoms(degree, lo, hi, monkeypatch):
+    # on all of P_d with constant h, at most d - 1 interior atoms prove
+    # admissibility with no LP; with the proof off, the Kelley loop finds
+    # no dominator either. At degree 4 on [0, 3] two of its stage-B points
+    # pass ``dominates``' slack, which is relative to M's largest entry,
+    # yet have whitened gap eigenvalues near -0.6 and -0.003:
+    # ``_dominates_m1`` must reject them
+    model = make_model("polynomial", space=interval(lo, hi), degree=degree)
+    grid = discretize(model.space, 0.05).points
+    designs = _index_designs(np.random.default_rng(degree), grid, degree)
+    calls = _count_linprog(monkeypatch)
+    for d1 in designs:
+        verdict = find_dominator(d1, grid, model)
+        assert verdict.admissible and verdict.note == (
+            "no design on these candidates dominates "
+            f"(Karlin-Studden index: at most {degree - 1} interior atoms under P_{degree})"
+        )
+    assert calls == []
+    monkeypatch.setattr(conditional_module, "_index_proof", lambda *args: False)
+    for d1 in designs:
+        verdict = find_dominator(d1, grid, model)
+        assert verdict.dominator is None and not verdict.inconclusive
+    assert calls
+
+
+def test_index_proof_needs_all_of_p_d_and_constant_h():
+    # (1, x, x^3) is a proper subspace of P_3, and h = e^{-x} > 0 makes sum w = 1
+    # no moment of h^2: neither is proven, though both skip the LP
+    gap = make_model("cubic-gap", space=interval(-1.0, 1.0))
+    wpoly = make_model(
+        "weighted-polynomial", space=interval(0.0, 2.0), degree=2,
+        efficiency={"kind": "exp", "rate": 1.0},
+    )
+    for model in (gap, wpoly):
+        grid = discretize(model.space, 0.05).points
+        d1 = design(grid[[0, len(grid) // 3, -1]], [0.3, 0.3, 0.4])
+        assert _moment_case(d1, grid, model) == (None, "")
+
+
+def _quartic_draw(seed, grid):
+    """Equal weights on 4 to 6 distinct interior grid points, from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(4, 7))
+    idx = np.sort(rng.choice(np.arange(1, len(grid) - 1), m, replace=False))
+    return design(grid[idx], np.full(m, 1.0 / m))
+
+
+@pytest.mark.parametrize("seed", [6, 7, 12, 13, 19])
+def test_moment_oracle_gap_is_material_in_a_whitened_frame(seed, monkeypatch):
+    # on a quartic over [0, 3] the entries of M reach 3^8; the moment LP's
+    # rank-one gap on these draws is below 1e-5 of that largest entry, which
+    # an entry-wise materiality rule rejected, and the Kelley loop then ran;
+    # in the frame whitened by M1 + M2 its eigenvalue is near 1
+    monkeypatch.setattr(conditional_module, "_phase1_ascent", _no_kelley)
+    model = make_model("polynomial", space=interval(0.0, 3.0), degree=4)
+    grid = discretize(model.space, 0.01).points
+    d1 = _quartic_draw(seed, grid)
+    dom = find_dominator(d1, grid, model).dominator
+    assert dom is not None and dominates(dom, d1, model, tol=DOMINANCE_TOL)
+    M1, M2 = info_matrix(d1, model), info_matrix(dom, model)
+    assert gram_rank(M2 - M1) == 1
+    assert np.abs(M2 - M1).max() <= MATERIAL_FACTOR * DOMINANCE_TOL * np.abs(M2).max()
 
 
 def _same_verdict(a, b):
@@ -676,19 +756,113 @@ def test_moment_oracle_declines_and_the_chain_runs_on(growth, monkeypatch):
     d = design([[0.5, 0.2], [0.5, 0.5], [0.5, 0.8]], [0.3, 0.3, 0.4])
     sl = decompose(d, SliceMap("coordinate", axis=0), growth).slices[0]
     cm, d1 = sl.conditional, sl.conditional_design
-    assert _moment_case(d1, cm.grid, cm) is None and calls == []
+    assert _moment_case(d1, cm.grid, cm) == (None, "") and calls == []
     # two close atoms off a coarse grid: no grid measure has their moments,
     # so the one LP is infeasible
     quad = make_model("polynomial", space=interval(-1.0, 1.0), degree=2)
     grid = discretize(quad.space, 0.5).points
     off = design([[0.2], [0.3]])
-    assert _moment_case(off, grid, quad) is None and calls == [1]
+    assert _moment_case(off, grid, quad) == (None, "") and calls == [1]
     # either way the verdict is the one of the chain without the oracle
     cases = [(d1, cm.grid, cm), (off, grid, quad)]
     got = [find_dominator(*case) for case in cases]
-    monkeypatch.setattr(conditional_module, "_moment_oracle", lambda *args: None)
+    monkeypatch.setattr(conditional_module, "_moment_oracle", lambda *args: (None, ""))
     for verdict, case in zip(got, cases):
         _same_verdict(verdict, find_dominator(*case))
+
+
+# k = 2 models that span the constants plus g: (name, family or two-factor
+# model, its parameter), with g read off the one-factor family of the span
+K2_CASES = [
+    ("xexp-0.5", "xexp-decay", 0.5),
+    ("xexp-1", "xexp-decay", 1.0),
+    ("xexp-2", "xexp-decay", 2.0),
+    ("poly1", "polynomial", None),
+    ("growth-x0", "exp-growth-2f", 0),
+    ("growth-x1", "exp-growth-2f", 1),
+    ("mixture-x1", "mixture-poly-exp", 1),
+]
+
+
+def _k2_case(family, arg):
+    """(model, candidate points, g as a function of points)."""
+    if family == "xexp-decay":
+        model = make_model(family, space=interval(0.0, 3.0), rate=arg)
+        return model, discretize(model.space, 0.05).points, lambda p: model.eval_many(p)[:, 1]
+    if family == "polynomial":
+        model = make_model(family, space=interval(-1.0, 1.0), degree=1)
+        return model, discretize(model.space, 0.05).points, lambda p: p[:, 0]
+    full = make_model(family, **({"theta": [1.0, 1.0, 1.0]} if "growth" in family else {"theta3": 1.0}))
+    mm, ref = marginal_model(full, arg), registered_marginal(full, arg)
+    return mm, mm.grid, lambda p: ref.eval_many(p[:, [arg]])[:, 1]
+
+
+def _verdict_class(v):
+    return "inconclusive" if v.inconclusive else ("admissible" if v.admissible else "inadmissible")
+
+
+@pytest.mark.parametrize("family, arg", [c[1:] for c in K2_CASES], ids=[c[0] for c in K2_CASES])
+def test_two_end_stage_agrees_with_the_chain(family, arg, monkeypatch):
+    # random designs on 2 to 4 candidates: de la Garza's closed form gives
+    # the chain's verdict class, with a dominator on the ends of g, and runs
+    # neither an LP nor the pair scan
+    model, cands, g = _k2_case(family, arg)
+    rng = np.random.default_rng(5)
+    draws = []
+    for _ in range(10):
+        idx = rng.choice(len(cands), int(rng.integers(2, 5)), replace=False)
+        draws.append(design(cands[idx], rng.uniform(0.05, 1.0, idx.size), normalize=True))
+    calls, scans = _count_linprog(monkeypatch), []
+    scan = conditional_module._phase2_oracle
+    monkeypatch.setattr(
+        conditional_module, "_phase2_oracle", lambda *args: scans.append(1) or scan(*args)
+    )
+    got = [find_dominator(d1, cands, model) for d1 in draws]
+    assert calls == [] and scans == []
+    gc = g(cands)
+    for d1, verdict in zip(draws, got):
+        if verdict.dominator is not None:
+            assert dominates(verdict.dominator, d1, model, tol=DOMINANCE_TOL)
+            gd = g(verdict.dominator.points)
+            assert np.all(np.minimum(abs(gd - gc.min()), abs(gd - gc.max())) <= 1e-12)
+    monkeypatch.setattr(conditional_module, "_two_end_stage", lambda *args: (None, ""))
+    old = [find_dominator(d1, cands, model) for d1 in draws]
+    assert [_verdict_class(v) for v in got] == [_verdict_class(v) for v in old]
+    assert "inadmissible" in {_verdict_class(v) for v in got}
+
+
+DE_LA_GARZA = "no design on these candidates dominates (de la Garza: its atoms sit at the two ends of g)"
+
+
+def test_two_end_stage_proves_designs_at_the_ends(xexp_grid, monkeypatch):
+    # g = x e^{-x} on [0, 3] has its ends at x = 0 and x = 1
+    m, grid = xexp_grid
+    pts = grid.points
+    inside = pts[pts[:, 0] >= 0.5]  # g from g(3) = 0.149 up to g(1)
+    coarse = discretize(m.space, 0.03).points  # misses x = 1, the top of g
+    cases = [
+        (design([[0.0]]), pts),
+        (design([[1.0]]), pts),
+        (design([[0.0], [1.0]], [0.3, 0.7]), pts),
+        # atoms beyond the candidates' range of g
+        (design([[0.0], [1.0]], [0.6, 0.4]), inside),
+        (design([[0.0], [1.0]], [0.5, 0.5]), coarse),
+        (design([[1.0]]), coarse),
+    ]
+    calls = _count_linprog(monkeypatch)
+    for d1, cands in cases:
+        verdict = find_dominator(d1, cands, m)
+        assert verdict.admissible and verdict.note == DE_LA_GARZA
+    assert calls == []
+    # one atom below the candidates' range and one inside it: the chain decides
+    d1 = design([[0.0], [0.7]])
+    F1 = m.eval_many(d1.points)
+    assert conditional_module._two_end_stage(
+        d1, F1, gram(F1, d1.weights), inside, m.eval_many(inside), m
+    ) == (None, "")
+    monkeypatch.setattr(conditional_module, "_two_end_stage", lambda *args: (None, ""))
+    for d1, cands in cases:
+        assert find_dominator(d1, cands, m).admissible
 
 
 def test_conditional_audit_single_atom(growth):
@@ -747,11 +921,15 @@ def test_marginal_model_needs_f_free_of_the_other_factor():
             marginal_model(line2f, axis)
 
 
-def test_product_audit_growth(growth):
+def test_product_audit_growth(growth, monkeypatch):
+    # both marginals sit on {0, 1}, the ends of g = x e^{-x}: a proof, no LP
+    calls = _count_linprog(monkeypatch)
     d = design([[0, 0], [0, 1], [1, 0], [1, 1]], [0.25, 0.25, 0.25, 0.25])
     report = product_audit(d, growth)
     assert report.support_bound == 4
+    assert [v.note for v in report.factor_verdicts] == [DE_LA_GARZA, DE_LA_GARZA]
     assert all(v.admissible for v in report.factor_verdicts)
+    assert calls == []
 
 
 @pytest.fixture(scope="module")
@@ -774,7 +952,9 @@ def test_product_audit_mixture(mixture, mixture_solution):
     interior = [x for x in xs if abs(abs(x) - 1.0) > 1e-9]
     if len(interior) == 2:
         assert interior[0] == pytest.approx(-interior[1], abs=0.02)
-    # second marginal: supported on {0, x2*} with x2* = min(1/theta3, 2)
+    # second marginal: supported on {0, x2*} with x2* = min(1/theta3, 2), the
+    # ends of g = x e^{-x}; x2* = 1 is off the 200-point line, above its g
+    assert report.factor_verdicts[1].note == DE_LA_GARZA
     xs1 = sorted(float(x[1]) for x, _ in m1.atoms())
     assert xs1[0] == pytest.approx(0.0, abs=0.02)
     assert xs1[-1] == pytest.approx(1.0, abs=0.02)
