@@ -9,15 +9,14 @@ same on every parallel line. Dominance in the Loewner order is tested
 directly; inadmissibility of any conditional design lifts to inadmissibility
 of the full design by splicing in the dominating slice.
 
-The dominator search is a chain that stops at the first verified dominator
-or proof (a single candidate takes one comparison): where f spans the
-constants plus one function g, de la Garza's closed form (the atoms at the
-two ends of g prove admissibility, else the two-end design at the same mean
-of g dominates); the exhaustive two-point oracle (at most two parameters,
-at most 200 candidates); then, where the span of f on a line is h P_d
-(h > 0, P_d the polynomials of degree <= d), de la Garza's moment problem
-as one LP with 2d + 1 rows, or with no LP its index proof; then one Kelley
-cutting-plane loop.
+The dominator search is a chain of four stages that stops at the first
+verified dominator or proof: a single candidate takes one comparison; where
+the span of f on a line is h P_d (h > 0, P_d the polynomials of degree
+<= d; the constants plus one function g is P_1 in g), de la Garza's moment
+problem gives the index proof, at d = 1 with h constant the two ends of g
+at d1's mean in closed form, or else one LP with 2d + 1 rows; the
+exhaustive two-point oracle (at most two parameters, at most 200
+candidates); then one Kelley cutting-plane loop.
 """
 
 from __future__ import annotations
@@ -99,10 +98,11 @@ class SliceDecomposition:
 class AdmissibilityVerdict:
     """``inadmissible`` carries a verified dominator. ``admissible`` is a
     proof when ``note`` says that no design on the candidates dominates (by
-    de la Garza's ends of g, the index of a polynomial design, a Kelley dual
-    bound, or a single candidate); otherwise it means no dominator was found
-    within budget, which is evidence, not proof. ``inconclusive`` marks a
-    search that ran out of budget while still making progress."""
+    the index of a polynomial design, which at degree 1 puts its atoms at
+    the ends of g, a Kelley dual bound, or a single candidate); otherwise it
+    means no dominator was found within budget, which is evidence, not
+    proof. ``inconclusive`` marks a search that ran out of budget while
+    still making progress."""
 
     admissible: bool
     dominator: Design | None = None
@@ -236,19 +236,34 @@ def _span_degree(h: np.ndarray, x: np.ndarray, F: np.ndarray) -> int | None:
     return None
 
 
+def _garza_frame(points: np.ndarray, P: np.ndarray, G: np.ndarray, model):
+    """The frame (h, x, d) of de la Garza's moment problem for the regression
+    rows G at the rows of P, whose first rows are the candidates ``points``:
+    the span of G is h P_d, with h > 0 and P_d the polynomials of degree
+    <= d in x. Where G has two columns and its span holds the constants,
+    that span is P_1 in g, its direction off the constants, so h = 1, x = g
+    and d = 1 by construction. Otherwise x is the candidates' coordinate of
+    largest spread mapped onto [-1, 1], h the full model's first regression
+    function and d that of ``_span_degree``. None when neither applies."""
+    if G.shape[1] == 2 and gram_rank(G) == 2 and _spans(G, np.ones((len(G), 1))):
+        centered = G - G.mean(axis=0)
+        return np.ones(len(G)), centered @ np.linalg.svd(centered, full_matrices=False)[2][0], 1
+    x = _line_coordinate(points, P)
+    if x is None:
+        return None
+    h = model.model.eval_many(P)[:, 0] if isinstance(model, ConditionalModel) else G[:, 0]
+    d = _span_degree(h, x, G)
+    return None if d is None else (h, x, d)
+
+
 def admissible_support_bound(cm: ConditionalModel) -> int | None:
     """Support bound of the admissible class of a one-factor model, from its
-    span on its grid (de la Garza 1954): 2 for the constants plus one function
-    g, as moving an interior point's mass to the ends of g raises M (see
-    ``CandidateSet.screen``); else d + 1 for the smallest d <= k + 1 with the
-    span in h P_d, h > 0 the full model's first regression function and P_d
-    the polynomials of degree <= d (``_span_degree``); else None."""
-    if cm.k == 2 and _has_constants(cm):
-        return 2
-    full = cm.model.eval_many(cm.grid)
-    x = _line_coordinate(cm.grid, cm.grid)
-    d = None if x is None else _span_degree(full[:, 0], x, full @ cm.lift)
-    return None if d is None else d + 1
+    span on its grid (de la Garza 1954): d + 1 for the frame h P_d of
+    ``_garza_frame``, so 2 for the constants plus one function g, as moving
+    an interior point's mass to the ends of g raises M (see
+    ``CandidateSet.screen``); else None."""
+    frame = _garza_frame(cm.grid, cm.grid, cm.eval_many(cm.grid), cm)
+    return None if frame is None else frame[2] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -454,107 +469,75 @@ def _weights_dominator(w: np.ndarray, points: np.ndarray, M1: np.ndarray, model)
     return cand if _dominates_m1(cand, M1, model) else None
 
 
-def _two_end_stage(d1: Design, F1: np.ndarray, M1: np.ndarray, points, F, model):
-    """De la Garza's closed form where f spans the constants plus one function g.
-
-    It applies when k = 2 and the constants lie in the span of f on the
-    candidates and d1's atoms; g is then the span's direction off the
-    constants. In the basis (1, g) the gap M(w) - M(d1) has entry 0 in the
-    corner (sum w = 1), so a nonnegative definite gap matches d1's mean of g,
-    and among the measures on [g_lo, g_hi] with that mean the one on the two
-    ends alone has the largest mean of g^2. Hence:
-
-    - d1's atoms all at an end of g over the candidates and its atoms
-      (within SLICE_TOL of the range) is a proof that no design dominates;
-    - d1's atoms inside the candidates' range of g are dominated by the
-      two-end design of mass (E g - g_lo) / (g_hi - g_lo) on the candidates'
-      g-maximizer, returned once it verifies.
-
-    Returns (dominator or None, proof or ""); both empty leave d1 to the
-    rest of the chain.
-    """
-    G = np.vstack([F, F1])
-    if F.shape[1] != 2 or gram_rank(G) != 2 or not _spans(G, np.ones((len(G), 1))):
-        return None, ""
-    centered = G - G.mean(axis=0)
-    g = centered @ np.linalg.svd(centered, full_matrices=False)[2][0]
-    n, lo, hi = len(points), g.min(), g.max()
-    tol = SLICE_TOL * (hi - lo)
-    g1 = g[n:]
-    if np.all((g1 <= lo + tol) | (g1 >= hi - tol)):
-        return None, "de la Garza: its atoms sit at the two ends of g"
-    i_lo, i_hi = int(g[:n].argmin()), int(g[:n].argmax())
-    if g1.min() < g[i_lo] - tol or g1.max() > g[i_hi] + tol:
-        return None, ""
-    w = np.zeros(n)
-    w[i_hi] = np.clip((d1.weights @ g1 - g[i_lo]) / (g[i_hi] - g[i_lo]), 0.0, 1.0)
-    w[i_lo] = 1.0 - w[i_hi]
-    return _weights_dominator(w, points, M1, model), ""
+def _interior(a: np.ndarray, lo: float, hi: float, tol: float) -> int:
+    """The number of distinct values of a more than tol inside [lo, hi],
+    grouping those within tol."""
+    v = np.sort(a[(a > lo + tol) & (a < hi - tol)])
+    return v.size - int(np.count_nonzero(np.diff(v) <= tol))
 
 
-def _distinct(values: np.ndarray) -> int:
-    """The number of distinct values, grouping those within SLICE_TOL."""
-    v = np.sort(values)
-    return v.size - int(np.count_nonzero(np.diff(v) <= SLICE_TOL))
-
-
-def _index_proof(x: np.ndarray, h: np.ndarray, G: np.ndarray, n: int, d: int) -> bool:
-    """Whether the atoms x[n:] of d1 are proven admissible by their index:
-    f on the candidates x[:n] and d1's atoms (rows of G) spans all of P_d,
-    h is constant, and d1 has at most d - 1 distinct atoms strictly inside
-    the hull of x. Then M(w) - M(d1) nonnegative definite forces w to match
-    d1's moments 0..2d-1 (the Hankel gap has a zero corner), and among such
-    measures on the hull d1 is the only one or the upper principal
+def _index_proof(x: np.ndarray, G: np.ndarray, n: int, d: int, tol: float) -> bool:
+    """Whether the atoms x[n:] of d1 are proven admissible by their index,
+    for constant h: f on the candidates x[:n] and d1's atoms (rows of G)
+    spans all of P_d, and d1 has at most d - 1 distinct atoms more than tol
+    inside the hull of x. Then M(w) - M(d1) nonnegative definite forces w to
+    match d1's moments 0..2d-1 (the Hankel gap has a zero corner), and among
+    such measures on the hull d1 is the only one or the upper principal
     representation, which has the largest moment 2d (Kiefer 1959; Karlin &
-    Studden 1966), so the gap is 0. A proper subspace of P_d, such as
-    (1, x, x^3), leaves moments out of M, and a nonconstant h makes
-    sum w = 1 no moment of h^2, so neither case is proven."""
-    if gram_rank(G) != d + 1 or np.ptp(h) > SLICE_TOL * np.abs(h).max():
-        return False
-    a = x[n:]
-    return _distinct(a[(a > x.min() + SLICE_TOL) & (a < x.max() - SLICE_TOL)]) <= d - 1
+    Studden 1966), so the gap is 0. At d = 1 this is de la Garza's two ends
+    of g. A proper subspace of P_d, such as (1, x, x^3), leaves moments out
+    of M, and a nonconstant h makes sum w = 1 no moment of h^2, so neither
+    case is proven."""
+    return gram_rank(G) == d + 1 and _interior(x[n:], x.min(), x.max(), tol) <= d - 1
 
 
 def _moment_oracle(d1: Design, F1: np.ndarray, M1: np.ndarray, points, F, model):
-    """De la Garza's moment problem as one LP, for a span that is polynomial on a line.
+    """De la Garza's moment problem, for a span that is polynomial on a line.
 
-    Let x be the candidates' coordinate of largest spread, mapped onto
-    [-1, 1], and h > 0 the full model's first regression function. When f on
-    the candidates and d1's atoms spans a subspace of h P_d (smallest such d),
-    f = C h p(x) with p the degree-d Chebyshev polynomials, so M(w) is
-    C H(w) C' for the Hankel-structured matrix H(w) of the moments
-    sum_i w_i h_i^2 T_j(x_i), j = 0..2d. The LP over candidate weights w >= 0,
-    sum w = 1, matches moments 0..2d-1 to d1's and maximizes moment 2d; then
-    H(w) - H(d1) is a nonnegative multiple of e_d e_d', so M(w) - M(d1) is
-    rank one and nonnegative definite. It has 2d + 1 equality rows, so a
-    vertex has at most 2d + 1 atoms. When d1 has at most d - 1 distinct atoms
-    strictly inside the candidates' x-range, no other measure there shares
-    its lower moments (Karlin & Studden 1966: its index is below d, or d1 is
-    the upper principal representation), so no LP is solved; where
-    ``_index_proof`` holds, that is a proof of admissibility. The answer is
-    returned only once it verifies.
+    On the frame (h, x, d) of ``_garza_frame``, f on the candidates and d1's
+    atoms is C h p(x) with p a basis of P_d, so M(w) is C H(w) C' for the
+    Hankel-structured matrix H(w) of the moments sum_i w_i h_i^2 x_i^j,
+    j = 0..2d. Matching moments 0..2d-1 to d1's and raising moment 2d makes
+    H(w) - H(d1) a nonnegative multiple of e_d e_d', so M(w) - M(d1) is rank
+    one and nonnegative definite. The stage decides in one of three ways:
+
+    - When d1 has at most d - 1 distinct atoms strictly inside the
+      candidates' x-range, no other measure there shares its lower moments
+      (Karlin & Studden 1966: its index is below d, or d1 is the upper
+      principal representation), so nothing is solved; with h constant and
+      ``_index_proof``, that is a proof of admissibility.
+    - At d = 1 with h constant the optimum is closed form (de la Garza
+      1954): the two-end design of mass (E x - x_lo) / (x_hi - x_lo) on the
+      candidates' x-maximizer, which has d1's mean of x and, among measures
+      on the candidates' range with that mean, the largest mean of x^2.
+    - Otherwise one LP over candidate weights w >= 0, sum w = 1, with the
+      moments h^2 T_j(x) in the Chebyshev basis on [-1, 1]: 2d + 1 equality
+      rows, so a vertex has at most 2d + 1 atoms.
+
+    "Strictly inside" allows SLICE_TOL on the candidates' range taken as
+    [-1, 1]. A dominator is returned only once it verifies.
 
     Returns (dominator or None, proof or "").
     """
     from scipy.optimize import linprog
 
     n = points.shape[0]
-    P = np.vstack([points, d1.points])
-    x = _line_coordinate(points, P)
-    if x is None:
-        return None, ""
-    if isinstance(model, ConditionalModel):
-        h = model.model.eval_many(P)[:, 0]
-    else:
-        h = np.concatenate([F[:, 0], F1[:, 0]])
     G = np.vstack([F, F1])
-    d = _span_degree(h, x, G)
-    if d is None:
+    frame = _garza_frame(points, np.vstack([points, d1.points]), G, model)
+    if frame is None:
         return None, ""
-    if _distinct(x[n:][np.abs(x[n:]) < 1.0 - SLICE_TOL]) < d:
-        # at most d - 1 distinct interior atoms
+    h, x, d = frame
+    tol = 0.5 * SLICE_TOL * np.ptp(x[:n])
+    flat = np.ptp(h) <= SLICE_TOL * np.abs(h).max()
+    if _interior(x[n:], x[:n].min(), x[:n].max(), tol) < d:
         proof = f"Karlin-Studden index: at most {d - 1} interior atoms under P_{d}"
-        return None, proof if _index_proof(x, h, G, n, d) else ""
+        return None, proof if flat and _index_proof(x, G, n, d, tol) else ""
+    if d == 1 and flat:
+        i_lo, i_hi = int(x[:n].argmin()), int(x[:n].argmax())
+        w = np.zeros(n)
+        w[i_hi] = np.clip((d1.weights @ x[n:] - x[i_lo]) / (x[i_hi] - x[i_lo]), 0.0, 1.0)
+        w[i_lo] = 1.0 - w[i_hi]
+        return _weights_dominator(w, points, M1, model), ""
     h = h / h.max()
     V = (h * h)[:, None] * np.polynomial.chebyshev.chebvander(x, 2 * d)
     moments = d1.weights @ V[n:]
@@ -678,35 +661,33 @@ def find_dominator(
 ) -> AdmissibilityVerdict:
     """Search for a design whose information matrix dominates d1's.
 
-    A chain of searches runs until one returns a verified dominator or a
-    proof that none exists:
+    A chain of four stages, each run once, stops at the first that returns
+    a verified dominator or a proof that none exists:
 
     - A single candidate is decided by one comparison: the only design on it
       is that point.
-    - When k = 2 and f on the candidates and d1's atoms spans the constants
-      plus one function g, de la Garza's argument decides in closed form
-      (``_two_end_stage``): d1 with every atom at an end of g's range is
-      proven admissible, and d1 inside the candidates' range of g is
-      dominated by the two-end design with d1's mean of g. No search runs.
-    - On small problems (dimension <= 2, at most 200 candidates) the
-      exhaustive two-point oracle runs next: it is exact in the weight and
-      its answer is interpretable.
     - When the span of f on the candidates and d1's atoms is h P_d on a line
-      (h > 0 the full model's first regression function, P_d the polynomials
-      of degree <= d in the candidates' coordinate of largest spread), de la
-      Garza's moment problem is one LP with 2d + 1 equality rows: match d1's
+      (``_garza_frame``: h > 0, P_d the polynomials of degree <= d), de la
+      Garza's moment problem decides (``_moment_oracle``): match d1's
       moments 0..2d-1 of h^2 and raise moment 2d, which makes the gap
-      M(w) - M(d1) rank one and nonnegative definite (``_moment_oracle``).
-      It is skipped, with no LP, when d1 has at most d - 1 atoms inside the
-      candidates' range, as then no other design shares those moments; when
-      the span is all of P_d and h is constant, that skip is a proof of
-      admissibility (``_index_proof``).
+      M(w) - M(d1) rank one and nonnegative definite. When d1 has at most
+      d - 1 atoms inside the candidates' range no other design shares those
+      moments, so nothing is solved, and when the span is all of P_d and h
+      is constant that is a proof of admissibility (``_index_proof``; at
+      d = 1, d1's atoms at the two ends of g). Else, at d = 1 with h
+      constant, such as the constants plus one function g, the optimum is
+      the two-end design at d1's mean of g, in closed form; otherwise it is
+      one LP with 2d + 1 equality rows.
+    - On small problems (at most two parameters, at most 200 candidates)
+      the exhaustive two-point oracle runs next: it is exact in the weight
+      and its answer is interpretable.
     - Otherwise one Kelley cutting-plane loop runs over all candidates: it
       first bounds the best achievable smallest eigenvalue of M(w) - M(d1),
       then maximizes the trace gain over the cut relaxation of the dominance
       cone. Either stage can prove that no candidate design dominates (a
       bound below tolerance, or an empty relaxation); ``budget // 100`` LP
-      solves, clipped to [10, 80], cap each stage.
+      solves, clipped to [10, 80], cap each stage, and a loop still
+      improving at its cap is inconclusive.
 
     Every returned dominator is re-verified. A verdict of admissible without
     a proof means the search came up empty within budget; it is a one-sided
@@ -730,17 +711,14 @@ def find_dominator(
         raise ValidationError("candidate set spans less than the design to dominate")
     M1 = gram(F1, d1.weights)
 
-    oracle_applies = F.shape[1] <= 2 and points.shape[0] <= 200
     improving, proof = False, ""
     if points.shape[0] == 1:
         best = _weights_dominator(np.ones(1), points, M1, model)
         proof = "" if best is not None else "the only candidate does not dominate"
     else:
-        best, proof = _two_end_stage(d1, F1, M1, points, F, model)
-        if best is None and not proof and oracle_applies:
+        best, proof = _moment_oracle(d1, F1, M1, points, F, model)
+        if best is None and not proof and F.shape[1] <= 2 and points.shape[0] <= 200:
             best = _phase2_oracle(M1, points, F, model)
-        if best is None and not proof:
-            best, proof = _moment_oracle(d1, F1, M1, points, F, model)
         if best is None and not proof:
             best, improving, proven_none = _phase1_ascent(M1, points, F, model, budget)
             proof = "dual bound below tolerance" if proven_none else ""
@@ -748,7 +726,7 @@ def find_dominator(
         return AdmissibilityVerdict(
             admissible=False, dominator=best, note="dominator verified in the Loewner order"
         )
-    if improving and not oracle_applies:
+    if improving:
         return AdmissibilityVerdict(
             admissible=False,
             inconclusive=True,
@@ -844,11 +822,11 @@ def product_audit(design: Design, model: ModelSpec, budget: int = 3000) -> Produ
     most p_1 and p_2 support points, the full class needs at most p_1 * p_2.
     Each marginal design is audited and reported on its marginal model's
     axis line, against that line's grid of at most 200 points. A marginal
-    spanning the constants plus one function g is decided in closed form,
-    with a proof when the design sits on the two ends of g (an end may lie
-    off the grid, at an atom of the design); at most 200 points keep the
-    exhaustive two-point oracle applicable to the other two-parameter
-    marginals.
+    spanning the constants plus one function g is P_1 in g, so de la
+    Garza's moment stage decides it in closed form, with a proof when the
+    design sits on the two ends of g (an end may lie off the grid, at an
+    atom of the design); at most 200 points keep the exhaustive two-point
+    oracle applicable to the other two-parameter marginals.
     """
     verdicts, margins, bounds = [], [], []
     for axis in range(model.space.dimension):

@@ -26,14 +26,18 @@ from optdesign import (
 from optdesign.conditional import (
     DOMINANCE_TOL,
     MATERIAL_FACTOR,
+    SLICE_TOL,
     _dominates_m1,
     _moment_oracle,
     _phase2_oracle,
+    _spans,
+    _weights_dominator,
     admissible_support_bound,
+    conditional_model,
     slice_grid,
     splice_slice,
 )
-from optdesign.designs import gram, info_matrix
+from optdesign.designs import Design, gram, info_matrix
 from optdesign.models import gram_rank
 
 from conftest import registered_marginal
@@ -383,9 +387,11 @@ def _pair_array_oracle(M1, points, F, model):
     return cand if _dominates_m1(cand, M1, model) else None
 
 
-def _oracle_cases():
+def _xexp_draws():
+    """(model, grid, d1) for the benchmark's dominator inputs at seeds 1-3:
+    xexp-decay on the grid of step 0.02 over [0, 3], 20 random 3-atom designs each."""
     xexp = make_model("xexp-decay", rate=1.0, space=interval(0.0, 3.0))
-    grid = discretize(xexp.space, 0.02)  # the benchmark's dominator grid
+    grid = discretize(xexp.space, 0.02)
     cases = []
     for seed in (1, 2, 3):
         rng = np.random.default_rng(seed)
@@ -393,6 +399,12 @@ def _oracle_cases():
             idx = rng.choice(len(grid), size=3, replace=False)
             d1 = design(grid.points[idx], rng.uniform(0.05, 1.0, 3), normalize=True)
             cases.append((xexp, grid, d1))
+    return cases
+
+
+def _oracle_cases():
+    cases = _xexp_draws()
+    xexp, grid, _ = cases[0]
     cases.append((xexp, grid, design([[0.0], [1.0]])))  # admissible: no dominator
     # k = 1: the 1x1 gap takes the padded path
     const = make_model("weighted-polynomial", space=interval(0.0, 2.0), degree=0,
@@ -484,6 +496,17 @@ def test_find_dominator_dual_bound_proves_none(line2f):
     verdict = find_dominator(d1, cands, line2f)
     assert verdict.admissible and not verdict.inconclusive
     assert verdict.note == "no design on these candidates dominates (dual bound below tolerance)"
+
+
+def test_find_dominator_still_improving_is_inconclusive_on_small_problems(line2f, monkeypatch):
+    # two parameters and three candidates: the moment stage and the pair scan
+    # find nothing, and a Kelley loop still improving at its cap is
+    # inconclusive here as on large problems
+    monkeypatch.setattr(conditional_module, "_phase1_ascent", lambda *args: (None, True, False))
+    d1 = design([[1.0, 1.0]])
+    cands = np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
+    verdict = find_dominator(d1, cands, line2f)
+    assert verdict.inconclusive and not verdict.admissible
 
 
 def _sweep_draw(model, step, index):
@@ -752,23 +775,84 @@ def _same_verdict(a, b):
 
 def test_moment_oracle_declines_and_the_chain_runs_on(growth, monkeypatch):
     calls = _count_linprog(monkeypatch)
-    # exp-growth-2f on x0 = 0.5 spans {1, x1 e^{-x1}}: no polynomial, no LP
+    # exp-growth-2f on x0 = 0.5 spans {1, x1 e^{-x1}}, P_1 in g = x1 e^{-x1}:
+    # the two ends of g at d1's mean of g dominate, in closed form, no LP
     d = design([[0.5, 0.2], [0.5, 0.5], [0.5, 0.8]], [0.3, 0.3, 0.4])
     sl = decompose(d, SliceMap("coordinate", axis=0), growth).slices[0]
     cm, d1 = sl.conditional, sl.conditional_design
-    assert _moment_case(d1, cm.grid, cm) == (None, "") and calls == []
+    dom, proof = _moment_case(d1, cm.grid, cm)
+    assert proof == "" and dominates(dom, d1, cm, tol=DOMINANCE_TOL)
+    assert sorted(dom.points[:, 1]) == [0.0, 1.0] and calls == []
     # two close atoms off a coarse grid: no grid measure has their moments,
     # so the one LP is infeasible
     quad = make_model("polynomial", space=interval(-1.0, 1.0), degree=2)
     grid = discretize(quad.space, 0.5).points
     off = design([[0.2], [0.3]])
     assert _moment_case(off, grid, quad) == (None, "") and calls == [1]
-    # either way the verdict is the one of the chain without the oracle
-    cases = [(d1, cm.grid, cm), (off, grid, quad)]
-    got = [find_dominator(*case) for case in cases]
+    # the verdict class is the one of the chain with the stage off, and where
+    # the stage declines, the verdict is that chain's to the last bit
+    got = [find_dominator(d1, cm.grid, cm), find_dominator(off, grid, quad)]
     monkeypatch.setattr(conditional_module, "_moment_oracle", lambda *args: (None, ""))
-    for verdict, case in zip(got, cases):
-        _same_verdict(verdict, find_dominator(*case))
+    assert _verdict_class(got[0]) == _verdict_class(find_dominator(d1, cm.grid, cm))
+    _same_verdict(got[1], find_dominator(off, grid, quad))
+
+
+def _two_end_stage(d1: Design, F1: np.ndarray, M1: np.ndarray, points, F, model):
+    """De la Garza's closed form where f spans the constants plus one function g,
+    as a stage of its own: the reference for the moment stage at d = 1.
+
+    It applies when k = 2 and the constants lie in the span of f on the
+    candidates and d1's atoms; g is then the span's direction off the
+    constants. In the basis (1, g) the gap M(w) - M(d1) has entry 0 in the
+    corner (sum w = 1), so a nonnegative definite gap matches d1's mean of g,
+    and among the measures on [g_lo, g_hi] with that mean the one on the two
+    ends alone has the largest mean of g^2. Hence:
+
+    - d1's atoms all at an end of g over the candidates and its atoms
+      (within SLICE_TOL of the range) is a proof that no design dominates;
+    - d1's atoms inside the candidates' range of g are dominated by the
+      two-end design of mass (E g - g_lo) / (g_hi - g_lo) on the candidates'
+      g-maximizer, returned once it verifies.
+
+    Returns (dominator or None, proof or ""); both empty leave d1 to the
+    rest of the chain.
+    """
+    G = np.vstack([F, F1])
+    if F.shape[1] != 2 or gram_rank(G) != 2 or not _spans(G, np.ones((len(G), 1))):
+        return None, ""
+    centered = G - G.mean(axis=0)
+    g = centered @ np.linalg.svd(centered, full_matrices=False)[2][0]
+    n, lo, hi = len(points), g.min(), g.max()
+    tol = SLICE_TOL * (hi - lo)
+    g1 = g[n:]
+    if np.all((g1 <= lo + tol) | (g1 >= hi - tol)):
+        return None, "de la Garza: its atoms sit at the two ends of g"
+    i_lo, i_hi = int(g[:n].argmin()), int(g[:n].argmax())
+    if g1.min() < g[i_lo] - tol or g1.max() > g[i_hi] + tol:
+        return None, ""
+    w = np.zeros(n)
+    w[i_hi] = np.clip((d1.weights @ g1 - g[i_lo]) / (g[i_hi] - g[i_lo]), 0.0, 1.0)
+    w[i_lo] = 1.0 - w[i_hi]
+    return _weights_dominator(w, points, M1, model), ""
+
+
+def _agrees_with_two_end_stage(d1, cands, model):
+    """The chain's verdict on d1, after checking it against ``_two_end_stage``:
+    the same verdict class and, where it dominates, the same dominator to
+    the last bit."""
+    verdict = find_dominator(d1, cands, model)
+    if isinstance(cands, np.ndarray):
+        points, F = cands, model.eval_many(cands)
+    else:
+        points, F = cands.points, np.ascontiguousarray(cands.features(model))
+    F1 = model.eval_many(d1.points)
+    dom, proof = _two_end_stage(d1, F1, gram(F1, d1.weights), points, F, model)
+    assert dom is not None or proof
+    assert verdict.admissible == bool(proof) and not verdict.inconclusive
+    if dom is not None:
+        assert np.array_equal(verdict.dominator.points, dom.points)
+        assert np.array_equal(verdict.dominator.weights, dom.weights)
+    return verdict
 
 
 # k = 2 models that span the constants plus g: (name, family or two-factor
@@ -803,9 +887,10 @@ def _verdict_class(v):
 
 @pytest.mark.parametrize("family, arg", [c[1:] for c in K2_CASES], ids=[c[0] for c in K2_CASES])
 def test_two_end_stage_agrees_with_the_chain(family, arg, monkeypatch):
-    # random designs on 2 to 4 candidates: de la Garza's closed form gives
-    # the chain's verdict class, with a dominator on the ends of g, and runs
-    # neither an LP nor the pair scan
+    # random designs on 2 to 4 candidates: the moment stage at d = 1 gives
+    # the two-end stage's verdict and dominator bit for bit, with the
+    # chain's verdict class, a dominator on the ends of g, and neither an
+    # LP nor the pair scan
     model, cands, g = _k2_case(family, arg)
     rng = np.random.default_rng(5)
     draws = []
@@ -817,7 +902,7 @@ def test_two_end_stage_agrees_with_the_chain(family, arg, monkeypatch):
     monkeypatch.setattr(
         conditional_module, "_phase2_oracle", lambda *args: scans.append(1) or scan(*args)
     )
-    got = [find_dominator(d1, cands, model) for d1 in draws]
+    got = [_agrees_with_two_end_stage(d1, cands, model) for d1 in draws]
     assert calls == [] and scans == []
     gc = g(cands)
     for d1, verdict in zip(draws, got):
@@ -825,13 +910,24 @@ def test_two_end_stage_agrees_with_the_chain(family, arg, monkeypatch):
             assert dominates(verdict.dominator, d1, model, tol=DOMINANCE_TOL)
             gd = g(verdict.dominator.points)
             assert np.all(np.minimum(abs(gd - gc.min()), abs(gd - gc.max())) <= 1e-12)
-    monkeypatch.setattr(conditional_module, "_two_end_stage", lambda *args: (None, ""))
+    monkeypatch.setattr(conditional_module, "_moment_oracle", lambda *args: (None, ""))
     old = [find_dominator(d1, cands, model) for d1 in draws]
     assert [_verdict_class(v) for v in got] == [_verdict_class(v) for v in old]
     assert "inadmissible" in {_verdict_class(v) for v in got}
 
 
-DE_LA_GARZA = "no design on these candidates dominates (de la Garza: its atoms sit at the two ends of g)"
+def test_two_end_stage_agrees_on_the_benchmark_draws(monkeypatch):
+    # the benchmark's xexp dominator inputs, seeds 1-3: every one is
+    # dominated by the two-end stage's design, bit for bit, with no LP
+    calls = _count_linprog(monkeypatch)
+    for model, grid, d1 in _xexp_draws():
+        assert not _agrees_with_two_end_stage(d1, grid, model).admissible
+    assert calls == []
+
+
+DE_LA_GARZA = (
+    "no design on these candidates dominates (Karlin-Studden index: at most 0 interior atoms under P_1)"
+)
 
 
 def test_two_end_stage_proves_designs_at_the_ends(xexp_grid, monkeypatch):
@@ -851,16 +947,15 @@ def test_two_end_stage_proves_designs_at_the_ends(xexp_grid, monkeypatch):
     ]
     calls = _count_linprog(monkeypatch)
     for d1, cands in cases:
-        verdict = find_dominator(d1, cands, m)
+        verdict = _agrees_with_two_end_stage(d1, cands, m)
         assert verdict.admissible and verdict.note == DE_LA_GARZA
     assert calls == []
     # one atom below the candidates' range and one inside it: the chain decides
     d1 = design([[0.0], [0.7]])
     F1 = m.eval_many(d1.points)
-    assert conditional_module._two_end_stage(
-        d1, F1, gram(F1, d1.weights), inside, m.eval_many(inside), m
-    ) == (None, "")
-    monkeypatch.setattr(conditional_module, "_two_end_stage", lambda *args: (None, ""))
+    args = (d1, F1, gram(F1, d1.weights), inside, m.eval_many(inside), m)
+    assert _moment_oracle(*args) == _two_end_stage(*args) == (None, "")
+    monkeypatch.setattr(conditional_module, "_moment_oracle", lambda *args: (None, ""))
     for d1, cands in cases:
         assert find_dominator(d1, cands, m).admissible
 
@@ -911,6 +1006,23 @@ def test_marginal_model_from_the_span(family, params, bounds, product_bound):
         assert admissible_support_bound(mm) == bounds[axis]
     corners = design([[a, b] for a in model.space.bounds[0] for b in model.space.bounds[1]])
     assert product_audit(corners, model).support_bound == product_bound
+
+
+@pytest.mark.parametrize(
+    "family, params, tmap, t, bound",
+    [
+        # {1, x1 e^{-x1}}: the constants plus one function
+        ("exp-growth-2f", {"theta": [1.0, 1.0, 1.0]}, SliceMap("coordinate", axis=0), 0.5, 2),
+        # (1, x0, 1 - x0, x0 (1 - x0)) spans P_2
+        ("interaction-2f", {}, SliceMap("linear", coeffs=(1.0, 1.0)), 1.0, 3),
+        # (1, x0, 0.3, 0.3 x0) spans P_1
+        ("interaction-2f", {}, SliceMap("coordinate", axis=1), 0.3, 2),
+    ],
+    ids=["growth-x0=0.5", "interaction-diagonal-t=1", "interaction-x1=0.3"],
+)
+def test_admissible_support_bound_on_slices(family, params, tmap, t, bound):
+    cm = conditional_model(make_model(family, **params), tmap, t, np.empty((0, 2)))
+    assert admissible_support_bound(cm) == bound
 
 
 def test_marginal_model_needs_f_free_of_the_other_factor():
