@@ -115,9 +115,11 @@ def _e_eigenspace_minimax(H: np.ndarray) -> np.ndarray:
     and every LP solution is checked against all rows in one sweep; violated
     rows join the set and the LP is solved again, so each accepted solution
     satisfies every row while the LP stays a few dozen rows tall.
-    Definiteness is enforced by eigenvalue cuts, and a second LP minimizes
-    the off-diagonal mass among worst-case-optimal solutions so the result is
-    deterministic and as diagonal as the constraints allow.
+    Definiteness is enforced by eigenvalue cuts; an indefinite LP point is
+    swept at its trace-one projection, which ends the cuts once it meets the
+    LP's bound. A second LP minimizes the off-diagonal mass among
+    worst-case-optimal solutions so the result is deterministic and as
+    diagonal as the constraints allow.
     """
     from scipy.optimize import linprog
 
@@ -193,14 +195,15 @@ def _e_eigenspace_minimax(H: np.ndarray) -> np.ndarray:
         if not res.success:
             break
         vals, vecs = np.linalg.eigh(matrix_of(res.x[: nv - 1]))
-        if vals[0] < -1e-11:
-            psd_cuts.append(vecs[:, 0])
-            continue
-        E = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+        definite = vals[0] >= -1e-11
+        clipped = np.clip(vals, 0.0, None)
+        E = (vecs * (clipped if definite else clipped / clipped.sum())) @ vecs.T
         worst = float(sweep(H, E).max())
         if worst < best_worst:
             best_E, best_worst = E, worst
-        break
+        if definite or best_worst <= res.x[nv - 1] * (1.0 + 1e-9):
+            break
+        psd_cuts.append(vecs[:, 0])
 
     # tie-break: minimize total off-diagonal magnitude at the achieved value
     if pairs:

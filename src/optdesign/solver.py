@@ -8,18 +8,19 @@ the smallest eigenvalue along its central path, whose duality gap is the
 stop rule (Boyd & Vandenberghe, Convex Optimization, ch. 11).
 
 D on a two-factor model that can be additive with an intercept or a Kronecker
-product of its marginal models (the span of f on each axis line) first tries
+product of its marginal models (the span of f on each axis line) starts from
 the product of the marginal D-optimal designs, D-optimal there though not
-unique (Schwabe 1996, Optimum Designs for Multi-Factor Models, LNS 113). The
-full-grid certificate decides: a product that fails it falls to the loop.
+unique (Schwabe 1996, Optimum Designs for Multi-Factor Models, LNS 113).
 
-Every finite p, D after a declined product, is first solved on the
-candidates that ``CandidateSet.screen`` keeps: on coordinate lines where f is
-affine in one scalar, only the two extremes of that scalar (de la Garza
-1954). A converged optimum there starts the full-grid loop, which certifies
-it with one sweep or adds the violators it finds; an unconverged one is
-dropped for the spread start. E keeps the full grid: its eigenspace LP does
-not yet certify a design on its own support.
+A finite-p solve with no product start is first solved on the candidates
+that ``CandidateSet.screen`` keeps: on coordinate lines where f is affine in
+one scalar, only the two extremes of that scalar (de la Garza 1954). A
+converged optimum there is the start; an unconverged one is dropped for the
+spread start. E keeps the full grid: a screened start certifies too, but it
+moves E designs by rounding.
+
+Either start only starts the full-grid loop, which certifies it with one
+sweep or adds the violators it finds: the loop alone decides convergence.
 """
 
 from __future__ import annotations
@@ -59,10 +60,9 @@ class SolveReport:
     """Result of ``solve``.
 
     ``iterations`` counts outer iterations and ``history`` holds the refined
-    criterion value after each. A D design built from its marginals (see the
-    module docstring) reports 0 and (): the outer loop did not run, and the
-    marginal solves' own counts are not carried over. Likewise a solve started
-    from the screened subset reports its full-grid iterations only.
+    criterion value after each. A solve from a start design (the D marginal
+    product or the screened subset's optimum, see the module docstring)
+    reports its full-grid iterations only, 1 when the start certifies.
     """
 
     design: Design
@@ -323,16 +323,17 @@ def refine_weights(model, support, criterion: Criterion, opts: SolverOptions | N
     return Design(pts[keep], w[keep] / w[keep].sum())
 
 
-def _marginal_product(model, candidates, criterion, opts) -> SolveReport | None:
-    """The product of the marginal D-optimal designs if it certifies, else None.
+def _marginal_product(model, candidates, opts) -> Design | None:
+    """The product of the marginal D-optimal designs, where it can be optimal,
+    else None.
 
     Tried where Schwabe's theorem can hold: k = k1 k2 (Kronecker), or
     k = k1 + k2 - 1 with the constants in both marginal spans (additive), and
     never for a conditional model, such as a marginal in its own solve. Each
     marginal is solved on its axis line at the distinct candidate coordinates
     of its axis (``product_axes``), whose pairs must be the whole candidate
-    set in grid order. The product must pass the outer loop's final checks:
-    full-grid normality within ``opts.kkt_tol`` and truncated-boundary slack.
+    set in grid order. The product is only a start: the full-grid loop
+    decides convergence.
     """
     if not isinstance(model, ModelSpec) or candidates.product_axes is None:
         return None
@@ -347,7 +348,7 @@ def _marginal_product(model, candidates, criterion, opts) -> SolveReport | None:
     for axis, (mm, coords) in enumerate(zip(marginals, candidates.product_axes)):
         line = np.repeat(mm.grid[:1], coords.size, axis=0)
         line[:, axis] = coords
-        # merge radius: the axis's step; no truncation note: the product is checked below
+        # merge radius: the axis's step; no truncation note: the full-grid loop checks it
         sub = CandidateSet(DesignSpace(model.space.bounds), line, (candidates.steps[axis],) * 2)
         try:
             margins.append(solve(mm, sub, Criterion(0.0, mm.k), opts).design)
@@ -355,16 +356,7 @@ def _marginal_product(model, candidates, criterion, opts) -> SolveReport | None:
             return None
     d1, d2 = margins
     pts = np.array([[a[0], b[1]] for a in d1.points for b in d2.points])
-    w = np.outer(d1.weights, d2.weights).ravel()
-    F_sup = model.eval_many(pts)
-    sens_all, viol = _violation(model, candidates, criterion, F_sup, w)
-    tight_edge = _boundary_sensitivity(candidates, sens_all) >= 1.0 - 10.0 * opts.kkt_tol
-    if viol > opts.kkt_tol or tight_edge:
-        return None
-    return SolveReport(
-        design=Design(pts, w), criterion_value=_value(F_sup, w, criterion.p), iterations=0,
-        max_sensitivity_violation=max(viol, 0.0), converged=True,
-    )
+    return Design(pts, np.outer(d1.weights, d2.weights).ravel())
 
 
 def _screened_start(model, candidates, criterion, opts) -> Design | None:
@@ -398,7 +390,8 @@ def solve(
     Convergence means the normalized sensitivity satisfies the normality
     inequality within ``opts.kkt_tol`` at every candidate. The reported design
     is pruned at the weight floor and grid-step-merged, with weights refined
-    once more on the cleaned support.
+    once more on the cleaned support. A solve from a start design (see the
+    module docstring) reports its full-grid iterations only.
     """
     opts = opts or SolverOptions()
     criterion = Criterion(criterion.p, model.k)
@@ -411,8 +404,7 @@ def solve(
 
     init = opts.init
     if criterion.p == 0 and not isinstance(init, Design):
-        if (report := _marginal_product(model, candidates, criterion, opts)) is not None:
-            return report
+        init = _marginal_product(model, candidates, opts) or init
     if criterion.p != NEG_INF and not isinstance(init, Design):
         init = _screened_start(model, candidates, criterion, opts) or init
     return _exchange(model, candidates, criterion, opts, init)
@@ -517,7 +509,8 @@ def _consolidate(model, candidates, criterion, inner_tol, state, threshold):
     re-refines the weights with the full inner budget and is accepted only if
     the violation stays within ``threshold`` (the solver passes its KKT
     tolerance, or the incoming residual when that is larger); otherwise
-    escalation stops and the last verified state is kept.
+    escalation stops and the last verified state is kept. A rung that leaves
+    the support unchanged, prune included, is skipped.
     """
     sup_pts, w, sens_all, viol = state
     step = candidates.max_step
@@ -529,7 +522,7 @@ def _consolidate(model, candidates, criterion, inner_tol, state, threshold):
             break
         if radius > 0:
             d = merge_close(d, radius)
-        if d.m == sup_pts.shape[0] and radius > 0:
+        if d.m == sup_pts.shape[0]:
             continue
         F_sup = model.eval_many(d.points)
         w2 = _refine(F_sup, d.weights.copy(), criterion, inner_tol, MAX_INNER_ITERS)

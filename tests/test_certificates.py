@@ -342,16 +342,11 @@ def test_garza_column_norms_match_row_sum():
     assert np.array_equal(garza_report(m, grid).norm_values, (F**2).sum(axis=1))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the E-minimax LP spends its 40 eigenvalue-cut rounds (41 LPs) and falls back "
-    "to E = I/r, violation 0.034; ROADMAP item 6 replaces it with the solver's barrier",
-)
 def test_e_certificate_on_its_own_support():
     # a design optimal on the full grid is optimal on any subset that holds
     # its support: growth E at h = 0.02 certifies on the 2,601-point grid with
-    # violation 1.8e-9
+    # violation 1.8e-9. On its 4 atoms every eigenspace LP point is
+    # indefinite, and the trace-one projection of one meets the LP's bound
     m = make_model("exp-growth-2f", theta=[1.0, 1.0, 1.0])
     cands = discretize(m.space, 0.02)
     crit = parse_criterion("E", m.k)

@@ -510,10 +510,13 @@ def test_d_product_path_certifies_on_full_grid():
     crit = Criterion(0.0, m.k)
     opts = SolverOptions()
     rep = solve(m, cands, crit, opts)
-    assert rep.iterations == 0 and rep.history == ()
+    # the product starts the full-grid loop, which certifies it in one
+    # iteration and adds no atom
+    assert rep.iterations == 1 and len(rep.history) == 1
     assert rep.converged
     assert certify(rep.design, m, cands, crit, tol=2 * opts.kkt_tol).optimal
     prod = _marginal_product(m, cands)
+    assert rep.design.m == prod.m
     assert np.allclose(rep.design.points, prod.points)
     assert np.allclose(rep.design.weights, prod.weights)
 
@@ -545,9 +548,8 @@ def test_d_product_path_only_where_the_product_theorem_can_hold(monkeypatch, fam
     solved = []
     inner = solver_module.solve
     monkeypatch.setattr(solver_module, "solve", lambda mm, *a: solved.append(mm.k) or inner(mm, *a))
-    opts = SolverOptions()
-    rep = solver_module._marginal_product(m, discretize(m.space, 0.05), Criterion(0.0, m.k), opts)
-    assert (rep is not None) == tried
+    start = solver_module._marginal_product(m, discretize(m.space, 0.05), SolverOptions())
+    assert (start is not None) == tried
     assert len(solved) == (2 if tried else 0)
 
 
@@ -614,6 +616,24 @@ def test_screened_solve_starts_the_full_grid_loop():
     assert sorted(map(tuple, rep.design.points)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+def test_screened_solve_builds_the_full_grid_certificate_once(monkeypatch):
+    # the screened optimum certifies in one full-grid iteration; the cleanup
+    # prunes nothing, so it builds no second full-grid certificate
+    m = make_model("interaction-2f")
+    cands = discretize(m.space, 0.05)
+    sizes = []
+    violation = solver_module._violation
+
+    def recorded(model, candidates, *args):
+        sizes.append(len(candidates))
+        return violation(model, candidates, *args)
+
+    monkeypatch.setattr(solver_module, "_violation", recorded)
+    rep = solve(m, cands, parse_criterion("A", m.k))
+    assert rep.converged and rep.iterations == 1
+    assert sizes.count(len(cands)) == 1
+
+
 def test_unconverged_screened_solve_falls_back_to_the_spread_start():
     # on the 82 screened candidates p = 0.9 ends unconverged at residual
     # 1.1e-3; the full-grid loop started from that design ended unconverged
@@ -631,8 +651,8 @@ def test_unconverged_screened_solve_falls_back_to_the_spread_start():
 
 
 def test_e_skips_the_screen(monkeypatch):
-    # an E design certified on the full grid fails certify on its own support
-    # (see test_e_certificate_on_its_own_support), so E solves on the full grid
+    # a screened start certifies E designs too, but moves them by rounding and
+    # changes some support sizes, so E solves on the full grid
     monkeypatch.setattr(CandidateSet, "screen", lambda self, model: pytest.fail("screened"))
     m = make_model("interaction-2f")
     assert solve(m, discretize(m.space, 0.05), parse_criterion("E", m.k)).converged
