@@ -276,6 +276,38 @@ def build_certificate(
     return Certificate(N=N, Z=nvecs[:, order], eigenvalues=np.clip(nvals[order], 0.0, None))
 
 
+def verdict(criterion: Criterion, M, cert: Certificate, viol: float, support_sens, tol: float):
+    """Equivalence-theorem verdict on M: (optimal, trace(MN), phi(M) * polar(N)).
+
+    Optimal means, within ``tol``: (i) the normality inequality at every
+    candidate (``viol`` is the largest f'Nf less the bound), (ii) equality at
+    every support atom (``support_sens``), (iii) trace(MN) = 1 and
+    phi(M) * polar(N) = 1. A singular M at p < 1 is never optimal.
+    """
+    vals = psd_eig(M)[0]
+    tr = float(np.trace(M @ cert.N))
+    product = float(phi(criterion, M) * polar(criterion, cert.N))
+    optimal = (
+        not (criterion.p < 1 and vals[0] <= _SING_REL * max(vals[-1], 1e-300))
+        and viol <= tol
+        and np.abs(support_sens - cert.bound).max() <= tol
+        and abs(tr - 1.0) <= tol
+        and abs(product - 1.0) <= tol
+    )
+    return bool(optimal), tr, product
+
+
+def _tight_truncation(candidates: CandidateSet, sens: np.ndarray, tol: float) -> float | None:
+    """The largest sensitivity on the upper boundary of a truncated axis, if
+    it is at least 1 - 10 tol, else None."""
+    worst = -np.inf
+    for j in truncated_axes(candidates.space):
+        hi = candidates.space.bounds[j][1]
+        on_edge = np.abs(candidates.points[:, j] - hi) <= 1e-12 * max(abs(hi), 1.0)
+        worst = max(worst, float(sens[on_edge].max(initial=-np.inf)))
+    return worst if worst >= 1.0 - 10.0 * tol else None
+
+
 def certify(
     design: Design,
     model: ModelSpec,
@@ -285,10 +317,9 @@ def certify(
 ) -> CertifyReport:
     """Equivalence-theorem check of a design against its own dual certificate.
 
-    Verifies (i) the normality inequality at every candidate, (ii) equality at
-    every support atom, (iii) trace(MN) = 1 and phi(M) * polar(N) = 1. All
-    three must hold within ``tol`` for ``optimal=True``. This is a computation,
-    not a search: it always returns a report.
+    ``optimal`` is ``verdict`` within ``tol``, the rule ``solve`` applies too.
+    A sensitivity of at least 1 - 10 tol on the upper boundary of a truncated
+    axis warns. This is a computation, not a search: it always returns a report.
     """
     if not tol >= 0:  # also rejects NaN
         raise ValidationError(f"certify tolerance must be nonnegative, got {tol:g}")
@@ -300,30 +331,15 @@ def certify(
     j = int(np.argmax(sens))
     viol = float(sens[j] - cert.bound)
     support_sens = sweep(F_sup, cert.N)
-    tr = float(np.trace(M @ cert.N))
-    product = phi(criterion, M) * polar(criterion, cert.N)
-    optimal = (
-        viol <= tol
-        and np.abs(support_sens - cert.bound).max() <= tol
-        and abs(tr - 1.0) <= tol
-        and abs(product - 1.0) <= tol
-    )
-    space = candidates.space
-    if viol > -tol:
-        x_max = candidates.points[j]
-        for ax in truncated_axes(space):
-            hi = space.bounds[ax][1]
-            if abs(x_max[ax] - hi) <= 1e-12 * max(abs(hi), 1.0):
-                warnings.warn(
-                    "maximum sensitivity attained on the boundary of a truncated axis; "
-                    "the continuum guarantee may need a larger domain",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                break
+    optimal, tr, product = verdict(criterion, M, cert, viol, support_sens, tol)
+    if _tight_truncation(candidates, sens, tol) is not None:
+        warnings.warn(
+            "normality inequality is tight on the boundary of a truncated axis; "
+            "the continuum guarantee may need a larger domain", RuntimeWarning, stacklevel=2,
+        )
     return CertifyReport(
-        optimal=bool(optimal),
-        duality_products=(tr, float(product)),
+        optimal=optimal,
+        duality_products=(tr, product),
         max_violation=max(viol, 0.0),
         violating_point=candidates.points[j].copy() if viol > tol else None,
         support_equalities=support_sens,

@@ -218,8 +218,11 @@ def merge_close(dsgn: Design, tol: float) -> Design:
     if tol < 0:
         raise ValidationError("merge tolerance must be nonnegative")
     diff = dsgn.points[:, None, :] - dsgn.points[None, :, :]
+    groups = components(np.sqrt((diff**2).sum(axis=2)) <= tol)
+    if len(groups) == dsgn.m:
+        return dsgn  # nothing merges: the input itself, bit for bit
     pts, ws = [], []
-    for idx in components(np.sqrt((diff**2).sum(axis=2)) <= tol):
+    for idx in groups:
         w = dsgn.weights[idx]
         pts.append((w[:, None] * dsgn.points[idx]).sum(axis=0) / w.sum())
         ws.append(w.sum())

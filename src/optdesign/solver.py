@@ -21,6 +21,8 @@ moves E designs by rounding.
 
 Either start only starts the full-grid loop, which certifies it with one
 sweep or adds the violators it finds: the loop alone decides convergence.
+One verified cleanup follows (``_consolidate``); ``converged`` is then
+``certify``'s verdict (``certificates.verdict``) on the last sweep's certificate.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import build_certificate
+from .certificates import Certificate, _tight_truncation, build_certificate, verdict
 from .conditional import _has_constants, marginal_model
 from .criteria import _SING_REL, NEG_INF, Criterion, psd_eig
 from .designs import Design, gram, merge_close, prune, sweep
-from .errors import DegenerateModelError, EmptyDesignError, NoConditionalModelError
+from .errors import DegenerateModelError, NoConditionalModelError
 from .errors import TruncationSlackError, ValidationError
-from .models import CandidateSet, DesignSpace, ModelSpec, gram_rank, truncated_axes
+from .models import CandidateSet, DesignSpace, ModelSpec, gram_rank
 
 MAX_INNER_ITERS = 3000  # Newton budget of a final weight polish
 WEIGHT_FLOOR = 1e-6     # atoms below this are pruned before reporting
@@ -63,6 +65,8 @@ class SolveReport:
     criterion value after each. A solve from a start design (the D marginal
     product or the screened subset's optimum, see the module docstring)
     reports its full-grid iterations only, 1 when the start certifies.
+    ``converged`` is ``certify``'s verdict at ``kkt_tol`` on ``certificate``,
+    the dual matrix (singular eigenvalues floored) of the last full-grid sweep.
     """
 
     design: Design
@@ -70,6 +74,7 @@ class SolveReport:
     iterations: int
     max_sensitivity_violation: float
     converged: bool
+    certificate: Certificate
     history: tuple = ()  # refined criterion value after each outer iteration
 
 
@@ -298,17 +303,6 @@ def _spread_indices(points: np.ndarray, F: np.ndarray, k: int, rng) -> list[int]
     return chosen
 
 
-def _boundary_sensitivity(candidates: CandidateSet, sens: np.ndarray) -> float:
-    """Largest sensitivity on the upper boundary of any truncated axis."""
-    worst = -np.inf
-    for j in truncated_axes(candidates.space):
-        hi = candidates.space.bounds[j][1]
-        on_edge = np.abs(candidates.points[:, j] - hi) <= 1e-12 * max(abs(hi), 1.0)
-        if np.any(on_edge):
-            worst = max(worst, float(sens[on_edge].max()))
-    return worst
-
-
 def refine_weights(model, support, criterion: Criterion, opts: SolverOptions | None = None) -> Design:
     """Optimal weights on a fixed support; atoms whose weight collapses are dropped."""
     opts = opts or SolverOptions()
@@ -387,11 +381,10 @@ def solve(
 ) -> SolveReport:
     """Compute a criterion-optimal design over the candidate set.
 
-    Convergence means the normalized sensitivity satisfies the normality
-    inequality within ``opts.kkt_tol`` at every candidate. The reported design
-    is pruned at the weight floor and grid-step-merged, with weights refined
-    once more on the cleaned support. A solve from a start design (see the
-    module docstring) reports its full-grid iterations only.
+    Convergence is ``certify``'s verdict within ``opts.kkt_tol``. The reported
+    design is pruned at the weight floor and merged within 4.5 grid steps,
+    with weights refined once more, where that verifies. A solve from a start
+    design (see the module docstring) reports its full-grid iterations only.
     """
     opts = opts or SolverOptions()
     criterion = Criterion(criterion.p, model.k)
@@ -430,7 +423,7 @@ def _exchange(model, candidates, criterion, opts, init) -> SolveReport:
         outer += 1
         # a short Newton budget per iteration; the full one is spent in the final polish
         w = _refine(F_sup, w, criterion, inner_tol, 300)
-        sens_all, viol = _violation(model, candidates, criterion, F_sup, w)
+        sens_all, viol, cert = _violation(model, candidates, criterion, F_sup, w)
         history.append(_value(F_sup, w, criterion.p))
         if viol <= opts.kkt_tol:
             break
@@ -442,30 +435,29 @@ def _exchange(model, candidates, criterion, opts, init) -> SolveReport:
         w = np.append(w, 0.0)
     # an unconverged exit (budget or a fully-supported violation set) is
     # cleaned up too, at its own residual, which the cleanup must not worsen
-    sup_pts, w, sens_all, viol = _consolidate(
+    sup_pts, w, sens_all, viol, cert = _consolidate(
         model, candidates, criterion, inner_tol,
-        (sup_pts, w, sens_all, viol), max(opts.kkt_tol, viol),
+        (sup_pts, w, sens_all, viol, cert), max(opts.kkt_tol, viol),
     )
 
     keep = w > 1e-15
     sup_pts, w = sup_pts[keep], w[keep] / w[keep].sum()
     F_sup = model.eval_many(sup_pts)
-    dsgn = Design(sup_pts, w)
-    value = _value(F_sup, w, criterion.p)
-    converged = viol <= opts.kkt_tol
-    if converged:
-        edge = _boundary_sensitivity(candidates, sens_all)
-        if edge >= 1.0 - 10.0 * opts.kkt_tol:
-            raise TruncationSlackError(
-                f"normality inequality is tight ({edge:.6f}) at a truncated boundary; "
-                "enlarge the truncation bound and re-solve"
-            )
+    M, support_sens = gram(F_sup, w), sweep(F_sup, cert.N)
+    converged = verdict(criterion, M, cert, viol, support_sens, opts.kkt_tol)[0]
+    edge = _tight_truncation(candidates, sens_all, opts.kkt_tol)
+    if converged and edge is not None:
+        raise TruncationSlackError(
+            f"normality inequality is tight ({edge:.6f}) at a truncated boundary; "
+            "enlarge the truncation bound and re-solve"
+        )
     return SolveReport(
-        design=dsgn,
-        criterion_value=value,
+        design=Design(sup_pts, w),
+        criterion_value=_value(F_sup, w, criterion.p),
         iterations=outer,
         max_sensitivity_violation=max(viol, 0.0),
         converged=converged,
+        certificate=cert,
         history=tuple(history),
     )
 
@@ -493,42 +485,31 @@ def _value(F: np.ndarray, w: np.ndarray, p: float) -> float:
 
 
 def _violation(model, candidates, criterion, F_sup, w):
-    """Sensitivities over the full grid against the certificate of M(w), and
-    their largest excess over 1."""
+    """The certificate of M(w), the sensitivities over the full grid against
+    it, and their largest excess over 1: (sensitivities, excess, certificate)."""
     cert = build_certificate(criterion, gram(F_sup, w), model, candidates, floor_singular=True)
     sens_all = sweep(candidates.features(model), cert.N)
-    return sens_all, float(sens_all.max() - 1.0)
+    return sens_all, float(sens_all.max() - 1.0), cert
 
 
 def _consolidate(model, candidates, criterion, inner_tol, state, threshold):
-    """Prune dust and merge grid-split atoms at escalating radii, with verification.
+    """Prune dust and merge grid-split atoms in one verified cleanup.
 
     Grid discretization can smear one continuum support point over several
-    neighboring candidates, so a single grid step is not always enough to
-    collapse the cluster. Each rung (prune, then 1x/2x/4x/8x the grid step)
-    re-refines the weights with the full inner budget and is accepted only if
-    the violation stays within ``threshold`` (the solver passes its KKT
-    tolerance, or the incoming residual when that is larger); otherwise
-    escalation stops and the last verified state is kept. A rung that leaves
-    the support unchanged, prune included, is skipped.
+    neighboring candidates. The cleanup drops atoms below ``WEIGHT_FLOOR``,
+    merges atoms within 4.5 grid steps (between the lattice distances
+    sqrt(20) and 5, so no merge hinges on rounding), refines the weights with
+    the full inner budget and sweeps the full grid once. The result replaces
+    ``state`` (support, weights, sensitivities, violation, certificate) if
+    its violation is within ``threshold``; a no-op cleanup is skipped.
     """
-    sup_pts, w, sens_all, viol = state
-    step = candidates.max_step
-    for radius in (0.0, step, 2 * step, 4 * step, 8 * step):
-        keep = w > 1e-15
-        try:
-            d = prune(Design(sup_pts[keep], w[keep] / w[keep].sum()), WEIGHT_FLOOR)
-        except EmptyDesignError:
-            break
-        if radius > 0:
-            d = merge_close(d, radius)
-        if d.m == sup_pts.shape[0]:
-            continue
-        F_sup = model.eval_many(d.points)
-        w2 = _refine(F_sup, d.weights.copy(), criterion, inner_tol, MAX_INNER_ITERS)
-        sens2, viol2 = _violation(model, candidates, criterion, F_sup, w2)
-        if viol2 <= threshold:
-            sup_pts, w, sens_all, viol = d.points.copy(), w2, sens2, viol2
-        elif radius > 0:
-            break
-    return sup_pts, w, sens_all, viol
+    sup_pts, w = state[:2]
+    keep = w > 1e-15
+    d = prune(Design(sup_pts[keep], w[keep] / w[keep].sum()), WEIGHT_FLOOR)
+    d = merge_close(d, 4.5 * candidates.max_step)
+    if d.m == sup_pts.shape[0]:
+        return state
+    F_sup = model.eval_many(d.points)
+    w2 = _refine(F_sup, d.weights.copy(), criterion, inner_tol, MAX_INNER_ITERS)
+    sens2, viol2, cert2 = _violation(model, candidates, criterion, F_sup, w2)
+    return (d.points.copy(), w2, sens2, viol2, cert2) if viol2 <= threshold else state

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from optdesign import default_candidates, garza_report, load_model
+from optdesign import default_candidates, garza_report, load_model, parse_criterion, solve
 from optdesign.cli import (
     CSV_BLOCK,
     GOLDEN,
@@ -13,6 +13,7 @@ from optdesign.cli import (
     _write_csv,
     main,
 )
+from optdesign.models import model_from_dict
 
 
 @pytest.fixture()
@@ -260,16 +261,37 @@ def test_format_17g_matches_printf():
 
 def test_solve_exits_3_when_certify_rejects_the_converged_design(tmp_path, capsys):
     # p:0.9 on the mixture: the solver stops with violation 6.9e-15, but a
-    # support atom fails certify's support equality
+    # support atom fails certify's support equality, so the solve is unconverged
     model = tmp_path / "mixture.json"
     model.write_text(json.dumps({"family": "mixture-poly-exp", "params": {"theta3": 1.0}}))
     out = tmp_path / "out"
     argv = ["solve", "--model", str(model), "--steps", "0.02", "--criterion", "p:0.9"]
     assert main(argv + ["--out", str(out)]) == 3
     report = json.loads((out / "report.json").read_text())
-    assert report["converged"] is True
+    assert report["converged"] is False
     assert report["certified_optimal"] is False
-    assert "converged=True certified=False" in capsys.readouterr().out
+    assert "converged=False certified=False" in capsys.readouterr().out
+
+
+def test_singular_p09_solve_is_unconverged_and_exits_3(tmp_path, capsys):
+    # poly-4 on [0, 1] at p:0.9 ends on 3 atoms for k = 5: its optimum's small
+    # weights lie below double precision, so M is singular. The solve reports
+    # it unconverged, where it once claimed convergence and the CLI's certify
+    # raised "singular information matrix" (exit 2)
+    spec = {"family": "polynomial", "params": {"degree": 4}}
+    m = model_from_dict(spec)[0]
+    cands = default_candidates(m, 0.01)
+    rep = solve(m, cands, parse_criterion("p:0.9", m.k))
+    assert not rep.converged
+    assert rep.design.m == 3
+    model = tmp_path / "poly4.json"
+    model.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    argv = ["solve", "--model", str(model), "--steps", "0.01", "--criterion", "p:0.9"]
+    assert main(argv + ["--out", str(out)]) == 3
+    assert json.loads((out / "report.json").read_text())["certified_optimal"] is False
+    assert len((out / "sensitivity.csv").read_text().splitlines()) == 1 + len(cands)
+    assert "converged=False certified=False" in capsys.readouterr().out
 
 
 _GOOD_MODEL = {"family": "linear-2f-no-intercept", "params": {}}

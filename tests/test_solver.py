@@ -8,7 +8,6 @@ from optdesign import (
     DesignSpace,
     NoConditionalModelError,
     TruncationSlackError,
-    ValidationError,
     certify,
     default_candidates,
     design,
@@ -219,21 +218,8 @@ _TIGHT_TRUNCATION = (
     TruncationSlackError,
     "the normality inequality is tight at the default truncation 3 / lambda_1",
 )
-_SINGULAR_P09 = (
-    ValidationError,
-    "reports a converged design whose information matrix is singular, which certify rejects",
-)
 _KNOWN_FAILURES = {
-    **{("expsum2", h, c): _TIGHT_TRUNCATION for h in (0.01, 0.002) for c in ("A", "p:-2", "E")},
-    ("poly4-unit", 0.01, "p:0.9"): _SINGULAR_P09,
-    ("poly5", 0.002, "p:0.9"): _SINGULAR_P09,
-    ("expsum2", 0.01, "p:0.9"): _SINGULAR_P09,
-    ("expsum2", 0.002, "p:0.9"): _SINGULAR_P09,
-    ("product", 0.02, "p:0.9"): _SINGULAR_P09,
-    ("mixture", 0.02, "p:0.9"): (
-        AssertionError,
-        "reports converged, and certify finds a support atom with sensitivity 1 - 1.2e-4",
-    ),
+    ("expsum2", h, c): _TIGHT_TRUNCATION for h in (0.01, 0.002) for c in ("A", "p:-2", "E")
 }
 # matrix cases listed, with a must-converge flag, in the explicit cases below
 _EXPLICIT = {("growth", 0.02, "E"), ("mixture", 0.02, "E"), ("mixture", 0.05, "p:0.9"),
@@ -272,15 +258,9 @@ def _matrix_cases():
         # converged, then failed certify by 3.6e-4; then unconverged at residual
         # 2.4e-5 while the barrier path ran from a cold start
         (*_PRODUCT, 0.05, "E", True),
-        pytest.param(
-            *_PRODUCT, 0.05, "p:0.9", False,
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=ValidationError,
-                reason="reports a converged 1-atom design, and certify rejects its singular M: "
-                "the 1e-14 eigenvalue floor gives null directions only ~25x sensitivity at p = 0.9",
-            ),
-        ),
+        # a 1-atom design, singular M: the 1e-14 eigenvalue floor gives null
+        # directions only ~25x sensitivity at p = 0.9, so it ends unconverged
+        (*_PRODUCT, 0.05, "p:0.9", False),
         *_matrix_cases(),
     ],
 )
@@ -304,8 +284,9 @@ def test_converged_solve_certifies(family, params, h, crit, must_converge):
     ],
 )
 def test_wide_consolidation_rungs_collapse_p_half_supports(family, params, h, atoms):
-    # p = 0.5 smears these supports over grid neighbours that only the 4x and
-    # 8x merge rungs join: a ladder without them ends at 6, 8 and 5 atoms
+    # p = 0.5 smears these supports over grid neighbours up to 4 steps apart,
+    # which the cleanup's 4.5-step merge joins: merging within 1 or 2 steps
+    # only ended at 6, 8 and 5 atoms
     m = make_model(family, **params)
     cands = default_candidates(m, h)
     crit = parse_criterion("p:0.5", m.k)
@@ -313,6 +294,33 @@ def test_wide_consolidation_rungs_collapse_p_half_supports(family, params, h, at
     assert rep.converged
     assert certify(rep.design, m, cands, crit, tol=2e-5).optimal
     assert rep.design.m == atoms
+
+
+def test_one_certificate_after_the_outer_loop(monkeypatch):
+    # p = 0.5 on poly-4 ends its loop with 17 atoms: the cleanup drops 10 of
+    # zero weight, merges 7 to 5 and verifies once; the verdict reuses that
+    # certificate
+    m = make_model("polynomial", degree=4)
+    cands = default_candidates(m, 0.01)
+    sizes, calls = [], []
+    consolidate, violation = solver_module._consolidate, solver_module._violation
+    merge_close = solver_module.merge_close
+
+    def cleanup(model, candidates, criterion, inner_tol, state, threshold):
+        sizes.append(state[0].shape[0])
+        return consolidate(model, candidates, criterion, inner_tol, state, threshold)
+
+    def merge(d, tol):
+        sizes.append(d.m)
+        return merge_close(d, tol)
+
+    monkeypatch.setattr(solver_module, "_consolidate", cleanup)
+    monkeypatch.setattr(solver_module, "merge_close", merge)
+    monkeypatch.setattr(solver_module, "_violation", lambda *a: calls.append(1) or violation(*a))
+    rep = solve(m, cands, parse_criterion("p:0.5", m.k))
+    assert rep.converged
+    assert sizes[0] > sizes[1] > rep.design.m
+    assert rep.iterations <= len(calls) <= rep.iterations + 1
 
 
 def test_p_near_one_converged_design_certifies(line2f):
