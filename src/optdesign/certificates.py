@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,24 +29,45 @@ ACTIVE_TOL = 1e-4  # slack allowed in the support equalities and the grid inequa
 
 @dataclass(frozen=True)
 class Certificate:
-    """Dual matrix N with its eigendecomposition (eigenvalues descending)."""
+    """Dual matrix N, with its eigendecomposition computed on first read.
+
+    ``Z`` (orthonormal eigenvectors as columns) and ``eigenvalues``
+    (descending, clipped at 0) come from one ``eigh`` of N, which is made,
+    and checked to be orthogonal and to recompose N, when either is first
+    read. The solver's outer loop reads only N, so its certificates are
+    never decomposed.
+    """
 
     N: np.ndarray
-    Z: np.ndarray
-    eigenvalues: np.ndarray
     bound: float = 1.0
 
     def __post_init__(self):
-        for name in ("N", "Z", "eigenvalues"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            arr.setflags(write=False)
+        N = np.asarray(self.N, dtype=float)
+        N.setflags(write=False)
+        object.__setattr__(self, "N", N)
+
+    @property
+    def Z(self) -> np.ndarray:
+        return self._spectrum[0]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._spectrum[1]
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        nvals, nvecs = np.linalg.eigh(self.N)
+        order = np.argsort(nvals)[::-1]
+        Z, eigenvalues = nvecs[:, order], np.clip(nvals[order], 0.0, None)
         scale = max(float(np.abs(self.N).max()), 1.0)
-        if np.abs(self.Z @ self.Z.T - np.eye(self.Z.shape[0])).max() > 1e-10:
+        if np.abs(Z @ Z.T - np.eye(Z.shape[0])).max() > 1e-10:
             raise ValidationError("certificate eigenvector matrix is not orthogonal")
-        recomposed = (self.Z * self.eigenvalues) @ self.Z.T
+        recomposed = (Z * eigenvalues) @ Z.T
         if np.abs(recomposed - self.N).max() > 1e-10 * scale:
             raise ValidationError("certificate eigendecomposition does not recompose N")
+        Z.setflags(write=False)
+        eigenvalues.setflags(write=False)
+        return Z, eigenvalues
 
 
 @dataclass(frozen=True)
@@ -270,10 +292,7 @@ def build_certificate(
     else:
         N = finite_p_dual(vals, vecs, criterion.p, floor_singular)
 
-    N = 0.5 * (N + N.T)
-    nvals, nvecs = np.linalg.eigh(N)
-    order = np.argsort(nvals)[::-1]
-    return Certificate(N=N, Z=nvecs[:, order], eigenvalues=np.clip(nvals[order], 0.0, None))
+    return Certificate(N=0.5 * (N + N.T))
 
 
 def verdict(criterion: Criterion, M, cert: Certificate, viol: float, support_sens, tol: float):

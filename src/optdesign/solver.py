@@ -33,7 +33,7 @@ import numpy as np
 
 from .certificates import Certificate, _tight_truncation, build_certificate, verdict
 from .conditional import _has_constants, marginal_model
-from .criteria import _SING_REL, NEG_INF, Criterion, psd_eig
+from .criteria import _SING_REL, NEG_INF, Criterion
 from .designs import Design, gram, merge_close, prune, sweep
 from .errors import DegenerateModelError, NoConditionalModelError
 from .errors import TruncationSlackError, ValidationError
@@ -78,8 +78,20 @@ class SolveReport:
     history: tuple = ()  # refined criterion value after each outer iteration
 
 
-def _log_phi(F: np.ndarray, w: np.ndarray, p: float, hessian: bool = False):
-    """log phi_p, normalized sensitivities and, on request, the Hessian in w.
+def _eigh(F: np.ndarray, w: np.ndarray):
+    """Eigenvalues (ascending, clipped at 0) and eigenvectors of M(w) = gram(F, w).
+
+    ``psd_eig`` without its checks: ``gram`` returns a bitwise-symmetric M and
+    the weights here are never negative, so its symmetry and definiteness
+    checks cannot fire and its symmetrization returns M unchanged. The weight
+    loops decompose M once per evaluation through this.
+    """
+    vals, vecs = np.linalg.eigh(gram(F, w))
+    return np.clip(vals, 0.0, None), vecs
+
+
+def _log_phi(F: np.ndarray, w: np.ndarray, p: float):
+    """log phi_p, normalized sensitivities and the Hessian in w, built on call.
 
     Uses eigenvalues floored at 1e-14 * lambda_max so transient singular
     iterates do not blow up. The sensitivities are the gradient of log phi_p
@@ -87,9 +99,10 @@ def _log_phi(F: np.ndarray, w: np.ndarray, p: float, hessian: bool = False):
     K_i = vec(h_i h_i^T), the Hessian is K diag(Gamma) K^T / tr(M^p) -
     p sens sens^T, where Gamma holds the divided differences of t^(p-1) at
     pairs of eigenvalues (Daleckii-Krein); tr(M^0) reads s. Returns
-    (log value, sens, Hessian or None).
+    (log value, sens, hessian), where hessian() builds the Hessian from the
+    same eigendecomposition, so a line-search trial that is rejected builds none.
     """
-    vals, vecs = psd_eig(gram(F, w))
+    vals, vecs = _eigh(F, w)
     s = vals.size
     lmax = max(vals[-1], 1e-300)
     floored = np.maximum(vals, 1e-14 * lmax)
@@ -102,12 +115,13 @@ def _log_phi(F: np.ndarray, w: np.ndarray, p: float, hessian: bool = False):
         tr = (floored**p).sum()
         log_value = float(np.log(tr / s) / p)
         sens = (H**2 * floored ** (p - 1.0)).sum(axis=1) / tr
-    if not hessian:
-        return log_value, sens, None
-    K = (H[:, :, None] * H[:, None, :]).reshape(H.shape[0], s * s)
-    gamma = _divided_differences(floored, p - 1.0).ravel()
-    hess = (K * gamma) @ K.T / tr - p * np.outer(sens, sens)
-    return log_value, sens, hess
+
+    def hessian():
+        K = (H[:, :, None] * H[:, None, :]).reshape(H.shape[0], s * s)
+        gamma = _divided_differences(floored, p - 1.0).ravel()
+        return (K * gamma) @ K.T / tr - p * np.outer(sens, sens)
+
+    return log_value, sens, hessian
 
 
 def _divided_differences(lam: np.ndarray, q: float) -> np.ndarray:
@@ -139,7 +153,9 @@ def _newton_direction(grad, hess, free):
 def _projected_newton(objective, w, tol, max_iter):
     """Projected Newton ascent of a concave objective over the simplex on a fixed support.
 
-    ``objective(w)`` returns (value, gradient, Hessian). The normalized
+    ``objective(w)`` returns (value, gradient, hessian), where hessian()
+    builds the Hessian: only a point that a Newton step starts from builds
+    one, never a rejected line-search trial. The normalized
     sensitivities are the gradient over w . gradient; the free set is the
     atoms with positive weight plus the zero-weight atoms whose sensitivity
     exceeds 1 (the ones the normality inequality says to grow). A zero-weight
@@ -156,15 +172,16 @@ def _projected_newton(objective, w, tol, max_iter):
     equalities both hold within ``tol``. The first alone accepted support
     atoms with sensitivity below 1: p = 0.9 on linear-2f-no-intercept stopped
     at edge weights 6.8e-5 and 3e-8, where both should be 3.4e-5. Returns
-    (weights, Newton steps taken, gradient at the returned weights).
+    (weights, Newton steps taken, gradient and value at the returned weights).
     """
-    value, grad, hess = objective(w)
+    value, grad, hessian = objective(w)
     steps = 0
     while steps < max_iter:
         sens = grad / (w @ grad)
         if sens.max() - 1.0 <= tol and sens[w > 0].min() >= 1.0 - tol:
             break
         steps += 1
+        hess = hessian()
         free = (w > 0) | (sens > 1.0)
         while True:
             d = _newton_direction(grad, hess, free)
@@ -188,16 +205,17 @@ def _projected_newton(objective, w, tol, max_iter):
             w_try /= w_try.sum()
             val_try, grad_try, hess_try = objective(w_try)
             if val_try >= value + 1e-4 * step * slope or grad_try @ d >= 1e-4 * slope:
-                w, value, grad, hess = w_try, val_try, grad_try, hess_try
+                w, value, grad, hessian = w_try, val_try, grad_try, hess_try
                 break
             step *= 0.5
         else:
             break
-    return w, steps, grad
+    return w, steps, grad, value
 
 
 def _smoothed_lambda_min(F: np.ndarray, w: np.ndarray, mu: float):
-    """psi_mu(w) = max_t [t + mu log det(M(w) - t I)], its gradient and its Hessian in w.
+    """psi_mu(w) = max_t [t + mu log det(M(w) - t I)], its gradient and its Hessian in w,
+    the last built on call (see ``_log_phi``).
 
     The maximizing t solves mu tr(G^-1) = 1 with G = M - t I; d = lambda_min - t
     lies in [mu, k mu], and Newton's method from d = mu climbs to the root
@@ -207,7 +225,7 @@ def _smoothed_lambda_min(F: np.ndarray, w: np.ndarray, mu: float):
     gradient is f_i^T Z f_i for the trace-one Z = mu G^-1, so its largest
     entry bounds the smallest eigenvalue of every design on the support.
     """
-    vals, vecs = psd_eig(gram(F, w))
+    vals, vecs = _eigh(F, w)
     gaps = vals - vals[0]
     d = mu
     for _ in range(100):
@@ -219,10 +237,13 @@ def _smoothed_lambda_min(F: np.ndarray, w: np.ndarray, mu: float):
     inv = 1.0 / (gaps + d)
     H = F @ vecs
     value = vals[0] - d - mu * np.log(inv).sum()
-    a = (H**2) @ inv**2
     S = (H * inv) @ H.T
-    hess = mu * (np.outer(a, a) / (inv**2).sum() - S**2)
-    return value, mu * np.diag(S), hess
+
+    def hessian():
+        a = (H**2) @ inv**2
+        return mu * (np.outer(a, a) / (inv**2).sum() - S**2)
+
+    return value, mu * np.diag(S), hessian
 
 
 def _refine_e(F, w, tol, max_iter):
@@ -245,17 +266,17 @@ def _refine_e(F, w, tol, max_iter):
     singular M(w), or k = 1, starts at lambda_max / k.
     """
     k = F.shape[1]
-    vals, vecs = psd_eig(gram(F, w))
+    vals, vecs = _eigh(F, w)
     mu = vals[-1] / k
     if k > 1 and vals[0] > _SING_REL * vals[-1]:
         gap0 = float(((F @ vecs[:, 0]) ** 2).max()) - vals[0]
         mu = min(mu, max(gap0, tol * vals[0]) / (k - 1))
     while max_iter > 0:
-        w, steps, grad = _projected_newton(
+        w, steps, grad, _ = _projected_newton(
             lambda v: _smoothed_lambda_min(F, v, mu), w, tol / 2, max_iter
         )
         max_iter -= max(steps, 1)
-        lam_min = psd_eig(gram(F, w))[0][0]
+        lam_min = _eigh(F, w)[0][0]
         bound = grad.max()
         if bound - lam_min <= tol * lam_min:
             break
@@ -264,10 +285,15 @@ def _refine_e(F, w, tol, max_iter):
 
 
 def _refine(F, w, criterion: Criterion, tol, max_iter):
+    """Weights refined on a fixed support and the criterion value there.
+
+    For finite p the value is the Newton loop's own last one."""
     if criterion.p == NEG_INF:
-        return _refine_e(F, w, tol, max_iter)
+        w = _refine_e(F, w, tol, max_iter)
+        return w, _value(F, w, NEG_INF)
     p = criterion.p
-    return _projected_newton(lambda v: _log_phi(F, v, p, hessian=True), w, tol, max_iter)[0]
+    w, _, _, log_value = _projected_newton(lambda v: _log_phi(F, v, p), w, tol, max_iter)
+    return w, float(np.exp(log_value))
 
 
 def _spread_indices(points: np.ndarray, F: np.ndarray, k: int, rng) -> list[int]:
@@ -312,7 +338,7 @@ def refine_weights(model, support, criterion: Criterion, opts: SolverOptions | N
     if criterion.p <= 0 and gram_rank(F) < k:
         raise DegenerateModelError("support does not span the regression space")
     w = np.full(pts.shape[0], 1.0 / pts.shape[0])
-    w = _refine(F, w, criterion, opts.kkt_tol / 20.0, MAX_INNER_ITERS)
+    w = _refine(F, w, criterion, opts.kkt_tol / 20.0, MAX_INNER_ITERS)[0]
     keep = w > 1e-12
     return Design(pts[keep], w[keep] / w[keep].sum())
 
@@ -422,9 +448,9 @@ def _exchange(model, candidates, criterion, opts, init) -> SolveReport:
     while outer < opts.max_outer_iters:
         outer += 1
         # a short Newton budget per iteration; the full one is spent in the final polish
-        w = _refine(F_sup, w, criterion, inner_tol, 300)
-        sens_all, viol, cert = _violation(model, candidates, criterion, F_sup, w)
-        history.append(_value(F_sup, w, criterion.p))
+        w, value = _refine(F_sup, w, criterion, inner_tol, 300)
+        sens_all, viol, cert = _violation(model, candidates, criterion, F_sup, w, F_all)
+        history.append(value)
         if viol <= opts.kkt_tol:
             break
         j = _best_unsupported(sens_all, candidates.points, sup_pts, 1.0 + opts.kkt_tol)
@@ -484,11 +510,12 @@ def _value(F: np.ndarray, w: np.ndarray, p: float) -> float:
     return float(np.exp(_log_phi(F, w, p)[0]))
 
 
-def _violation(model, candidates, criterion, F_sup, w):
-    """The certificate of M(w), the sensitivities over the full grid against
-    it, and their largest excess over 1: (sensitivities, excess, certificate)."""
+def _violation(model, candidates, criterion, F_sup, w, F_all):
+    """The certificate of M(w), the sensitivities over the full grid (regression
+    matrix ``F_all``) against it, and their largest excess over 1:
+    (sensitivities, excess, certificate)."""
     cert = build_certificate(criterion, gram(F_sup, w), model, candidates, floor_singular=True)
-    sens_all = sweep(candidates.features(model), cert.N)
+    sens_all = sweep(F_all, cert.N)
     return sens_all, float(sens_all.max() - 1.0), cert
 
 
@@ -510,6 +537,8 @@ def _consolidate(model, candidates, criterion, inner_tol, state, threshold):
     if d.m == sup_pts.shape[0]:
         return state
     F_sup = model.eval_many(d.points)
-    w2 = _refine(F_sup, d.weights.copy(), criterion, inner_tol, MAX_INNER_ITERS)
-    sens2, viol2, cert2 = _violation(model, candidates, criterion, F_sup, w2)
+    w2 = _refine(F_sup, d.weights.copy(), criterion, inner_tol, MAX_INNER_ITERS)[0]
+    sens2, viol2, cert2 = _violation(
+        model, candidates, criterion, F_sup, w2, candidates.features(model)
+    )
     return (d.points.copy(), w2, sens2, viol2, cert2) if viol2 <= threshold else state

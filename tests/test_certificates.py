@@ -37,6 +37,61 @@ def test_certificate_d(line2f, line2f_grid):
     assert cert.eigenvalues[0] >= cert.eigenvalues[-1]
 
 
+def test_certificate_decomposes_n_on_first_read(monkeypatch):
+    # Z and the eigenvalues are one eigh of N, made when first read; they must
+    # be the bits an eager decomposition gives, and a decomposition that is
+    # not orthogonal or does not recompose N still raises, on that first read
+    rng = np.random.default_rng(5)
+    eigh = np.linalg.eigh
+    for s in (2, 4, 6):
+        M = random_psd(rng, s, jitter=0.1)
+        for p in (0.0, -1.0, 0.5):
+            cert = build_certificate(Criterion(p, s), M, None, None)
+            vals, vecs = eigh(cert.N)
+            order = np.argsort(vals)[::-1]
+            assert np.array_equal(cert.Z, vecs[:, order])
+            assert np.array_equal(cert.eigenvalues, np.clip(vals[order], 0.0, None))
+            assert not cert.Z.flags.writeable and not cert.eigenvalues.flags.writeable
+    for corrupt, message in [
+        (lambda vals, vecs: (vals, 2.0 * vecs), "not orthogonal"),
+        (lambda vals, vecs: (vals + 1.0, vecs), "does not recompose"),
+    ]:
+        cert = build_certificate(Criterion(0.0, s), M, None, None)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, corrupt=corrupt: corrupt(*eigh(a)))
+        with pytest.raises(ValidationError, match=message):
+            cert.Z
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+
+def test_solve_decomposes_no_certificate_until_z_is_read(monkeypatch):
+    # the outer loop reads only N of its certificates: the one eigh of an N
+    # in a solve is the verdict's polar(N) of the reported certificate
+    import optdesign.solver as solver_module
+
+    certs, inputs = [], []
+    build, eigh = solver_module.build_certificate, np.linalg.eigh
+
+    def built(*args, **kwargs):
+        certs.append(build(*args, **kwargs))
+        return certs[-1]
+
+    def decomposed(a, *args, **kwargs):
+        inputs.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    def decompositions(N):
+        return sum(x.shape == N.shape and np.array_equal(x, N) for x in inputs)
+
+    monkeypatch.setattr(solver_module, "build_certificate", built)
+    monkeypatch.setattr(np.linalg, "eigh", decomposed)
+    m = make_model("polynomial", degree=3, space=interval(-1.0, 1.0))
+    rep = solve(m, discretize(m.space, 0.01), parse_criterion("p:0.5", m.k))
+    assert rep.converged and len(certs) > 2
+    assert [decompositions(c.N) for c in certs] == [int(c is rep.certificate) for c in certs]
+    rep.certificate.Z
+    assert decompositions(rep.certificate.N) == 2
+
+
 def test_certificate_identity_matrix(line2f, line2f_grid):
     cert = build_certificate(Criterion(0.0, 2), np.eye(2), line2f, line2f_grid)
     assert np.allclose(cert.N, np.eye(2) / 2)

@@ -23,12 +23,15 @@ from optdesign import (
     truncate,
 )
 import optdesign.solver as solver_module
+from optdesign.criteria import psd_eig
 from optdesign.designs import gram
 from optdesign.models import gram_rank
 from optdesign.solver import (
     SolverOptions,
     _best_unsupported,
+    _divided_differences,
     _log_phi,
+    _newton_direction,
     _smoothed_lambda_min,
     _spread_indices,
 )
@@ -109,7 +112,8 @@ def test_smoothed_lambda_min_derivatives_match_finite_differences():
     eps = 1e-6
     for F, w, mu in cases:
         w = w / w.sum()
-        _, grad, hess = _smoothed_lambda_min(F, w, mu)
+        _, grad, hessian = _smoothed_lambda_min(F, w, mu)
+        hess = hessian()
         fd_grad, fd_hess = [], []
         for e in np.eye(w.size) * eps:
             up, down = _smoothed_lambda_min(F, w + e, mu), _smoothed_lambda_min(F, w - e, mu)
@@ -138,7 +142,8 @@ def test_log_phi_derivatives_match_finite_differences(p):
     eps = 1e-5
     for F, w in cases:
         w = w / w.sum()
-        _, sens, hess = _log_phi(F, w, p, hessian=True)
+        _, sens, hessian = _log_phi(F, w, p)
+        hess = hessian()
         fd_sens, fd_hess = [], []
         for e in np.eye(w.size) * eps:
             up, down = _log_phi(F, w + e, p), _log_phi(F, w - e, p)
@@ -146,6 +151,130 @@ def test_log_phi_derivatives_match_finite_differences(p):
             fd_hess.append((up[1] - down[1]) / (2 * eps))
         assert np.allclose(sens, fd_sens, rtol=1e-6, atol=1e-8)
         assert np.allclose(hess, fd_hess, rtol=1e-6, atol=1e-8)
+
+
+# The weight loop as it stood before it decomposed M once per evaluation:
+# a validated psd_eig of every Gram matrix and a Hessian at every line-search
+# trial. The live loop does less work and must return the same bits.
+def _reference_log_phi(F, w, p, hessian=False):
+    vals, vecs = psd_eig(gram(F, w))
+    s = vals.size
+    lmax = max(vals[-1], 1e-300)
+    floored = np.maximum(vals, 1e-14 * lmax)
+    H = F @ vecs
+    if p == 0:
+        log_value = float(np.mean(np.log(floored)))
+        sens = (H**2 / floored).sum(axis=1) / s
+        tr = float(s)
+    else:
+        tr = (floored**p).sum()
+        log_value = float(np.log(tr / s) / p)
+        sens = (H**2 * floored ** (p - 1.0)).sum(axis=1) / tr
+    if not hessian:
+        return log_value, sens, None
+    K = (H[:, :, None] * H[:, None, :]).reshape(H.shape[0], s * s)
+    gamma = _divided_differences(floored, p - 1.0).ravel()
+    hess = (K * gamma) @ K.T / tr - p * np.outer(sens, sens)
+    return log_value, sens, hess
+
+
+def _reference_smoothed_lambda_min(F, w, mu):
+    vals, vecs = psd_eig(gram(F, w))
+    gaps = vals - vals[0]
+    d = mu
+    for _ in range(100):
+        inv = 1.0 / (gaps + d)
+        step = (mu * inv.sum() - 1.0) / (mu * (inv**2).sum())
+        d += step
+        if step <= 1e-15 * d:
+            break
+    inv = 1.0 / (gaps + d)
+    H = F @ vecs
+    value = vals[0] - d - mu * np.log(inv).sum()
+    a = (H**2) @ inv**2
+    S = (H * inv) @ H.T
+    hess = mu * (np.outer(a, a) / (inv**2).sum() - S**2)
+    return value, mu * np.diag(S), hess
+
+
+def _reference_projected_newton(objective, w, tol, max_iter):
+    value, grad, hess = objective(w)
+    steps = 0
+    while steps < max_iter:
+        sens = grad / (w @ grad)
+        if sens.max() - 1.0 <= tol and sens[w > 0].min() >= 1.0 - tol:
+            break
+        steps += 1
+        free = (w > 0) | (sens > 1.0)
+        while True:
+            d = _newton_direction(grad, hess, free)
+            blocked = free & (w == 0) & (d < 0)
+            if not blocked.any():
+                break
+            free &= ~blocked
+        slope = float(grad @ d)
+        if not slope > 0:
+            break
+        shrinking = d < 0
+        ratios = np.full(w.size, np.inf)
+        ratios[shrinking] = w[shrinking] / -d[shrinking]
+        cap = float(ratios.min())
+        step = min(1.0, cap)
+        for _ in range(40):
+            w_try = w + step * d
+            if step == cap:
+                w_try[ratios <= cap] = 0.0
+            w_try = np.maximum(w_try, 0.0)
+            w_try /= w_try.sum()
+            val_try, grad_try, hess_try = objective(w_try)
+            if val_try >= value + 1e-4 * step * slope or grad_try @ d >= 1e-4 * slope:
+                w, value, grad, hess = w_try, val_try, grad_try, hess_try
+                break
+            step *= 0.5
+        else:
+            break
+    return w, steps, grad
+
+
+def _seeded_supports():
+    """Regressor rows of random supports, with random weights on all atoms
+    but the last, which enters at weight 0 as the outer loop adds it."""
+    models = [
+        (make_model("polynomial", degree=3, space=interval(-1.0, 1.0)), 7),
+        (make_model("polynomial", degree=5, space=interval(-1.0, 1.0)), 9),
+        (make_model("linear-2f-no-intercept"), 4),
+        (make_model(_MIXTURE[0], **_MIXTURE[1]), 8),
+    ]
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        for m, n in models:
+            lo, hi = np.array(m.space.bounds).T
+            F = m.eval_many(lo + (hi - lo) * rng.random((n, len(lo))))
+            yield F, np.append(rng.dirichlet(np.ones(n - 1)), 0.0)
+
+
+@pytest.mark.parametrize("crit", ["D", "A", "p:-2", "p:0.5", "p:0.9", "E"])
+def test_newton_loop_matches_the_reference_loop_bit_for_bit(crit):
+    p = parse_criterion(crit).p
+    tol = SolverOptions().kkt_tol / 20.0
+    for F, w in _seeded_supports():
+        if p == float("-inf"):
+            lam = np.linalg.eigvalsh(gram(F, w))[-1] / F.shape[1]
+            pairs = [
+                (lambda v, mu=mu: _smoothed_lambda_min(F, v, mu),
+                 lambda v, mu=mu: _reference_smoothed_lambda_min(F, v, mu))
+                for mu in (lam, lam * 1e-4)
+            ]
+        else:
+            pairs = [(lambda v: _log_phi(F, v, p),
+                      lambda v: _reference_log_phi(F, v, p, hessian=True))]
+        for live, reference in pairs:
+            got = solver_module._projected_newton(live, w.copy(), tol, 300)
+            want = _reference_projected_newton(reference, w.copy(), tol, 300)
+            assert got[1] == want[1] > 0
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[2], want[2])
+            assert got[3] == live(want[0])[0]
 
 
 @pytest.mark.parametrize(
