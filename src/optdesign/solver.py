@@ -528,13 +528,14 @@ def _consolidate(model, candidates, criterion, inner_tol, state, threshold):
     sqrt(20) and 5, so no merge hinges on rounding), refines the weights with
     the full inner budget and sweeps the full grid once. The result replaces
     ``state`` (support, weights, sensitivities, violation, certificate) if
-    its violation is within ``threshold``; a no-op cleanup is skipped.
+    its violation is within ``threshold``. A cleanup that drops only atoms of
+    weight <= 1e-15, which the report drops anyway, is skipped.
     """
     sup_pts, w = state[:2]
     keep = w > 1e-15
     d = prune(Design(sup_pts[keep], w[keep] / w[keep].sum()), WEIGHT_FLOOR)
     d = merge_close(d, 4.5 * candidates.max_step)
-    if d.m == sup_pts.shape[0]:
+    if d.m == np.count_nonzero(keep):
         return state
     F_sup = model.eval_many(d.points)
     w2 = _refine(F_sup, d.weights.copy(), criterion, inner_tol, MAX_INNER_ITERS)[0]

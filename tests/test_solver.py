@@ -452,6 +452,22 @@ def test_one_certificate_after_the_outer_loop(monkeypatch):
     assert rep.iterations <= len(calls) <= rep.iterations + 1
 
 
+def test_cleanup_that_drops_only_zero_weight_atoms_is_skipped(monkeypatch):
+    # the report drops atoms of weight <= 1e-15 anyway: such a cleanup runs no
+    # refine and no full-grid sweep
+    m = make_model("polynomial", degree=3, space=interval(-1.0, 1.0))
+    cands = discretize(m.space, 0.01)
+    crit = parse_criterion("D", m.k)
+    rep = solve(m, cands, crit)
+    state = (
+        np.vstack([rep.design.points, [[0.0]]]), np.append(rep.design.weights, 0.0),
+        None, rep.max_sensitivity_violation, rep.certificate,
+    )
+    monkeypatch.setattr(solver_module, "_refine", lambda *a: pytest.fail("refined"))
+    monkeypatch.setattr(solver_module, "_violation", lambda *a: pytest.fail("swept"))
+    assert solver_module._consolidate(m, cands, crit, 1e-6, state, 1e-5) is state
+
+
 def test_p_near_one_converged_design_certifies(line2f):
     # the Newton refinement once stopped on the normality inequality alone,
     # at edge weights 6.8e-5 and 3e-8 with a support sensitivity below 1
