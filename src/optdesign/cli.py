@@ -158,13 +158,14 @@ def _format_17g(x: np.ndarray) -> np.ndarray:
 def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
     """Header line, then one line per row of ``table`` with every value in %.17g.
 
+    The columns are a grid's point coordinates, then one value per point.
     Rows are formatted and written CSV_BLOCK at a time, so the text of a
     grid-sized table is never held whole in memory. Within a block each
-    distinct value of a column is formatted once: values are matched on
-    their bit patterns, which keeps ``-0.0`` apart from ``0.0``, and grid
-    coordinate columns repeat heavily. Each value fills fixed byte slots
-    whose unused ones hold 0 bytes; the block's bytes are written with those
-    deleted.
+    distinct value of a coordinate column is formatted once: grid coordinates
+    repeat heavily, and values are matched on their bit patterns, which keeps
+    ``-0.0`` apart from ``0.0``. The value column repeats little, so it is
+    formatted as it stands. Each value fills fixed byte slots whose unused
+    ones hold 0 bytes; the block's bytes are written with those deleted.
     """
     n, ncol = table.shape
     slots = np.empty((min(n, CSV_BLOCK), ncol, _WIDTH + 1), np.uint8)
@@ -175,9 +176,10 @@ def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
         for start in range(0, n, CSV_BLOCK):
             block = table[start : start + CSV_BLOCK]
             rows = slots[: block.shape[0]]
-            for j in range(ncol):
+            for j in range(ncol - 1):
                 bits, inverse = np.unique(block[:, j].view(np.int64), return_inverse=True)
                 rows[:, j, :_WIDTH] = np.take(_format_17g(bits.view(np.float64)), inverse, axis=0)
+            rows[:, -1, :_WIDTH] = _format_17g(block[:, -1])
             fh.write(rows.tobytes().translate(None, b"\0"))
 
 

@@ -167,10 +167,20 @@ def test_write_csv_matches_per_value_format(tmp_path):
     table[0] = [-0.0, 5e-324, 1e-300]
     table[CSV_BLOCK - 1 : CSV_BLOCK + 1] = [[1.0, 1e22, -1.5], [-1e22, -5e-324, 0.0]]
     table[-1] = [-0.0, -1e-300, 1.0]
+    # the value column is formatted value by value, not per distinct value
+    specials = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.5e-320, 2.2e-308]
+    table[1 : 1 + len(specials), 2] = specials
+    table[CSV_BLOCK - 5 : CSV_BLOCK + 5, 2] = 0.1  # a repeat across the block boundary
+    table[-10:-1, 2] = specials[::-1]
     written = _assert_csv_matches_per_value_format(
         tmp_path / "blocked.csv", ["x0", "x1", "value"], table
     )
     assert b"\n-0,4.9406564584124654e-324,1e-300\n" in written
+    values = [line.rsplit(b",", 1)[1] for line in written.splitlines()[2 : 2 + len(specials)]]
+    assert values == [
+        b"-0", b"0", b"nan", b"nan", b"inf", b"-inf",
+        b"4.9406564584124654e-324", b"-2.4999721679567075e-320", b"2.2000000000000002e-308",
+    ]
 
 
 def test_write_csv_formats_repeated_values_per_row(tmp_path):
