@@ -499,7 +499,7 @@ def _moment_oracle(d1: Design, F1: np.ndarray, M1: np.ndarray, points, F, model)
     Hankel-structured matrix H(w) of the moments sum_i w_i h_i^2 x_i^j,
     j = 0..2d. Matching moments 0..2d-1 to d1's and raising moment 2d makes
     H(w) - H(d1) a nonnegative multiple of e_d e_d', so M(w) - M(d1) is rank
-    one and nonnegative definite. The stage decides in one of three ways:
+    one and nonnegative definite. The stage decides in one of four ways:
 
     - When d1 has at most d - 1 distinct atoms strictly inside the
       candidates' x-range, no other measure there shares its lower moments
@@ -510,6 +510,8 @@ def _moment_oracle(d1: Design, F1: np.ndarray, M1: np.ndarray, points, F, model)
       1954): the two-end design of mass (E x - x_lo) / (x_hi - x_lo) on the
       candidates' x-maximizer, which has d1's mean of x and, among measures
       on the candidates' range with that mean, the largest mean of x^2.
+    - At d = 0, M(w) = C (sum_i w_i h_i^2) C', which all mass on the
+      candidate of largest h maximizes (the lowest index on ties).
     - Otherwise one LP over candidate weights w >= 0, sum w = 1, with the
       moments h^2 T_j(x) in the Chebyshev basis on [-1, 1]: 2d + 1 equality
       rows, so a vertex has at most 2d + 1 atoms.
@@ -537,6 +539,10 @@ def _moment_oracle(d1: Design, F1: np.ndarray, M1: np.ndarray, points, F, model)
         w = np.zeros(n)
         w[i_hi] = np.clip((d1.weights @ x[n:] - x[i_lo]) / (x[i_hi] - x[i_lo]), 0.0, 1.0)
         w[i_lo] = 1.0 - w[i_hi]
+        return _weights_dominator(w, points, M1, model), ""
+    if d == 0:
+        w = np.zeros(n)
+        w[int(h[:n].argmax())] = 1.0
         return _weights_dominator(w, points, M1, model), ""
     h = h / h.max()
     V = (h * h)[:, None] * np.polynomial.chebyshev.chebvander(x, 2 * d)

@@ -638,6 +638,39 @@ def _moment_case(d1, points, model):
     return _moment_oracle(d1, F1, gram(F1, d1.weights), points, model.eval_many(points), model)
 
 
+def test_moment_stage_at_degree_zero_solves_no_lp(monkeypatch):
+    # at d = 0 the moment LP maximizes sum_i w_i h_i^2 over the simplex: all
+    # mass on the candidate of largest h, which the stage now takes with no
+    # LP, returning the LP's dominator and so the LP's verdict
+    from scipy.optimize import linprog
+
+    model = make_model("weighted-polynomial", degree=0, efficiency={"kind": "exp"})
+    grid = discretize(model.space, 0.01).points
+    assert len(grid) == 101
+    rng = np.random.default_rng(11)
+    draws = []
+    for _ in range(40):
+        idx = rng.choice(len(grid), int(rng.integers(1, 4)), replace=False)
+        draws.append(design(grid[idx], rng.dirichlet(np.ones(idx.size))))
+    h = model.eval_many(grid)[:, 0]
+    res = linprog(-((h / h.max()) ** 2), A_eq=np.ones((1, len(grid))), b_eq=[1.0],
+                  bounds=(0.0, None), method="highs")
+    calls = _count_linprog(monkeypatch)
+    got = [_moment_case(d1, grid, model) for d1 in draws]
+    assert calls == []
+    for d1, (dom, proof) in zip(draws, got):
+        F1 = model.eval_many(d1.points)
+        want = _weights_dominator(np.maximum(res.x, 0.0), grid, gram(F1, d1.weights), model)
+        assert proof == "" and (dom is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(dom.points, want.points)
+            assert np.array_equal(dom.weights, want.weights)
+        assert _verdict_class(find_dominator(d1, grid, model)) == (
+            "admissible" if want is None else "inadmissible"
+        )
+    assert sum(dom is not None for dom, _ in got) == 39
+
+
 def _stratified_draw(rng, n, d):
     """Grid indices of one interior atom in each of d equal strata of n
     points, plus up to two more grid points, anywhere."""
