@@ -7,6 +7,14 @@ every finite exponent, D included, and for E of the log-barrier smoothing of
 the smallest eigenvalue along its central path, whose duality gap is the
 stop rule (Boyd & Vandenberghe, Convex Optimization, ch. 11).
 
+Each evaluation of the objective decomposes M(w) once, with a bare ``eigh``
+(``_eigh``), and gives the value and the gradient. A Newton step builds the
+Hessian at the point it starts from only, never at a line-search trial it
+rejects; the refined value goes to ``history`` as the loop left it. Each
+outer iteration builds the certificate of M(w) and sweeps the full grid with
+its N; the certificate's eigenbasis Z is computed only when first read,
+which the loop never does.
+
 D on a two-factor model that can be additive with an intercept or a Kronecker
 product of its marginal models (the span of f on each axis line) starts from
 the product of the marginal D-optimal designs, D-optimal there though not
