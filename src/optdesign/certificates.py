@@ -34,8 +34,7 @@ class Certificate:
     ``Z`` (orthonormal eigenvectors as columns) and ``eigenvalues``
     (descending, clipped at 0) come from one ``eigh`` of N, which is made,
     and checked to be orthogonal and to recompose N, when either is first
-    read. The solver's outer loop reads only N, so its certificates are
-    never decomposed.
+    read. The solver's outer loop reads only N, so it never computes them.
     """
 
     N: np.ndarray

@@ -211,9 +211,9 @@ def _projected_newton(objective, w, tol, max_iter):
                 w_try[ratios <= cap] = 0.0
             w_try = np.maximum(w_try, 0.0)
             w_try /= w_try.sum()
-            val_try, grad_try, hess_try = objective(w_try)
+            val_try, grad_try, hessian_try = objective(w_try)
             if val_try >= value + 1e-4 * step * slope or grad_try @ d >= 1e-4 * slope:
-                w, value, grad, hessian = w_try, val_try, grad_try, hess_try
+                w, value, grad, hessian = w_try, val_try, grad_try, hessian_try
                 break
             step *= 0.5
         else:

@@ -153,9 +153,9 @@ def test_log_phi_derivatives_match_finite_differences(p):
         assert np.allclose(hess, fd_hess, rtol=1e-6, atol=1e-8)
 
 
-# The weight loop as it stood before it decomposed M once per evaluation:
-# a validated psd_eig of every Gram matrix and a Hessian at every line-search
-# trial. The live loop does less work and must return the same bits.
+# The weight loop with a validated psd_eig of every Gram matrix and a Hessian
+# at every line-search trial. The live loop skips both and must return the
+# same bits.
 def _reference_log_phi(F, w, p, hessian=False):
     vals, vecs = psd_eig(gram(F, w))
     s = vals.size
