@@ -5,15 +5,17 @@ designs. On each slice of a two-factor model the conditional model is f in an
 orthonormal basis of its span there, the lift matrix tying it back to the
 full model, so the full information matrix recomposes exactly. A marginal
 model is the conditional model of one axis line, where the span of f is the
-same on every parallel line. Dominance in the Loewner order is tested
-directly; inadmissibility of any conditional design lifts to inadmissibility
-of the full design by splicing in the dominating slice.
+same on every parallel line. Dominance in the Loewner order is decided by
+one test, ``dominates``, in the frame whitened by M1 + M2; inadmissibility
+of any conditional design lifts to inadmissibility of the full design by
+splicing in the dominating slice.
 
 The dominator search is a chain of four stages that stops at the first
 verified dominator or proof: a single candidate takes one comparison; where
 the span of f on a line is h P_d (h > 0, P_d the polynomials of degree
 <= d; the constants plus one function g is P_1 in g), de la Garza's moment
-problem gives the index proof, at d = 1 with h constant the two ends of g
+problem gives the index proof, at d = 0 all mass on the largest h (a proof
+when that does not dominate), at d = 1 with h constant the two ends of g
 at d1's mean in closed form, or else one LP with 2d + 1 rows; the
 exhaustive two-point oracle (at most two parameters, at most 200
 candidates); then one Kelley cutting-plane loop.
@@ -99,10 +101,10 @@ class AdmissibilityVerdict:
     """``inadmissible`` carries a verified dominator. ``admissible`` is a
     proof when ``note`` says that no design on the candidates dominates (by
     the index of a polynomial design, which at degree 1 puts its atoms at
-    the ends of g, a Kelley dual bound, or a single candidate); otherwise it
-    means no dominator was found within budget, which is evidence, not
-    proof. ``inconclusive`` marks a search that ran out of budget while
-    still making progress."""
+    the ends of g, the degree-0 design on the largest h, a Kelley dual
+    bound, or a single candidate); otherwise it means no dominator was
+    found within budget, which is evidence, not proof. ``inconclusive``
+    marks a search that ran out of budget while still making progress."""
 
     admissible: bool
     dominator: Design | None = None
@@ -316,42 +318,36 @@ def recompose_check(design: Design, tmap: SliceMap, model: ModelSpec) -> float:
 # Loewner dominance and dominator search
 # ---------------------------------------------------------------------------
 
-def dominates(d2: Design, d1: Design, model, tol: float = 1e-9) -> bool:
-    """True iff M(d2) - M(d1) is nonnegative definite and nonzero (both within
-    tol relative to the larger matrix scale)."""
-    return _loewner_gap(info_matrix(d2, model), info_matrix(d1, model), tol)
+MATERIAL_FACTOR = 100.0  # a dominator's gap must clear this many tolerances (see dominates)
 
 
-def _loewner_gap(M2: np.ndarray, M1: np.ndarray, tol: float) -> bool:
-    """``dominates`` on information matrices."""
-    delta = M2 - M1
-    scale = max(np.abs(M1).max(), np.abs(M2).max(), 1e-300)
-    lmin = float(np.linalg.eigvalsh(0.5 * (delta + delta.T))[0])
-    return lmin >= -tol * scale and float(np.abs(delta).max()) > tol * scale
-
-
-MATERIAL_FACTOR = 100.0  # a dominator's gap must clear this many tolerances (see _dominates_m1)
-
-
-def _dominates_m1(d2: Design, M1: np.ndarray, model, tol=DOMINANCE_TOL):
-    """``dominates(d2, d1, model, tol)`` for d1 of information matrix M1, with
-    a material gap. In the frame whitened by M1 + M2 the gap's eigenvalues
-    lie in [-1, 1] and are free of the basis of f: the smallest must be at
-    least -MATERIAL_FACTOR * tol and the largest above MATERIAL_FACTOR * tol.
-    ``dominates``' slack is relative to M's largest entry; here a gap that
-    is negative only where M1 + M2 is small fails, and one that is small
-    against M's largest entry but large where M1 + M2 is small counts.
-    Eigenvalues of M1 + M2 below 1e-10 of its largest are taken as its null
-    space, where the gap vanishes too; above that cut, rounding in the gap
-    reads as at most about 1e-6."""
-    M2 = info_matrix(d2, model)
-    if not _loewner_gap(M2, M1, tol):
+def dominates(d2: Design, d1: Design, model, tol: float = DOMINANCE_TOL) -> bool:
+    """True iff M(d2) - M(d1) is nonnegative definite and material, the one
+    Loewner-order test. In the frame whitened by M(d1) + M(d2) the gap's
+    eigenvalues lie in [-1, 1] and are free of the basis of f: the smallest
+    must be at least -MATERIAL_FACTOR * tol and the largest above
+    MATERIAL_FACTOR * tol. The frame comes from the weighted regression rows,
+    so no information matrix is squared: R = [R1; R2] = U S V', R_j =
+    diag(sqrt(w_j)) F_j, and with U = [U1; U2] the gap is U2'U2 - U1'U1.
+    Singular values below 1e-10 of the largest are rounding, where the gap
+    vanishes too (M1 + M2 = 0 holds no gap); above that cut rounding in the
+    gap reads as at most about 1e-6. A gain counts only where M1 + M2 is at
+    least 1e-10 of its largest eigenvalue, so an atom of weight 1e-11 alone
+    adds none."""
+    if not tol >= 0:  # also rejects NaN
+        raise ValidationError(f"dominance tolerance must be nonnegative, got {tol:g}")
+    R1, R2 = (np.sqrt(d.weights)[:, None] * model.eval_many(d.points) for d in (d1, d2))
+    U, sv, _ = np.linalg.svd(np.vstack([R1, R2]), full_matrices=False)
+    if not sv[0] > 0:
         return False
-    vals, vecs = np.linalg.eigh(M1 + M2)
-    keep = vals > 1e-10 * vals[-1]
-    W = vecs[:, keep] / np.sqrt(vals[keep])
-    lam = np.linalg.eigvalsh(W.T @ (M2 - M1) @ W)
-    return float(lam[0]) >= -MATERIAL_FACTOR * tol and float(lam[-1]) > MATERIAL_FACTOR * tol
+    U = U[:, sv > 1e-10 * sv[0]]
+    U1, U2 = U[: len(R1)], U[len(R1):]
+    gap = U2.T @ U2 - U1.T @ U1
+    strong = int(np.count_nonzero(sv > 1e-5 * sv[0]))
+    return (
+        float(np.linalg.eigvalsh(gap)[0]) >= -MATERIAL_FACTOR * tol
+        and float(np.linalg.eigvalsh(gap[:strong, :strong])[-1]) > MATERIAL_FACTOR * tol
+    )
 
 
 def _nonneg_interval(a, b, c):
@@ -382,7 +378,7 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ii, jj
 
 
-def _phase2_oracle(M1: np.ndarray, points: np.ndarray, F: np.ndarray, model):
+def _phase2_oracle(d1: Design, points: np.ndarray, F: np.ndarray, model):
     """Exhaustive search over 2-point supports, exact in the weight (k <= 2).
 
     Dominance feasibility lives on a thin set (moment-matching equalities), so
@@ -399,6 +395,7 @@ def _phase2_oracle(M1: np.ndarray, points: np.ndarray, F: np.ndarray, model):
     dominator with the largest trace gain is returned after re-verification.
     """
     n, k = F.shape
+    M1 = info_matrix(d1, model)
     scale1 = max(float(np.abs(M1).max()), 1e-300)
     target = -1e-12 * scale1        # returned weights must be PSD to machine noise
 
@@ -455,18 +452,18 @@ def _phase2_oracle(M1: np.ndarray, points: np.ndarray, F: np.ndarray, model):
         cand = Design(points[[i]], np.array([1.0]))
     else:
         cand = Design(points[[i, j]], np.array([w, 1.0 - w]))
-    return cand if _dominates_m1(cand, M1, model) else None
+    return cand if dominates(cand, d1, model) else None
 
 
-def _weights_dominator(w: np.ndarray, points: np.ndarray, M1: np.ndarray, model):
+def _weights_dominator(w: np.ndarray, points: np.ndarray, d1: Design, model):
     """The design of candidate weights w (entries above 1e-12, renormalized)
-    if it verifies as a dominator of M1, else None."""
+    if it verifies as a dominator of d1, else None."""
     keep = w > 1e-12
     pts = points[keep]
     if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
         return None
     cand = Design(pts, w[keep] / w[keep].sum())
-    return cand if _dominates_m1(cand, M1, model) else None
+    return cand if dominates(cand, d1, model) else None
 
 
 def _interior(a: np.ndarray, lo: float, hi: float, tol: float) -> int:
@@ -491,7 +488,7 @@ def _index_proof(x: np.ndarray, G: np.ndarray, n: int, d: int, tol: float) -> bo
     return gram_rank(G) == d + 1 and _interior(x[n:], x.min(), x.max(), tol) <= d - 1
 
 
-def _moment_oracle(d1: Design, F1: np.ndarray, M1: np.ndarray, points, F, model):
+def _moment_oracle(d1: Design, F1: np.ndarray, points, F, model):
     """De la Garza's moment problem, for a span that is polynomial on a line.
 
     On the frame (h, x, d) of ``_garza_frame``, f on the candidates and d1's
@@ -511,7 +508,9 @@ def _moment_oracle(d1: Design, F1: np.ndarray, M1: np.ndarray, points, F, model)
       candidates' x-maximizer, which has d1's mean of x and, among measures
       on the candidates' range with that mean, the largest mean of x^2.
     - At d = 0, M(w) = C (sum_i w_i h_i^2) C', which all mass on the
-      candidate of largest h maximizes (the lowest index on ties).
+      candidate of largest h maximizes (the lowest index on ties). No
+      M(w) is a larger multiple of C C', and the whitened gap grows with
+      the multiple, so when that design does not dominate, none does.
     - Otherwise one LP over candidate weights w >= 0, sum w = 1, with the
       moments h^2 T_j(x) in the Chebyshev basis on [-1, 1]: 2d + 1 equality
       rows, so a vertex has at most 2d + 1 atoms.
@@ -539,11 +538,13 @@ def _moment_oracle(d1: Design, F1: np.ndarray, M1: np.ndarray, points, F, model)
         w = np.zeros(n)
         w[i_hi] = np.clip((d1.weights @ x[n:] - x[i_lo]) / (x[i_hi] - x[i_lo]), 0.0, 1.0)
         w[i_lo] = 1.0 - w[i_hi]
-        return _weights_dominator(w, points, M1, model), ""
+        return _weights_dominator(w, points, d1, model), ""
     if d == 0:
         w = np.zeros(n)
         w[int(h[:n].argmax())] = 1.0
-        return _weights_dominator(w, points, M1, model), ""
+        dom = _weights_dominator(w, points, d1, model)
+        proof = "degree 0: all mass on the largest h does not dominate"
+        return dom, "" if dom is not None else proof
     h = h / h.max()
     V = (h * h)[:, None] * np.polynomial.chebyshev.chebvander(x, 2 * d)
     moments = d1.weights @ V[n:]
@@ -553,15 +554,16 @@ def _moment_oracle(d1: Design, F1: np.ndarray, M1: np.ndarray, points, F, model)
     )
     if res.status != 0:
         return None, ""
-    return _weights_dominator(np.maximum(res.x, 0.0), points, M1, model), ""
+    return _weights_dominator(np.maximum(res.x, 0.0), points, d1, model), ""
 
 
-def _phase1_ascent(M1: np.ndarray, points: np.ndarray, F: np.ndarray, model, budget: int):
+def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget: int):
     """Dominator search over all candidates by one Kelley cutting-plane loop.
 
-    Every unit direction v gives the cut sum_i w_i (f_i . v)^2 - t >= v^T M1 v,
-    linear in the weights w (on the simplex) and a margin t, so one LP over the
-    cut pool relaxes the cone {w : M(w) - M1 - t I nonnegative definite}. Each
+    With M1 = M(d1), every unit direction v gives the cut
+    sum_i w_i (f_i . v)^2 - t >= v^T M1 v, linear in the weights w (on the
+    simplex) and a margin t, so one LP over the cut pool relaxes the cone
+    {w : M(w) - M1 - t I nonnegative definite}. Each
     LP solution w adds the eigenvectors of the smallest eigenvalue cluster of
     M(w) - M1, plus their pairwise mixtures (plain eigenvector cuts close the
     gap very slowly at multiple smallest eigenvalues). The pool starts from the
@@ -576,15 +578,16 @@ def _phase1_ascent(M1: np.ndarray, points: np.ndarray, F: np.ndarray, model, bud
       ``max(1e-12, DOMINANCE_TOL * |best|)`` of the best margin seen. It runs first
       because its cuts steer stage B toward the cone.
     - Stage B fixes t = 0 and maximizes the trace gain over the relaxed cone.
-      An infeasible LP proves none; a solution inside the cone is returned
-      once it verifies, and the stage stops when the margin stalls at the
-      float noise floor.
+      An infeasible LP proves none; each round's weights are returned once
+      they verify, and the stage stops when the margin stalls at the float
+      noise floor.
 
     Returns (verified dominator or None, still_improving, proven_none).
     """
     from scipy.optimize import linprog
 
     n = F.shape[0]
+    M1 = info_matrix(d1, model)
     scale1 = max(float(np.abs(M1).max()), 1e-300)
     floor = -DOMINANCE_TOL * scale1
     rounds = int(np.clip(budget // 100, 10, 80))
@@ -600,7 +603,6 @@ def _phase1_ascent(M1: np.ndarray, points: np.ndarray, F: np.ndarray, model, bud
     vals, vecs = np.linalg.eigh(gram(F, w_prev) - M1)
     cuts = list(vecs.T)
     best = float(vals[0])
-    best_lam, best_w = -np.inf, None
     lam_trail: list[float] = []
     for stage_a, obj, t_bounds in stages:
         for _ in range(rounds):
@@ -633,12 +635,9 @@ def _phase1_ascent(M1: np.ndarray, points: np.ndarray, F: np.ndarray, model, bud
                     break
             else:
                 lam_trail.append(lam)
-                if lam > best_lam:
-                    best_lam, best_w = lam, w
-                if lam >= floor:
-                    cand = _weights_dominator(w, points, M1, model)
-                    if cand is not None:
-                        return cand, False, False
+                cand = _weights_dominator(w, points, d1, model)
+                if cand is not None:
+                    return cand, False, False
                 if len(lam_trail) >= 3 and abs(lam_trail[-1] - lam_trail[-2]) <= 1e-16 * scale1:
                     break  # cut generation stalled at the float noise floor
             near = np.nonzero(vals - lam <= 1e-6 * max(abs(vals[-1]), 1.0))[0]
@@ -648,10 +647,6 @@ def _phase1_ascent(M1: np.ndarray, points: np.ndarray, F: np.ndarray, model, bud
                     va, vb = vecs[:, near[a]], vecs[:, near[b]]
                     cuts.append((va + vb) / np.sqrt(2.0))
                     cuts.append((va - vb) / np.sqrt(2.0))
-    if best_w is not None:
-        cand = _weights_dominator(best_w, points, M1, model)
-        if cand is not None:
-            return cand, False, False
     # unsettled: the margin was still being driven toward feasibility at budget
     improving = len(lam_trail) >= rounds and (
         len(lam_trail) < 2 or lam_trail[-1] > lam_trail[len(lam_trail) // 2] + 1e-12 * scale1
@@ -680,7 +675,8 @@ def find_dominator(
       d - 1 atoms inside the candidates' range no other design shares those
       moments, so nothing is solved, and when the span is all of P_d and h
       is constant that is a proof of admissibility (``_index_proof``; at
-      d = 1, d1's atoms at the two ends of g). Else, at d = 1 with h
+      d = 1, d1's atoms at the two ends of g). At d = 0 all mass on the
+      largest h dominates, or nothing does. Else, at d = 1 with h
       constant, such as the constants plus one function g, the optimum is
       the two-end design at d1's mean of g, in closed form; otherwise it is
       one LP with 2d + 1 equality rows.
@@ -695,9 +691,9 @@ def find_dominator(
       solves, clipped to [10, 80], cap each stage, and a loop still
       improving at its cap is inconclusive.
 
-    Every returned dominator is re-verified. A verdict of admissible without
-    a proof means the search came up empty within budget; it is a one-sided
-    statement, not a proof of admissibility. The candidates must span at
+    Every returned dominator is verified by ``dominates``. A verdict of
+    admissible without a proof means the search came up empty within budget;
+    it is a one-sided statement, not a proof of admissibility. The candidates must span at
     least the rank of d1's regression rows (both by ``gram_rank``).
 
     A ``CandidateSet`` supplies its regression matrix through ``features``,
@@ -715,18 +711,17 @@ def find_dominator(
     F1 = model.eval_many(d1.points)
     if rank < gram_rank(F1):
         raise ValidationError("candidate set spans less than the design to dominate")
-    M1 = gram(F1, d1.weights)
 
     improving, proof = False, ""
     if points.shape[0] == 1:
-        best = _weights_dominator(np.ones(1), points, M1, model)
+        best = _weights_dominator(np.ones(1), points, d1, model)
         proof = "" if best is not None else "the only candidate does not dominate"
     else:
-        best, proof = _moment_oracle(d1, F1, M1, points, F, model)
+        best, proof = _moment_oracle(d1, F1, points, F, model)
         if best is None and not proof and F.shape[1] <= 2 and points.shape[0] <= 200:
-            best = _phase2_oracle(M1, points, F, model)
+            best = _phase2_oracle(d1, points, F, model)
         if best is None and not proof:
-            best, improving, proven_none = _phase1_ascent(M1, points, F, model, budget)
+            best, improving, proven_none = _phase1_ascent(d1, points, F, model, budget)
             proof = "dual bound below tolerance" if proven_none else ""
     if best is not None:
         return AdmissibilityVerdict(
@@ -782,7 +777,7 @@ def conditional_audit(
             continue
         if not verdict.admissible:
             improved = splice_slice(design, tmap, sl.t, verdict.dominator)
-            if dominates(improved, design, model, DOMINANCE_TOL):
+            if dominates(improved, design, model):
                 return AdmissibilityVerdict(
                     admissible=False,
                     dominator=improved,

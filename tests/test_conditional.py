@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import subspace_angles
 
 import optdesign.conditional as conditional_module
@@ -27,7 +28,6 @@ from optdesign.conditional import (
     DOMINANCE_TOL,
     MATERIAL_FACTOR,
     SLICE_TOL,
-    _dominates_m1,
     _moment_oracle,
     _phase2_oracle,
     _spans,
@@ -242,6 +242,75 @@ def test_dominates_partial_order():
         assert not dominates(d, d, big)  # irreflexive
 
 
+def test_dominates_checks_its_tolerance(line2f):
+    d1, d2 = design([[1, 0], [0, 1]]), design([[1, 1], [1, 0], [0, 1]], [1 / 3, 1 / 3, 1 / 3])
+    for tol in (-1e-9, float("nan")):
+        with pytest.raises(ValidationError):
+            dominates(d2, d1, line2f, tol=tol)
+    assert not dominates(d2, d1, line2f, tol=0.0)
+
+
+def test_dominates_on_an_empty_frame(line2f):
+    # f(0, 0) = 0, so M1 + M2 = 0: the whitened frame is empty and holds no gap
+    origin = design([[0.0, 0.0]])
+    assert not dominates(origin, origin, line2f)
+
+
+def _absolute_rule(M2, M1, tol):
+    """The Loewner test with both its slack and its materiality relative to
+    the largest entry of M1 and M2: the rule that whitening replaced."""
+    delta = M2 - M1
+    scale = max(np.abs(M1).max(), np.abs(M2).max())
+    return np.linalg.eigvalsh(delta)[0] >= -tol * scale and np.abs(delta).max() > tol * scale
+
+
+class _Rebased:
+    """``model`` in the basis B f."""
+
+    def __init__(self, model, B):
+        self.model, self.B = model, B
+
+    def eval_many(self, points):
+        return self.model.eval_many(points) @ self.B.T
+
+
+def _conditioned_basis(rng, k, cond):
+    """A random k x k matrix whose singular values span [1, cond]."""
+    U = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    V = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    s = np.sort(np.exp(rng.uniform(0.0, np.log(cond), k)))
+    s[0], s[-1] = 1.0, cond
+    return (U * s) @ V.T
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 3.0)])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_dominates_is_free_of_the_basis(degree, lo, hi):
+    # the whitened gap of B f is congruent to that of f, so it has the same
+    # eigenvalues and ``dominates`` the same answer, for B whose singular
+    # values span [1, 1e4]; d2 is the search's dominator of d1 or a random
+    # design. A frame cut at 1e-10 of the largest eigenvalue of the formed
+    # M1 + M2 fails here: with d2 on one point, B moves d1's weak direction,
+    # where the gap is -1, under the cut
+    rng = np.random.default_rng(degree)
+    model = make_model("polynomial", space=interval(lo, hi), degree=degree)
+    grid = discretize(model.space, 0.05).points
+    pairs = []
+    for _ in range(8):
+        d1 = design(grid[rng.choice(len(grid), degree + 2, replace=False)],
+                    rng.dirichlet(np.ones(degree + 2)))
+        dom = find_dominator(d1, grid, model).dominator
+        pairs.append((dom, d1))
+        idx = rng.choice(len(grid), int(rng.integers(1, degree + 3)), replace=False)
+        pairs.append((design(grid[idx], rng.dirichlet(np.ones(idx.size))), d1))
+    pairs = [(d2, d1) for d2, d1 in pairs if d2 is not None]
+    bases = [_conditioned_basis(rng, degree + 1, 1e4) for _ in range(4)]
+    want = [dominates(d2, d1, model) for d2, d1 in pairs]
+    assert any(want)
+    for B in bases:
+        assert [dominates(d2, d1, _Rebased(model, B)) for d2, d1 in pairs] == want
+
+
 @pytest.fixture(scope="module")
 def xexp_grid():
     m = make_model("xexp-decay", rate=1.0, space=interval(0.0, 3.0))
@@ -312,7 +381,7 @@ def test_phase2_oracle_beats_dense_scan(family, params, lo, hi, step):
         m = int(rng.integers(1, 4))
         d1 = design(lo + (hi - lo) * rng.random((m, 1)), rng.dirichlet(np.ones(m)))
         M1 = info_matrix(d1, model)
-        dom = _phase2_oracle(M1, grid.points, F, model)
+        dom = _phase2_oracle(d1, grid.points, F, model)
         gain = -np.inf if dom is None else float(np.trace(info_matrix(dom, model) - M1))
         scan = _dense_pair_scan_gain(d1, F, model)
         assert gain >= scan - 1e-9 * np.abs(M1).max()
@@ -333,10 +402,11 @@ def _stacked_nonneg_interval(a, b, c):
     return lo, hi
 
 
-def _pair_array_oracle(M1, points, F, model):
+def _pair_array_oracle(d1, points, F, model):
     """The two-point oracle as first written, with 2x2 matrices for every
     candidate pair: the reference for the per-point form."""
     n, k = F.shape
+    M1 = info_matrix(d1, model)
     A = np.einsum("ni,nj->nij", F, F)
     ii, jj = np.triu_indices(n, k=1)
     Ai, Aj = A[ii], A[jj]
@@ -384,7 +454,7 @@ def _pair_array_oracle(M1, points, F, model):
         cand = design(points[[i]], [1.0])
     else:
         cand = design(points[[i, j]], [w, 1.0 - w])
-    return cand if _dominates_m1(cand, M1, model) else None
+    return cand if dominates(cand, d1, model) else None
 
 
 def _xexp_draws():
@@ -438,10 +508,9 @@ def test_phase2_oracle_matches_pair_array_reference():
     # returned design is the reference's to the last bit
     found = none = 0
     for model, grid, d1 in _oracle_cases():
-        M1 = info_matrix(d1, model)
         F = model.eval_many(grid.points)
-        got = _phase2_oracle(M1, grid.points, F, model)
-        want = _pair_array_oracle(M1, grid.points, F, model)
+        got = _phase2_oracle(d1, grid.points, F, model)
+        want = _pair_array_oracle(d1, grid.points, F, model)
         assert (got is None) == (want is None)
         if got is not None:
             assert np.array_equal(got.points, want.points)
@@ -635,13 +704,14 @@ def test_conditional_audit_linear_slices(monkeypatch):
 
 def _moment_case(d1, points, model):
     F1 = model.eval_many(d1.points)
-    return _moment_oracle(d1, F1, gram(F1, d1.weights), points, model.eval_many(points), model)
+    return _moment_oracle(d1, F1, points, model.eval_many(points), model)
 
 
 def test_moment_stage_at_degree_zero_solves_no_lp(monkeypatch):
     # at d = 0 the moment LP maximizes sum_i w_i h_i^2 over the simplex: all
     # mass on the candidate of largest h, which the stage now takes with no
-    # LP, returning the LP's dominator and so the LP's verdict
+    # LP, returning the LP's dominator and so the LP's verdict; where that
+    # design does not dominate, no design does, and the stage says so
     from scipy.optimize import linprog
 
     model = make_model("weighted-polynomial", degree=0, efficiency={"kind": "exp"})
@@ -660,15 +730,33 @@ def test_moment_stage_at_degree_zero_solves_no_lp(monkeypatch):
     assert calls == []
     for d1, (dom, proof) in zip(draws, got):
         F1 = model.eval_many(d1.points)
-        want = _weights_dominator(np.maximum(res.x, 0.0), grid, gram(F1, d1.weights), model)
-        assert proof == "" and (dom is None) == (want is None)
+        want = _weights_dominator(np.maximum(res.x, 0.0), grid, d1, model)
+        assert (dom is None) == (want is None)
+        assert proof == ("" if want is not None else DEGREE_ZERO_PROOF)
         if want is not None:
             assert np.array_equal(dom.points, want.points)
             assert np.array_equal(dom.weights, want.weights)
-        assert _verdict_class(find_dominator(d1, grid, model)) == (
-            "admissible" if want is None else "inadmissible"
-        )
+        verdict = find_dominator(d1, grid, model)
+        assert _verdict_class(verdict) == ("admissible" if want is None else "inadmissible")
+        if want is None:
+            assert verdict.note == f"no design on these candidates dominates ({DEGREE_ZERO_PROOF})"
     assert sum(dom is not None for dom, _ in got) == 39
+
+
+DEGREE_ZERO_PROOF = "degree 0: all mass on the largest h does not dominate"
+
+
+def test_degree_zero_design_on_the_largest_h_is_proved_admissible(monkeypatch):
+    # exp efficiency on [0, 1] peaks at x = 1: the design all on x = 1 has
+    # the largest sum w h^2, so no design on the 101 candidates dominates it,
+    # with no LP
+    model = make_model("weighted-polynomial", degree=0, efficiency={"kind": "exp"})
+    grid = discretize(model.space, 0.01).points
+    d1 = design([[1.0]], [1.0])
+    calls = _count_linprog(monkeypatch)
+    verdict = find_dominator(d1, grid, model)
+    assert verdict.admissible and calls == []
+    assert verdict.note == f"no design on these candidates dominates ({DEGREE_ZERO_PROOF})"
 
 
 def _stratified_draw(rng, n, d):
@@ -686,9 +774,7 @@ def test_moment_oracle_dominates_designs_with_d_interior_atoms(degree, lo, hi, m
     # with d interior atoms at least two grid steps apart, no polynomial of
     # degree 2d with a negative leading coefficient is nonnegative on the
     # grid and vanishes on d1's support (it would need 2d + 2 roots), so by
-    # LP duality the LP raises the top moment;
-    # weights in [0.5, 1] keep that gain above the material margin, which is
-    # relative to M's largest entry (up to 3^8 on [0, 3] at degree 4)
+    # LP duality the LP raises the top moment
     monkeypatch.setattr(conditional_module, "_phase1_ascent", _no_kelley)
     model = make_model("polynomial", space=interval(lo, hi), degree=degree)
     grid = discretize(model.space, 0.05)
@@ -737,10 +823,8 @@ def _index_designs(rng, grid, degree):
 def test_index_proof_decides_designs_with_fewer_interior_atoms(degree, lo, hi, monkeypatch):
     # on all of P_d with constant h, at most d - 1 interior atoms prove
     # admissibility with no LP; with the proof off, the Kelley loop finds
-    # no dominator either. At degree 4 on [0, 3] two of its stage-B points
-    # pass ``dominates``' slack, which is relative to M's largest entry,
-    # yet have whitened gap eigenvalues near -0.6 and -0.003:
-    # ``_dominates_m1`` must reject them
+    # no dominator either (see
+    # test_dominates_rejects_stage_b_gaps_negative_where_m_is_small)
     model = make_model("polynomial", space=interval(lo, hi), degree=degree)
     grid = discretize(model.space, 0.05).points
     designs = _index_designs(np.random.default_rng(degree), grid, degree)
@@ -798,6 +882,77 @@ def test_moment_oracle_gap_is_material_in_a_whitened_frame(seed, monkeypatch):
     assert np.abs(M2 - M1).max() <= MATERIAL_FACTOR * DOMINANCE_TOL * np.abs(M2).max()
 
 
+def _generalized_gap(M2, M1):
+    """The eigenvalues of M2 - M1 relative to M1 + M2, by scipy's generalized
+    symmetric eigensolver: the reference for the whitened gap."""
+    return scipy.linalg.eigh(M2 - M1, M1 + M2, eigvals_only=True)
+
+
+def test_dominates_rejects_stage_b_gaps_negative_where_m_is_small(monkeypatch):
+    # with the index proof off, the Kelley loop's stage B tries weights for
+    # designs 11 and 14 of these quartic index designs on [0, 3], where the
+    # entries of M reach 3^8; the absolute rule accepts some of them, though
+    # their gap relative to M1 + M2 falls below -0.5
+    model = make_model("polynomial", space=interval(0.0, 3.0), degree=4)
+    grid = discretize(model.space, 0.05).points
+    designs = _index_designs(np.random.default_rng(4), grid, 4)
+    monkeypatch.setattr(conditional_module, "_index_proof", lambda *args: False)
+    tried, verify = [], conditional_module._weights_dominator
+
+    def logged(w, *args):
+        tried.append(w)
+        return verify(w, *args)
+
+    monkeypatch.setattr(conditional_module, "_weights_dominator", logged)
+    for i in (11, 14):
+        d1, accepted = designs[i], []
+        tried.clear()
+        assert find_dominator(d1, grid, model).dominator is None
+        M1 = info_matrix(d1, model)
+        for w in tried:
+            keep = w > 1e-12
+            cand = design(grid[keep], w[keep] / w[keep].sum())
+            assert not dominates(cand, d1, model, tol=1e-7)
+            M2 = info_matrix(cand, model)
+            if _absolute_rule(M2, M1, 1e-7):
+                accepted.append(_generalized_gap(M2, M1)[0])
+        assert min(accepted) < -0.5
+
+
+@pytest.mark.parametrize("seed", [4, 77, 79, 140, 154])
+def test_dominates_accepts_rank_one_gaps_small_against_m(seed, monkeypatch):
+    # the moment LP's rank-one, nonnegative definite gap on these quartic
+    # draws is 2e-8 to 1e-7 of M's largest entry, which the absolute rule
+    # took as no gain, so the Kelley loop ran 30-46 LPs; relative to
+    # M1 + M2 it is material, and the moment stage's one LP decides
+    monkeypatch.setattr(conditional_module, "_phase1_ascent", _no_kelley)
+    calls = _count_linprog(monkeypatch)
+    model = make_model("polynomial", space=interval(0.0, 3.0), degree=4)
+    grid = discretize(model.space, 0.01).points
+    d1 = _quartic_draw(seed, grid)
+    dom = find_dominator(d1, grid, model).dominator
+    assert dom is not None and calls == [1]
+    assert dominates(dom, d1, model) and dominates(dom, d1, model, tol=1e-7)
+    M1, M2 = info_matrix(d1, model), info_matrix(dom, model)
+    assert gram_rank(M2 - M1) == 1 and not _absolute_rule(M2, M1, 1e-7)
+
+
+def test_search_dominator_loses_nothing_where_m_is_small():
+    # on this quartic draw over [0, 3] the Kelley loop once returned a design
+    # whose gap relative to M1 + M2 is -0.32 along a direction where M1 + M2
+    # is 3e-13 of its largest eigenvalue, which a frame cut at 1e-10 of it
+    # dropped; the regression rows resolve that direction
+    model = make_model("polynomial", space=interval(0.0, 3.0), degree=4)
+    grid = discretize(model.space, 0.05).points
+    rng = np.random.default_rng(4)
+    m = int(rng.integers(1, 7))
+    d1 = design(grid[rng.choice(len(grid), m, replace=False)], rng.dirichlet(np.ones(m)))
+    dom = find_dominator(d1, grid, model).dominator
+    assert dom is not None
+    gap = _generalized_gap(info_matrix(dom, model), info_matrix(d1, model))
+    assert gap[0] >= -MATERIAL_FACTOR * DOMINANCE_TOL and gap[-1] > MATERIAL_FACTOR * DOMINANCE_TOL
+
+
 def _same_verdict(a, b):
     assert (a.admissible, a.inconclusive, a.note) == (b.admissible, b.inconclusive, b.note)
     assert (a.dominator is None) == (b.dominator is None)
@@ -830,7 +985,7 @@ def test_moment_oracle_declines_and_the_chain_runs_on(growth, monkeypatch):
     _same_verdict(got[1], find_dominator(off, grid, quad))
 
 
-def _two_end_stage(d1: Design, F1: np.ndarray, M1: np.ndarray, points, F, model):
+def _two_end_stage(d1: Design, F1: np.ndarray, points, F, model):
     """De la Garza's closed form where f spans the constants plus one function g,
     as a stage of its own: the reference for the moment stage at d = 1.
 
@@ -866,7 +1021,7 @@ def _two_end_stage(d1: Design, F1: np.ndarray, M1: np.ndarray, points, F, model)
     w = np.zeros(n)
     w[i_hi] = np.clip((d1.weights @ g1 - g[i_lo]) / (g[i_hi] - g[i_lo]), 0.0, 1.0)
     w[i_lo] = 1.0 - w[i_hi]
-    return _weights_dominator(w, points, M1, model), ""
+    return _weights_dominator(w, points, d1, model), ""
 
 
 def _agrees_with_two_end_stage(d1, cands, model):
@@ -879,7 +1034,7 @@ def _agrees_with_two_end_stage(d1, cands, model):
     else:
         points, F = cands.points, np.ascontiguousarray(cands.features(model))
     F1 = model.eval_many(d1.points)
-    dom, proof = _two_end_stage(d1, F1, gram(F1, d1.weights), points, F, model)
+    dom, proof = _two_end_stage(d1, F1, points, F, model)
     assert dom is not None or proof
     assert verdict.admissible == bool(proof) and not verdict.inconclusive
     if dom is not None:
@@ -986,7 +1141,7 @@ def test_two_end_stage_proves_designs_at_the_ends(xexp_grid, monkeypatch):
     # one atom below the candidates' range and one inside it: the chain decides
     d1 = design([[0.0], [0.7]])
     F1 = m.eval_many(d1.points)
-    args = (d1, F1, gram(F1, d1.weights), inside, m.eval_many(inside), m)
+    args = (d1, F1, inside, m.eval_many(inside), m)
     assert _moment_oracle(*args) == _two_end_stage(*args) == (None, "")
     monkeypatch.setattr(conditional_module, "_moment_oracle", lambda *args: (None, ""))
     for d1, cands in cases:
