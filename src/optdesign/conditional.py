@@ -324,16 +324,17 @@ MATERIAL_FACTOR = 100.0  # a dominator's gap must clear this many tolerances (se
 def dominates(d2: Design, d1: Design, model, tol: float = DOMINANCE_TOL) -> bool:
     """True iff M(d2) - M(d1) is nonnegative definite and material, the one
     Loewner-order test. In the frame whitened by M(d1) + M(d2) the gap's
-    eigenvalues lie in [-1, 1] and are free of the basis of f: the smallest
-    must be at least -MATERIAL_FACTOR * tol and the largest above
-    MATERIAL_FACTOR * tol. The frame comes from the weighted regression rows,
-    so no information matrix is squared: R = [R1; R2] = U S V', R_j =
-    diag(sqrt(w_j)) F_j, and with U = [U1; U2] the gap is U2'U2 - U1'U1.
-    Singular values below 1e-10 of the largest are rounding, where the gap
-    vanishes too (M1 + M2 = 0 holds no gap); above that cut rounding in the
-    gap reads as at most about 1e-6. A gain counts only where M1 + M2 is at
-    least 1e-10 of its largest eigenvalue, so an atom of weight 1e-11 alone
-    adds none."""
+    eigenvalues lie in [-1, 1] and are free of the basis of f. The frame
+    comes from the weighted regression rows, so no information matrix is
+    squared: R = [R1; R2] = U S V', R_j = diag(sqrt(w_j)) F_j, and with
+    U = [U1; U2] the gap is U2'U2 - U1'U1. Singular values below 1e-10 of
+    the largest are rounding, where the gap vanishes too (M1 + M2 = 0 holds
+    no gap). Where M1 + M2 is at least 1e-10 of its largest eigenvalue
+    (singular values above 1e-5 of the largest) rounding in the gap is below
+    about 1e-11: no eigenvalue there may fall below -tol, and one must exceed
+    MATERIAL_FACTOR * tol. In the weaker directions rounding reaches about
+    1e-6, and the loss may reach MATERIAL_FACTOR * tol; they hold no gain,
+    so an atom of weight 1e-11 alone adds none."""
     if not tol >= 0:  # also rejects NaN
         raise ValidationError(f"dominance tolerance must be nonnegative, got {tol:g}")
     R1, R2 = (np.sqrt(d.weights)[:, None] * model.eval_many(d.points) for d in (d1, d2))
@@ -343,10 +344,11 @@ def dominates(d2: Design, d1: Design, model, tol: float = DOMINANCE_TOL) -> bool
     U = U[:, sv > 1e-10 * sv[0]]
     U1, U2 = U[: len(R1)], U[len(R1):]
     gap = U2.T @ U2 - U1.T @ U1
-    strong = int(np.count_nonzero(sv > 1e-5 * sv[0]))
+    k = int(np.count_nonzero(sv > 1e-5 * sv[0]))
+    strong = np.linalg.eigvalsh(gap[:k, :k])
     return (
         float(np.linalg.eigvalsh(gap)[0]) >= -MATERIAL_FACTOR * tol
-        and float(np.linalg.eigvalsh(gap[:strong, :strong])[-1]) > MATERIAL_FACTOR * tol
+        and float(strong[0]) >= -tol and float(strong[-1]) > MATERIAL_FACTOR * tol
     )
 
 

@@ -83,3 +83,54 @@ def registered_marginal(model, axis):
             return make_model("cubic-gap", space=space)
         return make_model("xexp-decay", space=space, rate=float(p["theta3"]))
     raise KeyError(f"no registered marginal for {model.family}")
+
+
+def _exact_gap(d2, d1, model):
+    """M(d1) + M(d2) and M(d2) - M(d1) formed at 40 digits from the rows of f."""
+    import mpmath
+
+    def info(d):
+        F = mpmath.matrix(model.eval_many(d.points).tolist())
+        return F.T * mpmath.diag([mpmath.mpf(float(w)) for w in d.weights]) * F
+
+    M1, M2 = info(d1), info(d2)
+    return M1 + M2, M2 - M1
+
+
+def reference_dominates(d2, d1, model, tol=None):
+    """``dominates`` recomputed at 40 digits from the formed information
+    matrices, by an eigendecomposition of M1 + M2 rather than an SVD of the
+    rows: the whitened gap on the eigenvectors of M1 + M2 above 1e-20 of its
+    largest eigenvalue has no eigenvalue below -100 tol; on those above 1e-10
+    none below -tol and one above 100 tol. None where the answer turns on a
+    tenth of a threshold or a factor 10 in a cut."""
+    import mpmath
+
+    from optdesign.conditional import DOMINANCE_TOL, MATERIAL_FACTOR
+
+    tol = DOMINANCE_TOL if tol is None else tol
+    with mpmath.workdps(40):
+        S, G = _exact_gap(d2, d1, model)
+        vals, vecs = mpmath.eigsy(S)
+        top = max(vals)
+
+        def whitened(cut):
+            keep = [j for j in range(S.rows) if vals[j] > cut * top]
+            if not keep:
+                return []
+            W = mpmath.matrix(S.rows, len(keep))
+            for c, j in enumerate(keep):
+                for i in range(S.rows):
+                    W[i, c] = vecs[i, j] / mpmath.sqrt(vals[j])
+            return sorted(float(x) for x in mpmath.eigsy(W.T * G * W, eigvals_only=True))
+
+        verdicts = set()
+        for weak_cut in (1e-21, 1e-19):
+            for strong_cut in (1e-11, 1e-9):
+                lam, strong = whitened(weak_cut), whitened(strong_cut)
+                for slack in (0.9, 1.1):
+                    verdicts.add(
+                        bool(strong) and lam[0] >= -slack * MATERIAL_FACTOR * tol
+                        and strong[0] >= -slack * tol and strong[-1] > MATERIAL_FACTOR * tol / slack
+                    )
+    return verdicts.pop() if len(verdicts) == 1 else None

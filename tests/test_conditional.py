@@ -40,7 +40,7 @@ from optdesign.conditional import (
 from optdesign.designs import Design, gram, info_matrix
 from optdesign.models import gram_rank
 
-from conftest import registered_marginal
+from conftest import reference_dominates, registered_marginal
 
 
 @pytest.fixture(scope="module")
@@ -247,13 +247,72 @@ def test_dominates_checks_its_tolerance(line2f):
     for tol in (-1e-9, float("nan")):
         with pytest.raises(ValidationError):
             dominates(d2, d1, line2f, tol=tol)
-    assert not dominates(d2, d1, line2f, tol=0.0)
+    # M(d2) - M(d1) = diag(0, 1/2) holds no rounding: at tol = 0 it dominates
+    axis, both = design([[1, 0], [0, 0]]), design([[1, 0], [0, 1]])
+    assert dominates(both, axis, line2f, tol=0.0) and not dominates(axis, both, line2f, tol=0.0)
 
 
 def test_dominates_on_an_empty_frame(line2f):
     # f(0, 0) = 0, so M1 + M2 = 0: the whitened frame is empty and holds no gap
     origin = design([[0.0, 0.0]])
     assert not dominates(origin, origin, line2f)
+
+
+def _near_copy(delta):
+    """The equal-mass design on -1 and 1 with mass delta moved to 0."""
+    return design([[-1.0], [0.0], [1.0]], [0.5 - delta / 2, delta, 0.5 - delta / 2])
+
+
+def test_dominates_rejects_near_copies_that_lose_more_than_tol():
+    # for the quadratic on [-1, 1] the equal mass on -1 and 1 is admissible
+    # (its index). Moving mass delta to 0 gains a new direction, whitened gain
+    # 1, and loses about delta / 2 relative to M1 + M2 along x, where M1 + M2
+    # is large: beyond tol that fails, though it is within MATERIAL_FACTOR tol
+    model = make_model("polynomial", space=interval(-1.0, 1.0), degree=2)
+    d1 = design([[-1.0], [1.0]], [0.5, 0.5])
+    for delta in (3e-7, 1e-6, 1e-5):
+        assert not dominates(_near_copy(delta), d1, model)
+        assert reference_dominates(_near_copy(delta), d1, model) is False
+    # at a tolerance below the loss no near copy passes, down to delta = 1e-9
+    # (below that the new direction falls under the gain cut)
+    for delta in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5):
+        assert not dominates(_near_copy(delta), d1, model, tol=1e-10)
+
+
+def _random_pairs(rng, grid, model, k):
+    """(d2, d1) pairs of the kinds ``dominates`` must tell apart: d1 on fewer
+    than k points or more; d2 the search's dominator, a random design, or d1
+    with a mass of 1e-10 to 1e-3 moved to a new point."""
+    pairs = []
+    for m in (k - 1, k - 1, k + 1, k + 2):
+        d1 = design(grid[rng.choice(len(grid), m, replace=False)], rng.dirichlet(np.ones(m)))
+        dom = find_dominator(d1, grid, model).dominator
+        if dom is not None:
+            pairs.append((dom, d1))
+        idx = rng.choice(len(grid), int(rng.integers(1, k + 2)), replace=False)
+        pairs.append((design(grid[idx], rng.dirichlet(np.ones(idx.size))), d1))
+        for delta in 10.0 ** rng.uniform(-10.0, -3.0, 3):
+            new = grid[rng.choice(len(grid))]
+            if not np.any(np.all(d1.points == new, axis=1)):
+                pairs.append((design(np.vstack([d1.points, new]),
+                                     np.append((1.0 - delta) * d1.weights, delta)), d1))
+    return pairs
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 3.0)])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_dominates_agrees_with_an_exact_reference(degree, lo, hi):
+    # every answer the 40-digit reference gives with a margin, ``dominates``
+    # gives too: for search dominators, random designs and near copies of
+    # d1, rank-deficient or not
+    rng = np.random.default_rng(100 + degree)
+    model = make_model("polynomial", space=interval(lo, hi), degree=degree)
+    grid = discretize(model.space, 0.05).points
+    pairs = _random_pairs(rng, grid, model, degree + 1)
+    got = [(dominates(d2, d1, model), reference_dominates(d2, d1, model)) for d2, d1 in pairs]
+    decided = [(a, b) for a, b in got if b is not None]
+    assert all(a == b for a, b in decided)
+    assert len(decided) >= 0.8 * len(got) and {b for _, b in decided} == {True, False}
 
 
 def _absolute_rule(M2, M1, tol):
@@ -324,7 +383,7 @@ def test_find_dominator_three_point(xexp_grid):
     assert not verdict.admissible and not verdict.inconclusive
     sup = [float(x[0]) for x, _ in verdict.dominator.atoms()]
     assert all(min(abs(s), abs(s - 1.0)) <= 0.05 + 1e-9 for s in sup)
-    assert dominates(verdict.dominator, d1, m)
+    assert reference_dominates(verdict.dominator, d1, m)
 
 
 def _lambda_min_stack(delta: np.ndarray) -> np.ndarray:
@@ -386,7 +445,7 @@ def test_phase2_oracle_beats_dense_scan(family, params, lo, hi, step):
         scan = _dense_pair_scan_gain(d1, F, model)
         assert gain >= scan - 1e-9 * np.abs(M1).max()
         if dom is not None:
-            assert dominates(dom, d1, model)
+            assert reference_dominates(dom, d1, model)
             found += 1
     assert found > 0
 
@@ -539,7 +598,7 @@ def test_find_dominator_oracle_first_skips_lp(xexp_grid, monkeypatch):
     m, grid = xexp_grid
     d1 = design([[0.5], [1.5], [2.5]], [0.3, 0.3, 0.4])
     verdict = find_dominator(d1, grid, m)
-    assert not verdict.admissible and dominates(verdict.dominator, d1, m)
+    assert not verdict.admissible and reference_dominates(verdict.dominator, d1, m)
     assert calls == []
 
 
@@ -619,7 +678,7 @@ def test_find_dominator_random_inadmissible_designs(
     d1, grid = _sweep_draw(model, step, draw)
     verdict = find_dominator(d1, grid, model)
     assert not verdict.admissible and not verdict.inconclusive
-    assert dominates(verdict.dominator, d1, model, tol=1e-7)
+    assert reference_dominates(verdict.dominator, d1, model)
 
 
 def test_find_dominator_rank_precondition(line2f):
@@ -643,7 +702,7 @@ def test_find_dominator_one_candidate_is_one_comparison(line2f, monkeypatch):
     # f = (x0, x1): (1, 1) is parallel to (0.5, 0.5) and longer, so it dominates
     d1 = design([[0.5, 0.5]])
     verdict = find_dominator(d1, np.array([[1.0, 1.0]]), line2f)
-    assert not verdict.admissible and dominates(verdict.dominator, d1, line2f)
+    assert not verdict.admissible and reference_dominates(verdict.dominator, d1, line2f)
     # the only design on the design's own point is the design itself
     verdict = find_dominator(d1, np.array([[0.5, 0.5]]), line2f)
     assert verdict.admissible and not verdict.inconclusive
@@ -668,7 +727,7 @@ def test_conditional_audit_detects_off_class_atom(growth):
     verdict = conditional_audit(d, SliceMap("coordinate", axis=0), growth)
     assert not verdict.admissible and not verdict.inconclusive
     # the spliced dominator is itself verified in the full model
-    assert dominates(verdict.dominator, d, growth, tol=1e-7)
+    assert reference_dominates(verdict.dominator, d, growth)
 
 
 def test_conditional_audit_passes_on_class(growth):
@@ -693,7 +752,7 @@ def test_conditional_audit_linear_slices(monkeypatch):
     d = design([[0.3, 0.7], [0.6, 0.4], [0.0, 0.0]], [0.3, 0.3, 0.4])
     verdict = conditional_audit(d, SliceMap("linear", coeffs=(1.0, 1.0)), m)
     assert not verdict.admissible and not verdict.inconclusive
-    assert dominates(verdict.dominator, d, m, tol=1e-7)
+    assert reference_dominates(verdict.dominator, d, m)
     (t0, corner), (t1, diagonal) = verdict.evidence
     assert (t0, t1) == (0.0, 1.0)
     assert corner.admissible and corner.note.startswith("no design on these candidates dominates")
@@ -784,7 +843,7 @@ def test_moment_oracle_dominates_designs_with_d_interior_atoms(degree, lo, hi, m
         d1 = design(grid.points[idx], rng.uniform(0.5, 1.0, idx.size), normalize=True)
         verdict = find_dominator(d1, grid, model)
         dom = verdict.dominator
-        assert dom is not None and dominates(dom, d1, model, tol=1e-7)
+        assert dom is not None and reference_dominates(dom, d1, model)
         assert gram_rank(info_matrix(dom, model) - info_matrix(d1, model)) == 1
         assert dom.m <= 2 * degree + 1
 
@@ -876,7 +935,7 @@ def test_moment_oracle_gap_is_material_in_a_whitened_frame(seed, monkeypatch):
     grid = discretize(model.space, 0.01).points
     d1 = _quartic_draw(seed, grid)
     dom = find_dominator(d1, grid, model).dominator
-    assert dom is not None and dominates(dom, d1, model, tol=DOMINANCE_TOL)
+    assert dom is not None and reference_dominates(dom, d1, model)
     M1, M2 = info_matrix(d1, model), info_matrix(dom, model)
     assert gram_rank(M2 - M1) == 1
     assert np.abs(M2 - M1).max() <= MATERIAL_FACTOR * DOMINANCE_TOL * np.abs(M2).max()
@@ -969,7 +1028,7 @@ def test_moment_oracle_declines_and_the_chain_runs_on(growth, monkeypatch):
     sl = decompose(d, SliceMap("coordinate", axis=0), growth).slices[0]
     cm, d1 = sl.conditional, sl.conditional_design
     dom, proof = _moment_case(d1, cm.grid, cm)
-    assert proof == "" and dominates(dom, d1, cm, tol=DOMINANCE_TOL)
+    assert proof == "" and reference_dominates(dom, d1, cm)
     assert sorted(dom.points[:, 1]) == [0.0, 1.0] and calls == []
     # two close atoms off a coarse grid: no grid measure has their moments,
     # so the one LP is infeasible
@@ -1095,7 +1154,7 @@ def test_two_end_stage_agrees_with_the_chain(family, arg, monkeypatch):
     gc = g(cands)
     for d1, verdict in zip(draws, got):
         if verdict.dominator is not None:
-            assert dominates(verdict.dominator, d1, model, tol=DOMINANCE_TOL)
+            assert reference_dominates(verdict.dominator, d1, model)
             gd = g(verdict.dominator.points)
             assert np.all(np.minimum(abs(gd - gc.min()), abs(gd - gc.max())) <= 1e-12)
     monkeypatch.setattr(conditional_module, "_moment_oracle", lambda *args: (None, ""))
