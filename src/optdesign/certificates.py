@@ -138,9 +138,8 @@ def _e_eigenspace_minimax(H: np.ndarray) -> np.ndarray:
     satisfies every row while the LP stays a few dozen rows tall.
     Definiteness is enforced by eigenvalue cuts; an indefinite LP point is
     swept at its trace-one projection, which ends the cuts once it meets the
-    LP's bound. A second LP minimizes the off-diagonal mass among
-    worst-case-optimal solutions so the result is deterministic and as
-    diagonal as the constraints allow.
+    LP's bound. Where several E attain the minimax, the LP's vertex is
+    returned.
     """
     from scipy.optimize import linprog
 
@@ -154,8 +153,8 @@ def _e_eigenspace_minimax(H: np.ndarray) -> np.ndarray:
             E[i, j] = E[j, i] = x[r + idx]
         return E
 
-    def sens_rows(vectors, width):
-        rows = np.zeros((vectors.shape[0], width))
+    def sens_rows(vectors):
+        rows = np.zeros((vectors.shape[0], nv))
         rows[:, :r] = vectors**2
         for idx, (i, j) in enumerate(pairs):
             rows[:, r + idx] = 2.0 * vectors[:, i] * vectors[:, j]
@@ -164,32 +163,26 @@ def _e_eigenspace_minimax(H: np.ndarray) -> np.ndarray:
     bounds = [(0.0, 1.0)] * r + [(-0.5, 0.5)] * len(pairs) + [(0.0, None)]
     obj = np.zeros(nv)
     obj[-1] = 1.0
+    A_eq = np.zeros((1, nv))
+    A_eq[0, :r] = 1.0
     psd_cuts: list[np.ndarray] = []
     norms2 = _row_norms2(H)
     best_E, best_worst = np.eye(r) / r, float(norms2.max() / r)
     batch = 10 * nv  # rows that seed the LP and that join it per round
     active = _top_rows(norms2, batch)
 
-    def solve_lp(objective, extra_rows=None, extra_rhs=None):
+    def solve_lp():
         nonlocal active
-        width = objective.size
-        A_eq = np.zeros((1, width))
-        A_eq[0, :r] = 1.0
         while True:
-            rows = sens_rows(H[active], width)
+            rows = sens_rows(H[active])
             rows[:, nv - 1] = -1.0
             rows, rhs = [rows], [np.zeros(active.size)]
             if psd_cuts:
-                rows.append(-sens_rows(np.stack(psd_cuts), width))
+                rows.append(-sens_rows(np.stack(psd_cuts)))
                 rhs.append(np.zeros(len(psd_cuts)))
-            if extra_rows is not None:
-                rows.append(extra_rows)
-                rhs.append(extra_rhs)
             res = linprog(
-                objective, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
-                A_eq=A_eq, b_eq=[1.0],
-                bounds=bounds + [(0.0, 0.5)] * (width - nv),
-                method="highs",
+                obj, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
+                A_eq=A_eq, b_eq=[1.0], bounds=bounds, method="highs",
             )
             if not res.success:
                 return res
@@ -212,10 +205,10 @@ def _e_eigenspace_minimax(H: np.ndarray) -> np.ndarray:
             active = np.union1d(active, new)
 
     for _ in range(40):  # eigenvalue-cut rounds
-        res = solve_lp(obj)
+        res = solve_lp()
         if not res.success:
             break
-        vals, vecs = np.linalg.eigh(matrix_of(res.x[: nv - 1]))
+        vals, vecs = np.linalg.eigh(matrix_of(res.x))
         definite = vals[0] >= -1e-11
         clipped = np.clip(vals, 0.0, None)
         E = (vecs * (clipped if definite else clipped / clipped.sum())) @ vecs.T
@@ -225,37 +218,6 @@ def _e_eigenspace_minimax(H: np.ndarray) -> np.ndarray:
         if definite or best_worst <= res.x[nv - 1] * (1.0 + 1e-9):
             break
         psd_cuts.append(vecs[:, 0])
-
-    # tie-break: minimize total off-diagonal magnitude at the achieved value
-    if pairs:
-        width = nv + len(pairs)
-        obj2 = np.zeros(width)
-        obj2[nv:] = 1.0
-        cap_row = np.zeros(width)
-        cap_row[nv - 1] = 1.0
-        abs_rows = []
-        for idx in range(len(pairs)):
-            row = np.zeros(width)
-            row[r + idx] = 1.0
-            row[nv + idx] = -1.0
-            abs_rows.append(row.copy())
-            row[r + idx] = -1.0
-            abs_rows.append(row)
-        extra = np.vstack([cap_row] + abs_rows)
-        rhs = np.concatenate([[best_worst + 1e-11 * max(1.0, best_worst)], np.zeros(2 * len(pairs))])
-        for _ in range(10):
-            res = solve_lp(obj2, extra_rows=extra, extra_rhs=rhs)
-            if not res.success:
-                break
-            vals, vecs = np.linalg.eigh(matrix_of(res.x[: nv - 1]))
-            if vals[0] < -1e-11:
-                psd_cuts.append(vecs[:, 0])
-                continue
-            E = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-            worst = float(sweep(H, E).max())
-            if worst <= best_worst + 1e-9 * max(1.0, best_worst):
-                best_E = E
-            break
     return best_E
 
 
@@ -269,8 +231,9 @@ def build_certificate(
     """Matrix-mean dual certificate for M.
 
     Finite p: N = M^(p-1) / trace(M^p), closed form. E-criterion: N is built on
-    the smallest eigenspace; with multiplicity the trace-one factor is chosen
-    to minimize the worst sensitivity over the candidates.
+    the smallest eigenspace; with multiplicity the trace-one factor is the one
+    that minimizes the worst sensitivity over the candidates, found by one
+    row-generated LP with eigenvalue cuts (``_e_eigenspace_minimax``).
     """
     vals, vecs = psd_eig(M, criterion.s)
     if criterion.p == NEG_INF:

@@ -323,7 +323,7 @@ def discretize(space: DesignSpace, resolution: float | tuple[float, ...] = 0.01)
         steps = tuple(float(s) for s in resolution)
         if len(steps) != q:
             raise ValidationError(f"expected {q} steps, got {len(steps)}")
-    if any(s <= 0 for s in steps):
+    if not all(s > 0 for s in steps):  # also rejects NaN
         raise ValidationError("grid steps must be positive")
 
     axes = []

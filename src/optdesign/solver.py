@@ -20,12 +20,12 @@ product of its marginal models (the span of f on each axis line) starts from
 the product of the marginal D-optimal designs, D-optimal there though not
 unique (Schwabe 1996, Optimum Designs for Multi-Factor Models, LNS 113).
 
-A finite-p solve with no product start is first solved on the candidates
-that ``CandidateSet.screen`` keeps: on coordinate lines where f is affine in
-one scalar, only the two extremes of that scalar (de la Garza 1954). A
+A solve with no product start, E included, is first solved on the
+candidates that ``CandidateSet.screen`` keeps: on coordinate lines where f is
+affine in one scalar, only the two extremes of that scalar (de la Garza
+1954), which raises M in the Loewner order and so lowers no phi_p value. A
 converged optimum there is the start; an unconverged one is dropped for the
-spread start. E keeps the full grid: a screened start certifies too, but it
-moves E designs by rounding.
+spread start.
 
 Either start only starts the full-grid loop, which certifies it with one
 sweep or adds the violators it finds: the loop alone decides convergence.
@@ -59,7 +59,7 @@ class SolverOptions:
     init: object = "spread"          # "spread" or a Design
 
     def __post_init__(self):
-        if self.kkt_tol <= 0:
+        if not self.kkt_tol > 0:  # also rejects NaN
             raise ValidationError("tolerances must be positive")
         if self.max_outer_iters < 1:
             raise ValidationError("iteration budgets must be >= 1")
@@ -432,7 +432,7 @@ def solve(
     init = opts.init
     if criterion.p == 0 and not isinstance(init, Design):
         init = _marginal_product(model, candidates, opts) or init
-    if criterion.p != NEG_INF and not isinstance(init, Design):
+    if not isinstance(init, Design):
         init = _screened_start(model, candidates, criterion, opts) or init
     return _exchange(model, candidates, criterion, opts, init)
 

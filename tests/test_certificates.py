@@ -103,11 +103,9 @@ def test_certificate_e_multiplicity(line2f, line2f_grid):
     N = cert.N
     assert np.trace(N) == pytest.approx(2.0, abs=1e-9)
     assert np.trace(M @ N) == pytest.approx(1.0, abs=1e-9)
-    # off-diagonal settles at the first feasible boundary
-    assert N[0, 1] == pytest.approx(-0.5, abs=1e-3)
     F = line2f.eval_many(line2f_grid.points)
     sens = np.einsum("ij,jk,ik->i", F, N, F)
-    assert sens.max() <= 1.0 + 1e-6
+    assert sens.max() <= 1.0 + 1e-9
 
 
 def _full_row_minimax(H):

@@ -151,6 +151,18 @@ def test_certify_nan_tol_exits_2(tmp_path, model21, design21):
     assert not (out / "certify.json").exists()
 
 
+@pytest.mark.parametrize("flag", ("--tol", "--steps"))
+def test_solve_nan_tol_or_steps_exits_2(tmp_path, model21, flag):
+    # a NaN tolerance once ran every Newton loop to its budget and exited 3
+    # (one outer iteration keeps that short); a NaN step once ended in a
+    # ValueError traceback
+    out = tmp_path / "out"
+    argv = ["solve", "--model", str(model21), "--criterion", "D", "--max-iters", "1", flag, "nan"]
+    argv += ["--out", str(out)]
+    assert main(argv) == 2
+    assert not (out / "report.json").exists()
+
+
 def _assert_csv_matches_per_value_format(path, header, table):
     _write_csv(path, header, table)
     lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in table]

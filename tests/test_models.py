@@ -70,6 +70,14 @@ def test_discretize_includes_endpoints_for_uneven_step():
     assert len(grid) == 4  # floor(1/0.3) + 1
 
 
+def test_discretize_rejects_nonpositive_and_nan_steps():
+    # a NaN step once passed the check and failed in int(floor(nan))
+    box = DesignSpace(((0, 1), (0, 1)))
+    for bad in (0.0, -0.1, math.nan, (0.1, math.nan)):
+        with pytest.raises(ValidationError, match="grid steps must be positive"):
+            discretize(box, bad)
+
+
 def test_discretize_unbounded_raises():
     with pytest.raises(MustTruncateError):
         discretize(DesignSpace(((0.0, math.inf),)), 0.1)

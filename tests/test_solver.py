@@ -8,6 +8,7 @@ from optdesign import (
     DesignSpace,
     NoConditionalModelError,
     TruncationSlackError,
+    ValidationError,
     certify,
     default_candidates,
     design,
@@ -739,7 +740,7 @@ _INTERACTION = ("interaction-2f", {})
 
 
 @pytest.mark.parametrize("h", (0.05, 0.02))
-@pytest.mark.parametrize("crit", ("A", "p:-2", "p:0.5"))
+@pytest.mark.parametrize("crit", ("A", "p:-2", "p:0.5", "E"))
 @pytest.mark.parametrize(
     "family, params",
     [_LINE2F, _INTERACTION, _GROWTH, _PRODUCT, _MIXTURE],
@@ -759,14 +760,22 @@ def test_screened_solve_matches_the_full_grid_solve(monkeypatch, family, params,
     assert screened.criterion_value == pytest.approx(full.criterion_value, rel=2 * opts.kkt_tol)
 
 
+def test_solver_options_reject_nan_tolerance():
+    # a NaN kkt_tol failed every stop test, so each Newton loop ran its whole budget
+    for bad in (0.0, -1e-5, float("nan")):
+        with pytest.raises(ValidationError, match="tolerances must be positive"):
+            SolverOptions(kkt_tol=bad)
+
+
 def test_screened_solve_starts_the_full_grid_loop():
-    # the 4 corners hold the A optimum of interaction-2f: one full-grid
-    # iteration confirms it
+    # the 4 corners hold the A and the E optimum of interaction-2f: one
+    # full-grid iteration confirms each
     m = make_model("interaction-2f")
     cands = discretize(m.space, 0.0025)
-    rep = solve(m, cands, parse_criterion("A", m.k))
-    assert rep.converged and rep.iterations == 1
-    assert sorted(map(tuple, rep.design.points)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for crit in ("A", "E"):
+        rep = solve(m, cands, parse_criterion(crit, m.k))
+        assert rep.converged and rep.iterations == 1
+        assert sorted(map(tuple, rep.design.points)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_screened_solve_builds_the_full_grid_certificate_once(monkeypatch):
@@ -801,14 +810,6 @@ def test_unconverged_screened_solve_falls_back_to_the_spread_start():
     rep = solve(m, cands, crit, opts)
     assert rep.converged
     assert certify(rep.design, m, cands, crit, tol=2 * opts.kkt_tol).optimal
-
-
-def test_e_skips_the_screen(monkeypatch):
-    # a screened start certifies E designs too, but moves them by rounding and
-    # changes some support sizes, so E solves on the full grid
-    monkeypatch.setattr(CandidateSet, "screen", lambda self, model: pytest.fail("screened"))
-    m = make_model("interaction-2f")
-    assert solve(m, discretize(m.space, 0.05), parse_criterion("E", m.k)).converged
 
 
 def test_tight_truncation_in_the_screened_solve_falls_back(monkeypatch):
