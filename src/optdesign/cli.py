@@ -208,11 +208,14 @@ def _parse_steps(text: str):
 
 def _parse_slice_map(text: str) -> SliceMap:
     kind, _, rest = text.partition(":")
-    if kind == "axis":
-        return SliceMap("coordinate", axis=int(rest))
-    if kind == "linear":
-        coeffs = tuple(float(v) for v in rest.split(","))
-        return SliceMap("linear", coeffs=coeffs)
+    try:
+        parsed = int(rest) if kind == "axis" else tuple(float(v) for v in rest.split(","))
+    except ValueError:
+        parsed = None
+    if kind == "axis" and parsed is not None:
+        return SliceMap("coordinate", axis=parsed)
+    if kind == "linear" and parsed is not None:
+        return SliceMap("linear", coeffs=parsed)
     raise ValidationError(f"cannot parse slice map {text!r}; use axis:<j> or linear:<a1,a2>")
 
 

@@ -30,11 +30,14 @@ import numpy as np
 
 from .designs import Design, gram, info_matrix
 from .errors import NoConditionalModelError, ValidationError
-from .models import _SCREEN_SAMPLES, CandidateSet, ModelSpec, discretize, gram_rank, interval
+from .models import CandidateSet, ModelSpec, discretize, gram_rank, interval
 
 SLICE_TOL = 1e-9       # atoms whose t-values (or marginal coordinates) differ by at most this are grouped
 DOMINANCE_TOL = 1e-7   # relative Loewner-order slack of the dominator search
 AUDIT_STEP = 0.01      # grid step of the slice and marginal grids the audits search
+# positions, as fractions of the other axis, of the lines on which
+# marginal_model compares the span of f
+_MARGINAL_SAMPLES = (0.0, 0.13, 0.29, 0.47, 0.61, 0.83, 1.0)
 
 
 @dataclass(frozen=True)
@@ -193,11 +196,11 @@ def _spans(A: np.ndarray, B: np.ndarray) -> bool:
 def marginal_model(model: ModelSpec, axis: int) -> ConditionalModel:
     """The conditional model of the axis line through the other factor's lower
     bound, on at most 200 points, when the conditional vector is free of the
-    other factor t: f on the lines at 7 values of t (the screen's samples),
+    other factor t: f on the lines at the 7 values of t in ``_MARGINAL_SAMPLES``,
     side by side, must have the rank of f on the first line alone."""
     if model.space.dimension != 2 or axis not in (0, 1) or not model.space.is_bounded:
         raise NoConditionalModelError(f"no marginal model for {model.family} on axis {axis}")
-    other, samples = 1 - axis, np.asarray(_SCREEN_SAMPLES)
+    other, samples = 1 - axis, np.asarray(_MARGINAL_SAMPLES)
     (a, b), (lo, hi) = model.space.bounds[axis], model.space.bounds[other]
     tmap = SliceMap("coordinate", axis=other)
     grid = slice_grid(model, tmap, lo, max(AUDIT_STEP, (b - a) / 199.0))

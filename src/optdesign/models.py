@@ -166,17 +166,20 @@ class CandidateSet:
         return self._derived(model, "rank", gram_rank)
 
     def screen(self, model) -> np.ndarray | None:
-        """Ascending indices of the candidates kept by the de la Garza line screen.
+        """Ascending indices of the candidates kept by the de la Garza screen.
 
-        On a coordinate line (one axis varies, the others fixed) where the
-        rows of f have centered rank <= 1, f = a + g b for a scalar g. Moving
-        the mass of an interior point to the line's points of smallest and
-        largest g keeps sum(w) and sum(w g) and raises sum(w g^2), so M rises
-        in the Loewner order and no phi_p value falls: such a line keeps only
-        those two points, and every other line keeps all of its points. The
-        kept sets of all axes are intersected. Along one axis the reduction
-        is exact; the intersection is not proved in general, which is why
-        ``solve`` certifies the reduced optimum on the full grid.
+        An axis is affine when f = a + g b on each of its coordinate lines
+        (that axis varies, the others fixed), with one scalar g of that
+        axis's coordinate shared by every line. Moving the mass of an
+        interior point to the coordinates of smallest and largest g keeps
+        sum(w) and sum(w g) and raises sum(w g^2), so M rises in the Loewner
+        order and no phi_p value falls: an affine axis keeps only those two
+        coordinates, and any other axis keeps all of its own. The kept set is
+        the product of the kept coordinates of every axis. As g is shared,
+        moving mass along one axis never leaves the coordinates another axis
+        keeps, so the reduction is proved: some optimum lies on the kept set,
+        and for a PSD N the largest f'Nf there is the grid's. ``solve``
+        still certifies the reduced optimum on the full grid.
 
         Needs ``product_axes``. Returns None when the points are not such a
         product, when nothing is removed, or when the kept rows do not span
@@ -229,81 +232,65 @@ class CandidateSet:
         return self._features
 
 
-# a line counts as centered rank <= 1 when its second singular value is
-# within about this fraction of its first (see _line_keep)
+# a line passes the affine test when its differences from its first row are,
+# to this fraction of their norm, a multiple of its axis's u (see _axis_keep)
 SCREEN_RTOL = 1e-6
-# positions, as fractions of a line, of the points that pre-test each line
-_SCREEN_SAMPLES = (0.0, 0.13, 0.29, 0.47, 0.61, 0.83, 1.0)
 
 
 def _screen(F: np.ndarray, axes: tuple | None) -> np.ndarray | None:
     """``CandidateSet.screen`` on the regression matrix F of the product grid ``axes``.
 
-    The lines of axis j are ``cols[c][a, :, b]``, views of F's contiguous
-    columns. Each line is first tested on a few sampled points: a line whose
-    samples already span two directions keeps all of its points. So does a
-    line whose points the earlier axes have all removed, as the intersection
-    drops them anyway. Only the other lines are tested in full, in blocks of
-    about ``SWEEP_BLOCK`` rows.
+    One test per axis: each axis keeps the coordinates ``_axis_keep`` gives
+    (an axis of at most two keeps both), the kept set is their product, and
+    the reduction is proved (see ``CandidateSet.screen``).
     """
     if axes is None:
         return None
     n, k = F.shape
-    keep = np.ones(n, dtype=bool)
     sizes = [a.size for a in axes]
+    kept = []
     for j, m in enumerate(sizes):
-        if m <= 2:
-            continue  # a line of at most two points keeps them all
         outer = math.prod(sizes[:j])
-        inner = n // (outer * m)
-        cols = [F[:, c].reshape(outer, m, inner) for c in range(k)]
-        kept = keep.reshape(outer, m, inner)
-        samples = sorted({round(f * (m - 1)) for f in _SCREEN_SAMPLES})
-        maybe = _line_keep([c[:, samples, :] for c in cols]).sum(axis=1) <= 2
-        if j > 0:
-            maybe &= kept.any(axis=1)  # a line that earlier axes emptied changes nothing
-        db = min(inner, max(1, SWEEP_BLOCK // m))
-        da = max(1, SWEEP_BLOCK // (m * db))
-        for a in range(0, outer, da):
-            for b in range(0, inner, db):
-                if maybe[a : a + da, b : b + db].any():
-                    lines = [c[a : a + da, :, b : b + db] for c in cols]
-                    kept[a : a + da, :, b : b + db] &= _line_keep(lines)
-    if keep.all():
+        cols = [F[:, c].reshape(outer, m, n // (outer * m)) for c in range(k)]
+        kept.append(np.arange(m) if m <= 2 else _axis_keep(cols))
+    if all(c.size == m for c, m in zip(kept, sizes)):
         return None
-    idx = np.flatnonzero(keep)
+    idx = np.ravel_multi_index(np.ix_(*kept), sizes).ravel()
     return idx if gram_rank(F[idx]) == k else None
 
 
-def _line_keep(cols: list) -> np.ndarray:
-    """Kept-point mask of the lines ``cols[c][a, :, b]``, one (lines, points, lines) array per column.
+def _axis_keep(cols: list) -> np.ndarray:
+    """Ascending kept coordinates of the axis whose lines are ``cols[c][a, :, b]``.
 
-    The differences D (k x points) of each line's rows from its first row
-    have rank <= 1 exactly when the line's centered rows do, that is when
-    the eigenvalues of G = D D' have sum(l_i l_j, i < j) = 0. A line where
-    that sum, (tr(G)^2 - |G|_F^2) / 2, stays within (SCREEN_RTOL tr(G))^2,
-    which near rank 1 says sigma_2 <= SCREEN_RTOL sigma_1 for D, keeps only its points of smallest and largest g = b'D, with b the column
-    of G of largest diagonal (the lowest index among ties); every other line
-    keeps all of its points. A constant line has D = 0 and keeps its first
-    point. D is laid out lines x k x points, so both products are batched
-    matrix products.
+    The differences D (k x m) of a line's rows from its first row are tested
+    against u, the difference column of largest spread over all lines. The
+    axis is affine when every line has |D - (D u) u'| <= SCREEN_RTOL |D|
+    (u of unit norm), which for a line of rank near 1 says sigma_2 <=
+    SCREEN_RTOL sigma_1 and that its direction is u. Then f = a + g b on
+    every line with the same g = u, so the axis keeps its coordinates of
+    smallest and largest u (only the first when u = 0, a constant axis);
+    any other axis keeps all of them. Lines are tested in blocks of about
+    ``SWEEP_BLOCK`` rows over both line indices, and the first block with a
+    failing line ends the test.
     """
-    da, m, db = cols[0].shape
-    D = np.empty((da, db, len(cols), m))
-    for c, col in enumerate(cols):
-        np.subtract(col.transpose(0, 2, 1), col[:, :1, :].transpose(0, 2, 1), out=D[:, :, c, :])
-    D = D.reshape(da * db, len(cols), m)
-    G = D @ D.transpose(0, 2, 1)
-    diag = np.diagonal(G, axis1=1, axis2=2)
-    tr = diag.sum(axis=1)
-    affine = tr**2 - (G * G).sum(axis=(1, 2)) <= 2.0 * (SCREEN_RTOL * tr) ** 2
-    lines = np.arange(D.shape[0])
-    b = G[lines, :, diag.argmax(axis=1)]
-    g = (b[:, None, :] @ D)[:, 0, :]
-    keep = np.repeat(~affine[:, None], m, axis=1)
-    keep[lines, g.argmin(axis=1)] = True
-    keep[lines, g.argmax(axis=1)] = True
-    return keep.reshape(da, db, m).transpose(0, 2, 1)
+    outer, m, inner = cols[0].shape
+    spread = np.array([np.ptp(c, axis=1) for c in cols])
+    c, a0, b0 = np.unravel_index(spread.argmax(), spread.shape)
+    u = cols[c][a0, :, b0] - cols[c][a0, 0, b0]
+    norm = np.linalg.norm(u)
+    if norm == 0.0:
+        return np.arange(1)
+    u /= norm
+    db = min(inner, max(1, SWEEP_BLOCK // m))
+    da = max(1, SWEEP_BLOCK // (m * db))
+    for a in range(0, outer, da):
+        for b in range(0, inner, db):
+            D = np.stack([c[a : a + da, :, b : b + db] - c[a : a + da, :1, b : b + db] for c in cols])
+            sq = np.einsum("ciml,ciml->il", D, D)
+            along = np.einsum("ciml,m->cil", D, u)
+            if np.any(sq - np.einsum("cil,cil->il", along, along) > SCREEN_RTOL**2 * sq):
+                return np.arange(m)
+    return np.unique([u.argmin(), u.argmax()])
 
 
 def discretize(space: DesignSpace, resolution: float | tuple[float, ...] = 0.01) -> CandidateSet:

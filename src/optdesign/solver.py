@@ -21,9 +21,9 @@ the product of the marginal D-optimal designs, D-optimal there though not
 unique (Schwabe 1996, Optimum Designs for Multi-Factor Models, LNS 113).
 
 A solve with no product start, E included, is first solved on the
-candidates that ``CandidateSet.screen`` keeps: on coordinate lines where f is
-affine in one scalar, only the two extremes of that scalar (de la Garza
-1954), which raises M in the Loewner order and so lowers no phi_p value. A
+candidates that ``CandidateSet.screen`` keeps: along each axis whose lines
+share one scalar g with f affine in g, only the two extremes of g (de la
+Garza 1954), which raises M in the Loewner order and so lowers no phi_p value. A
 converged optimum there is the start; an unconverged one is dropped for the
 spread start.
 
@@ -63,6 +63,8 @@ class SolverOptions:
             raise ValidationError("tolerances must be positive")
         if self.max_outer_iters < 1:
             raise ValidationError("iteration budgets must be >= 1")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValidationError("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)

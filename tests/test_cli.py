@@ -163,6 +163,15 @@ def test_solve_nan_tol_or_steps_exits_2(tmp_path, model21, flag):
     assert not (out / "report.json").exists()
 
 
+def test_solve_negative_seed_exits_2(tmp_path, capsys, model21):
+    # a negative seed once ended in numpy's ValueError traceback
+    out = tmp_path / "out"
+    argv = ["solve", "--model", str(model21), "--criterion", "A", "--seed", "-1", "--out", str(out)]
+    assert main(argv) == 2
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def _assert_csv_matches_per_value_format(path, header, table):
     _write_csv(path, header, table)
     lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in table]
@@ -385,6 +394,18 @@ def test_audit_linear_map_without_two_nonzero_coefficients_exits_2(
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ("audit", "decompose"))
+@pytest.mark.parametrize("slice_map", ("axis:abc", "axis:", "linear:1,x"))
+def test_malformed_slice_map_exits_2(tmp_path, capsys, model21, design21, command, slice_map):
+    # int() and float() once raised their ValueError as a traceback
+    out = tmp_path / "out"
+    argv = [command, "--model", str(model21), "--design", str(design21)]
+    assert main(argv + ["--slice-map", slice_map, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "use axis:<j> or linear:<a1,a2>" in err
     assert not out.exists()
 
 

@@ -439,6 +439,40 @@ def test_moving_line_mass_to_its_extremes_raises_m(family, params):
     assert tested >= 10
 
 
+def _is_product(points: np.ndarray) -> bool:
+    # distinct points fill the product of their coordinates when they are as many
+    return len(points) == math.prod(np.unique(points[:, j]).size for j in range(points.shape[1]))
+
+
+def test_screen_keeps_a_product_set():
+    # every axis keeps its own coordinates, so the kept set is their product
+    grids = []
+    for family, params, h in [
+        ("interaction-2f", {}, 0.05),
+        ("exp-growth-2f", {"theta": [1.0, 2.0, 3.0]}, 0.05),
+        ("linear-2f-no-intercept", {}, 0.02),
+        ("mixture-poly-exp", {"theta3": 1.0}, 0.05),
+        ("xexp-decay", {"rate": 2.0}, 0.01),
+    ]:
+        m = make_model(family, **params)
+        grid = discretize(m.space, h)
+        grids.append((grid, grid.features(m)))
+    cube = discretize(DesignSpace(((0.0, 1.0),) * 3), 0.1)
+    x = cube.points
+    F = np.column_stack([np.ones(len(cube)), x, x.prod(axis=1)])
+    grids += [(cube, np.asfortranarray(F)), (cube, np.asfortranarray(np.column_stack([F, x[:, 1] ** 2])))]
+    for grid, F in grids:
+        kept = models_module._screen(F, grid.product_axes)
+        assert kept is not None and _is_product(grid.points[kept])
+    # f = (1, (x1 - x2)^2) is affine along each line, but in a g that moves
+    # with the other coordinate: no axis shares one g, so nothing is screened
+    # (a per-line screen kept the diagonal and two corners, not a product)
+    square = discretize(DesignSpace(((0.0, 1.0),) * 2), 0.1)
+    x = square.points
+    F = np.asfortranarray(np.column_stack([np.ones(len(square)), (x[:, 0] - x[:, 1]) ** 2]))
+    assert models_module._screen(F, square.product_axes) is None
+
+
 def test_screen_on_three_factors():
     # f = (1, x1, x2, x3, x1 x2 x3) is affine along every axis: the 8 corners
     # are left; with x2^2 added, x2 keeps all of its values

@@ -25,7 +25,7 @@ from optdesign import (
 )
 import optdesign.solver as solver_module
 from optdesign.criteria import psd_eig
-from optdesign.designs import gram
+from optdesign.designs import gram, sweep
 from optdesign.models import gram_rank
 from optdesign.solver import (
     SolverOptions,
@@ -760,11 +760,37 @@ def test_screened_solve_matches_the_full_grid_solve(monkeypatch, family, params,
     assert screened.criterion_value == pytest.approx(full.criterion_value, rel=2 * opts.kkt_tol)
 
 
+@pytest.mark.parametrize("h", (0.05, 0.02))
+@pytest.mark.parametrize("crit", ("D", "A", "p:-2", "p:0.5", "E"))
+@pytest.mark.parametrize(
+    "family, params",
+    [_INTERACTION, _GROWTH, _LINE2F, _MIXTURE],
+    ids=["interaction", "growth", "line2f", "mixture"],
+)
+def test_screened_set_holds_the_grid_max_of_the_sensitivity(family, params, crit, h):
+    # f'Nf is convex in g along an affine axis (N is PSD), so moving along
+    # the axes one by one reaches a kept point that is no lower
+    m = make_model(family, **params)
+    cands = default_candidates(m, h)
+    rep = solve(m, cands, parse_criterion(crit, m.k))
+    assert rep.converged
+    sens = sweep(cands.features(m), rep.certificate.N)
+    assert sens[cands.screen(m)].max() == sens.max()
+
+
 def test_solver_options_reject_nan_tolerance():
     # a NaN kkt_tol failed every stop test, so each Newton loop ran its whole budget
     for bad in (0.0, -1e-5, float("nan")):
         with pytest.raises(ValidationError, match="tolerances must be positive"):
             SolverOptions(kkt_tol=bad)
+
+
+def test_solver_options_reject_a_seed_that_is_not_a_nonnegative_integer():
+    # -1 once reached np.random.default_rng as a ValueError, 1.5 as a TypeError
+    for bad in (-1, 1.5, "0", None):
+        with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+            SolverOptions(seed=bad)
+    assert SolverOptions(seed=np.int64(3)).seed == 3
 
 
 def test_screened_solve_starts_the_full_grid_loop():
