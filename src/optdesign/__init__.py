@@ -48,7 +48,7 @@ from .conditional import (  # noqa: E402
     product_audit,
     recompose_check,
 )
-from .criteria import Criterion, parse_criterion, phi, polar, sensitivity  # noqa: E402
+from .criteria import Criterion, parse_criterion, phi, polar  # noqa: E402
 from .designs import (  # noqa: E402
     Design,
     design,

@@ -14,17 +14,19 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
-from .criteria import _SING_REL, E_GAP_REL, NEG_INF, Criterion, finite_p_dual
+from .criteria import _SING_REL, NEG_INF, Criterion, finite_p_dual
 from .criteria import phi, polar, psd_eig
 from .designs import Design, components, gram, sweep
 from .errors import InconsistencyError, ValidationError
-from .models import FAMILIES, CandidateSet, ModelSpec, make_model, truncated_axes
+from .models import FAMILIES, CandidateSet, ModelSpec, make_model
 
 GROUP_TOL = 1e-5   # squared coordinates this close (relative) share a hyperplane
 ACTIVE_TOL = 1e-4  # slack allowed in the support equalities and the grid inequality
+E_GAP_REL = 1e-8   # eigenvalues of M this close (relative) to lambda_min form the E eigenspace
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,7 @@ class Certificate:
     """
 
     N: np.ndarray
-    bound: float = 1.0
+    bound: ClassVar[float] = 1.0  # the normality bound on f'Nf, equal at the support
 
     def __post_init__(self):
         N = np.asarray(self.N, dtype=float)
@@ -282,7 +284,7 @@ def _tight_truncation(candidates: CandidateSet, sens: np.ndarray, tol: float) ->
     """The largest sensitivity on the upper boundary of a truncated axis, if
     it is at least 1 - 10 tol, else None."""
     worst = -np.inf
-    for j in truncated_axes(candidates.space):
+    for j in candidates.space.truncated:
         hi = candidates.space.bounds[j][1]
         on_edge = np.abs(candidates.points[:, j] - hi) <= 1e-12 * max(abs(hi), 1.0)
         worst = max(worst, float(sens[on_edge].max(initial=-np.inf)))

@@ -359,10 +359,10 @@ def cmd_garza(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    model, _ = _load_model_and_grid(args)
+    model, _ = load_model(args.model)
     dsgn = load_design(args.design)
     tmap = _parse_slice_map(args.slice_map)
-    verdict = conditional_audit(dsgn, tmap, model, budget=args.budget)
+    verdict = conditional_audit(dsgn, tmap, model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     body = _report_base(args, "audit")
@@ -384,7 +384,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    model, _ = _load_model_and_grid(args)
+    model, _ = load_model(args.model)
     dsgn = load_design(args.design)
     tmap = _parse_slice_map(args.slice_map)
     deco = decompose(dsgn, tmap, model)
@@ -565,18 +565,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, model=True, out=True):
-        if model:
-            p.add_argument("--model", required=True, help="model JSON file")
-            p.add_argument(
-                "--steps", type=_parse_steps, default=None,
-                help="grid step(s), e.g. 0.01 or 0.01,0.02 (default: model file or 0.01)",
-            )
-        if out:
-            p.add_argument("--out", default=".", help="output directory for report files")
+    def add_common(p):
+        p.add_argument("--model", required=True, help="model JSON file")
+        p.add_argument("--out", default=".", help="output directory for report files")
+
+    def add_grid(p):
+        add_common(p)
+        p.add_argument(
+            "--steps", type=_parse_steps, default=None,
+            help="grid step(s), e.g. 0.01 or 0.01,0.02 (default: model file or 0.01)",
+        )
 
     p = sub.add_parser("solve", help="compute an optimal design")
-    add_common(p)
+    add_grid(p)
     p.add_argument("--criterion", default="D", help="D, A, E, or p:<real>")
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-5)
@@ -585,21 +586,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("certify", help="equivalence-theorem check of a design")
-    add_common(p)
+    add_grid(p)
     p.add_argument("--design", required=True)
     p.add_argument("--criterion", default="D")
     p.add_argument("--tol", type=float, default=1e-5)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("geometry", help="supporting-hyperplane structure of an optimal design")
-    add_common(p)
+    add_grid(p)
     p.add_argument("--design", required=True)
     p.add_argument("--criterion", default="D")
     p.add_argument("--tol", type=float, default=1e-5)
     p.set_defaults(func=cmd_geometry)
 
     p = sub.add_parser("garza", help="norm-injectivity saturation bound")
-    add_common(p)
+    add_grid(p)
     p.add_argument("--norm-tol", type=float, default=1e-7)
     p.set_defaults(func=cmd_garza)
 
@@ -607,7 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--design", required=True)
     p.add_argument("--slice-map", required=True, help="axis:<j> or linear:<a1,a2>")
-    p.add_argument("--budget", type=int, default=3000)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("decompose", help="slice a design by a scalar map")

@@ -35,6 +35,7 @@ from .models import CandidateSet, ModelSpec, discretize, gram_rank, interval
 SLICE_TOL = 1e-9       # atoms whose t-values (or marginal coordinates) differ by at most this are grouped
 DOMINANCE_TOL = 1e-7   # relative Loewner-order slack of the dominator search
 AUDIT_STEP = 0.01      # grid step of the slice and marginal grids the audits search
+KELLEY_ROUNDS = 30     # LP solves per stage of the dominator search's Kelley loop
 # positions, as fractions of the other axis, of the lines on which
 # marginal_model compares the span of f
 _MARGINAL_SAMPLES = (0.0, 0.13, 0.29, 0.47, 0.61, 0.83, 1.0)
@@ -50,12 +51,20 @@ class SliceMap:
 
     def __post_init__(self):
         if self.kind == "coordinate":
-            if self.axis is None or self.axis < 0:
-                raise ValidationError("coordinate slice map needs a nonnegative axis")
+            axis = self.axis
+            if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or axis < 0:
+                raise ValidationError(
+                    f"coordinate slice map needs a nonnegative integer axis, got {axis!r}"
+                )
         elif self.kind == "linear":
             if not self.coeffs or all(c == 0 for c in self.coeffs):
                 raise ValidationError("linear slice map needs nonzero coefficients")
-            object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+            coeffs = tuple(float(c) for c in self.coeffs)
+            if not np.all(np.isfinite(coeffs)):
+                raise ValidationError(
+                    f"linear slice map needs finite coefficients, got {list(coeffs)}"
+                )
+            object.__setattr__(self, "coeffs", coeffs)
         else:
             raise ValidationError(f"unknown slice map kind {self.kind!r}")
 
@@ -562,7 +571,7 @@ def _moment_oracle(d1: Design, F1: np.ndarray, points, F, model):
     return _weights_dominator(np.maximum(res.x, 0.0), points, d1, model), ""
 
 
-def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget: int):
+def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model):
     """Dominator search over all candidates by one Kelley cutting-plane loop.
 
     With M1 = M(d1), every unit direction v gives the cut
@@ -573,7 +582,7 @@ def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget:
     M(w) - M1, plus their pairwise mixtures (plain eigenvector cuts close the
     gap very slowly at multiple smallest eigenvalues). The pool starts from the
     eigenvectors at uniform weights, and the loop runs in two stages, each
-    capped at the same number of LP solves:
+    capped at KELLEY_ROUNDS LP solves:
 
     - Stage A maximizes t, an upper bound on max_w lambda_min(M(w) - M1). A
       bound at or below -DOMINANCE_TOL (relative) proves that no design on these
@@ -595,7 +604,6 @@ def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget:
     M1 = info_matrix(d1, model)
     scale1 = max(float(np.abs(M1).max()), 1e-300)
     floor = -DOMINANCE_TOL * scale1
-    rounds = int(np.clip(budget // 100, 10, 80))
     A_eq = np.append(np.ones(n), 0.0)[None, :]
     # every cut value is at least -lambda_max(M1), so stage A's bound on t
     # leaves its LP optimum unchanged
@@ -610,7 +618,7 @@ def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget:
     best = float(vals[0])
     lam_trail: list[float] = []
     for stage_a, obj, t_bounds in stages:
-        for _ in range(rounds):
+        for _ in range(KELLEY_ROUNDS):
             if stage_a and best >= floor:
                 break
             V = np.stack(cuts, axis=1)
@@ -652,18 +660,15 @@ def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model, budget:
                     va, vb = vecs[:, near[a]], vecs[:, near[b]]
                     cuts.append((va + vb) / np.sqrt(2.0))
                     cuts.append((va - vb) / np.sqrt(2.0))
-    # unsettled: the margin was still being driven toward feasibility at budget
-    improving = len(lam_trail) >= rounds and (
+    # unsettled: the margin was still being driven toward feasibility at the cap
+    improving = len(lam_trail) >= KELLEY_ROUNDS and (
         len(lam_trail) < 2 or lam_trail[-1] > lam_trail[len(lam_trail) // 2] + 1e-12 * scale1
     )
     return None, improving, False
 
 
 def find_dominator(
-    d1: Design,
-    candidates: CandidateSet | np.ndarray,
-    model,
-    budget: int = 3000,
+    d1: Design, candidates: CandidateSet | np.ndarray, model
 ) -> AdmissibilityVerdict:
     """Search for a design whose information matrix dominates d1's.
 
@@ -692,9 +697,9 @@ def find_dominator(
       first bounds the best achievable smallest eigenvalue of M(w) - M(d1),
       then maximizes the trace gain over the cut relaxation of the dominance
       cone. Either stage can prove that no candidate design dominates (a
-      bound below tolerance, or an empty relaxation); ``budget // 100`` LP
-      solves, clipped to [10, 80], cap each stage, and a loop still
-      improving at its cap is inconclusive.
+      bound below tolerance, or an empty relaxation); KELLEY_ROUNDS LP
+      solves cap each stage, and a loop still improving at its cap is
+      inconclusive.
 
     Every returned dominator is verified by ``dominates``. A verdict of
     admissible without a proof means the search came up empty within budget;
@@ -726,7 +731,7 @@ def find_dominator(
         if best is None and not proof and F.shape[1] <= 2 and points.shape[0] <= 200:
             best = _phase2_oracle(d1, points, F, model)
         if best is None and not proof:
-            best, improving, proven_none = _phase1_ascent(d1, points, F, model, budget)
+            best, improving, proven_none = _phase1_ascent(d1, points, F, model)
             proof = "dual bound below tolerance" if proven_none else ""
     if best is not None:
         return AdmissibilityVerdict(
@@ -758,12 +763,7 @@ def splice_slice(design: Design, tmap: SliceMap, t: float, replacement: Design) 
     return Design(np.vstack(pts), np.concatenate(ws))
 
 
-def conditional_audit(
-    design: Design,
-    tmap: SliceMap,
-    model: ModelSpec,
-    budget: int = 3000,
-) -> AdmissibilityVerdict:
+def conditional_audit(design: Design, tmap: SliceMap, model: ModelSpec) -> AdmissibilityVerdict:
     """Necessary-condition audit: every conditional design must be admissible.
 
     A dominated slice is spliced back into the full design, the improvement is
@@ -775,7 +775,7 @@ def conditional_audit(
     any_inconclusive = False
     for sl in deco.slices:
         cm = sl.conditional
-        verdict = find_dominator(sl.conditional_design, cm.grid, cm, budget)
+        verdict = find_dominator(sl.conditional_design, cm.grid, cm)
         evidence.append((sl.t, verdict))
         if verdict.inconclusive:
             any_inconclusive = True
@@ -820,7 +820,7 @@ class ProductAuditReport:
     support_bound: int | None
 
 
-def product_audit(design: Design, model: ModelSpec, budget: int = 3000) -> ProductAuditReport:
+def product_audit(design: Design, model: ModelSpec) -> ProductAuditReport:
     """Audit both marginal designs within their marginal models.
 
     On product design spaces, admissibility of the full design requires both
@@ -841,7 +841,7 @@ def product_audit(design: Design, model: ModelSpec, budget: int = 3000) -> Produ
         pts = np.repeat(mm.grid[:1], coords.m, axis=0)
         pts[:, axis] = coords.points[:, 0]
         margins.append(Design(pts, coords.weights))
-        verdicts.append(find_dominator(margins[-1], mm.grid, mm, budget))
+        verdicts.append(find_dominator(margins[-1], mm.grid, mm))
         bounds.append(admissible_support_bound(mm))
     return ProductAuditReport(
         tuple(verdicts), tuple(margins), None if None in bounds else int(np.prod(bounds))

@@ -1,4 +1,4 @@
-"""Matrix-mean optimality criteria, their polar functions, and sensitivities.
+"""Matrix-mean optimality criteria, their polar functions, and the finite-p dual.
 
 The one-parameter family indexed by an exponent p in [-inf, 1]:
 
@@ -22,7 +22,6 @@ from .errors import ValidationError
 NEG_INF = float("-inf")
 _SING_REL = 1e-14  # eigenvalues below this times lambda_max count as zero
 _PSD_TOL = 1e-9    # eigenvalues below -this times lambda_max reject a matrix as indefinite
-E_GAP_REL = 1e-8   # spectral-gap threshold for refusing the one-eigenvector E formula
 
 
 @dataclass(frozen=True)
@@ -136,26 +135,3 @@ def finite_p_dual(vals: np.ndarray, vecs: np.ndarray, p: float, floor_singular: 
     if p == 0:
         return (vecs / floored) @ vecs.T / len(vals)
     return (vecs * floored ** (p - 1.0)) @ vecs.T / (floored**p).sum()
-
-
-def sensitivity(criterion: Criterion, M: np.ndarray, model, x) -> float:
-    """Directional (sensitivity) value f(x)^T N f(x) against the dual certificate N.
-
-    For finite p the certificate is closed-form, N = M^(p-1)/trace(M^p). For
-    the E-criterion with a clustered smallest eigenvalue the one-eigenvector
-    formula is wrong; build the certificate over the candidate set instead.
-    """
-    f = model.eval_many(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-    p = criterion.p
-    vals, vecs = psd_eig(M)
-    if p == NEG_INF:
-        if vals[0] <= _SING_REL * max(vals[-1], 1e-300):
-            raise ValidationError("singular matrix; E-sensitivity needs a positive definite input")
-        if vals[1] - vals[0] < E_GAP_REL * vals[-1]:
-            raise ValidationError(
-                "smallest eigenvalue is (numerically) multiple; build the dual "
-                "certificate over the candidate set instead of the naive formula"
-            )
-        z = vecs[:, 0]
-        return float((z @ f) ** 2 / vals[0])
-    return float(f @ finite_p_dual(vals, vecs, p) @ f)

@@ -22,6 +22,7 @@ from .designs import SWEEP_BLOCK
 from .errors import DomainError, MustTruncateError, ValidationError
 
 _BOUND_EPS = 1e-9
+_RANK_RTOL = 1e-8  # gram_rank counts singular values above this times the largest
 
 
 @dataclass(frozen=True)
@@ -32,12 +33,12 @@ class DesignSpace:
     ----------
     bounds : tuple of (lo, hi) pairs
         Closed interval per axis; ``hi`` may be ``math.inf``.
-    truncation_note : str, optional
-        Records that an originally unbounded axis was cut off, and where.
+    truncated : tuple of int
+        Ascending axes whose upper bound came from ``truncate``.
     """
 
     bounds: tuple[tuple[float, float], ...]
-    truncation_note: str | None = None
+    truncated: tuple[int, ...] = ()
 
     def __post_init__(self):
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
@@ -70,24 +71,15 @@ class DesignSpace:
         return inside
 
 
-def interval(lo: float, hi: float, note: str | None = None) -> DesignSpace:
-    return DesignSpace(((lo, hi),), truncation_note=note)
-
-
-def truncated_axes(space: DesignSpace) -> list[int]:
-    """Axes whose upper bound came from a truncation, parsed from the note."""
-    import re
-
-    if not space.truncation_note:
-        return []
-    return sorted({int(a) for a in re.findall(r"axis (\d+) truncated", space.truncation_note)})
+def interval(lo: float, hi: float) -> DesignSpace:
+    return DesignSpace(((lo, hi),))
 
 
 def truncate(space: DesignSpace, axis: int, new_hi: float) -> DesignSpace:
     """Cut axis ``axis`` off at ``new_hi``, recording the truncation.
 
-    Already-bounded axes keep the tighter of the two upper bounds; the note is
-    appended either way so reports show the domain was clipped.
+    Already-bounded axes keep the tighter of the two upper bounds; the axis is
+    recorded in ``truncated`` either way.
     """
     if not 0 <= axis < space.dimension:
         raise ValidationError(f"axis {axis} out of range for dimension {space.dimension}")
@@ -97,10 +89,7 @@ def truncate(space: DesignSpace, axis: int, new_hi: float) -> DesignSpace:
     clipped = min(hi, new_hi)
     bounds = list(space.bounds)
     bounds[axis] = (lo, clipped)
-    note = f"axis {axis} truncated at {clipped:g}"
-    if space.truncation_note:
-        note = space.truncation_note + "; " + note
-    return DesignSpace(tuple(bounds), truncation_note=note)
+    return DesignSpace(tuple(bounds), tuple(sorted({*space.truncated, axis})))
 
 
 @dataclass(frozen=True)
@@ -586,12 +575,13 @@ def eval_f(model: ModelSpec, x) -> np.ndarray:
     return model.eval_many(np.atleast_2d(np.asarray(x, dtype=float)))[0]
 
 
-def gram_rank(F: np.ndarray, rtol: float = 1e-8) -> int:
-    """Numerical rank of a stack of regression vectors."""
+def gram_rank(F: np.ndarray) -> int:
+    """Numerical rank of a stack of regression vectors: the singular values
+    above _RANK_RTOL of the largest."""
     sv = np.linalg.svd(np.atleast_2d(F), compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         return 0
-    return int(np.sum(sv > rtol * sv[0]))
+    return int(np.sum(sv > _RANK_RTOL * sv[0]))
 
 
 def default_truncation(model: ModelSpec) -> float | None:

@@ -378,7 +378,7 @@ def _marginal_product(model, candidates, opts) -> Design | None:
     for axis, (mm, coords) in enumerate(zip(marginals, candidates.product_axes)):
         line = np.repeat(mm.grid[:1], coords.size, axis=0)
         line[:, axis] = coords
-        # merge radius: the axis's step; no truncation note: the full-grid loop checks it
+        # merge radius: the axis's step; no truncated axes: the full-grid loop checks them
         sub = CandidateSet(DesignSpace(model.space.bounds), line, (candidates.steps[axis],) * 2)
         try:
             margins.append(solve(mm, sub, Criterion(0.0, mm.k), opts).design)

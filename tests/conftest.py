@@ -85,6 +85,34 @@ def registered_marginal(model, axis):
     raise KeyError(f"no registered marginal for {model.family}")
 
 
+def stub_inconclusive_audit(monkeypatch, branch):
+    """Stub the dominator search's stages so that a conditional audit of the
+    exp-growth-2f corners by axis 0 ends inconclusive, by one of its two ways.
+
+    - "slice": on the slice x0 = 1 the moment stage and the pair scan find
+      nothing and the Kelley loop is still improving at its cap; the slice
+      x0 = 0 keeps de la Garza's proof.
+    - "splice": the moment stage hands back each slice's own design as its
+      dominator, so the spliced design equals the audited one and dominates
+      nothing.
+    """
+    import optdesign.conditional as conditional_module
+
+    if branch == "splice":
+        monkeypatch.setattr(conditional_module, "_moment_oracle", lambda d1, *args: (d1, ""))
+        return
+    moment_oracle = conditional_module._moment_oracle
+
+    def moment(d1, F1, points, F, model):
+        if points[0, 0] == 1.0:
+            return None, ""
+        return moment_oracle(d1, F1, points, F, model)
+
+    monkeypatch.setattr(conditional_module, "_moment_oracle", moment)
+    monkeypatch.setattr(conditional_module, "_phase2_oracle", lambda *args: None)
+    monkeypatch.setattr(conditional_module, "_phase1_ascent", lambda *args: (None, True, False))
+
+
 def _exact_gap(d2, d1, model):
     """M(d1) + M(d2) and M(d2) - M(d1) formed at 40 digits from the rows of f."""
     import mpmath

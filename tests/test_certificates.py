@@ -19,6 +19,7 @@ from optdesign import (
     polytope_report,
     rescale_invariance_check,
     solve,
+    truncate,
 )
 from optdesign.certificates import _e_eigenspace_minimax, _top_rows
 from optdesign.criteria import NEG_INF, phi, polar, psd_eig
@@ -322,7 +323,7 @@ def test_rescale_invariance_unit_amplitude():
 
 
 def test_rescale_invariance_two_components():
-    cands = discretize(interval(0, 3, note="axis 0 truncated at 3"), 0.01)
+    cands = discretize(truncate(interval(0, 3), 0, 3), 0.01)
     assert rescale_invariance_check([1.0, -1.0], [1.0, 2.0], 2.0, cands)
 
 

@@ -15,6 +15,8 @@ from optdesign.cli import (
 )
 from optdesign.models import model_from_dict
 
+from conftest import stub_inconclusive_audit
+
 
 @pytest.fixture()
 def model21(tmp_path):
@@ -407,6 +409,43 @@ def test_malformed_slice_map_exits_2(tmp_path, capsys, model21, design21, comman
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "use axis:<j> or linear:<a1,a2>" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ("audit", "decompose"))
+@pytest.mark.parametrize("slice_map", ("linear:nan,1", "linear:1,inf"))
+def test_non_finite_slice_map_exits_2_naming_the_slice_map(
+    tmp_path, capsys, recwarn, model21, design21, command, slice_map
+):
+    # a NaN coefficient once exited 2 as a point outside the design-space
+    # bounds, after numpy's RuntimeWarnings
+    out = tmp_path / "out"
+    argv = [command, "--model", str(model21), "--design", str(design21)]
+    assert main(argv + ["--slice-map", slice_map, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: linear slice map needs finite coefficients")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("branch", ("slice", "splice"))
+def test_inconclusive_audit_exits_3(tmp_path, monkeypatch, branch):
+    # one slice left open, or a slice dominator whose splice does not verify
+    stub_inconclusive_audit(monkeypatch, branch)
+    model, dsgn = tmp_path / "growth.json", tmp_path / "corners.json"
+    model.write_text(json.dumps({"family": "exp-growth-2f", "params": {"theta": [1.0, 1.0, 1.0]}}))
+    dsgn.write_text(json.dumps(
+        {"atoms": [{"x": [a, b], "w": 0.25} for a in (0.0, 1.0) for b in (0.0, 1.0)]}
+    ))
+    code, out = _audit(tmp_path, model, dsgn, "axis:0")
+    assert code == 3
+    rep = json.loads((out / "audit.json").read_text())
+    assert rep["inconclusive"] is True and rep["admissible"] is False and rep["dominator"] is None
+    assert rep["note"] == "some slices were inconclusive within budget"
+    want = [{"t": 0.0, "admissible": True, "inconclusive": False},
+            {"t": 1.0, "admissible": False, "inconclusive": True}]
+    if branch == "splice":
+        want = [{"t": t, "admissible": False, "inconclusive": False} for t in (0.0, 1.0)]
+    assert rep["slices"] == want
 
 
 def test_audit_line_model_by_axis(tmp_path, model21, design21):

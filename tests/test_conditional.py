@@ -40,7 +40,7 @@ from optdesign.conditional import (
 from optdesign.designs import Design, gram, info_matrix
 from optdesign.models import gram_rank
 
-from conftest import reference_dominates, registered_marginal
+from conftest import reference_dominates, registered_marginal, stub_inconclusive_audit
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +60,22 @@ def test_slice_map_validation():
         SliceMap("linear", coeffs=(0.0, 0.0))
     with pytest.raises(ValidationError):
         SliceMap("radial")
+    assert SliceMap("coordinate", axis=np.int64(1)).values(np.array([[0.0, 2.0]]))[0] == 2.0
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"axis": 0.5}, "coordinate slice map needs a nonnegative integer axis, got 0.5"),
+    ({"axis": True}, "coordinate slice map needs a nonnegative integer axis, got True"),
+    ({"axis": -1}, "coordinate slice map needs a nonnegative integer axis, got -1"),
+    ({"coeffs": (float("nan"), 1.0)}, r"linear slice map needs finite coefficients, got \[nan"),
+    ({"coeffs": (1.0, -np.inf)}, r"linear slice map needs finite coefficients, got \[1.0, -inf"),
+], ids=["fractional-axis", "bool-axis", "negative-axis", "nan-coefficient", "inf-coefficient"])
+def test_slice_map_rejects_non_integer_axes_and_non_finite_coefficients(kwargs, message):
+    # a fractional axis once raised IndexError and a bool one numpy's
+    # TypeError; a NaN coefficient once failed as a point outside the bounds
+    kind = "coordinate" if "axis" in kwargs else "linear"
+    with pytest.raises(ValidationError, match=message):
+        SliceMap(kind, **kwargs)
 
 
 def test_decompose_interaction_linear():
@@ -635,6 +651,59 @@ def test_find_dominator_still_improving_is_inconclusive_on_small_problems(line2f
     cands = np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
     verdict = find_dominator(d1, cands, line2f)
     assert verdict.inconclusive and not verdict.admissible
+
+
+def test_conditional_audit_with_an_inconclusive_slice_is_inconclusive(growth, monkeypatch):
+    stub_inconclusive_audit(monkeypatch, "slice")
+    corners = design([[0, 0], [0, 1], [1, 0], [1, 1]])
+    verdict = conditional_audit(corners, SliceMap("coordinate", axis=0), growth)
+    assert verdict.inconclusive and not verdict.admissible and verdict.dominator is None
+    assert verdict.note == "some slices were inconclusive within budget"
+    (t0, proven), (t1, open_) = verdict.evidence
+    assert (t0, t1) == (0.0, 1.0)
+    assert proven.admissible and proven.note.startswith("no design on these candidates dominates")
+    assert open_.inconclusive and not open_.admissible and open_.dominator is None
+
+
+def test_conditional_audit_whose_splice_does_not_verify_is_inconclusive(growth, monkeypatch):
+    stub_inconclusive_audit(monkeypatch, "splice")
+    corners = design([[0, 0], [0, 1], [1, 0], [1, 1]])
+    verdict = conditional_audit(corners, SliceMap("coordinate", axis=0), growth)
+    assert verdict.inconclusive and not verdict.admissible and verdict.dominator is None
+    assert verdict.note == "some slices were inconclusive within budget"
+    # every slice reports its (unverified) dominator, and the audit goes on past each
+    assert [t for t, _ in verdict.evidence] == [0.0, 1.0]
+    deco = decompose(corners, SliceMap("coordinate", axis=0), growth)
+    for (_, v), sl in zip(verdict.evidence, deco.slices):
+        assert not v.admissible and not v.inconclusive
+        assert np.array_equal(v.dominator.points, sl.conditional_design.points)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the search's verdict depends on the units of the factors: on [0, 10]^2 the "
+    "Kelley loop is still improving at its cap on designs whose [0, 1]^2 images "
+    "get a verified dominator"
+))
+def test_find_dominator_verdicts_are_free_of_the_units_of_the_factors():
+    # interaction-2f on [0, s]^2 with a grid of step 0.1 s, and the same five
+    # random designs (1 to 3 atoms, uniform(0.05, 1) weights from
+    # default_rng(3)) scaled with the box. Scaling a factor maps f to B f for
+    # a fixed invertible B, which keeps the Loewner order, so the verdict
+    # classes (D dominated, A admissible, I inconclusive) should agree
+    def classes(s):
+        model = make_model("interaction-2f", space=DesignSpace(((0.0, s), (0.0, s))))
+        grid = discretize(model.space, 0.1 * s)
+        rng = np.random.default_rng(3)
+        out = ""
+        for _ in range(5):
+            size = rng.integers(1, 4)
+            idx = rng.choice(len(grid), size, replace=False)
+            d1 = design(grid.points[idx], rng.uniform(0.05, 1.0, size), normalize=True)
+            v = find_dominator(d1, grid, model)
+            out += "I" if v.inconclusive else "A" if v.admissible else "D"
+        return out
+
+    assert classes(1.0) == classes(10.0)
 
 
 def _sweep_draw(model, step, index):

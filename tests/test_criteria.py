@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from optdesign import Criterion, ValidationError, parse_criterion
-from optdesign.criteria import NEG_INF, phi, polar, sensitivity
+from optdesign import Criterion, ValidationError, build_certificate, parse_criterion
+from optdesign.criteria import NEG_INF, finite_p_dual, phi, polar, psd_eig
+from optdesign.designs import sweep
 
 from conftest import random_psd
 
@@ -53,26 +54,21 @@ def test_polar_examples():
 
 
 def test_sensitivity_examples(line2f):
-    crit = Criterion(0.0, 2)
-    assert sensitivity(crit, M21, line2f, [1.0, 1.0]) == pytest.approx(1.0)
-    assert sensitivity(crit, M21, line2f, [0.0, 0.0]) == pytest.approx(0.0)
-    assert sensitivity(crit, M21, line2f, [1.0, 0.0]) == pytest.approx(1.0)
+    N = finite_p_dual(*psd_eig(M21), 0.0)
+    sens = sweep(line2f.eval_many(np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 0.0]])), N)
+    assert sens == pytest.approx([1.0, 0.0, 1.0])
 
 
-def test_sensitivity_refuses_multiple_min_eigenvalue(line2f):
-    with pytest.raises(ValidationError):
-        sensitivity(Criterion(NEG_INF), np.eye(2) / 2, line2f, [1.0, 0.0])
-
-
-def test_sensitivity_simple_min_eigenvalue(line2f):
+def test_sensitivity_simple_min_eigenvalue(line2f, line2f_grid):
+    # a simple smallest eigenvalue: N = z z' / lambda_min, its eigenvector z
     M = np.diag([0.25, 0.75])
-    val = sensitivity(Criterion(NEG_INF), M, line2f, [1.0, 0.0])
-    assert val == pytest.approx(1.0 / 0.25)
+    cert = build_certificate(Criterion(NEG_INF), M, line2f, line2f_grid)
+    assert sweep(line2f.eval_many(np.array([[1.0, 0.0]])), cert.N)[0] == pytest.approx(1.0 / 0.25)
 
 
-def test_sensitivity_rejects_singular(line2f):
+def test_sensitivity_rejects_singular():
     with pytest.raises(ValidationError):
-        sensitivity(Criterion(0.0), np.diag([1.0, 0.0]), line2f, [1.0, 0.0])
+        finite_p_dual(*psd_eig(np.diag([1.0, 0.0])), 0.0)
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.1, 10.0), st.sampled_from(EXPONENTS))

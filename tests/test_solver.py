@@ -19,12 +19,11 @@ from optdesign import (
     marginal_model,
     parse_criterion,
     refine_weights,
-    sensitivity,
     solve,
     truncate,
 )
 import optdesign.solver as solver_module
-from optdesign.criteria import psd_eig
+from optdesign.criteria import finite_p_dual, psd_eig
 from optdesign.designs import gram, sweep
 from optdesign.models import gram_rank
 from optdesign.solver import (
@@ -293,7 +292,7 @@ def test_refine_weights_finite_p_reaches_inner_tolerance(degree, n, p):
     crit = Criterion(p, m.k)
     opts = SolverOptions()
     M = info_matrix(refine_weights(m, pts, crit, opts), m)
-    worst = max(sensitivity(crit, M, m, x) for x in pts)
+    worst = sweep(m.eval_many(pts), finite_p_dual(*psd_eig(M), p)).max()
     assert worst - 1.0 <= opts.kkt_tol / 20
 
 
@@ -624,7 +623,7 @@ def test_truncation_slack_failure():
 
 def test_truncation_slack_passes_on_default_box():
     m = make_model(
-        "exponential-sum", space=interval(0.0, 3.0, note="axis 0 truncated at 3"),
+        "exponential-sum", space=truncate(interval(0.0, 3.0), 0, 3.0),
         a=[1.0], **{"lambda": [1.0]},
     )
     cands = discretize(m.space, 0.01)
@@ -842,7 +841,7 @@ def test_tight_truncation_in_the_screened_solve_falls_back(monkeypatch):
     # g = x exp(-x) rises on [0, 0.5], so the screen keeps 0 and the truncated
     # boundary 0.5; the subset solve's boundary error drops its design, and the
     # full-grid loop from the spread start reports the same error
-    m = make_model("xexp-decay", space=interval(0.0, 0.5, note="axis 0 truncated at 0.5"), rate=1.0)
+    m = make_model("xexp-decay", space=truncate(interval(0.0, 0.5), 0, 0.5), rate=1.0)
     cands = discretize(m.space, 0.01)
     assert cands.points[cands.screen(m), 0].tolist() == [0.0, 0.5]
     sizes = []
