@@ -10,21 +10,22 @@ one test, ``dominates``, in the frame whitened by M1 + M2; inadmissibility
 of any conditional design lifts to inadmissibility of the full design by
 splicing in the dominating slice.
 
-The dominator search is a chain of four stages that stops at the first
-verified dominator or proof: a single candidate takes one comparison; where
-the span of f on a line is h P_d (h > 0, P_d the polynomials of degree
-<= d; the constants plus one function g is P_1 in g), de la Garza's moment
-problem gives the index proof, at d = 0 all mass on the largest h (a proof
-when that does not dominate), at d = 1 with h constant the two ends of g
-at d1's mean in closed form, or else one LP with 2d + 1 rows; the
-exhaustive two-point oracle (at most two parameters, at most 200
-candidates); then one Kelley cutting-plane loop.
+The dominator search is a chain that stops at the first verified dominator
+or proof: a single candidate takes one comparison; where the span of f on a
+line is h P_d (h > 0, P_d the polynomials of degree <= d; the constants
+plus one function g is P_1 in g), de la Garza's moment problem gives the
+index proof, at d = 0 all mass on the largest h (a proof when that does not
+dominate), at d = 1 with h constant the two ends of g at d1's mean in
+closed form, or else one LP with 2d + 1 rows; the same moment problem on
+each axis line through d1's atoms, spliced back into d1 (a dominator only);
+then one column-generated primal-dual LP over the candidates and d1's atoms,
+whose dual bound is the proof that no gap of material trace exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .models import CandidateSet, ModelSpec, discretize, gram_rank, interval
 SLICE_TOL = 1e-9       # atoms whose t-values (or marginal coordinates) differ by at most this are grouped
 DOMINANCE_TOL = 1e-7   # relative Loewner-order slack of the dominator search
 AUDIT_STEP = 0.01      # grid step of the slice and marginal grids the audits search
-KELLEY_ROUNDS = 30     # LP solves per stage of the dominator search's Kelley loop
+LP_ROUNDS = 60         # LP solves of the dominator search's primal-dual LP
 # positions, as fractions of the other axis, of the lines on which
 # marginal_model compares the span of f
 _MARGINAL_SAMPLES = (0.0, 0.13, 0.29, 0.47, 0.61, 0.83, 1.0)
@@ -113,10 +114,14 @@ class AdmissibilityVerdict:
     """``inadmissible`` carries a verified dominator. ``admissible`` is a
     proof when ``note`` says that no design on the candidates dominates (by
     the index of a polynomial design, which at degree 1 puts its atoms at
-    the ends of g, the degree-0 design on the largest h, a Kelley dual
-    bound, or a single candidate); otherwise it means no dominator was
+    the ends of g, the degree-0 design on the largest h, or a single
+    candidate), or that none on the candidates or the design's atoms does
+    (by the primal-dual LP's dual bound, which covers every gap whose trace
+    in the frame whitened by M(d1) + M(uniform on the candidates) exceeds
+    MATERIAL_FACTOR * DOMINANCE_TOL); otherwise it means no dominator was
     found within budget, which is evidence, not proof. ``inconclusive``
-    marks a search that ran out of budget while still making progress."""
+    marks a search whose LP's dual bound was still falling at its round
+    cap, or whose LP failed at its largest box."""
 
     admissible: bool
     dominator: Design | None = None
@@ -175,7 +180,7 @@ def slice_grid(model: ModelSpec, tmap: SliceMap, t: float, step: float = 0.01) -
 def _conditional(model, tmap: SliceMap, t: float, grid: np.ndarray, F: np.ndarray):
     """The model on slice t in the first ``gram_rank(F)`` right singular vectors
     of F, each signed so that its largest-magnitude entry is positive. The
-    Loewner order and the dominator search's cuts are invariant under
+    Loewner order and the dominator search's whitened frame are invariant under
     rotations of an orthonormal basis, so any such basis gives the same verdicts."""
     U = np.linalg.svd(F, full_matrices=False)[2][: gram_rank(F)].T
     U *= np.sign(U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])])
@@ -254,18 +259,24 @@ def _garza_frame(points: np.ndarray, P: np.ndarray, G: np.ndarray, model):
     """The frame (h, x, d) of de la Garza's moment problem for the regression
     rows G at the rows of P, whose first rows are the candidates ``points``:
     the span of G is h P_d, with h > 0 and P_d the polynomials of degree
-    <= d in x. Where G has two columns and its span holds the constants,
-    that span is P_1 in g, its direction off the constants, so h = 1, x = g
-    and d = 1 by construction. Otherwise x is the candidates' coordinate of
-    largest spread mapped onto [-1, 1], h the full model's first regression
-    function and d that of ``_span_degree``. None when neither applies."""
-    if G.shape[1] == 2 and gram_rank(G) == 2 and _spans(G, np.ones((len(G), 1))):
+    <= d in x. Where the span of G holds the constants and has dimension 2,
+    it is P_1 in g, its direction off the constants, so h = 1, x = g and
+    d = 1 by construction. Otherwise x is the candidates' coordinate of
+    largest spread mapped onto [-1, 1], h is 1 where the span holds the
+    constants and else the full model's first regression function, and d
+    is that of ``_span_degree``. None when neither applies. Both frames of
+    a span holding the constants are free of the basis of f."""
+    constants = _spans(G, np.ones((len(G), 1)))
+    if constants and gram_rank(G) == 2:
         centered = G - G.mean(axis=0)
         return np.ones(len(G)), centered @ np.linalg.svd(centered, full_matrices=False)[2][0], 1
     x = _line_coordinate(points, P)
     if x is None:
         return None
-    h = model.model.eval_many(P)[:, 0] if isinstance(model, ConditionalModel) else G[:, 0]
+    if constants:
+        h = np.ones(len(G))
+    else:
+        h = model.model.eval_many(P)[:, 0] if isinstance(model, ConditionalModel) else G[:, 0]
     d = _span_degree(h, x, G)
     return None if d is None else (h, x, d)
 
@@ -364,119 +375,18 @@ def dominates(d2: Design, d1: Design, model, tol: float = DOMINANCE_TOL) -> bool
     )
 
 
-def _nonneg_interval(a, b, c):
-    """Per row, the interval of w in [0, 1] where the concave quadratic
-    p(w) = a w^2 + b w (1 - w) + c (1 - w)^2 is >= 0; lo > hi when empty.
-
-    The Bernstein form keeps p(0) = c and p(1) = a exact and rounds each end
-    at the scale of the matrix there. The roots are the directions (W : V),
-    w = W / (W + V), of the homogeneous form, taken in the stable pair
-    (q : a) and (c : q).
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = -0.5 * (b + np.where(b >= 0, 1.0, -1.0) * np.sqrt(b**2 - 4.0 * a * c))
-        r1, r2 = q / (q + a), c / (c + q)
-    in1, in2 = (r1 >= 0.0) & (r1 <= 1.0), (r2 >= 0.0) & (r2 <= 1.0)
-    # np.minimum of the two roots: a reduce over a length-2 axis is far slower
-    lo = np.where(c >= 0, 0.0, np.minimum(np.where(in1, r1, np.inf), np.where(in2, r2, np.inf)))
-    hi = np.where(a >= 0, 1.0, np.maximum(np.where(in1, r1, -np.inf), np.where(in2, r2, -np.inf)))
-    return lo, hi
-
-
-@lru_cache(maxsize=8)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, k=1)``, read-only, kept per n."""
-    ii, jj = np.triu_indices(n, k=1)
-    ii.setflags(write=False)
-    jj.setflags(write=False)
-    return ii, jj
-
-
-def _phase2_oracle(d1: Design, points: np.ndarray, F: np.ndarray, model):
-    """Exhaustive search over 2-point supports, exact in the weight (k <= 2).
-
-    Dominance feasibility lives on a thin set (moment-matching equalities), so
-    no fixed weight lattice can land on it. For the pair (i, j) the gap
-    Delta(w) = w A_i + (1 - w) A_j - M1, less (target / 2) I, is
-    w X_i + (1 - w) X_j with X_p = A_p - M1 - (target / 2) I, which is formed
-    once per point (a 1x1 one padded with a unit diagonal entry); each pair
-    gathers its coefficients from those entries, so no per-pair matrix is
-    formed. A 2x2 matrix is nonnegative definite exactly when its trace and
-    determinant are: the trace is linear in w and the determinant a concave
-    quadratic, since det(A_i - A_j) is -(f_i x f_j)^2. Their sign intervals
-    give in closed form where lambda_min(Delta(w)) >= target / 2; the trace
-    gain is linear in w, so only the two interval ends are candidates. The
-    dominator with the largest trace gain is returned after re-verification.
-    """
-    n, k = F.shape
-    M1 = info_matrix(d1, model)
-    scale1 = max(float(np.abs(M1).max()), 1e-300)
-    target = -1e-12 * scale1        # returned weights must be PSD to machine noise
-
-    # half of target leaves room for rounding: the interval ends pass at target
-    A = np.einsum("ni,nj->nij", F, F)
-    X = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
-    X[:, :k, :k] = A - M1 - 0.5 * target * np.eye(k)
-    x00, x01, x11 = X[:, 0, 0], X[:, 0, 1], X[:, 1, 1]
-    tr, det = x00 + x11, x00 * x11 - x01**2
-    ii, jj = _pairs(n)
-    # a linear trace is the quadratic (w tr X_i + (1 - w) tr X_j) (w + 1 - w)
-    tr_lo, tr_hi = _nonneg_interval(tr[ii], tr[ii] + x00[jj] + x11[jj], tr[jj])
-    det_lo, det_hi = _nonneg_interval(
-        det[ii], x00[ii] * x11[jj] + x11[ii] * x00[jj] - 2.0 * x01[ii] * x01[jj], det[jj]
-    )
-    w_lo, w_hi = np.maximum(tr_lo, det_lo), np.minimum(tr_hi, det_hi)
-    idx = np.nonzero(w_lo <= w_hi)[0]
-    if idx.size == 0:
-        return None
-
-    # the gap's distinct entries, each an array over the surviving pairs
-    entries = [(0, 0), (0, 1), (1, 1)] if k == 2 else [(0, 0)]
-    Ae, m1 = [A[:, r, c] for r, c in entries], [M1[r, c] for r, c in entries]
-    ii, jj = ii[idx], jj[idx]
-    Ai, Aj = [e[ii] for e in Ae], [e[jj] for e in Ae]
-    tr_a = np.trace(A, axis1=1, axis2=2)
-    tr_m1 = float(np.trace(M1))
-
-    best = None  # (trace_gain, pair index into idx, w)
-    for w_arr in (w_lo[idx], w_hi[idx]):
-        delta = [w_arr * ai + (1.0 - w_arr) * aj - m for ai, aj, m in zip(Ai, Aj, m1)]
-        maxabs = reduce(np.maximum, [np.abs(d) for d in delta])
-        scale = reduce(np.maximum, [np.abs(d + m) for d, m in zip(delta, m1)], scale1)
-        if k == 1:
-            lam = delta[0]
-        else:
-            d00, d01, d11 = delta
-            lam = 0.5 * (d00 + d11) - np.sqrt(np.maximum(0.25 * (d00 - d11) ** 2 + d01**2, 0.0))
-        ok = lam >= np.minimum(-1e-12 * scale, target)
-        ok &= maxabs > MATERIAL_FACTOR * DOMINANCE_TOL * scale
-        if not np.any(ok):
-            continue
-        gain = np.where(ok, w_arr * tr_a[ii] + (1.0 - w_arr) * tr_a[jj] - tr_m1, -np.inf)
-        b = int(np.argmax(gain))
-        if best is None or gain[b] > best[0]:
-            best = (float(gain[b]), b, float(w_arr[b]))
-    if best is None:
-        return None
-    _, b, w = best
-    i, j = int(ii[b]), int(jj[b])
-    if w <= 1e-12:
-        cand = Design(points[[j]], np.array([1.0]))
-    elif w >= 1.0 - 1e-12:
-        cand = Design(points[[i]], np.array([1.0]))
-    else:
-        cand = Design(points[[i, j]], np.array([w, 1.0 - w]))
-    return cand if dominates(cand, d1, model) else None
-
-
 def _weights_dominator(w: np.ndarray, points: np.ndarray, d1: Design, model):
-    """The design of candidate weights w (entries above 1e-12, renormalized)
-    if it verifies as a dominator of d1, else None."""
+    """The design of candidate weights w (entries above 1e-12, renormalized,
+    with the weights of equal points summed at the first of them) if it
+    verifies as a dominator of d1, else None."""
     keep = w > 1e-12
-    pts = points[keep]
-    if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
-        return None
-    cand = Design(pts, w[keep] / w[keep].sum())
+    pts, wk = points[keep], w[keep]
+    _, first, inv = np.unique(pts, axis=0, return_index=True, return_inverse=True)
+    if first.size < pts.shape[0]:
+        order = np.argsort(first)
+        rank = np.argsort(order)
+        pts, wk = pts[first[order]], np.bincount(rank[inv.ravel()], weights=wk)
+    cand = Design(pts, wk / wk.sum())
     return cand if dominates(cand, d1, model) else None
 
 
@@ -571,100 +481,128 @@ def _moment_oracle(d1: Design, F1: np.ndarray, points, F, model):
     return _weights_dominator(np.maximum(res.x, 0.0), points, d1, model), ""
 
 
-def _phase1_ascent(d1: Design, points: np.ndarray, F: np.ndarray, model):
-    """Dominator search over all candidates by one Kelley cutting-plane loop.
+def _axis_line_dominator(d1: Design, F1: np.ndarray, points: np.ndarray, F: np.ndarray, model):
+    """The moment stage on d1's own axis lines: for each coordinate j and each
+    line x_j = c through d1's atoms, d1's conditional design there against
+    the candidates on that line, when they are at least two and not all of
+    them. A dominator it returns is spliced back into d1 in place of that
+    conditional design and kept once the splice verifies; a proof there
+    would cover only the line, so none is kept."""
+    for j in range(points.shape[1]):
+        for idx in _group_by_value(d1.points[:, j]):
+            c = float(np.mean(d1.points[idx, j]))
+            on = np.abs(points[:, j] - c) <= SLICE_TOL
+            if not 2 <= np.count_nonzero(on) < on.size:
+                continue
+            cond = Design(d1.points[idx], d1.weights[idx] / d1.weights[idx].sum())
+            dom, _ = _moment_oracle(cond, F1[idx], points[on], F[on], model)
+            if dom is not None:
+                cand = splice_slice(d1, SliceMap("coordinate", axis=j), c, dom)
+                if dominates(cand, d1, model):
+                    return cand
+    return None
 
-    With M1 = M(d1), every unit direction v gives the cut
-    sum_i w_i (f_i . v)^2 - t >= v^T M1 v, linear in the weights w (on the
-    simplex) and a margin t, so one LP over the cut pool relaxes the cone
-    {w : M(w) - M1 - t I nonnegative definite}. Each
-    LP solution w adds the eigenvectors of the smallest eigenvalue cluster of
-    M(w) - M1, plus their pairwise mixtures (plain eigenvector cuts close the
-    gap very slowly at multiple smallest eigenvalues). The pool starts from the
-    eigenvectors at uniform weights, and the loop runs in two stages, each
-    capped at KELLEY_ROUNDS LP solves:
 
-    - Stage A maximizes t, an upper bound on max_w lambda_min(M(w) - M1). A
-      bound at or below -DOMINANCE_TOL (relative) proves that no design on these
-      candidates dominates d1. The stage hands over once some w reaches that
-      floor, the LP returns the weights of the round before (the new cuts
-      would all duplicate cuts already in the pool), or the bound is within
-      ``max(1e-12, DOMINANCE_TOL * |best|)`` of the best margin seen. It runs first
-      because its cuts steer stage B toward the cone.
-    - Stage B fixes t = 0 and maximizes the trace gain over the relaxed cone.
-      An infeasible LP proves none; each round's weights are returned once
-      they verify, and the stage stops when the margin stalls at the float
-      noise floor.
+def _dual_bound(N: np.ndarray, lam: np.ndarray, A: np.ndarray, A1: np.ndarray) -> float:
+    """A bound on tr G over the gaps G = sum_i w_i a_i a_i' - A1 >= 0 of the
+    designs w on the rows a_i of A, from any symmetric N with eigenvalues lam
+    (ascending): for N' = t N + max(0, 1 - t lam_min) I, which is >= I,
+    tr G <= tr(N' G) <= max_i a_i' N' a_i - tr(N' A1). The least of t = 1
+    and, when lam_min > 0, t = 1 / lam_min is taken, each raised by
+    1e-12 t |N| max_i |a_i|^2 for rounding in a' N a."""
+    q, q1 = np.einsum("ij,jk,ik->i", A, N, A), float(np.trace(N @ A1))
+    norms, tr1 = (A**2).sum(axis=1), float(np.trace(A1))
+    bounds = []
+    for t in (1.0, 1.0 / lam[0]) if lam[0] > 0 else (1.0,):
+        shift = max(0.0, 1.0 - t * lam[0])
+        rounding = 1e-12 * t * np.abs(lam).max() * norms.max()
+        bounds.append(float((t * q + shift * norms).max() - t * q1 - shift * tr1 + rounding))
+    return min(bounds)
 
-    Returns (verified dominator or None, still_improving, proven_none).
+
+def _gap_lp(d1: Design, points: np.ndarray, F: np.ndarray, F1: np.ndarray, model):
+    """Dominator search over the candidates and d1's own atoms by one
+    column-generated primal-dual LP, in the frame whitened by
+    W = M(d1) + M(uniform on the candidates).
+
+    With a_i the whitened rows of the candidates and of d1's atoms, and A1
+    the whitened M(d1), the primal maximizes sum_j mu_j subject to
+    sum_i w_i a_i a_i' - sum_j mu_j v_j v_j' = A1 and sum_i w_i = 1, over
+    w, mu >= 0 and unit gap directions v_j. Its columns hold d1's atoms, so
+    w = d1 is feasible, and a point with sum mu > 0 is a design whose gap is
+    a nonnegative sum of rank-ones; it is returned once it verifies. The
+    equality duals form a symmetric N with a_i' N a_i <= s and
+    v_j' N v_j >= 1, its entries boxed by B through slack columns of cost B;
+    B starts at 1e3 and grows 100-fold, up to 1e9, while the optimum uses
+    slack (above 1e-9). Any N bounds the W-whitened trace of every
+    nonnegative definite gap of a design on the columns (``_dual_bound``):
+    a bound at most MATERIAL_FACTOR * DOMINANCE_TOL proves that no design on
+    the candidates and d1's atoms has a nonnegative definite gap of larger
+    W-whitened trace. Each round prices in, as new gap directions, the
+    eigenvectors of N with eigenvalue below 1 and their pairwise mixtures.
+    LP_ROUNDS LP solves cap the loop; at the cap the search is inconclusive
+    when the least bound so far fell over the last half of the rounds, and
+    a failed LP is inconclusive once B is at its cap.
+
+    Returns (verified dominator or None, proof or "", inconclusive note or "").
     """
     from scipy.optimize import linprog
 
-    n = F.shape[0]
-    M1 = info_matrix(d1, model)
-    scale1 = max(float(np.abs(M1).max()), 1e-300)
-    floor = -DOMINANCE_TOL * scale1
-    A_eq = np.append(np.ones(n), 0.0)[None, :]
-    # every cut value is at least -lambda_max(M1), so stage A's bound on t
-    # leaves its LP optimum unchanged
-    t_free = (-float(np.linalg.eigvalsh(M1)[-1]), None)
-    stages = (
-        (True, np.append(np.zeros(n), -1.0), t_free),   # A: maximize t
-        (False, np.append(-(F**2).sum(axis=1), 0.0), (0.0, 0.0)),  # B: trace gain at t = 0
-    )
-    w_prev = np.full(n, 1.0 / n)
-    vals, vecs = np.linalg.eigh(gram(F, w_prev) - M1)
-    cuts = list(vecs.T)
-    best = float(vals[0])
-    lam_trail: list[float] = []
-    for stage_a, obj, t_bounds in stages:
-        for _ in range(KELLEY_ROUNDS):
-            if stage_a and best >= floor:
-                break
-            V = np.stack(cuts, axis=1)
-            res = linprog(
-                obj, A_ub=np.hstack([-((F @ V) ** 2).T, np.ones((V.shape[1], 1))]),
-                b_ub=-np.einsum("ji,jk,ki->i", V, M1, V), A_eq=A_eq, b_eq=[1.0],
-                bounds=[(0.0, 1.0)] * n + [t_bounds], method="highs",
-            )
-            if res.status == 2:
-                return None, False, True  # even the relaxed cone is empty
-            if not res.success:
-                break
-            w = np.maximum(res.x[:n], 0.0)
-            w = w / w.sum()
-            if stage_a:
-                upper = float(res.x[-1])
-                if upper <= floor:
-                    return None, False, True  # no design on these candidates dominates d1
-                if np.array_equal(w, w_prev):
-                    break
-                w_prev = w
-            vals, vecs = np.linalg.eigh(gram(F, w) - M1)
-            lam = float(vals[0])
-            if stage_a:
-                best = max(best, lam)
-                if upper - best <= max(1e-12, DOMINANCE_TOL * abs(best)):
-                    break
-            else:
-                lam_trail.append(lam)
-                cand = _weights_dominator(w, points, d1, model)
-                if cand is not None:
-                    return cand, False, False
-                if len(lam_trail) >= 3 and abs(lam_trail[-1] - lam_trail[-2]) <= 1e-16 * scale1:
-                    break  # cut generation stalled at the float noise floor
-            near = np.nonzero(vals - lam <= 1e-6 * max(abs(vals[-1]), 1.0))[0]
-            cuts.extend(vecs[:, j] for j in near)
-            for a in range(len(near)):
-                for b in range(a + 1, len(near)):
-                    va, vb = vecs[:, near[a]], vecs[:, near[b]]
-                    cuts.append((va + vb) / np.sqrt(2.0))
-                    cuts.append((va - vb) / np.sqrt(2.0))
-    # unsettled: the margin was still being driven toward feasibility at the cap
-    improving = len(lam_trail) >= KELLEY_ROUNDS and (
-        len(lam_trail) < 2 or lam_trail[-1] > lam_trail[len(lam_trail) // 2] + 1e-12 * scale1
-    )
-    return None, improving, False
+    n, m = F.shape[0], F1.shape[0]
+    R = np.vstack([np.sqrt(d1.weights)[:, None] * F1, F / np.sqrt(n)])
+    _, sv, Vt = np.linalg.svd(R, full_matrices=False)
+    if not sv[0] > 0:
+        return None, "", ""  # every regression vector is zero: no design gains
+    frame = sv > 1e-10 * sv[0]
+    A = np.vstack([F, F1]) @ (Vt[frame].T / sv[frame])
+    A1 = gram(A[n:], d1.weights)
+    iu = np.triu_indices(A.shape[1])
+    twice = np.where(iu[0] == iu[1], 1.0, 2.0)
+
+    def rows(V):  # the entries p <= q of v v' for each column v, off-diagonals doubled
+        return twice[:, None] * V[iu[0]] * V[iu[1]]
+
+    e, outer, atoms = iu[0].size, rows(A.T), np.vstack([points, d1.points])
+    b_eq = np.append(twice * A1[iu], 1.0)
+    dirs = np.linalg.eigh(A1)[1]
+    box, bounds = 1e3, []
+    for _ in range(LP_ROUNDS):
+        j = dirs.shape[1]
+        A_eq = np.block([
+            [outer, -rows(dirs), np.eye(e), -np.eye(e)],
+            [np.ones((1, n + m)), np.zeros((1, j + 2 * e))],
+        ])
+        cost = np.concatenate([np.zeros(n + m), -np.ones(j), np.full(2 * e, box)])
+        res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
+        if res.status != 0:
+            return None, "", f"the LP failed (HiGHS status {res.status})" if box >= 1e9 else ""
+        w, mu, slack = res.x[: n + m], res.x[n + m: n + m + j], float(res.x[n + m + j:].max())
+        # the gap is sum mu v v' less the slack: verify only where the slack
+        # leaves at least half of the loss dominates allows for the change
+        # of frame
+        if mu.sum() > 1e-9 and slack <= 0.5 * DOMINANCE_TOL:
+            dom = _weights_dominator(w, atoms, d1, model)
+            if dom is not None:
+                return dom, "", ""
+        N = np.zeros((A.shape[1],) * 2)
+        N[iu] = res.eqlin.marginals[:e]
+        N = N + np.triu(N, 1).T
+        lam, vecs = np.linalg.eigh(N)
+        bound = _dual_bound(N, lam, A, A1)
+        bounds.append(min(bound, bounds[-1]) if bounds else bound)
+        if bound <= MATERIAL_FACTOR * DOMINANCE_TOL:
+            return None, "dual bound below tolerance", ""
+        low = vecs[:, lam < 1.0 - 1e-9]
+        mixed = [(a + s * b) / np.sqrt(2.0) for a, b in combinations(low.T, 2) for s in (1.0, -1.0)]
+        if slack > 1e-9 and box < 1e9:
+            box *= 100.0
+        elif not low.shape[1]:
+            break
+        dirs = np.column_stack([dirs, low, *mixed])
+    else:
+        if bounds[-1] < bounds[len(bounds) // 2] - 1e-9:
+            return None, "", "the dual bound was still falling at the LP round cap"
+    return None, "", ""
 
 
 def find_dominator(
@@ -672,8 +610,8 @@ def find_dominator(
 ) -> AdmissibilityVerdict:
     """Search for a design whose information matrix dominates d1's.
 
-    A chain of four stages, each run once, stops at the first that returns
-    a verified dominator or a proof that none exists:
+    A chain of stages, each run once, stops at the first that returns a
+    verified dominator or a proof that none exists:
 
     - A single candidate is decided by one comparison: the only design on it
       is that point.
@@ -690,21 +628,22 @@ def find_dominator(
       constant, such as the constants plus one function g, the optimum is
       the two-end design at d1's mean of g, in closed form; otherwise it is
       one LP with 2d + 1 equality rows.
-    - On small problems (at most two parameters, at most 200 candidates)
-      the exhaustive two-point oracle runs next: it is exact in the weight
-      and its answer is interpretable.
-    - Otherwise one Kelley cutting-plane loop runs over all candidates: it
-      first bounds the best achievable smallest eigenvalue of M(w) - M(d1),
-      then maximizes the trace gain over the cut relaxation of the dominance
-      cone. Either stage can prove that no candidate design dominates (a
-      bound below tolerance, or an empty relaxation); KELLEY_ROUNDS LP
-      solves cap each stage, and a loop still improving at its cap is
-      inconclusive.
+    - The same moment problem on each axis line through d1's atoms, for the
+      atoms on that line against the candidates on it, spliced back into
+      d1 (``_axis_line_dominator``). It returns dominators only: their gaps
+      are rank one, which the LP below must price in exactly.
+    - One column-generated primal-dual LP (``_gap_lp``) over the candidates
+      and d1's atoms, in the frame whitened by M(d1) + M(uniform on the
+      candidates). Its dual bound below MATERIAL_FACTOR * DOMINANCE_TOL
+      proves that no design there has a nonnegative definite gap of larger
+      whitened trace. LP_ROUNDS LP solves cap it; a bound still falling at
+      the cap, or an LP that fails at its largest box, is inconclusive.
 
     Every returned dominator is verified by ``dominates``. A verdict of
     admissible without a proof means the search came up empty within budget;
-    it is a one-sided statement, not a proof of admissibility. The candidates must span at
-    least the rank of d1's regression rows (both by ``gram_rank``).
+    it is a one-sided statement, not a proof of admissibility. The verdict's
+    note names the candidate set a claim is about. The candidates must span
+    at least the rank of d1's regression rows (both by ``gram_rank``).
 
     A ``CandidateSet`` supplies its regression matrix through ``features``,
     for any model, and an array of points (such as a conditional model's
@@ -722,30 +661,26 @@ def find_dominator(
     if rank < gram_rank(F1):
         raise ValidationError("candidate set spans less than the design to dominate")
 
-    improving, proof = False, ""
+    proof, unsettled, where = "", "", "these candidates"
     if points.shape[0] == 1:
         best = _weights_dominator(np.ones(1), points, d1, model)
         proof = "" if best is not None else "the only candidate does not dominate"
     else:
         best, proof = _moment_oracle(d1, F1, points, F, model)
-        if best is None and not proof and F.shape[1] <= 2 and points.shape[0] <= 200:
-            best = _phase2_oracle(d1, points, F, model)
         if best is None and not proof:
-            best, improving, proven_none = _phase1_ascent(d1, points, F, model)
-            proof = "dual bound below tolerance" if proven_none else ""
+            best = _axis_line_dominator(d1, F1, points, F, model)
+        if best is None and not proof:
+            where = "these candidates or the design's atoms"
+            best, proof, unsettled = _gap_lp(d1, points, F, F1, model)
     if best is not None:
         return AdmissibilityVerdict(
             admissible=False, dominator=best, note="dominator verified in the Loewner order"
         )
-    if improving:
-        return AdmissibilityVerdict(
-            admissible=False,
-            inconclusive=True,
-            note="budget exhausted while the constrained ascent was still improving",
-        )
-    note = "no dominator found within budget (one-sided: not a proof of admissibility)"
+    if unsettled:
+        return AdmissibilityVerdict(admissible=False, inconclusive=True, note=unsettled)
+    note = f"no dominator found on {where} within budget (one-sided: not a proof of admissibility)"
     if proof:
-        note = f"no design on these candidates dominates ({proof})"
+        note = f"no design on {where} dominates ({proof})"
     return AdmissibilityVerdict(admissible=True, note=note)
 
 
@@ -831,8 +766,7 @@ def product_audit(design: Design, model: ModelSpec) -> ProductAuditReport:
     spanning the constants plus one function g is P_1 in g, so de la
     Garza's moment stage decides it in closed form, with a proof when the
     design sits on the two ends of g (an end may lie off the grid, at an
-    atom of the design); at most 200 points keep the exhaustive two-point
-    oracle applicable to the other two-parameter marginals.
+    atom of the design).
     """
     verdicts, margins, bounds = [], [], []
     for axis in range(model.space.dimension):

@@ -89,8 +89,8 @@ def stub_inconclusive_audit(monkeypatch, branch):
     """Stub the dominator search's stages so that a conditional audit of the
     exp-growth-2f corners by axis 0 ends inconclusive, by one of its two ways.
 
-    - "slice": on the slice x0 = 1 the moment stage and the pair scan find
-      nothing and the Kelley loop is still improving at its cap; the slice
+    - "slice": on the slice x0 = 1 the moment stage finds nothing and the
+      primal-dual LP's bound is still falling at its round cap; the slice
       x0 = 0 keeps de la Garza's proof.
     - "splice": the moment stage hands back each slice's own design as its
       dominator, so the spliced design equals the audited one and dominates
@@ -109,8 +109,9 @@ def stub_inconclusive_audit(monkeypatch, branch):
         return moment_oracle(d1, F1, points, F, model)
 
     monkeypatch.setattr(conditional_module, "_moment_oracle", moment)
-    monkeypatch.setattr(conditional_module, "_phase2_oracle", lambda *args: None)
-    monkeypatch.setattr(conditional_module, "_phase1_ascent", lambda *args: (None, True, False))
+    monkeypatch.setattr(
+        conditional_module, "_gap_lp", lambda *args: (None, "", "the dual bound was still falling")
+    )
 
 
 def _exact_gap(d2, d1, model):

@@ -27,7 +27,6 @@ from optdesign import (
     rescale_invariance_check,
     solve,
 )
-from optdesign.conditional import _phase2_oracle
 from optdesign.criteria import NEG_INF, phi, polar
 
 from conftest import random_psd, reference_dominates
@@ -240,8 +239,6 @@ def test_criterion_9_admissibility_oracle_agreement():
                 assert min(abs(x[0]), abs(x[0] - 1.0)) <= step + 1e-9
             assert reference_dominates(verdict.dominator, d1, model)
         two_point = design([[0.0], [1.0]], [0.5, 0.5])
-        F = model.eval_many(grid.points)
-        assert _phase2_oracle(two_point, grid.points, F, model) is None
         assert find_dominator(two_point, grid, model).admissible
 
 
