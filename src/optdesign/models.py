@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .designs import SWEEP_BLOCK
+from .designs import SWEEP_BLOCK, sweep
 from .errors import DomainError, MustTruncateError, ValidationError
 
 _BOUND_EPS = 1e-9
@@ -167,14 +167,30 @@ class CandidateSet:
         the product of the kept coordinates of every axis. As g is shared,
         moving mass along one axis never leaves the coordinates another axis
         keeps, so the reduction is proved: some optimum lies on the kept set,
-        and for a PSD N the largest f'Nf there is the grid's. ``solve``
-        still certifies the reduced optimum on the full grid.
+        and for a PSD N the largest f'Nf there bounds the grid's
+        (``kept_max``), which the normality checks accept on.
 
         Needs ``product_axes``. Returns None when the points are not such a
         product, when nothing is removed, or when the kept rows do not span
         all k dimensions. Computed on the first call and kept beside the
-        regression matrix, under the same snapshot.
+        regression matrix, under the same snapshot, with the residual of each
+        affine axis (see ``_screen``).
         """
+        screened = self._screened(model)
+        return None if screened is None else screened[0]
+
+    def screen_with_residuals(self, model) -> tuple | None:
+        """(kept indices, residual of each axis) of the screen, for ``kept_max``.
+
+        None where only a full-grid sweep can decide: the grid is not screened
+        (``screen`` returns None) or has a truncated axis, whose boundary rows
+        the truncation check reads.
+        """
+        if self.space.truncated or self.screen(model) is None:
+            return None
+        return self._screened(model)
+
+    def _screened(self, model) -> tuple | None:
         return self._derived(model, "screen", lambda F: _screen(F, self.product_axes))
 
     @cached_property
@@ -226,41 +242,49 @@ class CandidateSet:
 SCREEN_RTOL = 1e-6
 
 
-def _screen(F: np.ndarray, axes: tuple | None) -> np.ndarray | None:
-    """``CandidateSet.screen`` on the regression matrix F of the product grid ``axes``.
+def _screen(F: np.ndarray, axes: tuple | None) -> tuple | None:
+    """``CandidateSet.screen`` on the regression matrix F of the product grid
+    ``axes``: (kept indices, residual of each axis) or None.
 
     One test per axis: each axis keeps the coordinates ``_axis_keep`` gives
-    (an axis of at most two keeps both), the kept set is their product, and
-    the reduction is proved (see ``CandidateSet.screen``).
+    (an axis of at most two keeps both, with residual 0), the kept set is
+    their product, and the reduction is proved (see ``CandidateSet.screen``).
     """
     if axes is None:
         return None
     n, k = F.shape
     sizes = [a.size for a in axes]
-    kept = []
+    kept, rho = [], []
     for j, m in enumerate(sizes):
         outer = math.prod(sizes[:j])
         cols = [F[:, c].reshape(outer, m, n // (outer * m)) for c in range(k)]
-        kept.append(np.arange(m) if m <= 2 else _axis_keep(cols))
+        keep, r = (np.arange(m), 0.0) if m <= 2 else _axis_keep(cols)
+        kept.append(keep)
+        rho.append(r)
     if all(c.size == m for c, m in zip(kept, sizes)):
         return None
     idx = np.ravel_multi_index(np.ix_(*kept), sizes).ravel()
-    return idx if gram_rank(F[idx]) == k else None
+    return (idx, tuple(rho)) if gram_rank(F[idx]) == k else None
 
 
-def _axis_keep(cols: list) -> np.ndarray:
-    """Ascending kept coordinates of the axis whose lines are ``cols[c][a, :, b]``.
+def _axis_keep(cols: list) -> tuple[np.ndarray, float]:
+    """Ascending kept coordinates of the axis whose lines are ``cols[c][a, :, b]``,
+    and the axis's residual rho.
 
     The differences D (k x m) of a line's rows from its first row are tested
     against u, the difference column of largest spread over all lines. The
-    axis is affine when every line has |D - (D u) u'| <= SCREEN_RTOL |D|
-    (u of unit norm), which for a line of rank near 1 says sigma_2 <=
-    SCREEN_RTOL sigma_1 and that its direction is u. Then f = a + g b on
-    every line with the same g = u, so the axis keeps its coordinates of
-    smallest and largest u (only the first when u = 0, a constant axis);
-    any other axis keeps all of them. Lines are tested in blocks of about
-    ``SWEEP_BLOCK`` rows over both line indices, and the first block with a
-    failing line ends the test.
+    axis is affine when every line's residual R = D - (D u) u' has
+    |R| <= SCREEN_RTOL |D| (u of unit norm; |D|^2 = |R|^2 + |D u|^2), which
+    for a line of rank near 1 says sigma_2 <= SCREEN_RTOL sigma_1 and that
+    its direction is u. Then f = a + g b + r on every line with the same
+    g = u, a the line's first row, b = D u and r the columns of R, so the
+    axis keeps its coordinates of smallest and largest u (only the first
+    when u = 0, a constant axis), and rho is the largest |r| over its rows:
+    the screen's proof is exact up to rho (``kept_max``). R is formed from
+    D, as |D|^2 - |D u|^2 would cancel to about 1e-8 |D|. Any other axis
+    keeps all of its coordinates, with rho 0. Lines are tested in blocks of
+    about ``SWEEP_BLOCK`` rows over both line indices, and the first block
+    with a failing line ends the test.
     """
     outer, m, inner = cols[0].shape
     spread = np.array([np.ptp(c, axis=1) for c in cols])
@@ -268,18 +292,54 @@ def _axis_keep(cols: list) -> np.ndarray:
     u = cols[c][a0, :, b0] - cols[c][a0, 0, b0]
     norm = np.linalg.norm(u)
     if norm == 0.0:
-        return np.arange(1)
+        return np.arange(1), 0.0
     u /= norm
     db = min(inner, max(1, SWEEP_BLOCK // m))
     da = max(1, SWEEP_BLOCK // (m * db))
+    rho2 = 0.0
     for a in range(0, outer, da):
         for b in range(0, inner, db):
             D = np.stack([c[a : a + da, :, b : b + db] - c[a : a + da, :1, b : b + db] for c in cols])
-            sq = np.einsum("ciml,ciml->il", D, D)
             along = np.einsum("ciml,m->cil", D, u)
-            if np.any(sq - np.einsum("cil,cil->il", along, along) > SCREEN_RTOL**2 * sq):
-                return np.arange(m)
-    return np.unique([u.argmin(), u.argmax()])
+            D -= along[:, :, None, :] * u[:, None]
+            r2 = np.einsum("ciml,ciml->iml", D, D)  # squared residual of each row
+            line = r2.sum(axis=1)
+            if np.any(line > SCREEN_RTOL**2 * (line + np.einsum("cil,cil->il", along, along))):
+                return np.arange(m), 0.0
+            rho2 = max(rho2, float(r2.max()))
+    return np.unique([u.argmin(), u.argmax()]), math.sqrt(rho2)
+
+
+def kept_max(
+    F: np.ndarray, screened: tuple | None, N: np.ndarray
+) -> tuple[float, int, float] | None:
+    """(m, i, bound) for N >= 0 on the screen ``screened = (kept, rho)`` of F
+    (``CandidateSet.screen_with_residuals``), or None when that is None:
+    m the largest f'Nf over the kept rows, i its row of F (the lowest on
+    ties) and ``bound = (sqrt(m) + 2 sqrt(lambda_max(N)) sum_j rho_j)^2``,
+    which no row of F exceeds. The normality checks accept on the bound and
+    sweep every row of F to reject.
+
+    Proof: |f|_N = sqrt(f'Nf) is a seminorm with |r|_N <= sqrt(lambda_max) |r|.
+    On a line of an affine axis j, f = a + g b + r with |r| <= rho_j
+    (``_axis_keep``), and |a + g b|_N is convex in g, so at most its value at
+    the smallest or largest g, the two coordinates the axis keeps. So a
+    point's |f|_N exceeds that of the point moved to one of them by at most
+    2 sqrt(lambda_max) rho_j. As every line of the axis shares g, a walk that
+    moves one affine axis at a time (the others keep all of their
+    coordinates) crosses one line per affine axis and ends on a kept point,
+    whose |f|_N is at most sqrt(m). The certificates' N are PSD by
+    construction, V diag(d >= 0) V', up to rounding.
+    """
+    if screened is None:
+        return None
+    kept, rho = screened
+    sens = sweep(F[kept], N)
+    at = int(np.argmax(sens))
+    m = float(sens[at])
+    c = 2.0 * math.sqrt(max(float(np.linalg.eigvalsh(N)[-1]), 0.0)) * sum(rho)
+    # the square expanded, so that rounding never puts the bound below m
+    return m, int(kept[at]), m + c * (2.0 * math.sqrt(max(m, 0.0)) + c)
 
 
 def discretize(space: DesignSpace, resolution: float | tuple[float, ...] = 0.01) -> CandidateSet:

@@ -11,8 +11,11 @@ Each evaluation of the objective decomposes M(w) once, with a bare ``eigh``
 (``_eigh``), and gives the value and the gradient. A Newton step builds the
 Hessian at the point it starts from only, never at a line-search trial it
 rejects; the refined value goes to ``history`` as the loop left it. Each
-outer iteration builds the certificate of M(w) and sweeps the full grid with
-its N; the certificate's eigenbasis Z is computed only when first read,
+outer iteration builds the certificate of M(w) and checks the normality
+inequality of its N on the full grid (``_violation``): on a screened grid the
+bound from the kept rows (``models.kept_max``) accepts within
+``kkt_tol``, and only a larger bound sweeps every row, which also finds the
+violators. The certificate's eigenbasis Z is computed only when first read,
 which the loop never does.
 
 D on a two-factor model that can be additive with an intercept or a Kronecker
@@ -28,9 +31,9 @@ converged optimum there is the start; an unconverged one is dropped for the
 spread start.
 
 Either start only starts the full-grid loop, which certifies it with one
-sweep or adds the violators it finds: the loop alone decides convergence.
+check or adds the violators it finds: the loop alone decides convergence.
 One verified cleanup follows (``_consolidate``); ``converged`` is then
-``certify``'s verdict (``certificates.verdict``) on the last sweep's certificate.
+``certify``'s verdict (``certificates.verdict``) on the last check's certificate.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .criteria import _SING_REL, NEG_INF, Criterion
 from .designs import Design, gram, merge_close, prune, sweep
 from .errors import DegenerateModelError, NoConditionalModelError
 from .errors import TruncationSlackError, ValidationError
-from .models import CandidateSet, DesignSpace, ModelSpec, gram_rank
+from .models import CandidateSet, DesignSpace, ModelSpec, gram_rank, kept_max
 
 MAX_INNER_ITERS = 3000  # Newton budget of a final weight polish
 WEIGHT_FLOOR = 1e-6     # atoms below this are pruned before reporting
@@ -76,7 +79,7 @@ class SolveReport:
     product or the screened subset's optimum, see the module docstring)
     reports its full-grid iterations only, 1 when the start certifies.
     ``converged`` is ``certify``'s verdict at ``kkt_tol`` on ``certificate``,
-    the dual matrix (singular eigenvalues floored) of the last full-grid sweep.
+    the dual matrix (singular eigenvalues floored) of the last full-grid check.
     """
 
     design: Design
@@ -442,7 +445,7 @@ def solve(
 def _exchange(model, candidates, criterion, opts, init) -> SolveReport:
     """The outer exchange loop of ``solve`` from ``init``, a Design or the spread start."""
     k = model.k
-    F_all = candidates.features(model)
+    F_all, screened = candidates.features(model), candidates.screen_with_residuals(model)
     if isinstance(init, Design):
         sup_pts = np.array(init.points, dtype=float)
         w = np.array(init.weights, dtype=float)
@@ -459,7 +462,9 @@ def _exchange(model, candidates, criterion, opts, init) -> SolveReport:
         outer += 1
         # a short Newton budget per iteration; the full one is spent in the final polish
         w, value = _refine(F_sup, w, criterion, inner_tol, 300)
-        sens_all, viol, cert = _violation(model, candidates, criterion, F_sup, w, F_all)
+        sens_all, viol, cert = _violation(
+            model, candidates, criterion, F_sup, w, F_all, screened, opts.kkt_tol
+        )
         history.append(value)
         if viol <= opts.kkt_tol:
             break
@@ -520,11 +525,21 @@ def _value(F: np.ndarray, w: np.ndarray, p: float) -> float:
     return float(np.exp(_log_phi(F, w, p)[0]))
 
 
-def _violation(model, candidates, criterion, F_sup, w, F_all):
+def _violation(model, candidates, criterion, F_sup, w, F_all, screened, tol):
     """The certificate of M(w), the sensitivities over the full grid (regression
     matrix ``F_all``) against it, and their largest excess over 1:
-    (sensitivities, excess, certificate)."""
+    (sensitivities, excess, certificate).
+
+    Where the bound from the screen ``screened`` (``models.kept_max``) is
+    within ``tol`` of 1, the excess is the kept set's and no full-grid sweep
+    is made: the sensitivities are None. The loop reads them only past
+    ``tol``, and a truncated grid, whose boundary rows ``_tight_truncation``
+    reads, has no screen here (``CandidateSet.screen_with_residuals``).
+    """
     cert = build_certificate(criterion, gram(F_sup, w), model, candidates, floor_singular=True)
+    kept = kept_max(F_all, screened, cert.N)
+    if kept is not None and kept[2] - 1.0 <= tol:
+        return None, kept[0] - 1.0, cert
     sens_all = sweep(F_all, cert.N)
     return sens_all, float(sens_all.max() - 1.0), cert
 
@@ -536,7 +551,7 @@ def _consolidate(model, candidates, criterion, inner_tol, state, threshold):
     neighboring candidates. The cleanup drops atoms below ``WEIGHT_FLOOR``,
     merges atoms within 4.5 grid steps (between the lattice distances
     sqrt(20) and 5, so no merge hinges on rounding), refines the weights with
-    the full inner budget and sweeps the full grid once. The result replaces
+    the full inner budget and checks the full grid once. The result replaces
     ``state`` (support, weights, sensitivities, violation, certificate) if
     its violation is within ``threshold``. A cleanup that drops only atoms of
     weight <= 1e-15, which the report drops anyway, is skipped.
@@ -550,6 +565,7 @@ def _consolidate(model, candidates, criterion, inner_tol, state, threshold):
     F_sup = model.eval_many(d.points)
     w2 = _refine(F_sup, d.weights.copy(), criterion, inner_tol, MAX_INNER_ITERS)[0]
     sens2, viol2, cert2 = _violation(
-        model, candidates, criterion, F_sup, w2, candidates.features(model)
+        model, candidates, criterion, F_sup, w2,
+        candidates.features(model), candidates.screen_with_residuals(model), threshold,
     )
     return (d.points.copy(), w2, sens2, viol2, cert2) if viol2 <= threshold else state

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+import optdesign.certificates as certificates_module
+import optdesign.models as models_module
+import optdesign.solver as solver_module
+
 from optdesign import (
     CandidateSet,
     Criterion,
@@ -9,6 +13,7 @@ from optdesign import (
     ValidationError,
     build_certificate,
     certify,
+    default_candidates,
     design,
     discretize,
     exp_saturation_check,
@@ -23,7 +28,7 @@ from optdesign import (
 )
 from optdesign.certificates import _e_eigenspace_minimax, _top_rows
 from optdesign.criteria import NEG_INF, phi, polar, psd_eig
-from optdesign.designs import SWEEP_BLOCK, info_matrix
+from optdesign.designs import SWEEP_BLOCK, info_matrix, sweep
 
 from conftest import count_evaluations, random_psd
 
@@ -418,3 +423,134 @@ def test_top_rows_matches_a_stable_descending_argsort():
         count = int(rng.integers(1, 70))
         expected = np.sort(np.argsort(-values, kind="stable")[:count])
         assert np.array_equal(_top_rows(values, count), expected)
+
+
+_SCREENED = {
+    "interaction": ("interaction-2f", {}),
+    "growth": ("exp-growth-2f", {"theta": [1.0, 1.0, 1.0]}),
+    "line2f": ("linear-2f-no-intercept", {}),
+    "mixture": ("mixture-poly-exp", {"theta3": 1.0}),
+}
+
+
+def _checks(dsgn, model, cands, criterion):
+    """What certify and polytope_report decide: (optimal, max_violation,
+    violating_point, the polytope error), the last None when it passes."""
+    chk = certify(dsgn, model, cands, criterion)
+    try:
+        polytope_report(chk.certificate, dsgn, model, cands)
+        error = None
+    except InconsistencyError as exc:
+        error = str(exc)
+    point = None if chk.violating_point is None else chk.violating_point.tolist()
+    return chk.optimal, chk.max_violation, point, error
+
+
+def _checks_on_and_off_the_screen(monkeypatch, dsgn, model, cands, criterion):
+    on = _checks(dsgn, model, cands, criterion)
+    with monkeypatch.context() as patch:
+        patch.setattr(CandidateSet, "screen", lambda self, model: None)
+        off = _checks(dsgn, model, cands, criterion)
+    assert on == off
+    return on
+
+
+@pytest.mark.parametrize("h", (0.05, 0.02))
+@pytest.mark.parametrize("crit", ("D", "A", "p:-2", "p:0.5", "E"))
+@pytest.mark.parametrize("key", list(_SCREENED))
+def test_kept_set_checks_match_the_full_grid_on_optima(monkeypatch, key, crit, h):
+    family, params = _SCREENED[key]
+    m = make_model(family, **params)
+    cands = default_candidates(m, h)
+    c = parse_criterion(crit, m.k)
+    rep = solve(m, cands, c)
+    # the kept set's bound accepts here, so the screen is what decides
+    screened = cands.screen_with_residuals(m)
+    assert models_module.kept_max(cands.features(m), screened, rep.certificate.N)[2] <= 1.0 + 1e-5
+    optimal, _, point, error = _checks_on_and_off_the_screen(monkeypatch, rep.design, m, cands, c)
+    # (mixture D and E group their support on more than k hyperplanes)
+    assert optimal and point is None and (error is None or "on the grid" not in error)
+
+
+@pytest.mark.parametrize("h", (0.05, 0.02))
+@pytest.mark.parametrize("crit", ("D", "A", "E"))
+def test_kept_set_checks_match_the_full_grid_off_the_optimum(monkeypatch, crit, h):
+    # the growth design of the CI audit, with an atom at x2 = 0.5, the
+    # interaction corners with perturbed weights, and the corners with a
+    # centre atom of weight 1e-6, which fails only its support equality under
+    # D: there the kept set accepts the normality inequality
+    growth = make_model(_SCREENED["growth"][0], **_SCREENED["growth"][1])
+    off = design([[0.0, 0.0], [0.0, 0.5], [1.0, 0.0], [1.0, 1.0]])
+    interaction = make_model("interaction-2f")
+    corners = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+    rng = np.random.default_rng(11)
+    cases = [(growth, off)] + [
+        (interaction, design(corners, 0.25 + rng.uniform(-0.1, 0.1, 4), normalize=True))
+        for _ in range(3)
+    ]
+    cases.append((interaction, design(corners + [[0.5, 0.5]], [0.25] * 4 + [1e-6], normalize=True)))
+    for model, dsgn in cases:
+        c = parse_criterion(crit, model.k)
+        cands = default_candidates(model, h)
+        assert not _checks_on_and_off_the_screen(monkeypatch, dsgn, model, cands, c)[0]
+
+
+def test_grid_violation_still_raises_in_polytope_report(monkeypatch):
+    # a uniform growth design on k = 3 atoms is active at each atom on its own
+    # D certificate, which exceeds 1 on the grid: the kept set cannot accept
+    # it, and the full grid raises the same error as without the screen
+    m = make_model(_SCREENED["growth"][0], **_SCREENED["growth"][1])
+    dsgn = design([[0.0, 0.0], [0.0, 0.5], [1.0, 1.0]])
+    cands = default_candidates(m, 0.02)
+    _, viol, point, error = _checks_on_and_off_the_screen(
+        monkeypatch, dsgn, m, cands, parse_criterion("D", m.k)
+    )
+    assert viol > 1e-4 and point is not None
+    assert error.startswith("certificate violates the normality inequality on the grid")
+
+
+def test_accepting_checks_sweep_the_kept_rows_only(monkeypatch):
+    # the A optimum of interaction-2f is on its 4 corners: the exchange loop,
+    # certify and polytope_report each accept on the kept set, and no sweep
+    # reads the full grid
+    m = make_model("interaction-2f")
+    cands = discretize(m.space, 0.05)
+    c = parse_criterion("A", m.k)
+    rows = []
+
+    def recorded(F, N):
+        rows.append(F.shape[0])
+        return sweep(F, N)
+
+    for module in (solver_module, certificates_module, models_module):
+        monkeypatch.setattr(module, "sweep", recorded)
+    rep = solve(m, cands, c)
+    chk = certify(rep.design, m, cands, c)
+    polytope_report(chk.certificate, rep.design, m, cands)
+    assert rep.converged and chk.optimal
+    assert 4 in rows and len(cands) not in rows
+
+
+class _NearlyAffine:
+    """f = (1, x1, x2 + 1e-8 x1^2): x1 is affine in g = x1 up to a residual of about 1e-8."""
+
+    k = 3
+
+    def eval_many(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return np.column_stack([np.ones(len(x)), x[:, 0], x[:, 1] + 1e-8 * x[:, 0] ** 2])
+
+
+def test_violator_off_the_kept_set_comes_from_the_full_grid(monkeypatch):
+    # the E certificate of the corners is v v' / lambda with v orthogonal to
+    # the x1 direction, so f'Nf is flat along x1 but for the residual, which
+    # lifts the middle of the line x2 = 0 about 5e-8 above its kept ends: the
+    # bound does not accept, and certify reports the full grid's violator
+    model = _NearlyAffine()
+    cands = discretize(DesignSpace(((-1.0, 1.0), (0.0, 1.0))), 0.05)
+    corners = design([[-1.0, 0.0], [-1.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    assert cands.screen(model).size == 4
+    optimal, _, point, _ = _checks_on_and_off_the_screen(
+        monkeypatch, corners, model, cands, Criterion(NEG_INF, 3)
+    )
+    assert not optimal and point == [0.0, 0.0]

@@ -22,10 +22,10 @@ from optdesign import (
     truncate,
 )
 from optdesign.conditional import conditional_model
-from optdesign.designs import SWEEP_BLOCK
+from optdesign.designs import SWEEP_BLOCK, sweep
 from optdesign.models import gram_rank, model_from_dict, model_to_dict
 
-from conftest import count_evaluations
+from conftest import count_evaluations, random_psd
 
 
 def test_eval_linear_2f():
@@ -464,8 +464,8 @@ def test_screen_keeps_a_product_set():
     F = np.column_stack([np.ones(len(cube)), x, x.prod(axis=1)])
     grids += [(cube, np.asfortranarray(F)), (cube, np.asfortranarray(np.column_stack([F, x[:, 1] ** 2])))]
     for grid, F in grids:
-        kept = models_module._screen(F, grid.product_axes)
-        assert kept is not None and _is_product(grid.points[kept])
+        screened = models_module._screen(F, grid.product_axes)
+        assert screened is not None and _is_product(grid.points[screened[0]])
     # f = (1, (x1 - x2)^2) is affine along each line, but in a g that moves
     # with the other coordinate: no axis shares one g, so nothing is screened
     # (a per-line screen kept the diagonal and two corners, not a product)
@@ -481,9 +481,65 @@ def test_screen_on_three_factors():
     grid = discretize(DesignSpace(((0.0, 1.0),) * 3), 0.1)
     x = grid.points
     F = np.asfortranarray(np.column_stack([np.ones(len(grid)), x, x.prod(axis=1)]))
-    kept = models_module._screen(F, grid.product_axes)
+    kept = models_module._screen(F, grid.product_axes)[0]
     assert x[kept].tolist() == [[a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)]
     F2 = np.asfortranarray(np.column_stack([F, x[:, 1] ** 2]))
-    kept2 = models_module._screen(F2, grid.product_axes)
+    kept2 = models_module._screen(F2, grid.product_axes)[0]
     assert len(kept2) == 2 * 11 * 2
     assert np.array_equal(np.unique(x[kept2, 1]), grid.product_axes[1])
+
+
+def test_kept_max_bounds_the_grid_where_an_axis_is_affine_up_to_a_residual():
+    # f = (1, x1, x2 + 1e-8 x1^2) on [-1, 1] x [-1, 0]: x2 is affine, and x1
+    # is affine in g = x1 up to a residual near 1e-8, within SCREEN_RTOL, so
+    # the 4 corners are kept and x1 carries a residual rho > 0
+    grid = discretize(DesignSpace(((-1.0, 1.0), (-1.0, 0.0))), 0.05)
+    x = grid.points
+    columns = [np.ones(len(grid)), x[:, 0], x[:, 1] + 1e-8 * x[:, 0] ** 2]
+    F = np.asfortranarray(np.column_stack(columns))
+    kept, rho = models_module._screen(F, grid.product_axes)
+    assert x[kept].tolist() == [[-1, -1], [-1, 0], [1, -1], [1, 0]]
+    assert 1e-10 < rho[0] < 1e-7 and rho[1] < 1e-15
+    rng = np.random.default_rng(5)
+    above = 0
+    for draw in range(60):
+        A = rng.normal(size=(3, 3 - draw % 3))  # N of rank 3, 2 and 1
+        if draw % 2:
+            A[1] = 0.0  # N b = 0 for b = (0, 1, 0): d is flat in g, the residual decides
+        N = A @ A.T
+        m, i, bound = models_module.kept_max(F, (kept, rho), N)
+        full = sweep(F, N)
+        assert i in kept and m == full[i] == full[kept].max()
+        assert bound >= full.max()
+        above += full.max() > m  # without rho the bound would be m
+    assert above > 0
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("interaction-2f", {}),
+        ("exp-growth-2f", {"theta": [1.0, 1.0, 1.0]}),
+        ("linear-2f-no-intercept", {}),
+        ("mixture-poly-exp", {"theta3": 1.0}),
+    ],
+)
+def test_screen_residual_is_at_rounding_level_on_the_catalog(family, params):
+    m = make_model(family, **params)
+    grid = discretize(m.space, 0.02)
+    F = grid.features(m)
+    kept, rho = models_module._screen(F, grid.product_axes)
+    assert grid.screen_with_residuals(m) == (grid.screen(m), rho)
+    assert np.array_equal(grid.screen(m), kept)
+    assert max(rho) <= 1e-14 * np.abs(F).max()
+    N = random_psd(np.random.default_rng(0), m.k)
+    assert models_module.kept_max(F, (kept, rho), N)[2] >= sweep(F, N).max()
+
+
+def test_kept_max_is_off_on_a_truncated_grid():
+    # the truncation check reads the boundary rows, which the kept set may lack
+    m = make_model("xexp-decay", space=truncate(interval(0.0, 0.5), 0, 0.5), rate=1.0)
+    cands = discretize(m.space, 0.01)
+    assert cands.screen(m) is not None
+    assert cands.screen_with_residuals(m) is None
+    assert models_module.kept_max(cands.features(m), None, np.eye(m.k)) is None
