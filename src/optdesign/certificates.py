@@ -404,21 +404,29 @@ def polytope_report(
     )
 
 
+def _biggest_bucket(norms2: np.ndarray, norm_tol: float) -> int:
+    """Size of the largest bucket of the sorted values, a bucket ending
+    wherever consecutive sorted values are more than ``norm_tol`` apart."""
+    sorted_vals = np.sort(norms2)
+    ends = np.concatenate([np.flatnonzero(np.diff(sorted_vals) > norm_tol), [norms2.size - 1]])
+    return int(np.diff(ends, prepend=-1).max())
+
+
 def garza_report(model: ModelSpec, candidates: CandidateSet, norm_tol: float = 1e-7) -> GarzaReport:
     """Norm map of the induced design space and the resulting saturation bound.
 
     Buckets ||f(x)||^2 over the grid within ``norm_tol``; an injective norm map
     bounds optimal supports by k points, and at most N equal-length vectors
-    bound them by N*k.
+    bound them by N*k. The largest bucket's size is computed once per grid,
+    model and tolerance and kept beside the regression matrix, under its
+    snapshot; ``norm_values`` is computed on every call and is the caller's.
     """
     if not norm_tol >= 0:  # also rejects NaN
         raise ValidationError(f"norm tolerance must be nonnegative, got {norm_tol:g}")
     norms2 = _row_norms2(candidates.features(model))
-    sorted_vals = np.sort(norms2)
-    # a bucket ends wherever consecutive sorted values are more than norm_tol apart
-    ends = np.concatenate([np.flatnonzero(np.diff(sorted_vals) > norm_tol), [norms2.size - 1]])
-    sizes = np.diff(ends, prepend=-1)
-    biggest = int(sizes.max())
+    biggest = candidates._derived(
+        model, ("garza", norm_tol), lambda _: _biggest_bucket(norms2, norm_tol)
+    )
     injective = biggest == 1
     k = model.k
     note = None

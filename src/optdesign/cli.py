@@ -159,15 +159,20 @@ def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
     """Header line, then one line per row of ``table`` with every value in %.17g.
 
     The columns are a grid's point coordinates, then one value per point.
-    Rows are formatted and written CSV_BLOCK at a time, so the text of a
-    grid-sized table is never held whole in memory. Within a block each
-    distinct value of a coordinate column is formatted once: grid coordinates
-    repeat heavily, and values are matched on their bit patterns, which keeps
-    ``-0.0`` apart from ``0.0``. The value column repeats little, so it is
-    formatted as it stands. Each value fills fixed byte slots whose unused
-    ones hold 0 bytes; the block's bytes are written with those deleted.
+    Each distinct value of a coordinate column is formatted once per table:
+    grid coordinates repeat heavily, and values are matched on their bit
+    patterns, which keeps ``-0.0`` apart from ``0.0``. Rows are then written
+    CSV_BLOCK at a time, each gathering its coordinates' text, so the text of
+    a grid-sized table is never held whole in memory. The value column
+    repeats little, so each block formats it as it stands. Each value fills
+    fixed byte slots whose unused ones hold 0 bytes; the block's bytes are
+    written with those deleted.
     """
     n, ncol = table.shape
+    coords = []  # (text of each distinct value, index of each row's value) per column
+    for j in range(ncol - 1):
+        bits, inverse = np.unique(table[:, j].view(np.int64), return_inverse=True)
+        coords.append((_format_17g(bits.view(np.float64)), inverse))
     slots = np.empty((min(n, CSV_BLOCK), ncol, _WIDTH + 1), np.uint8)
     slots[:, :, _WIDTH] = ord(",")
     slots[:, -1, _WIDTH] = ord("\n")
@@ -176,9 +181,8 @@ def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
         for start in range(0, n, CSV_BLOCK):
             block = table[start : start + CSV_BLOCK]
             rows = slots[: block.shape[0]]
-            for j in range(ncol - 1):
-                bits, inverse = np.unique(block[:, j].view(np.int64), return_inverse=True)
-                rows[:, j, :_WIDTH] = np.take(_format_17g(bits.view(np.float64)), inverse, axis=0)
+            for j, (text, inverse) in enumerate(coords):
+                rows[:, j, :_WIDTH] = np.take(text, inverse[start : start + CSV_BLOCK], axis=0)
             rows[:, -1, :_WIDTH] = _format_17g(block[:, -1])
             fh.write(rows.tobytes().translate(None, b"\0"))
 

@@ -104,7 +104,8 @@ class CandidateSet:
     points: np.ndarray  # (n, q)
     steps: tuple[float, ...]  # effective per-axis grid step
     # (snapshot of the model, its read-only regression matrix, a dict of what
-    # is derived from it: "rank" and "screen" once asked); see features()
+    # is derived from it: "rank", "screen" and ("garza", norm_tol) once asked);
+    # see features()
     _features: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -117,6 +118,9 @@ class CandidateSet:
             raise ValidationError("candidate points do not match space dimension")
         if not np.all(self.space.contains(pts)):
             raise ValidationError("candidate point outside design-space bounds")
+        pts.setflags(write=False)
+        if self.product_axes is not None:
+            return  # strictly increasing axes in an exact product: distinct rows
         order = np.lexsort(pts.T)  # equal rows end up adjacent
         same = np.ones(pts.shape[0] - 1, dtype=bool)
         for j in range(pts.shape[1]):
@@ -124,7 +128,6 @@ class CandidateSet:
             same &= col[1:] == col[:-1]
         if same.any():
             raise ValidationError("candidate points must be pairwise distinct")
-        self.points.setflags(write=False)
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -314,6 +314,67 @@ def test_garza_buckets_chain_like_a_loop(norm_tol):
     assert garza_report(m, grid, norm_tol=norm_tol).max_equal_group_size == max(sizes)
 
 
+def _garza_fields(rep):
+    return (
+        rep.norm_values.tolist(), rep.max_equal_group_size, rep.saturation_bound,
+        rep.injective, rep.monotone_axis_note,
+    )
+
+
+def test_garza_cached_per_tolerance_equals_fresh_grid():
+    # on this grid the two tolerances give different largest buckets
+    m = make_model("polynomial", degree=1)
+    grid = discretize(m.space, 1e-4)
+    reports = [garza_report(m, grid, norm_tol=t) for t in (1e-7, 1e-9, 1e-7)]
+    assert [r.max_equal_group_size for r in reports] == [6, 1, 6]
+    for rep, tol in zip(reports, (1e-7, 1e-9, 1e-7)):
+        fresh = garza_report(m, discretize(m.space, 1e-4), norm_tol=tol)
+        assert _garza_fields(rep) == _garza_fields(fresh)
+
+
+def test_garza_cache_misses_after_params_mutation():
+    m = make_model("exp-growth-2f", theta=[1.0, 1.0, 1.0])
+    grid = discretize(m.space, 0.05)
+    before = garza_report(m, grid)
+    assert before.max_equal_group_size == 2
+    m.params["theta"][1] = 2.0  # the model's snapshot moves, so its cached bucket is stale
+    after = garza_report(m, grid)
+    assert after.max_equal_group_size == 1
+    assert _garza_fields(after) == _garza_fields(garza_report(m, discretize(m.space, 0.05)))
+
+
+def test_garza_norm_values_belong_to_the_caller():
+    m = make_model("cubic-gap")
+    grid = discretize(m.space, 0.01)
+    first = garza_report(m, grid, norm_tol=1e-9)
+    assert first.norm_values.flags.writeable
+    expected = _garza_fields(first)
+    first.norm_values[:] = 0.0  # every point one bucket, were it kept
+    assert _garza_fields(garza_report(m, grid, norm_tol=1e-9)) == expected
+
+
+def test_grid_derived_cache_holds_no_grid_sized_array():
+    m = make_model("interaction-2f")
+    grid = discretize(m.space, 0.05)
+    crit = Criterion(0.0)
+    check = certify(solve(m, grid, crit).design, m, grid, crit)
+    assert check.optimal
+    for tol in (1e-7, 1e-9):
+        garza_report(m, grid, norm_tol=tol)
+    derived = grid._features[2]
+    assert {"rank", "screen", ("garza", 1e-7), ("garza", 1e-9)} <= set(derived)
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple):
+            for item in value:
+                yield from arrays(item)
+
+    sizes = [a.size for v in derived.values() for a in arrays(v)]
+    assert sizes and all(size < len(grid) for size in sizes)
+
+
 def test_exp_saturation_check_boundary():
     ok, margins = exp_saturation_check([3.0], [1.0])
     assert not ok and margins[0] == pytest.approx(-0.5)

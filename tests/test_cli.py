@@ -233,6 +233,25 @@ def test_write_csv_formats_repeated_values_per_row(tmp_path):
     assert lines[0].startswith("-1,-1,") and lines[-1].startswith("1,1,")
 
 
+def test_write_csv_formats_coordinates_once_per_table(tmp_path, monkeypatch):
+    # the 151 x 151 grid of the test above, written in three blocks
+    axis = np.linspace(-1.0, 1.0, 151)
+    x0, x1 = (m.ravel() for m in np.meshgrid(axis, axis, indexing="ij"))
+    table = np.column_stack((x0, x1, np.arange(x0.size) / 7.0))
+    blocks = -(-x0.size // CSV_BLOCK)
+    assert blocks == 3
+    sizes = []
+
+    def counted(x):
+        sizes.append(x.size)
+        return _format_17g(x)
+
+    monkeypatch.setattr("optdesign.cli._format_17g", counted)
+    _write_csv(tmp_path / "grid.csv", ["x0", "x1", "value"], table)
+    # each coordinate column's 151 distinct values once, then each block's value column
+    assert sizes == [151, 151] + [CSV_BLOCK] * (blocks - 1) + [x0.size - (blocks - 1) * CSV_BLOCK]
+
+
 def _formatted(values):
     """The text _format_17g gives each value, formatted CSV_BLOCK values at a time."""
     out = []

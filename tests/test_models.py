@@ -113,6 +113,31 @@ def test_candidate_set_rejects_duplicate_points():
     assert verdicts == {True, False}
 
 
+def test_candidate_set_distinctness_on_and_off_the_product_path(monkeypatch):
+    box = DesignSpace(((-1, 1), (0, 1)))
+    # an axis holding both -0.0 and 0.0 is not strictly increasing, so the
+    # product path does not apply and the sort finds the equal rows
+    axis = np.array([-1.0, -0.0, 0.0, 1.0])
+    x0, x1 = (m.ravel() for m in np.meshgrid(axis, [0.0, 1.0], indexing="ij"))
+    with pytest.raises(ValidationError, match="pairwise distinct"):
+        CandidateSet(box, np.column_stack((x0, x1)), (1.0, 1.0))
+    grid = discretize(box, 0.1).points
+    shuffled = grid[np.random.default_rng(3).permutation(len(grid))]
+    with pytest.raises(ValidationError, match="pairwise distinct"):
+        CandidateSet(box, np.vstack([shuffled[:-1], shuffled[5:6]]), (0.1, 0.1))
+    shuffled_set = CandidateSet(box, shuffled, (0.1, 0.1))
+    assert shuffled_set.product_axes is None and len(shuffled_set) == len(grid)
+    # a product grid proves its rows distinct with no sort
+    def no_sort(keys):
+        raise AssertionError("sorted the rows")
+
+    monkeypatch.setattr(np, "lexsort", no_sort)
+    product = CandidateSet(box, grid, (0.1, 0.1))
+    assert product.product_axes is not None and len(product) == len(grid)
+    with pytest.raises(AssertionError, match="sorted the rows"):
+        CandidateSet(box, shuffled, (0.1, 0.1))
+
+
 def test_grid_checks_read_every_axis():
     box = DesignSpace(((-1, 1), (0, 2), (0, 1)))
     good = [[0.0, 1.0, 0.5], [1.0, 2.0, 1.0]]
