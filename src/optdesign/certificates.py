@@ -22,7 +22,7 @@ from .criteria import _SING_REL, NEG_INF, Criterion, finite_p_dual
 from .criteria import phi, polar, psd_eig
 from .designs import Design, components, gram, sweep
 from .errors import InconsistencyError, ValidationError
-from .models import FAMILIES, CandidateSet, ModelSpec, kept_max, make_model
+from .models import FAMILIES, CandidateSet, ModelSpec, make_model
 
 GROUP_TOL = 1e-5   # squared coordinates this close (relative) share a hyperplane
 ACTIVE_TOL = 1e-4  # slack allowed in the support equalities and the grid inequality
@@ -280,17 +280,6 @@ def verdict(criterion: Criterion, M, cert: Certificate, viol: float, support_sen
     return bool(optimal), tr, product
 
 
-def _tight_truncation(candidates: CandidateSet, sens: np.ndarray, tol: float) -> float | None:
-    """The largest sensitivity on the upper boundary of a truncated axis, if
-    it is at least 1 - 10 tol, else None."""
-    worst = -np.inf
-    for j in candidates.space.truncated:
-        hi = candidates.space.bounds[j][1]
-        on_edge = np.abs(candidates.points[:, j] - hi) <= 1e-12 * max(abs(hi), 1.0)
-        worst = max(worst, float(sens[on_edge].max(initial=-np.inf)))
-    return worst if worst >= 1.0 - 10.0 * tol else None
-
-
 def certify(
     design: Design,
     model: ModelSpec,
@@ -301,11 +290,11 @@ def certify(
     """Equivalence-theorem check of a design against its own dual certificate.
 
     ``optimal`` is ``verdict`` within ``tol``, the rule ``solve`` applies too.
-    On a screened grid the kept rows' bound (``models.kept_max``)
-    accepts the normality inequality within ``tol``, and ``max_violation``
-    is then the kept set's, below the grid's by at most the bound's slack
-    (rounding on exactly affine axes); otherwise every row is swept, and the
-    largest gives ``max_violation`` and ``violating_point``.
+    The normality inequality is checked by ``CandidateSet.grid_max``: on a
+    screened grid the kept rows' bound accepts within ``tol``, and
+    ``max_violation`` is then the kept set's, below the grid's by at most the
+    bound's slack (rounding on exactly affine axes); otherwise every row is
+    swept, and the largest gives ``max_violation`` and ``violating_point``.
     A sensitivity of at least 1 - 10 tol on the upper boundary of a truncated
     axis warns. This is a computation, not a search: it always returns a report.
     """
@@ -315,17 +304,11 @@ def certify(
     F_sup = model.eval_many(design.points)
     M = gram(F_sup, design.weights)
     cert = build_certificate(criterion, M, model, candidates)
-    F = candidates.features(model)
-    kept = kept_max(F, candidates.screen_with_residuals(model), cert.N)
-    if kept is not None and kept[2] - cert.bound <= tol:
-        sens, j, viol = None, kept[1], kept[0] - cert.bound  # no truncated axis to read
-    else:
-        sens = sweep(F, cert.N)
-        j = int(np.argmax(sens))
-        viol = float(sens[j] - cert.bound)
+    sens, j, worst = candidates.grid_max(model, cert.N, tol)
+    viol = worst - cert.bound
     support_sens = sweep(F_sup, cert.N)
     optimal, tr, product = verdict(criterion, M, cert, viol, support_sens, tol)
-    if _tight_truncation(candidates, sens, tol) is not None:
+    if candidates.tight_truncation(sens, tol) is not None:
         warnings.warn(
             "normality inequality is tight on the boundary of a truncated axis; "
             "the continuum guarantee may need a larger domain", RuntimeWarning, stacklevel=2,
@@ -351,9 +334,9 @@ def polytope_report(
     Squared transformed coordinates of a support point give the coefficient
     vector of the hyperplane its constraint is active on; at most k distinct
     hyperplanes can occur and points sharing one share the length ||f(x)||.
-    The certificate must hold on the grid within ``ACTIVE_TOL``: the kept
-    rows' bound (``models.kept_max``) accepts, and only the full grid
-    rejects.
+    The certificate must hold on the grid within ``ACTIVE_TOL``
+    (``CandidateSet.grid_max``: the kept rows' bound accepts, and only the
+    full grid rejects).
     """
     Z, lam = certificate.Z, certificate.eigenvalues
     k = Z.shape[0]
@@ -367,14 +350,11 @@ def polytope_report(
             f"support atom {design.points[i].tolist()} is not active on the certificate "
             f"(value {activity[i]:.8f})"
         )
-    F = candidates.features(model)
-    kept = kept_max(F, candidates.screen_with_residuals(model), certificate.N)
-    if kept is None or kept[2] > certificate.bound + ACTIVE_TOL:
-        worst = float(sweep(F, certificate.N).max())
-        if worst > certificate.bound + ACTIVE_TOL:
-            raise InconsistencyError(
-                f"certificate violates the normality inequality on the grid (max {worst:.8f})"
-            )
+    worst = candidates.grid_max(model, certificate.N, ACTIVE_TOL)[2]
+    if worst > certificate.bound + ACTIVE_TOL:
+        raise InconsistencyError(
+            f"certificate violates the normality inequality on the grid (max {worst:.8f})"
+        )
 
     scale = max(float(np.abs(P_sup).max()), 1.0)
     near = np.abs(P_sup[:, None, :] - P_sup[None, :, :]).max(axis=2) <= GROUP_TOL * scale

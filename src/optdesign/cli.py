@@ -187,15 +187,18 @@ def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
             fh.write(rows.tobytes().translate(None, b"\0"))
 
 
-def _report_base(args, command: str) -> dict:
-    # the hash covers the computation, not where its results are written
+def _write_report(args, name: str, fields: dict) -> Path:
+    """Write ``name`` into the output directory ``args.out``, made if missing:
+    ``fields`` beside the command, its config hash and the package version.
+    Returns the directory. The hash covers the computation, not where its
+    results are written.
+    """
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     payload = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
-    payload["command"] = command
-    return {
-        "command": command,
-        "config_hash": _config_hash(payload),
-        "version": __version__,
-    }
+    base = {"command": args.command, "config_hash": _config_hash(payload), "version": __version__}
+    _write_json(out / name, {**base, **fields})
+    return out
 
 
 def _load_model_and_grid(args):
@@ -233,6 +236,17 @@ def _write_sensitivity(out: Path, model, candidates, certificate) -> None:
     )
 
 
+def _write_certificate(out: Path, model, candidates, certificate) -> None:
+    """certificate.json (N, its eigenbasis and the bound), then sensitivity.csv."""
+    _write_json(out / "certificate.json", {
+        "N": certificate.N.tolist(),
+        "Z": certificate.Z.tolist(),
+        "eigenvalues": certificate.eigenvalues.tolist(),
+        "bound": certificate.bound,
+    })
+    _write_sensitivity(out, model, candidates, certificate)
+
+
 def cmd_solve(args) -> int:
     model, cands = _load_model_and_grid(args)
     criterion = parse_criterion(args.criterion, model.k)
@@ -243,35 +257,20 @@ def cmd_solve(args) -> int:
         init=load_design(args.init_design) if args.init_design else "spread",
     )
     report = solve(model, cands, criterion, opts)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    body = _report_base(args, "solve")
-    body.update(
-        {
-            "criterion": criterion.name,
-            "converged": report.converged,
-            "iterations": report.iterations,
-            "criterion_value": report.criterion_value,
-            "max_sensitivity_violation": report.max_sensitivity_violation,
-            "certified_optimal": report.converged,
-            "design": report.design.to_dict(),
-            "n_candidates": len(cands),
-        }
-    )
-    _write_json(out / "report.json", body)
+    out = _write_report(args, "report.json", {
+        "criterion": criterion.name,
+        "converged": report.converged,
+        "iterations": report.iterations,
+        "criterion_value": report.criterion_value,
+        "max_sensitivity_violation": report.max_sensitivity_violation,
+        "certified_optimal": report.converged,
+        "design": report.design.to_dict(),
+        "n_candidates": len(cands),
+    })
     _write_sensitivity(out, model, cands, report.certificate)
     print(f"solve[{criterion.name}] converged={report.converged} certified={report.converged} "
           f"value={report.criterion_value:.8g} atoms={report.design.m}")
     return EXIT_OK if report.converged else EXIT_UNSETTLED
-
-
-def _certificate_payload(cert) -> dict:
-    return {
-        "N": cert.N.tolist(),
-        "Z": cert.Z.tolist(),
-        "eigenvalues": cert.eigenvalues.tolist(),
-        "bound": cert.bound,
-    }
 
 
 def cmd_certify(args) -> int:
@@ -279,26 +278,17 @@ def cmd_certify(args) -> int:
     criterion = parse_criterion(args.criterion, model.k)
     dsgn = load_design(args.design)
     check = certify(dsgn, model, cands, criterion, tol=args.tol)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    body = _report_base(args, "certify")
     tr, prod = check.duality_products
-    body.update(
-        {
-            "criterion": criterion.name,
-            "optimal": check.optimal,
-            "trace_product": tr,
-            "polar_product": prod,
-            "max_violation": check.max_violation,
-            "violating_point": None
-            if check.violating_point is None
-            else list(check.violating_point),
-            "support_equalities": check.support_equalities.tolist(),
-        }
-    )
-    _write_json(out / "certify.json", body)
-    _write_json(out / "certificate.json", _certificate_payload(check.certificate))
-    _write_sensitivity(out, model, cands, check.certificate)
+    out = _write_report(args, "certify.json", {
+        "criterion": criterion.name,
+        "optimal": check.optimal,
+        "trace_product": tr,
+        "polar_product": prod,
+        "max_violation": check.max_violation,
+        "violating_point": None if check.violating_point is None else list(check.violating_point),
+        "support_equalities": check.support_equalities.tolist(),
+    })
+    _write_certificate(out, model, cands, check.certificate)
     print(f"certify[{criterion.name}] optimal={check.optimal} "
           f"max_violation={check.max_violation:.3g}")
     return EXIT_OK
@@ -313,25 +303,18 @@ def cmd_geometry(args) -> int:
         print("design is not certified optimal; geometry needs an optimal design", file=sys.stderr)
         return EXIT_UNSETTLED
     geom = polytope_report(check.certificate, dsgn, model, cands)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    body = _report_base(args, "geometry")
-    body.update(
-        {
-            "criterion": criterion.name,
-            "hyperplanes": [
-                {"c": list(map(float, c)), "active_support": [list(p) for p in pts]}
-                for c, pts in geom.hyperplanes
-            ],
-            "squared_coords": {
-                json.dumps(list(k)): list(map(float, v)) for k, v in geom.squared_coords.items()
-            },
-            "length_groups": [[list(p) for p in grp] for grp in geom.length_groups],
-        }
-    )
-    _write_json(out / "polytope.json", body)
-    _write_json(out / "certificate.json", _certificate_payload(check.certificate))
-    _write_sensitivity(out, model, cands, check.certificate)
+    out = _write_report(args, "polytope.json", {
+        "criterion": criterion.name,
+        "hyperplanes": [
+            {"c": list(map(float, c)), "active_support": [list(p) for p in pts]}
+            for c, pts in geom.hyperplanes
+        ],
+        "squared_coords": {
+            json.dumps(list(k)): list(map(float, v)) for k, v in geom.squared_coords.items()
+        },
+        "length_groups": [[list(p) for p in grp] for grp in geom.length_groups],
+    })
+    _write_certificate(out, model, cands, check.certificate)
     print(f"geometry: {len(geom.hyperplanes)} hyperplane(s), "
           f"{len(geom.length_groups)} length group(s)")
     return EXIT_OK
@@ -340,18 +323,12 @@ def cmd_geometry(args) -> int:
 def cmd_garza(args) -> int:
     model, cands = _load_model_and_grid(args)
     rep = garza_report(model, cands, norm_tol=args.norm_tol)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    body = _report_base(args, "garza")
-    body.update(
-        {
-            "injective": rep.injective,
-            "max_equal_group_size": rep.max_equal_group_size,
-            "saturation_bound": rep.saturation_bound,
-            "monotone_axis_note": rep.monotone_axis_note,
-        }
-    )
-    _write_json(out / "garza.json", body)
+    out = _write_report(args, "garza.json", {
+        "injective": rep.injective,
+        "max_equal_group_size": rep.max_equal_group_size,
+        "saturation_bound": rep.saturation_bound,
+        "monotone_axis_note": rep.monotone_axis_note,
+    })
     q = cands.points.shape[1]
     _write_csv(
         out / "norms.csv",
@@ -367,22 +344,16 @@ def cmd_audit(args) -> int:
     dsgn = load_design(args.design)
     tmap = _parse_slice_map(args.slice_map)
     verdict = conditional_audit(dsgn, tmap, model)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    body = _report_base(args, "audit")
-    body.update(
-        {
-            "admissible": verdict.admissible,
-            "inconclusive": verdict.inconclusive,
-            "note": verdict.note,
-            "dominator": None if verdict.dominator is None else verdict.dominator.to_dict(),
-            "slices": [
-                {"t": t, "admissible": v.admissible, "inconclusive": v.inconclusive}
-                for t, v in verdict.evidence
-            ],
-        }
-    )
-    _write_json(out / "audit.json", body)
+    _write_report(args, "audit.json", {
+        "admissible": verdict.admissible,
+        "inconclusive": verdict.inconclusive,
+        "note": verdict.note,
+        "dominator": None if verdict.dominator is None else verdict.dominator.to_dict(),
+        "slices": [
+            {"t": t, "admissible": v.admissible, "inconclusive": v.inconclusive}
+            for t, v in verdict.evidence
+        ],
+    })
     print(f"audit: admissible={verdict.admissible} inconclusive={verdict.inconclusive}")
     return EXIT_UNSETTLED if verdict.inconclusive else EXIT_OK
 
@@ -393,26 +364,20 @@ def cmd_decompose(args) -> int:
     tmap = _parse_slice_map(args.slice_map)
     deco = decompose(dsgn, tmap, model)
     err = recompose_check(dsgn, tmap, model)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    body = _report_base(args, "decompose")
-    body.update(
-        {
-            "recompose_error": err,
-            "slices": [
-                {
-                    "t": sl.t,
-                    "weight": sl.weight,
-                    "conditional_design": sl.conditional_design.to_dict(),
-                    "conditional_basis": sl.conditional.slice_space,
-                    "p_t": sl.conditional.k,
-                    "lift": sl.conditional.lift.tolist(),
-                }
-                for sl in deco.slices
-            ],
-        }
-    )
-    _write_json(out / "decomposition.json", body)
+    _write_report(args, "decomposition.json", {
+        "recompose_error": err,
+        "slices": [
+            {
+                "t": sl.t,
+                "weight": sl.weight,
+                "conditional_design": sl.conditional_design.to_dict(),
+                "conditional_basis": sl.conditional.slice_space,
+                "p_t": sl.conditional.k,
+                "lift": sl.conditional.lift.tolist(),
+            }
+            for sl in deco.slices
+        ],
+    })
     print(f"decompose: {len(deco.slices)} slice(s), recompose error {err:.3g}")
     return EXIT_OK
 

@@ -171,7 +171,7 @@ class CandidateSet:
         moving mass along one axis never leaves the coordinates another axis
         keeps, so the reduction is proved: some optimum lies on the kept set,
         and for a PSD N the largest f'Nf there bounds the grid's
-        (``kept_max``), which the normality checks accept on.
+        (``kept_max``), which ``grid_max`` accepts on.
 
         Needs ``product_axes``. Returns None when the points are not such a
         product, when nothing is removed, or when the kept rows do not span
@@ -179,22 +179,39 @@ class CandidateSet:
         regression matrix, under the same snapshot, with the residual of each
         affine axis (see ``_screen``).
         """
-        screened = self._screened(model)
+        screened = self._derived(model, "screen", lambda F: _screen(F, self.product_axes))
         return None if screened is None else screened[0]
 
-    def screen_with_residuals(self, model) -> tuple | None:
-        """(kept indices, residual of each axis) of the screen, for ``kept_max``.
+    def grid_max(self, model, N: np.ndarray, tol: float) -> tuple:
+        """(sens, row, m) for N >= 0: m the largest f'Nf over the grid, at
+        ``row``, and ``sens`` the f'Nf of every row, or None.
 
-        None where only a full-grid sweep can decide: the grid is not screened
-        (``screen`` returns None) or has a truncated axis, whose boundary rows
-        the truncation check reads.
+        On a screened grid with no truncated axis, the kept rows decide where
+        their bound (``kept_max``) is within ``tol`` of 1, the normality
+        bound: m and row are then the kept set's, and ``sens`` is None.
+        Otherwise every row is swept, which also finds the violators, and row
+        is the lowest at m. A truncated axis is always swept, as
+        ``tight_truncation`` reads its boundary rows. The kept set is asked
+        of ``screen``, so with the screen off every check sweeps.
         """
-        if self.space.truncated or self.screen(model) is None:
-            return None
-        return self._screened(model)
+        _, F, derived = self._feature_entry(model)
+        if not self.space.truncated and self.screen(model) is not None:
+            m, row, bound = kept_max(F, derived["screen"], N)
+            if bound - 1.0 <= tol:
+                return None, row, m
+        sens = sweep(F, N)
+        row = int(np.argmax(sens))
+        return sens, row, float(sens[row])
 
-    def _screened(self, model) -> tuple | None:
-        return self._derived(model, "screen", lambda F: _screen(F, self.product_axes))
+    def tight_truncation(self, sens: np.ndarray, tol: float) -> float | None:
+        """The largest of ``sens`` (``grid_max``'s sweep) on the upper boundary
+        of a truncated axis, if it is at least 1 - 10 tol, else None."""
+        worst = -np.inf
+        for j in self.space.truncated:
+            hi = self.space.bounds[j][1]
+            on_edge = np.abs(self.points[:, j] - hi) <= 1e-12 * max(abs(hi), 1.0)
+            worst = max(worst, float(sens[on_edge].max(initial=-np.inf)))
+        return worst if worst >= 1.0 - 10.0 * tol else None
 
     @cached_property
     def product_axes(self) -> tuple[np.ndarray, ...] | None:
@@ -313,15 +330,12 @@ def _axis_keep(cols: list) -> tuple[np.ndarray, float]:
     return np.unique([u.argmin(), u.argmax()]), math.sqrt(rho2)
 
 
-def kept_max(
-    F: np.ndarray, screened: tuple | None, N: np.ndarray
-) -> tuple[float, int, float] | None:
+def kept_max(F: np.ndarray, screened: tuple, N: np.ndarray) -> tuple[float, int, float]:
     """(m, i, bound) for N >= 0 on the screen ``screened = (kept, rho)`` of F
-    (``CandidateSet.screen_with_residuals``), or None when that is None:
-    m the largest f'Nf over the kept rows, i its row of F (the lowest on
-    ties) and ``bound = (sqrt(m) + 2 sqrt(lambda_max(N)) sum_j rho_j)^2``,
-    which no row of F exceeds. The normality checks accept on the bound and
-    sweep every row of F to reject.
+    (``_screen``): m the largest f'Nf over the kept rows, i its row of F (the
+    lowest on ties) and the bound (sqrt(m) + 2 sqrt(lambda_max(N)) sum_j rho_j)^2,
+    which no row of F exceeds. ``CandidateSet.grid_max`` accepts on the
+    bound and sweeps every row of F to reject.
 
     Proof: |f|_N = sqrt(f'Nf) is a seminorm with |r|_N <= sqrt(lambda_max) |r|.
     On a line of an affine axis j, f = a + g b + r with |r| <= rho_j
@@ -334,8 +348,6 @@ def kept_max(
     whose |f|_N is at most sqrt(m). The certificates' N are PSD by
     construction, V diag(d >= 0) V', up to rounding.
     """
-    if screened is None:
-        return None
     kept, rho = screened
     sens = sweep(F[kept], N)
     at = int(np.argmax(sens))

@@ -12,11 +12,11 @@ Each evaluation of the objective decomposes M(w) once, with a bare ``eigh``
 Hessian at the point it starts from only, never at a line-search trial it
 rejects; the refined value goes to ``history`` as the loop left it. Each
 outer iteration builds the certificate of M(w) and checks the normality
-inequality of its N on the full grid (``_violation``): on a screened grid the
-bound from the kept rows (``models.kept_max``) accepts within
-``kkt_tol``, and only a larger bound sweeps every row, which also finds the
-violators. The certificate's eigenbasis Z is computed only when first read,
-which the loop never does.
+inequality of its N on the full grid (``_violation``) with
+``CandidateSet.grid_max``: on a screened grid the kept rows' bound accepts
+within ``kkt_tol``, and only a larger bound sweeps every row, which also
+finds the violators. The certificate's eigenbasis Z is computed only when
+first read, which the loop never does.
 
 D on a two-factor model that can be additive with an intercept or a Kronecker
 product of its marginal models (the span of f on each axis line) starts from
@@ -42,13 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import Certificate, _tight_truncation, build_certificate, verdict
+from .certificates import Certificate, build_certificate, verdict
 from .conditional import _has_constants, marginal_model
 from .criteria import _SING_REL, NEG_INF, Criterion
 from .designs import Design, gram, merge_close, prune, sweep
 from .errors import DegenerateModelError, NoConditionalModelError
 from .errors import TruncationSlackError, ValidationError
-from .models import CandidateSet, DesignSpace, ModelSpec, gram_rank, kept_max
+from .models import CandidateSet, DesignSpace, ModelSpec, gram_rank
 
 MAX_INNER_ITERS = 3000  # Newton budget of a final weight polish
 WEIGHT_FLOOR = 1e-6     # atoms below this are pruned before reporting
@@ -79,7 +79,8 @@ class SolveReport:
     product or the screened subset's optimum, see the module docstring)
     reports its full-grid iterations only, 1 when the start certifies.
     ``converged`` is ``certify``'s verdict at ``kkt_tol`` on ``certificate``,
-    the dual matrix (singular eigenvalues floored) of the last full-grid check.
+    the dual matrix (singular eigenvalues floored) of the last full-grid check
+    (``CandidateSet.grid_max``).
     """
 
     design: Design
@@ -435,6 +436,9 @@ def solve(
         )
 
     init = opts.init
+    # refine_weights's guard: E weights on a support that does not span have no certificate
+    if criterion.p == NEG_INF and isinstance(init, Design) and gram_rank(model.eval_many(init.points)) < k:
+        raise DegenerateModelError("E needs a start design that spans the regression space")
     if criterion.p == 0 and not isinstance(init, Design):
         init = _marginal_product(model, candidates, opts) or init
     if not isinstance(init, Design):
@@ -445,7 +449,7 @@ def solve(
 def _exchange(model, candidates, criterion, opts, init) -> SolveReport:
     """The outer exchange loop of ``solve`` from ``init``, a Design or the spread start."""
     k = model.k
-    F_all, screened = candidates.features(model), candidates.screen_with_residuals(model)
+    F_all = candidates.features(model)
     if isinstance(init, Design):
         sup_pts = np.array(init.points, dtype=float)
         w = np.array(init.weights, dtype=float)
@@ -462,9 +466,7 @@ def _exchange(model, candidates, criterion, opts, init) -> SolveReport:
         outer += 1
         # a short Newton budget per iteration; the full one is spent in the final polish
         w, value = _refine(F_sup, w, criterion, inner_tol, 300)
-        sens_all, viol, cert = _violation(
-            model, candidates, criterion, F_sup, w, F_all, screened, opts.kkt_tol
-        )
+        sens_all, viol, cert = _violation(model, candidates, criterion, F_sup, w, opts.kkt_tol)
         history.append(value)
         if viol <= opts.kkt_tol:
             break
@@ -486,7 +488,7 @@ def _exchange(model, candidates, criterion, opts, init) -> SolveReport:
     F_sup = model.eval_many(sup_pts)
     M, support_sens = gram(F_sup, w), sweep(F_sup, cert.N)
     converged = verdict(criterion, M, cert, viol, support_sens, opts.kkt_tol)[0]
-    edge = _tight_truncation(candidates, sens_all, opts.kkt_tol)
+    edge = candidates.tight_truncation(sens_all, opts.kkt_tol)
     if converged and edge is not None:
         raise TruncationSlackError(
             f"normality inequality is tight ({edge:.6f}) at a truncated boundary; "
@@ -525,23 +527,15 @@ def _value(F: np.ndarray, w: np.ndarray, p: float) -> float:
     return float(np.exp(_log_phi(F, w, p)[0]))
 
 
-def _violation(model, candidates, criterion, F_sup, w, F_all, screened, tol):
-    """The certificate of M(w), the sensitivities over the full grid (regression
-    matrix ``F_all``) against it, and their largest excess over 1:
-    (sensitivities, excess, certificate).
-
-    Where the bound from the screen ``screened`` (``models.kept_max``) is
-    within ``tol`` of 1, the excess is the kept set's and no full-grid sweep
-    is made: the sensitivities are None. The loop reads them only past
-    ``tol``, and a truncated grid, whose boundary rows ``_tight_truncation``
-    reads, has no screen here (``CandidateSet.screen_with_residuals``).
+def _violation(model, candidates, criterion, F_sup, w, tol):
+    """The certificate of M(w), the sensitivities over the full grid against
+    it, and their largest excess over 1: (sensitivities, excess, certificate),
+    from ``CandidateSet.grid_max`` at ``tol``. Where the screen's kept rows
+    accept, the sensitivities are None, which the loop reads only past ``tol``.
     """
     cert = build_certificate(criterion, gram(F_sup, w), model, candidates, floor_singular=True)
-    kept = kept_max(F_all, screened, cert.N)
-    if kept is not None and kept[2] - 1.0 <= tol:
-        return None, kept[0] - 1.0, cert
-    sens_all = sweep(F_all, cert.N)
-    return sens_all, float(sens_all.max() - 1.0), cert
+    sens_all, _, worst = candidates.grid_max(model, cert.N, tol)
+    return sens_all, worst - 1.0, cert
 
 
 def _consolidate(model, candidates, criterion, inner_tol, state, threshold):
@@ -551,7 +545,8 @@ def _consolidate(model, candidates, criterion, inner_tol, state, threshold):
     neighboring candidates. The cleanup drops atoms below ``WEIGHT_FLOOR``,
     merges atoms within 4.5 grid steps (between the lattice distances
     sqrt(20) and 5, so no merge hinges on rounding), refines the weights with
-    the full inner budget and checks the full grid once. The result replaces
+    the full inner budget and checks the grid once (``_violation``, which
+    accepts on the screen's kept rows where they decide). The result replaces
     ``state`` (support, weights, sensitivities, violation, certificate) if
     its violation is within ``threshold``. A cleanup that drops only atoms of
     weight <= 1e-15, which the report drops anyway, is skipped.
@@ -564,8 +559,5 @@ def _consolidate(model, candidates, criterion, inner_tol, state, threshold):
         return state
     F_sup = model.eval_many(d.points)
     w2 = _refine(F_sup, d.weights.copy(), criterion, inner_tol, MAX_INNER_ITERS)[0]
-    sens2, viol2, cert2 = _violation(
-        model, candidates, criterion, F_sup, w2,
-        candidates.features(model), candidates.screen_with_residuals(model), threshold,
-    )
+    sens2, viol2, cert2 = _violation(model, candidates, criterion, F_sup, w2, threshold)
     return (d.points.copy(), w2, sens2, viol2, cert2) if viol2 <= threshold else state

@@ -559,6 +559,20 @@ def test_solve_non_convergence_exits_3(tmp_path, model21):
     assert report["converged"] is False
 
 
+def test_e_solve_from_a_start_that_does_not_span_exits_2(tmp_path, capsys):
+    # a one-atom start once ended in a numpy LinAlgError and its traceback
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"family": "interaction-2f", "params": {}}))
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({"atoms": [{"x": [0.5, 0.5], "w": 1.0}]}))
+    argv = ["solve", "--model", str(model), "--steps", "0.05", "--criterion", "E"]
+    code = main(argv + ["--init-design", str(init), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "start design" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_geometry_on_suboptimal_design_exits_3(tmp_path, model21):
     bad = tmp_path / "bad.json"
     bad.write_text(

@@ -554,17 +554,23 @@ def test_screen_residual_is_at_rounding_level_on_the_catalog(family, params):
     grid = discretize(m.space, 0.02)
     F = grid.features(m)
     kept, rho = models_module._screen(F, grid.product_axes)
-    assert grid.screen_with_residuals(m) == (grid.screen(m), rho)
     assert np.array_equal(grid.screen(m), kept)
     assert max(rho) <= 1e-14 * np.abs(F).max()
     N = random_psd(np.random.default_rng(0), m.k)
-    assert models_module.kept_max(F, (kept, rho), N)[2] >= sweep(F, N).max()
+    top, i, bound = models_module.kept_max(F, (kept, rho), N)
+    assert bound >= sweep(F, N).max()
+    # the grid checks on its own kept rows and residuals: their bound meets this tol
+    assert grid.grid_max(m, N, bound - 1.0) == (None, i, top)
 
 
 def test_kept_max_is_off_on_a_truncated_grid():
-    # the truncation check reads the boundary rows, which the kept set may lack
+    # the truncation check reads the boundary rows, which the kept set may
+    # lack: a tol the kept bound meets still sweeps every row
     m = make_model("xexp-decay", space=truncate(interval(0.0, 0.5), 0, 0.5), rate=1.0)
     cands = discretize(m.space, 0.01)
     assert cands.screen(m) is not None
-    assert cands.screen_with_residuals(m) is None
-    assert models_module.kept_max(cands.features(m), None, np.eye(m.k)) is None
+    N = np.eye(m.k)
+    sens, row, worst = cands.grid_max(m, N, 1e9)
+    assert np.array_equal(sens, sweep(cands.features(m), N))
+    assert row == int(np.argmax(sens)) and worst == sens.max()
+    assert cands.tight_truncation(sens, 1e-5) == sens[-1]

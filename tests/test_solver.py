@@ -592,6 +592,23 @@ def test_user_init_design(line2f):
     assert rep.design.m == 3
 
 
+# starts of 1, 2 and 3 atoms on interaction-2f (k = 4), none of which spans
+_SHORT_STARTS = ([[0.5, 0.5]], [[0.0, 0.0], [1.0, 1.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("points", _SHORT_STARTS, ids=["1-atom", "2-atom", "3-atom"])
+def test_e_solve_from_a_start_that_does_not_span_is_degenerate(points):
+    # E refinement on such a support cut mu until it underflowed (a numpy
+    # LinAlgError) or built a singular certificate; D, A and p:0.5 converge
+    m = make_model("interaction-2f")
+    cands = default_candidates(m, 0.05)
+    opts = SolverOptions(init=design(points))
+    with pytest.raises(DegenerateModelError, match="start design"):
+        solve(m, cands, parse_criterion("E", m.k), opts)
+    for crit in ("D", "A", "p:0.5"):
+        assert solve(m, cands, parse_criterion(crit, m.k), opts).converged
+
+
 def test_solver_certificate_agreement(line2f):
     cands = discretize(line2f.space, 0.05)
     opts = SolverOptions()
