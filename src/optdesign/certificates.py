@@ -20,7 +20,7 @@ import numpy as np
 
 from .criteria import _SING_REL, NEG_INF, Criterion, finite_p_dual
 from .criteria import phi, polar, psd_eig
-from .designs import Design, components, gram, sweep
+from .designs import SWEEP_BLOCK, Design, components, gram, sweep
 from .errors import InconsistencyError, ValidationError
 from .models import FAMILIES, CandidateSet, ModelSpec, make_model
 
@@ -98,19 +98,25 @@ class GarzaReport:
 
 
 def _row_norms2(F: np.ndarray) -> np.ndarray:
-    """||f_i||^2 for every row f_i of F, summed column by column.
+    """||f_i||^2 for every row f_i of F, summed column by column in blocks
+    of ``SWEEP_BLOCK`` rows.
 
-    No n x k temporary is made, and the columns of a column-major F are
-    contiguous. Adding the k squared columns in order is bit-identical to
-    ``(F**2).sum(axis=1)`` for k < 8, where numpy's row sum is a plain
+    The result is the only n-vector made, and the columns of a column-major
+    F are contiguous. Adding the k squared columns in order is bit-identical
+    to ``(F**2).sum(axis=1)`` for k < 8, where numpy's row sum is a plain
     left-to-right loop; from k = 8 on numpy sums pairwise and the two differ
     by rounding.
     """
-    out = np.square(F[:, 0])
-    col = np.empty_like(out)
-    for j in range(1, F.shape[1]):
-        np.square(F[:, j], out=col)
-        out += col
+    n = F.shape[0]
+    out = np.empty(n)
+    col = np.empty(min(n, SWEEP_BLOCK))
+    for start in range(0, n, SWEEP_BLOCK):
+        dest, blk = out[start : start + SWEEP_BLOCK], F[start : start + SWEEP_BLOCK]
+        np.square(blk[:, 0], out=dest)
+        for j in range(1, F.shape[1]):
+            term = col[: dest.size]
+            np.square(blk[:, j], out=term)
+            dest += term
     return out
 
 
@@ -317,7 +323,7 @@ def certify(
         optimal=optimal,
         duality_products=(tr, product),
         max_violation=max(viol, 0.0),
-        violating_point=candidates.points[j].copy() if viol > tol else None,
+        violating_point=candidates.rows([j])[0] if viol > tol else None,
         support_equalities=support_sens,
         certificate=cert,
     )
@@ -386,10 +392,20 @@ def polytope_report(
 
 def _biggest_bucket(norms2: np.ndarray, norm_tol: float) -> int:
     """Size of the largest bucket of the sorted values, a bucket ending
-    wherever consecutive sorted values are more than ``norm_tol`` apart."""
-    sorted_vals = np.sort(norms2)
-    ends = np.concatenate([np.flatnonzero(np.diff(sorted_vals) > norm_tol), [norms2.size - 1]])
-    return int(np.diff(ends, prepend=-1).max())
+    wherever consecutive sorted values are more than ``norm_tol`` apart.
+
+    The sorted copy is the one n-vector made: its gaps are read
+    ``SWEEP_BLOCK`` at a time, and a run that crosses a block edge carries
+    its start into the next block.
+    """
+    s = np.sort(norms2)
+    biggest, start = 0, 0  # start: the first index of the current run
+    for lo in range(0, s.size - 1, SWEEP_BLOCK):
+        starts = np.flatnonzero(np.diff(s[lo : lo + SWEEP_BLOCK + 1]) > norm_tol) + (lo + 1)
+        if starts.size:
+            biggest = max(biggest, int(np.diff(starts, prepend=start).max()))
+            start = int(starts[-1])
+    return max(biggest, s.size - start)
 
 
 def garza_report(model: ModelSpec, candidates: CandidateSet, norm_tol: float = 1e-7) -> GarzaReport:
@@ -400,6 +416,8 @@ def garza_report(model: ModelSpec, candidates: CandidateSet, norm_tol: float = 1
     bound them by N*k. The largest bucket's size is computed once per grid,
     model and tolerance and kept beside the regression matrix, under its
     snapshot; ``norm_values`` is computed on every call and is the caller's.
+    Beside it, the first call holds one n-sized temporary, the sorted copy
+    ``_biggest_bucket`` reads, and no call forms the grid's points.
     """
     if not norm_tol >= 0:  # also rejects NaN
         raise ValidationError(f"norm tolerance must be nonnegative, got {norm_tol:g}")
@@ -411,9 +429,11 @@ def garza_report(model: ModelSpec, candidates: CandidateSet, norm_tol: float = 1
     k = model.k
     note = None
     if candidates.space.dimension == 1 and len(candidates) > 1:
-        xs = candidates.points[:, 0]
-        xorder = np.argsort(xs, kind="stable")
-        diffs = np.diff(norms2[xorder])
+        # a one-axis product is its strictly increasing axis, already in order
+        along = norms2
+        if candidates.product_axes is None:
+            along = norms2[np.argsort(candidates.points[:, 0], kind="stable")]
+        diffs = np.diff(along)
         if np.all(diffs > 0):
             note = "norm map strictly increasing along the predictor axis"
         elif np.all(diffs < 0):

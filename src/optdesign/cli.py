@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -155,35 +156,35 @@ def _format_17g(x: np.ndarray) -> np.ndarray:
     return text
 
 
-def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
-    """Header line, then one line per row of ``table`` with every value in %.17g.
+def _write_csv(path: Path, name: str, axes: tuple, values: np.ndarray) -> None:
+    """The grid of ``axes`` (``CandidateSet.product_axes``) with one value
+    per point: a header line, then one line per point in grid order, its
+    coordinates and then its value, every number in %.17g.
 
-    The columns are a grid's point coordinates, then one value per point.
-    Each distinct value of a coordinate column is formatted once per table:
-    grid coordinates repeat heavily, and values are matched on their bit
-    patterns, which keeps ``-0.0`` apart from ``0.0``. Rows are then written
-    CSV_BLOCK at a time, each gathering its coordinates' text, so the text of
-    a grid-sized table is never held whole in memory. The value column
-    repeats little, so each block formats it as it stands. Each value fills
-    fixed byte slots whose unused ones hold 0 bytes; the block's bytes are
-    written with those deleted.
+    The grid's points are never formed. Each axis's coordinates are
+    formatted once, and row r reads the text of coordinate
+    ``r // stride % size`` of each axis, the last axis varying fastest. Rows
+    are written CSV_BLOCK at a time, so the text of a grid-sized table is
+    never held whole in memory. The values repeat little, so each block
+    formats its own. Each number fills fixed byte slots whose unused ones
+    hold 0 bytes; the block's bytes are written with those deleted.
     """
-    n, ncol = table.shape
-    coords = []  # (text of each distinct value, index of each row's value) per column
-    for j in range(ncol - 1):
-        bits, inverse = np.unique(table[:, j].view(np.int64), return_inverse=True)
-        coords.append((_format_17g(bits.view(np.float64)), inverse))
-    slots = np.empty((min(n, CSV_BLOCK), ncol, _WIDTH + 1), np.uint8)
+    q = len(axes)
+    sizes = [a.size for a in axes]
+    strides = [math.prod(sizes[j + 1 :]) for j in range(q)]
+    texts = [_format_17g(a) for a in axes]
+    n = values.size
+    slots = np.empty((min(n, CSV_BLOCK), q + 1, _WIDTH + 1), np.uint8)
     slots[:, :, _WIDTH] = ord(",")
     slots[:, -1, _WIDTH] = ord("\n")
     with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode("utf-8"))
+        fh.write((",".join([f"x{j}" for j in range(q)] + [name]) + "\n").encode("utf-8"))
         for start in range(0, n, CSV_BLOCK):
-            block = table[start : start + CSV_BLOCK]
-            rows = slots[: block.shape[0]]
-            for j, (text, inverse) in enumerate(coords):
-                rows[:, j, :_WIDTH] = np.take(text, inverse[start : start + CSV_BLOCK], axis=0)
-            rows[:, -1, :_WIDTH] = _format_17g(block[:, -1])
+            r = np.arange(start, min(start + CSV_BLOCK, n))
+            rows = slots[: r.size]
+            for j, (text, stride, size) in enumerate(zip(texts, strides, sizes)):
+                rows[:, j, :_WIDTH] = np.take(text, r // stride % size, axis=0)
+            rows[:, -1, :_WIDTH] = _format_17g(values[start : start + CSV_BLOCK])
             fh.write(rows.tobytes().translate(None, b"\0"))
 
 
@@ -229,11 +230,7 @@ def _parse_slice_map(text: str) -> SliceMap:
 def _write_sensitivity(out: Path, model, candidates, certificate) -> None:
     """sensitivity.csv: every candidate with its sensitivity f(x)^T N f(x)."""
     sens = sweep(candidates.features(model), certificate.N)
-    _write_csv(
-        out / "sensitivity.csv",
-        [f"x{i}" for i in range(candidates.points.shape[1])] + ["sensitivity"],
-        np.column_stack((candidates.points, sens)),
-    )
+    _write_csv(out / "sensitivity.csv", "sensitivity", candidates.product_axes, sens)
 
 
 def _write_certificate(out: Path, model, candidates, certificate) -> None:
@@ -329,12 +326,7 @@ def cmd_garza(args) -> int:
         "saturation_bound": rep.saturation_bound,
         "monotone_axis_note": rep.monotone_axis_note,
     })
-    q = cands.points.shape[1]
-    _write_csv(
-        out / "norms.csv",
-        [f"x{i}" for i in range(q)] + ["norm_sq"],
-        np.column_stack((cands.points, rep.norm_values)),
-    )
+    _write_csv(out / "norms.csv", "norm_sq", cands.product_axes, rep.norm_values)
     print(f"garza: injective={rep.injective} bound={rep.saturation_bound}")
     return EXIT_OK
 

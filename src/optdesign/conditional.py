@@ -24,6 +24,7 @@ whose dual bound is the proof that no gap of material trace exists.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -80,13 +81,23 @@ class SliceMap:
 class ConditionalModel:
     """f on the slice t(x) = t as f~ = U^T f, where the lift U (k x r) is an
     orthonormal basis of the span of f there; ``eval_many`` gives f(x)^T U.
-    ``grid`` is the slice grid the lift was taken on and the audit searches."""
+    ``grid`` is the slice grid the lift was taken on and the audit searches.
+    The lift and the grid are made read-only, and the key a candidate grid
+    keeps of the model (``CandidateSet.features``) is computed once, from
+    the parent model's key, the lift, t and the grid."""
 
     model: ModelSpec
     lift: np.ndarray  # (k, r), orthonormal columns
     slice_space: str
     t: float
     grid: np.ndarray = field(repr=False)  # (n, 2) points of the slice grid
+    _key: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.lift.setflags(write=False)
+        self.grid.setflags(write=False)
+        parts = (self.lift.shape, self.lift.tobytes(), self.t, self.grid.tobytes())
+        object.__setattr__(self, "_key", pickle.dumps((self.model._key, *parts)))
 
     @property
     def k(self) -> int:
@@ -159,7 +170,7 @@ def slice_grid(model: ModelSpec, tmap: SliceMap, t: float, step: float = 0.01) -
     _check_slicing(model, tmap)
     bounds = model.space.bounds
     if tmap.kind == "coordinate":
-        grid = discretize(interval(*bounds[1 - tmap.axis]), step).points[:, 0]
+        grid = discretize(interval(*bounds[1 - tmap.axis]), step).product_axes[0]
         pts = np.full((grid.size, 2), float(t))
         pts[:, 1 - tmap.axis] = grid
         return pts
@@ -173,7 +184,7 @@ def slice_grid(model: ModelSpec, tmap: SliceMap, t: float, step: float = 0.01) -
     if hi - lo < 1e-12:
         xs = np.array([0.5 * (lo + hi)])
     else:
-        xs = discretize(interval(lo, hi), step).points[:, 0]
+        xs = discretize(interval(lo, hi), step).product_axes[0]
     return np.stack([xs, (t - a1 * xs) / a2], axis=1)
 
 
@@ -185,8 +196,6 @@ def _conditional(model, tmap: SliceMap, t: float, grid: np.ndarray, F: np.ndarra
     U = np.linalg.svd(F, full_matrices=False)[2][: gram_rank(F)].T
     U *= np.sign(U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])])
     U += 0.0  # a sign flip turns 0.0 into -0.0; the lift's zeros stay unsigned
-    U.setflags(write=False)
-    grid.setflags(write=False)
     if tmap.kind == "coordinate":
         return ConditionalModel(model, U, f"x{tmap.axis}={t:g}", t, grid)
     a1, a2 = tmap.coeffs

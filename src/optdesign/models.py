@@ -12,8 +12,10 @@ from __future__ import annotations
 import json
 import math
 import pickle
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -92,33 +94,27 @@ def truncate(space: DesignSpace, axis: int, new_hi: float) -> DesignSpace:
     return DesignSpace(tuple(bounds), tuple(sorted({*space.truncated, axis})))
 
 
-@dataclass(frozen=True)
 class CandidateSet:
     """Finite list of grid points inside a design space.
 
     Points must be pairwise distinct under float equality, so ``0.0`` and
-    ``-0.0`` are the same point.
+    ``-0.0`` are the same point. ``CandidateSet(space, points, steps)`` keeps
+    the (n, q) points it is given. A grid from ``discretize`` keeps its axes
+    instead and forms ``points`` on each call, keeping none: every hot path
+    reads rows by index (``rows``), so such a grid holds its regression
+    matrix (n k 8 bytes, see ``features``) and its axes. Immutable.
     """
 
-    space: DesignSpace
-    points: np.ndarray  # (n, q)
-    steps: tuple[float, ...]  # effective per-axis grid step
-    # (snapshot of the model, its read-only regression matrix, a dict of what
-    # is derived from it: "rank", "screen" and ("garza", norm_tol) once asked);
-    # see features()
-    _features: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "steps", tuple(float(s) for s in self.steps))
+    def __init__(self, space: DesignSpace, points, steps):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[0] == 0:
             raise ValidationError("candidate set must be nonempty")
-        if pts.shape[1] != self.space.dimension:
+        if pts.shape[1] != space.dimension:
             raise ValidationError("candidate points do not match space dimension")
-        if not np.all(self.space.contains(pts)):
+        if not np.all(space.contains(pts)):
             raise ValidationError("candidate point outside design-space bounds")
         pts.setflags(write=False)
+        self._init(space, steps, pts, None)
         if self.product_axes is not None:
             return  # strictly increasing axes in an exact product: distinct rows
         order = np.lexsort(pts.T)  # equal rows end up adjacent
@@ -129,8 +125,60 @@ class CandidateSet:
         if same.any():
             raise ValidationError("candidate points must be pairwise distinct")
 
+    @classmethod
+    def _product(cls, space: DesignSpace, axes: tuple, steps) -> CandidateSet:
+        """The grid of the strictly increasing ``axes``, in ``discretize``
+        order (the last axis varying fastest), held as its axes."""
+        for a in axes:
+            a.setflags(write=False)
+        grid = cls.__new__(cls)
+        grid._init(space, steps, None, axes)
+        return grid
+
+    def _init(self, space, steps, points, axes) -> None:
+        # _features: (snapshot key of the model, its read-only regression
+        # matrix, a dict of what is derived from it: "rank", "screen" and
+        # ("garza", norm_tol) once asked); see features()
+        self.__dict__.update(
+            space=space, steps=tuple(float(s) for s in steps), _points=points, _axes=axes,
+            _features=None,
+        )
+        if axes is not None:
+            self.__dict__["product_axes"] = axes
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CandidateSet is immutable: cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return f"CandidateSet({len(self)} points, steps={self.steps})"
+
     def __len__(self) -> int:
-        return self.points.shape[0]
+        if self._axes is None:
+            return self._points.shape[0]
+        return math.prod(a.size for a in self._axes)
+
+    @property
+    def points(self) -> np.ndarray:
+        """Read-only (n, q) array of the candidates. A product grid forms it
+        on each call (``_mesh``) and keeps none."""
+        return self._points if self._axes is None else _mesh(self._axes)
+
+    def rows(self, idx) -> np.ndarray:
+        """``points[idx]`` for an index array or a slice, not to be written.
+        A product grid forms only those rows, from its axes: a run of rows
+        by ``_product_run``, any other rows by their axis indices."""
+        if self._axes is None:
+            return self._points[idx]
+        if isinstance(idx, slice):
+            start, stop, step = idx.indices(len(self))
+            if step == 1 and stop > start:
+                return _product_run(self._axes, start, stop)
+            idx = np.arange(start, stop, step)
+        subs = np.unravel_index(np.asarray(idx, dtype=np.intp), [a.size for a in self._axes])
+        out = np.empty((subs[0].size, len(self._axes)))
+        for j, (a, i) in enumerate(zip(self._axes, subs)):
+            out[:, j] = a[i]
+        return out
 
     @property
     def max_step(self) -> float:
@@ -143,19 +191,22 @@ class CandidateSet:
         rows, so no second n x k copy is ever held, and it is laid out for
         ``sweep``, which reads its columns as the rows of F^T. The grid keeps
         the matrix of the last model (a ``ModelSpec`` or a ``ConditionalModel``)
-        evaluated on it and hands it out again while the model's pickled bytes
-        equal their snapshot from the fill: equal bytes mean equal values, and
-        a params dict mutated since the fill misses.
+        evaluated on it and hands it out again while the model's key equals
+        its snapshot from the fill (``_model_key``): both models are
+        immutable and compute their key once, so equal keys mean equal
+        values. Each block of rows is formed by ``rows``.
         """
         return self._feature_entry(model)[1]
 
     def features_rank(self, model) -> int:
-        """``gram_rank(self.features(model))``, an SVD of the whole grid.
+        """``gram_rank`` of ``self.features(model)``, from the singular values
+        of the k x k R of a QR taken ``SWEEP_BLOCK`` rows at a time
+        (``_stacked_r``), so no n x k copy is made.
 
         Computed on the first call and kept beside the matrix, under the same
         snapshot, so a refill with another model computes it again.
         """
-        return self._derived(model, "rank", gram_rank)
+        return self._derived(model, "rank", lambda F: gram_rank(_stacked_r(F)))
 
     def screen(self, model) -> np.ndarray | None:
         """Ascending indices of the candidates kept by the de la Garza screen.
@@ -205,21 +256,30 @@ class CandidateSet:
 
     def tight_truncation(self, sens: np.ndarray, tol: float) -> float | None:
         """The largest of ``sens`` (``grid_max``'s sweep) on the upper boundary
-        of a truncated axis, if it is at least 1 - 10 tol, else None."""
+        of a truncated axis, if it is at least 1 - 10 tol, else None. On a
+        product, the boundary rows are read as a slab of ``sens`` laid out on
+        the grid's shape."""
+        axes = self.product_axes
         worst = -np.inf
         for j in self.space.truncated:
             hi = self.space.bounds[j][1]
-            on_edge = np.abs(self.points[:, j] - hi) <= 1e-12 * max(abs(hi), 1.0)
-            worst = max(worst, float(sens[on_edge].max(initial=-np.inf)))
+            eps = 1e-12 * max(abs(hi), 1.0)
+            if axes is None:
+                edge = sens[np.abs(self.points[:, j] - hi) <= eps]
+            else:
+                on_edge = np.abs(axes[j] - hi) <= eps
+                edge = sens.reshape([a.size for a in axes]).compress(on_edge, axis=j)
+            worst = max(worst, float(edge.max(initial=-np.inf)))
         return worst if worst >= 1.0 - 10.0 * tol else None
 
     @cached_property
     def product_axes(self) -> tuple[np.ndarray, ...] | None:
-        """Distinct coordinates of each axis, ascending, when the points are
-        exactly their product in ``discretize`` order (the last axis varying
-        fastest), else None. Computed once: ``points`` is read-only.
+        """Distinct coordinates of each axis, ascending and read-only, when the
+        points are exactly their product in ``discretize`` order (the last
+        axis varying fastest), else None. A grid from ``discretize`` is its
+        axes; for given points this is computed once, as they are read-only.
         """
-        pts = self.points
+        pts = self._points
         n = pts.shape[0]
         axes = []
         period = n  # rows per full cycle of the current axis
@@ -233,7 +293,9 @@ class CandidateSet:
                 return None
             if not np.all(col.reshape(n // period, coords.size, run) == coords[:, None]):
                 return None
-            axes.append(coords.copy())
+            coords = coords.copy()
+            coords.setflags(write=False)
+            axes.append(coords)
             period = run
         return tuple(axes) if period == 1 else None
 
@@ -245,16 +307,53 @@ class CandidateSet:
         return derived[name]
 
     def _feature_entry(self, model) -> tuple:
-        key = pickle.dumps(model)
+        key = _model_key(model)
         if self._features is None or self._features[0] != key:
             n = len(self)
             F = np.empty((n, model.k), order="F")
             for start in range(0, n, SWEEP_BLOCK):
                 rows = slice(start, start + SWEEP_BLOCK)
-                F[rows] = model.eval_many(self.points[rows])
+                F[rows] = model.eval_many(self.rows(rows))
             F.setflags(write=False)
             object.__setattr__(self, "_features", (key, F, {}))
         return self._features
+
+
+def _mesh(axes: tuple) -> np.ndarray:
+    """Every row of the product of ``axes``, read-only: a grid's points."""
+    pts = _product_run(axes, 0, math.prod(a.size for a in axes))
+    pts.setflags(write=False)
+    return pts
+
+
+def _product_run(axes: tuple, start: int, stop: int) -> np.ndarray:
+    """Rows ``start`` to ``stop`` of the product of ``axes`` (the last axis
+    varying fastest). Axis j repeats each coordinate s_j times, s_j the size
+    of the axes after it, so its column is the coordinates the run touches,
+    tiled around the axis and repeated, the first and last cut to the run."""
+    out = np.empty((stop - start, len(axes)))
+    s = 1
+    for j in reversed(range(len(axes))):
+        a = axes[j]
+        lo, hi = start // s, (stop - 1) // s  # the repeats of axis j the run touches
+        off = lo % a.size
+        seq = np.tile(a, -(-(off + hi - lo + 1) // a.size))[off : off + hi - lo + 1]
+        if s > 1:
+            counts = np.full(seq.size, s)
+            counts[0] -= start - lo * s
+            counts[-1] -= (hi + 1) * s - stop
+            seq = np.repeat(seq, counts)
+        out[:, j] = seq
+        s *= a.size
+    return out
+
+
+def _model_key(model) -> bytes:
+    """The snapshot a grid keeps of the model its regression matrix belongs
+    to: the key a ``ModelSpec`` or ``ConditionalModel`` computed once, or
+    the pickled bytes of any other model."""
+    key = getattr(model, "_key", None)
+    return pickle.dumps(model) if key is None else key
 
 
 # a line passes the affine test when its differences from its first row are,
@@ -303,8 +402,9 @@ def _axis_keep(cols: list) -> tuple[np.ndarray, float]:
     the screen's proof is exact up to rho (``kept_max``). R is formed from
     D, as |D|^2 - |D u|^2 would cancel to about 1e-8 |D|. Any other axis
     keeps all of its coordinates, with rho 0. Lines are tested in blocks of
-    about ``SWEEP_BLOCK`` rows over both line indices, and the first block
-    with a failing line ends the test.
+    about ``SWEEP_BLOCK`` rows over both line indices, each block's D
+    subtracted into one contiguous buffer made once per axis, and the first
+    block with a failing line ends the test.
     """
     outer, m, inner = cols[0].shape
     spread = np.array([np.ptp(c, axis=1) for c in cols])
@@ -315,11 +415,15 @@ def _axis_keep(cols: list) -> tuple[np.ndarray, float]:
         return np.arange(1), 0.0
     u /= norm
     db = min(inner, max(1, SWEEP_BLOCK // m))
-    da = max(1, SWEEP_BLOCK // (m * db))
+    da = min(outer, max(1, SWEEP_BLOCK // (m * db)))
+    buf = np.empty(len(cols) * da * m * db)
     rho2 = 0.0
     for a in range(0, outer, da):
         for b in range(0, inner, db):
-            D = np.stack([c[a : a + da, :, b : b + db] - c[a : a + da, :1, b : b + db] for c in cols])
+            na, nb = min(da, outer - a), min(db, inner - b)
+            D = buf[: len(cols) * na * m * nb].reshape(len(cols), na, m, nb)
+            for c, d in zip(cols, D):
+                np.subtract(c[a : a + da, :, b : b + db], c[a : a + da, :1, b : b + db], out=d)
             along = np.einsum("ciml,m->cil", D, u)
             D -= along[:, :, None, :] * u[:, None]
             r2 = np.einsum("ciml,ciml->iml", D, D)  # squared residual of each row
@@ -362,7 +466,8 @@ def discretize(space: DesignSpace, resolution: float | tuple[float, ...] = 0.01)
 
     Per axis the grid has ``floor((hi-lo)/step) + 1`` points; the effective
     step is stretched to ``(hi-lo)/(count-1)`` so the upper endpoint is always
-    on the grid.
+    on the grid. The grid is held as its axes (``CandidateSet``): no n x q
+    array of points is made or kept.
     """
     if not space.is_bounded:
         j = next(i for i, (_, hi) in enumerate(space.bounds) if not math.isfinite(hi))
@@ -388,9 +493,7 @@ def discretize(space: DesignSpace, resolution: float | tuple[float, ...] = 0.01)
         count = max(count, 2)
         axes.append(np.linspace(lo, hi, count))
         eff.append((hi - lo) / (count - 1))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    return CandidateSet(space=space, points=points, steps=tuple(eff))
+    return CandidateSet._product(space, tuple(axes), eff)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +552,7 @@ def _poly_eval(params, X):
 def _wpoly_validate(params):
     _poly_validate(params)
     eff = params.get("efficiency", {"kind": "one"})
-    if not isinstance(eff, dict):
+    if not isinstance(eff, Mapping):
         raise ValidationError("efficiency must be a dict like {'kind': 'exp', 'rate': 1.0}")
     _efficiency_values(eff, np.array([0.0]))
 
@@ -593,12 +696,16 @@ class ModelSpec:
 
     ``eval_many`` returns the n x k matrix of regression vectors; nonlinear
     families return parameter gradients, so every consumer can treat the model
-    as linear.
+    as linear. Once validated, ``params`` is frozen (``_frozen``: lists
+    become tuples, mappings read-only), so the key a grid keeps of the model
+    (``CandidateSet.features``) is computed once, from the family, the
+    frozen params and the space.
     """
 
     family: str
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
     space: DesignSpace = None
+    _key: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -620,6 +727,12 @@ class ModelSpec:
             raise ValidationError(
                 f"{self.family} needs a {fam.dim}-dimensional space, got {self.space.dimension}"
             )
+        object.__setattr__(self, "params", _frozen(self.params))
+        key = pickle.dumps((self.family, _plain(self.params), self.space))
+        object.__setattr__(self, "_key", key)
+
+    def __reduce__(self):
+        return ModelSpec, (self.family, _plain(self.params), self.space)
 
     @property
     def k(self) -> int:
@@ -641,6 +754,27 @@ class ModelSpec:
         return F
 
 
+def _frozen(value):
+    """``value`` with every mapping made read-only and every list, tuple or
+    array made a tuple, at every depth."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(v) for v in value)
+    return value
+
+
+def _plain(value):
+    """Frozen params as a model file holds them: dicts and lists."""
+    if isinstance(value, Mapping):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
 def make_model(family: str, space: DesignSpace | None = None, **params) -> ModelSpec:
     return ModelSpec(family=family, params=params, space=space)
 
@@ -648,6 +782,16 @@ def make_model(family: str, space: DesignSpace | None = None, **params) -> Model
 def eval_f(model: ModelSpec, x) -> np.ndarray:
     """Regression vector f(x) at a single point."""
     return model.eval_many(np.atleast_2d(np.asarray(x, dtype=float)))[0]
+
+
+def _stacked_r(F: np.ndarray) -> np.ndarray:
+    """The R of a QR of F, folded ``SWEEP_BLOCK`` rows at a time: each block
+    is stacked under the R so far and factored again. R has the singular
+    values of F, and no copy of F is made."""
+    R = np.empty((0, F.shape[1]))
+    for start in range(0, F.shape[0], SWEEP_BLOCK):
+        R = np.linalg.qr(np.vstack([R, F[start : start + SWEEP_BLOCK]]), mode="r")
+    return R
 
 
 def gram_rank(F: np.ndarray) -> int:
@@ -732,7 +876,7 @@ def model_to_dict(model: ModelSpec, steps: tuple | None = None) -> dict:
     }
     if steps is not None:
         sp["steps"] = list(steps)
-    return {"family": model.family, "params": model.params, "space": sp}
+    return {"family": model.family, "params": _plain(model.params), "space": sp}
 
 
 def load_model(path) -> tuple[ModelSpec, tuple | None]:

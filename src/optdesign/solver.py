@@ -310,32 +310,45 @@ def _refine(F, w, criterion: Criterion, tol, max_iter):
     return w, float(np.exp(log_value))
 
 
-def _spread_indices(points: np.ndarray, F: np.ndarray, k: int, rng) -> list[int]:
-    """k+1 max-min-distance points from a seeded start, extended until F spans.
+def _spread_indices(candidates: CandidateSet, F: np.ndarray, k: int, rng) -> list[int]:
+    """Indices of k+1 max-min-distance candidates from a seeded start,
+    extended until F spans.
 
-    Squared distances are built column by column from strided views of
-    ``points`` into reused n-vectors, so no n x q temporary is made. Adding
-    the q squared columns in order is bit-identical to
-    ``((points - p) ** 2).sum(axis=1)`` for q < 8, where numpy's row sum is
-    a plain left-to-right loop, so the chosen indices are the same.
+    Squared distances are summed axis by axis into reused n-vectors, so no
+    n x q temporary is made. On a product (``product_axes``) each axis's
+    squared differences are formed on its own coordinates and broadcast
+    over the grid's shape, whose flat order is the row order, and the
+    points are never formed; otherwise they are formed from strided columns
+    of the points. Either way the q squared terms of a row are added in
+    order, which is bit-identical to ``((points - p) ** 2).sum(axis=1)`` for
+    q < 8, where numpy's row sum is a plain left-to-right loop, so the
+    chosen indices are the same.
     """
-    n, q = points.shape
-    d2, new, col = np.empty(n), np.empty(n), np.empty(n)
+    n, axes = len(candidates), candidates.product_axes
+    if axes is None:
+        cols = list(candidates.points.T)
+    else:
+        cols = [a.reshape([-1 if i == j else 1 for i in range(len(axes))]) for j, a in enumerate(axes)]
+    d2 = np.empty(np.broadcast_shapes(*(c.shape for c in cols)))
+    new, terms = np.empty_like(d2), {c.shape: np.empty(c.shape) for c in cols}
 
     def squared_distances(i: int, out: np.ndarray) -> None:
-        np.subtract(points[:, 0], points[i, 0], out=out)
-        np.square(out, out=out)
-        for j in range(1, q):
-            np.subtract(points[:, j], points[i, j], out=col)
-            np.square(col, out=col)
-            out += col
+        p = candidates.rows([i])[0]
+        for j, c in enumerate(cols):
+            term = terms[c.shape]
+            np.subtract(c, p[j], out=term)
+            np.square(term, out=term)
+            if j:
+                out += term
+            else:
+                out[...] = term
 
     chosen = [int(rng.integers(n))]
     squared_distances(chosen[0], d2)
     cap = min(n, 3 * k + 6)
     while len(chosen) < cap and (len(chosen) < k + 1 or gram_rank(F[chosen]) < k):
         nxt = int(np.argmax(d2))
-        if d2[nxt] <= 0:
+        if d2.flat[nxt] <= 0:
             break
         chosen.append(nxt)
         squared_distances(nxt, new)
@@ -405,7 +418,7 @@ def _screened_start(model, candidates, criterion, opts) -> Design | None:
     kept = candidates.screen(model)
     if kept is None:
         return None
-    reduced = CandidateSet(candidates.space, candidates.points[kept], candidates.steps)
+    reduced = CandidateSet(candidates.space, candidates.rows(kept), candidates.steps)
     try:
         rep = _exchange(model, reduced, criterion, opts, "spread")
     except TruncationSlackError:
@@ -454,8 +467,8 @@ def _exchange(model, candidates, criterion, opts, init) -> SolveReport:
         sup_pts = np.array(init.points, dtype=float)
         w = np.array(init.weights, dtype=float)
     else:
-        idx = _spread_indices(candidates.points, F_all, k, np.random.default_rng(opts.seed))
-        sup_pts = candidates.points[idx].copy()
+        idx = _spread_indices(candidates, F_all, k, np.random.default_rng(opts.seed))
+        sup_pts = candidates.rows(idx)
         w = np.full(len(idx), 1.0 / len(idx))
     F_sup = model.eval_many(sup_pts)
 
@@ -470,10 +483,10 @@ def _exchange(model, candidates, criterion, opts, init) -> SolveReport:
         history.append(value)
         if viol <= opts.kkt_tol:
             break
-        j = _best_unsupported(sens_all, candidates.points, sup_pts, 1.0 + opts.kkt_tol)
+        j = _best_unsupported(sens_all, candidates, sup_pts, 1.0 + opts.kkt_tol)
         if j is None:
             break  # every violating candidate is already supported
-        sup_pts = np.vstack([sup_pts, candidates.points[j]])
+        sup_pts = np.vstack([sup_pts, candidates.rows([j])])
         F_sup = np.vstack([F_sup, F_all[j]])
         w = np.append(w, 0.0)
     # an unconverged exit (budget or a fully-supported violation set) is
@@ -505,16 +518,16 @@ def _exchange(model, candidates, criterion, opts, init) -> SolveReport:
     )
 
 
-def _best_unsupported(sens, points, sup_pts, threshold) -> int | None:
+def _best_unsupported(sens, candidates, sup_pts, threshold) -> int | None:
     """Index of the largest sensitivity above ``threshold`` among candidates
     not in the support, or None if there is none. The lowest index wins exact
-    ties."""
+    ties. Each row probed is read by ``CandidateSet.rows``."""
     masked = sens
     while True:
         j = int(np.argmax(masked))
         if masked[j] <= threshold:
             return None
-        if not np.any(np.all(np.abs(sup_pts - points[j]) < 1e-15, axis=1)):
+        if not np.any(np.all(np.abs(sup_pts - candidates.rows([j])) < 1e-15, axis=1)):
             return j
         if masked is sens:
             masked = sens.copy()

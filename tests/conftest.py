@@ -47,6 +47,16 @@ def random_psd(rng, s, scale=1.0, jitter=0.0):
     return 0.5 * (M + M.T)
 
 
+class NearlyAffine:
+    """f = (1, x1, x2 + 1e-8 x1^2): x1 is affine in g = x1 up to a residual of about 1e-8."""
+
+    k = 3
+
+    def eval_many(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return np.column_stack([np.ones(len(x)), x[:, 0], x[:, 1] + 1e-8 * x[:, 0] ** 2])
+
+
 def count_evaluations(monkeypatch, family):
     """Patch a family's evaluator to record the row count of every call."""
     from optdesign.models import FAMILIES

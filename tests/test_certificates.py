@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ from optdesign.certificates import _e_eigenspace_minimax, _top_rows
 from optdesign.criteria import NEG_INF, phi, polar, psd_eig
 from optdesign.designs import SWEEP_BLOCK, info_matrix, sweep
 
-from conftest import count_evaluations, random_psd
+from conftest import NearlyAffine, count_evaluations, random_psd
 
 M21 = np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
 
@@ -337,7 +339,13 @@ def test_garza_cache_misses_after_params_mutation():
     grid = discretize(m.space, 0.05)
     before = garza_report(m, grid)
     assert before.max_equal_group_size == 2
-    m.params["theta"][1] = 2.0  # the model's snapshot moves, so its cached bucket is stale
+    # params are frozen, so a cached bucket cannot go stale in place
+    with pytest.raises(TypeError):
+        m.params["theta"][1] = 2.0
+    with pytest.raises(TypeError):
+        m.params["theta"] = [1.0, 2.0, 1.0]
+    # a model rebuilt with the new params misses the cache
+    m = make_model("exp-growth-2f", theta=[1.0, 2.0, 1.0])
     after = garza_report(m, grid)
     assert after.max_equal_group_size == 1
     assert _garza_fields(after) == _garza_fields(garza_report(m, discretize(m.space, 0.05)))
@@ -591,22 +599,12 @@ def test_accepting_checks_sweep_the_kept_rows_only(monkeypatch):
     assert 4 in rows and len(cands) not in rows
 
 
-class _NearlyAffine:
-    """f = (1, x1, x2 + 1e-8 x1^2): x1 is affine in g = x1 up to a residual of about 1e-8."""
-
-    k = 3
-
-    def eval_many(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.column_stack([np.ones(len(x)), x[:, 0], x[:, 1] + 1e-8 * x[:, 0] ** 2])
-
-
 def test_violator_off_the_kept_set_comes_from_the_full_grid(monkeypatch):
     # the E certificate of the corners is v v' / lambda with v orthogonal to
     # the x1 direction, so f'Nf is flat along x1 but for the residual, which
     # lifts the middle of the line x2 = 0 about 5e-8 above its kept ends: the
     # bound does not accept, and certify reports the full grid's violator
-    model = _NearlyAffine()
+    model = NearlyAffine()
     cands = discretize(DesignSpace(((-1.0, 1.0), (0.0, 1.0))), 0.05)
     corners = design([[-1.0, 0.0], [-1.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     assert cands.screen(model).size == 4
@@ -614,3 +612,134 @@ def test_violator_off_the_kept_set_comes_from_the_full_grid(monkeypatch):
         monkeypatch, corners, model, cands, Criterion(NEG_INF, 3)
     )
     assert not optimal and point == [0.0, 0.0]
+
+
+def _watch_rows(monkeypatch):
+    """Make forming a product grid's points raise, and record the row count
+    of every lookup by index."""
+
+    def no_mesh(axes):
+        raise AssertionError("formed the grid's points")
+
+    monkeypatch.setattr(models_module, "_mesh", no_mesh)
+    sizes = []
+    rows = CandidateSet.rows
+
+    def recorded(self, idx):
+        out = rows(self, idx)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(CandidateSet, "rows", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("interaction-2f", {}),  # D on the marginal product, A on the screen's corners
+        ("exp-product-2f", {"theta": [1.0, 1.0, 1.0]}),  # no screen: the spread start
+        ("mixture-poly-exp", {"theta3": 1.0}),
+    ],
+)
+def test_solve_and_reports_on_a_product_grid_never_form_its_points(monkeypatch, family, params):
+    m = make_model(family, **params)
+    grid = discretize(m.space, 0.01)  # 10,201 or 40,401 rows: several blocks
+    assert len(grid) > SWEEP_BLOCK
+    sizes = _watch_rows(monkeypatch)
+    for crit in (Criterion(0.0), Criterion(-1.0)):
+        rep = solve(m, grid, crit)
+        chk = certify(rep.design, m, grid, crit)
+        assert rep.converged and chk.optimal
+        if family != "mixture-poly-exp":  # its squared coordinates group past k
+            polytope_report(chk.certificate, rep.design, m, grid)
+    # a design that is not optimal: its violator is read by index
+    some = np.random.default_rng(0).choice(len(grid), size=6, replace=False)
+    off = certify(design(grid.rows(some)), m, grid, Criterion(0.0))
+    assert not off.optimal and off.violating_point is not None
+    assert garza_report(m, grid).norm_values.size == len(grid)
+    assert sizes and max(sizes) <= SWEEP_BLOCK
+
+
+def test_truncated_product_grid_reads_its_boundary_slab():
+    # axis 1 truncated at 2: the rows with x1 = 2 are read as one slab of sens
+    space = truncate(DesignSpace(((0.0, 1.0), (0.0, float("inf")))), 1, 2.0)
+    grid = discretize(space, (0.25, 0.5))
+    given = CandidateSet(space, grid.points, grid.steps)
+    rng = np.random.default_rng(4)
+    on_edge = grid.points[:, 1] == 2.0
+    for top in (0.5, 0.99995, 1.0):
+        sens = rng.uniform(0.0, 0.9, len(grid))
+        sens[np.flatnonzero(on_edge)[2]] = top
+        sens[np.flatnonzero(~on_edge)[3]] = 1.0  # off the boundary: never read
+        got = grid.tight_truncation(sens, 1e-5)
+        assert got == given.tight_truncation(sens, 1e-5) == (None if top < 0.9999 else top)
+
+
+def _biggest_bucket_by_sort_and_diff(norms2, norm_tol):
+    """``_biggest_bucket`` as first written, with n-sized gaps: the oracle."""
+    sorted_vals = np.sort(norms2)
+    ends = np.concatenate([np.flatnonzero(np.diff(sorted_vals) > norm_tol), [norms2.size - 1]])
+    return int(np.diff(ends, prepend=-1).max())
+
+
+def _bucket_draws():
+    rng = np.random.default_rng(8)
+    draws = [np.zeros(1), np.zeros(3 * SWEEP_BLOCK + 5), np.arange(2 * SWEEP_BLOCK + 1.0)]
+    # one long run from just before the first block edge to past the second
+    run = np.arange(3 * SWEEP_BLOCK, dtype=float)
+    run[SWEEP_BLOCK - 3 : 2 * SWEEP_BLOCK + 4] = SWEEP_BLOCK
+    draws.append(rng.permutation(run))
+    # a run ending at a block edge, and one starting there
+    edge = np.arange(2 * SWEEP_BLOCK + 7, dtype=float)
+    edge[SWEEP_BLOCK - 9 : SWEEP_BLOCK + 1] = -1.0
+    edge[SWEEP_BLOCK + 1 : SWEEP_BLOCK + 40] = -2.0
+    draws.append(edge)
+    for _ in range(8):  # few distinct values with small jitter: ties and near-ties
+        n = int(rng.integers(2, 4 * SWEEP_BLOCK))
+        pool = rng.uniform(0.0, 1.0, int(rng.integers(1, 50)))
+        draws.append(pool[rng.integers(pool.size, size=n)] + rng.choice([0.0, 1e-9, 1e-6], size=n))
+    return draws
+
+
+@pytest.mark.parametrize("norm_tol", [0.0, 1e-9, 1e-7, 1e-3])
+def test_biggest_bucket_matches_sort_and_diff(norm_tol):
+    for norms2 in _bucket_draws():
+        want = _biggest_bucket_by_sort_and_diff(norms2, norm_tol)
+        assert certificates_module._biggest_bucket(norms2, norm_tol) == want
+
+
+def test_rank_and_garza_hold_no_grid_sized_copy(monkeypatch):
+    m = make_model("mixture-poly-exp", theta3=1.0)
+    grid = discretize(m.space, 0.005)  # 160,801 rows
+    n, k = grid.features(m).shape
+    # LAPACK's own copies are not traced, so record the rows each factorization sees
+    factored = []
+    for name in ("svd", "qr"):
+        original = getattr(np.linalg, name)
+
+        def recorded(a, *args, _original=original, **kwargs):
+            factored.append(np.shape(a)[0])
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert grid.features_rank(m) == k
+        rank_peak = tracemalloc.get_traced_memory()[1] - start
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rep = garza_report(m, grid)
+        garza_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    vector = n * 8
+    # the blocked QR factors a block and the R so far, and the SVD only R:
+    # far less than one n-vector, let alone n x k
+    assert factored and max(factored) <= SWEEP_BLOCK + k
+    assert rank_peak < vector
+    # norm_values and the sorted copy, besides block-sized temporaries
+    assert rep.norm_values.nbytes == vector
+    assert garza_peak <= 2 * vector + 8 * SWEEP_BLOCK * 8

@@ -3,12 +3,22 @@ import json
 import numpy as np
 import pytest
 
-from optdesign import default_candidates, garza_report, load_model, parse_criterion, solve
+from optdesign import (
+    DesignSpace,
+    default_candidates,
+    discretize,
+    garza_report,
+    interval,
+    load_model,
+    parse_criterion,
+    solve,
+)
 from optdesign.cli import (
     CSV_BLOCK,
     GOLDEN,
     _EXACT_MAX,
     _EXACT_MIN,
+    _WIDTH,
     _format_17g,
     _write_csv,
     main,
@@ -174,9 +184,14 @@ def test_solve_negative_seed_exits_2(tmp_path, capsys, model21):
     assert not (out / "report.json").exists()
 
 
-def _assert_csv_matches_per_value_format(path, header, table):
-    _write_csv(path, header, table)
-    lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in table]
+def _assert_csv_matches_per_value_format(path, axes, values):
+    """The grid of ``axes`` written with ``values``, checked against Python's
+    %.17g of every number of its meshgrid table."""
+    _write_csv(path, "value", axes, values)
+    mesh = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
+    header = [f"x{j}" for j in range(len(axes))] + ["value"]
+    lines = [",".join(header)]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in np.column_stack((*mesh, values))]
     written = path.read_bytes()
     assert written == ("\n".join(lines) + "\n").encode("utf-8")
     return written
@@ -184,21 +199,25 @@ def _assert_csv_matches_per_value_format(path, header, table):
 
 def test_write_csv_matches_per_value_format(tmp_path):
     rng = np.random.default_rng(5)
-    n = 20_000  # two full blocks and a partial third
+    a0, a1 = (rng.standard_normal(m) * 10.0 ** rng.integers(-300, 300, size=m) for m in (100, 200))
+    n = a0.size * a1.size  # two full blocks and a partial third
     assert 2 * CSV_BLOCK < n < 3 * CSV_BLOCK
-    table = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
-    table[0] = [-0.0, 5e-324, 1e-300]
-    table[CSV_BLOCK - 1 : CSV_BLOCK + 1] = [[1.0, 1e22, -1.5], [-1e22, -5e-324, 0.0]]
-    table[-1] = [-0.0, -1e-300, 1.0]
+    value = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
+    a0[0], a1[0], value[0] = -0.0, 5e-324, 1e-300
+    # rows CSV_BLOCK - 1 and CSV_BLOCK, on both sides of the first block boundary
+    row0, col0 = divmod(CSV_BLOCK - 1, a1.size)
+    a0[row0], a1[col0 : col0 + 2], value[CSV_BLOCK - 1 : CSV_BLOCK + 1] = 1.0, [1e22, -5e-324], [-1.5, 0.0]
+    a0[row0 + 1] = -1e22
+    a0[-1], a1[-1], value[-1] = 0.0, -1e-300, 1.0
     # the value column is formatted value by value, not per distinct value
     specials = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.5e-320, 2.2e-308]
-    table[1 : 1 + len(specials), 2] = specials
-    table[CSV_BLOCK - 5 : CSV_BLOCK + 5, 2] = 0.1  # a repeat across the block boundary
-    table[-10:-1, 2] = specials[::-1]
-    written = _assert_csv_matches_per_value_format(
-        tmp_path / "blocked.csv", ["x0", "x1", "value"], table
-    )
+    value[1 : 1 + len(specials)] = specials
+    value[CSV_BLOCK - 5 : CSV_BLOCK - 1] = 0.1  # a repeat across the block boundary
+    value[CSV_BLOCK + 1 : CSV_BLOCK + 5] = 0.1
+    value[-10:-1] = specials[::-1]
+    written = _assert_csv_matches_per_value_format(tmp_path / "blocked.csv", (a0, a1), value)
     assert b"\n-0,4.9406564584124654e-324,1e-300\n" in written
+    assert b"\n1,1e+22,-1.5\n1,-4.9406564584124654e-324,0\n" in written
     values = [line.rsplit(b",", 1)[1] for line in written.splitlines()[2 : 2 + len(specials)]]
     assert values == [
         b"-0", b"0", b"nan", b"nan", b"inf", b"-inf",
@@ -207,10 +226,9 @@ def test_write_csv_matches_per_value_format(tmp_path):
 
 
 def test_write_csv_formats_repeated_values_per_row(tmp_path):
-    # a 2-D grid's coordinate columns: each value repeats many times per block
+    # a 2-D grid: each coordinate repeats many times per block
     axis = np.linspace(-1.0, 1.0, 151)
-    x0, x1 = (m.ravel() for m in np.meshgrid(axis, axis, indexing="ij"))
-    n = x0.size
+    n = axis.size**2
     assert 2 * CSV_BLOCK < n < 3 * CSV_BLOCK
     rng = np.random.default_rng(11)
     # few distinct values in the last column, so signed zeros and NaN repeat too
@@ -220,10 +238,7 @@ def test_write_csv_formats_repeated_values_per_row(tmp_path):
     # one value on both sides of the first block boundary, and a zero whose sign flips there
     value[CSV_BLOCK - 3 : CSV_BLOCK + 3] = 0.7
     value[CSV_BLOCK - 1], value[CSV_BLOCK] = -0.0, 0.0
-    table = np.column_stack((x0, x1, value))
-    written = _assert_csv_matches_per_value_format(
-        tmp_path / "grid.csv", ["x0", "x1", "value"], table
-    )
+    written = _assert_csv_matches_per_value_format(tmp_path / "grid.csv", (axis, axis), value)
     lines = written.decode("utf-8").splitlines()[1:]
     assert [line.split(",")[2] for line in lines[:4]] == ["0", "-0", "-0", "0"]
     assert [line.split(",")[2] for line in lines[CSV_BLOCK - 2 : CSV_BLOCK + 2]] == [
@@ -236,9 +251,8 @@ def test_write_csv_formats_repeated_values_per_row(tmp_path):
 def test_write_csv_formats_coordinates_once_per_table(tmp_path, monkeypatch):
     # the 151 x 151 grid of the test above, written in three blocks
     axis = np.linspace(-1.0, 1.0, 151)
-    x0, x1 = (m.ravel() for m in np.meshgrid(axis, axis, indexing="ij"))
-    table = np.column_stack((x0, x1, np.arange(x0.size) / 7.0))
-    blocks = -(-x0.size // CSV_BLOCK)
+    n = axis.size**2
+    blocks = -(-n // CSV_BLOCK)
     assert blocks == 3
     sizes = []
 
@@ -247,9 +261,52 @@ def test_write_csv_formats_coordinates_once_per_table(tmp_path, monkeypatch):
         return _format_17g(x)
 
     monkeypatch.setattr("optdesign.cli._format_17g", counted)
-    _write_csv(tmp_path / "grid.csv", ["x0", "x1", "value"], table)
-    # each coordinate column's 151 distinct values once, then each block's value column
-    assert sizes == [151, 151] + [CSV_BLOCK] * (blocks - 1) + [x0.size - (blocks - 1) * CSV_BLOCK]
+    _write_csv(tmp_path / "grid.csv", "value", (axis, axis), np.arange(n) / 7.0)
+    # each axis's 151 coordinates once, then each block's value column
+    assert sizes == [151, 151] + [CSV_BLOCK] * (blocks - 1) + [n - (blocks - 1) * CSV_BLOCK]
+
+
+def _write_table_csv(path, header, table):
+    """The CSV writer as it was before it read the grid's axes: a table of
+    point coordinates and values, each coordinate column's distinct values
+    (by bit pattern) formatted once. The reference for the axis writer."""
+    n, ncol = table.shape
+    coords = []  # (text of each distinct value, index of each row's value) per column
+    for j in range(ncol - 1):
+        bits, inverse = np.unique(table[:, j].view(np.int64), return_inverse=True)
+        coords.append((_format_17g(bits.view(np.float64)), inverse))
+    slots = np.empty((min(n, CSV_BLOCK), ncol, _WIDTH + 1), np.uint8)
+    slots[:, :, _WIDTH] = ord(",")
+    slots[:, -1, _WIDTH] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        for start in range(0, n, CSV_BLOCK):
+            block = table[start : start + CSV_BLOCK]
+            rows = slots[: block.shape[0]]
+            for j, (text, inverse) in enumerate(coords):
+                rows[:, j, :_WIDTH] = np.take(text, inverse[start : start + CSV_BLOCK], axis=0)
+            rows[:, -1, :_WIDTH] = _format_17g(block[:, -1])
+            fh.write(rows.tobytes().translate(None, b"\0"))
+
+
+@pytest.mark.parametrize(
+    "space, steps",
+    [
+        (interval(-1.0, 2.0), 1e-4),  # 30,001 rows in four blocks
+        (DesignSpace(((0.0, 1.0), (-1.0, 1.0), (1e-12, 3.0))), (0.05, 0.1, 0.06)),  # 22,491 rows
+    ],
+    ids=["1-axis", "3-axis"],
+)
+def test_axis_writer_matches_the_table_writer(tmp_path, space, steps):
+    grid = discretize(space, steps)
+    n = len(grid)
+    assert n > 2 * CSV_BLOCK
+    value = np.random.default_rng(7).standard_normal(n) / 3.0
+    value[:3] = [-0.0, np.nan, 1e-310]
+    _write_csv(tmp_path / "axes.csv", "value", grid.product_axes, value)
+    header = [f"x{j}" for j in range(space.dimension)] + ["value"]
+    _write_table_csv(tmp_path / "table.csv", header, np.column_stack((grid.points, value)))
+    assert (tmp_path / "axes.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
 
 
 def _formatted(values):
@@ -625,3 +682,27 @@ def test_examples_detect_corrupted_golden(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code != 0
     assert "FAIL" in out
+
+
+def test_cli_on_a_grid_never_forms_its_points(tmp_path, monkeypatch):
+    def no_mesh(axes):
+        raise AssertionError("formed the grid's points")
+
+    monkeypatch.setattr("optdesign.models._mesh", no_mesh)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"family": "interaction-2f", "params": {}}))
+    corners = tmp_path / "corners.json"
+    atoms = [{"x": [a, b], "w": 0.25} for a in (0.0, 1.0) for b in (0.0, 1.0)]
+    corners.write_text(json.dumps({"atoms": atoms}))
+    grid = ["--model", str(model), "--steps", "0.01"]  # 10,201 rows
+    for argv in (
+        ["solve", *grid, "--criterion", "A"],
+        ["certify", *grid, "--design", str(corners)],
+        ["geometry", *grid, "--design", str(corners)],
+        ["garza", *grid],
+    ):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out", str(out)]) == 0
+        csv = out / ("norms.csv" if argv[0] == "garza" else "sensitivity.csv")
+        lines = csv.read_text().splitlines()
+        assert len(lines) == 10_202 and lines[1].startswith("0,0,") and lines[-1].startswith("1,1,")

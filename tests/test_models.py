@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from optdesign.conditional import conditional_model
 from optdesign.designs import SWEEP_BLOCK, sweep
 from optdesign.models import gram_rank, model_from_dict, model_to_dict
 
-from conftest import count_evaluations, random_psd
+from conftest import NearlyAffine, count_evaluations, random_psd
 
 
 def test_eval_linear_2f():
@@ -347,7 +349,12 @@ def test_features_miss_after_params_mutation(monkeypatch):
     m = make_model("polynomial", space=interval(-1.0, 1.0), **params)
     grid = discretize(m.space, 0.25)
     assert grid.features(m).shape == (9, 3)
-    m.params["degree"] = 3
+    # params are frozen, so a kept matrix cannot go stale in place
+    with pytest.raises(TypeError):
+        m.params["degree"] = 3
+    # a model rebuilt with the new params misses the cache
+    params["degree"] = 3
+    m = make_model("polynomial", space=interval(-1.0, 1.0), **params)
     assert grid.features(m).shape == (9, 4)
     assert rows == [9, 9]
 
@@ -574,3 +581,167 @@ def test_kept_max_is_off_on_a_truncated_grid():
     assert np.array_equal(sens, sweep(cands.features(m), N))
     assert row == int(np.argmax(sens)) and worst == sens.max()
     assert cands.tight_truncation(sens, 1e-5) == sens[-1]
+
+
+class _Kron3:
+    """f = (1, x1) (x) (1, x2) (x) (1, x3), k = 8: affine along every axis."""
+
+    k = 8
+
+    def eval_many(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        one = np.ones((len(x), 1))
+        f = np.hstack([one, x[:, :1]])
+        for j in (1, 2):
+            g = np.hstack([one, x[:, j : j + 1]])
+            f = (f[:, :, None] * g[:, None, :]).reshape(len(x), -1)
+        return f
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize(
+    "space, steps, model",
+    [
+        (interval(-1.0, 2.0), 0.0003, make_model("polynomial", space=interval(-1.0, 2.0), degree=3)),
+        (DesignSpace(((-1.0, 1.0), (0.0, 2.0))), 0.01, make_model("mixture-poly-exp", theta3=1.0)),
+        (DesignSpace(((0.0, 1.0), (-1.0, 1.0), (0.0, 0.5))), (0.05, 0.1, 0.02), _Kron3()),
+    ],
+    ids=["1-axis", "2-axis", "3-axis"],
+)
+def test_discretized_grid_equals_its_explicit_points(space, steps, model):
+    # the grid from discretize holds its axes; the same rows given as points
+    # (np.linspace per axis, meshgrid in order) give every result bit for bit
+    grid = discretize(space, steps)
+    step = np.broadcast_to(steps, space.dimension)
+    axes = [np.linspace(lo, hi, int(math.floor((hi - lo) / s + 1e-9)) + 1)
+            for (lo, hi), s in zip(space.bounds, step)]
+    mesh = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    given = CandidateSet(space, mesh, grid.steps)
+    n = len(given)
+    assert len(grid) == n > SWEEP_BLOCK
+    assert _bits(grid.points) == _bits(mesh) and not grid.points.flags.writeable
+    assert [_bits(a) for a in grid.product_axes] == [_bits(a) for a in given.product_axes]
+    idx = np.random.default_rng(2).integers(n, size=50)
+    for rows in (idx, [0, n - 1], slice(0, SWEEP_BLOCK), slice(SWEEP_BLOCK, None), slice(5, 50, 7)):
+        assert _bits(grid.rows(rows)) == _bits(given.rows(rows))
+    assert _bits(grid.features(model)) == _bits(given.features(model))
+    assert grid.features_rank(model) == given.features_rank(model) == model.k
+    kept = grid.screen(model)
+    if space.dimension == 1:
+        assert kept is None and given.screen(model) is None  # a cubic is affine in no g
+    else:
+        assert _bits(kept) == _bits(given.screen(model))
+        assert grid._features[2]["screen"][1] == given._features[2]["screen"][1]  # residuals
+        assert len(kept) == (8 if space.dimension == 3 else 2 * grid.product_axes[0].size)
+
+
+def test_grid_rows_form_no_more_than_asked(monkeypatch):
+    grid = discretize(DesignSpace(((0.0, 1.0), (0.0, 2.0))), 0.5)
+    monkeypatch.setattr(models_module, "_mesh", _no_mesh)
+    assert grid.rows([7, 0]).tolist() == [[0.5, 1.0], [0.0, 0.0]]
+    assert grid.rows(slice(13, None)).tolist() == [[1.0, 1.5], [1.0, 2.0]]
+    assert len(grid) == 15
+    with pytest.raises(AttributeError, match="immutable"):
+        grid.steps = (1.0, 1.0)
+
+
+def test_grid_row_runs_match_their_axis_indices():
+    # a run of rows is formed from tiled and repeated axis coordinates; any
+    # other rows from their axis indices: both equal the rows of the points
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        q = int(rng.integers(1, 5))
+        space = DesignSpace(tuple((0.0, float(rng.integers(1, 4))) for _ in range(q)))
+        grid = discretize(space, tuple(float(rng.choice([0.25, 0.5, 1.0])) for _ in range(q)))
+        n = len(grid)
+        start, stop = sorted(int(i) for i in rng.integers(0, n + 1, size=2))
+        stop += start == stop and stop < n
+        run = grid.rows(slice(start, stop))
+        assert _bits(run) == _bits(grid.rows(np.arange(start, stop))) == _bits(grid.points[start:stop])
+
+
+def _no_mesh(axes):
+    raise AssertionError("formed the grid's points")
+
+
+def test_model_params_are_frozen_and_keyed_once():
+    efficiency = {"kind": "exp", "rate": 1.0}
+    a = [1.0, 2.0]
+    m = make_model("weighted-polynomial", degree=2, efficiency=efficiency)
+    s = make_model("exponential-sum", a=a, **{"lambda": np.array([1.0, 3.0])})
+    efficiency["rate"], a[0] = 5.0, 7.0  # the caller's values are not the model's
+    assert m.params["efficiency"]["rate"] == 1.0 and s.params["a"] == (1.0, 2.0)
+    for container, key in ((m.params, "degree"), (m.params["efficiency"], "kind"), (s.params["a"], 0)):
+        with pytest.raises(TypeError):
+            container[key] = 3
+    # the file form holds plain dicts and lists
+    assert model_to_dict(m)["params"] == {"degree": 2, "efficiency": {"kind": "exp", "rate": 1.0}}
+    assert model_to_dict(s)["params"] == {"a": [1.0, 2.0], "lambda": [1.0, 3.0]}
+    # the key is the values': a twin, a pickled copy and a replaced copy share it
+    twin = make_model("weighted-polynomial", degree=2, efficiency={"kind": "exp", "rate": 1.0})
+    assert twin._key == m._key == pickle.loads(pickle.dumps(m))._key
+    assert dataclasses.replace(m)._key == m._key
+    assert dataclasses.replace(m, space=interval(0.0, 2.0))._key != m._key
+    grid = discretize(m.space, 0.1)
+    assert grid.features(twin) is grid.features(m)
+
+
+def _axis_keep_before_the_buffer(cols: list) -> tuple[np.ndarray, float]:
+    """``_axis_keep`` as it was when each block stacked its k differences."""
+    outer, m, inner = cols[0].shape
+    spread = np.array([np.ptp(c, axis=1) for c in cols])
+    c, a0, b0 = np.unravel_index(spread.argmax(), spread.shape)
+    u = cols[c][a0, :, b0] - cols[c][a0, 0, b0]
+    norm = np.linalg.norm(u)
+    if norm == 0.0:
+        return np.arange(1), 0.0
+    u /= norm
+    db = min(inner, max(1, SWEEP_BLOCK // m))
+    da = max(1, SWEEP_BLOCK // (m * db))
+    rho2 = 0.0
+    for a in range(0, outer, da):
+        for b in range(0, inner, db):
+            D = np.stack([c[a : a + da, :, b : b + db] - c[a : a + da, :1, b : b + db] for c in cols])
+            along = np.einsum("ciml,m->cil", D, u)
+            D -= along[:, :, None, :] * u[:, None]
+            r2 = np.einsum("ciml,ciml->iml", D, D)  # squared residual of each row
+            line = r2.sum(axis=1)
+            if np.any(line > models_module.SCREEN_RTOL**2 * (line + np.einsum("cil,cil->il", along, along))):
+                return np.arange(m), 0.0
+            rho2 = max(rho2, float(r2.max()))
+    return np.unique([u.argmin(), u.argmax()]), math.sqrt(rho2)
+
+
+def _catalog_2f(name, **params):
+    m = make_model(name, **params)
+    return m, m.space
+
+
+@pytest.mark.parametrize(
+    "model, space, step",
+    [
+        (*_catalog_2f("interaction-2f"), 0.01),
+        (*_catalog_2f("linear-2f-no-intercept"), 0.01),
+        (*_catalog_2f("exp-growth-2f", theta=[1.0, 1.0, 1.0]), 0.01),
+        (*_catalog_2f("exp-product-2f", theta=[1.0, 1.0, 1.0]), 0.01),
+        (*_catalog_2f("mixture-poly-exp", theta3=1.0), 0.005),
+        (NearlyAffine(), DesignSpace(((-1.0, 1.0), (0.0, 1.0))), 0.01),
+        (_Kron3(), DesignSpace(((0.0, 1.0),) * 3), 0.02),
+    ],
+    ids=["interaction", "line2f", "growth", "product", "mixture", "nearly-affine", "kron3"],
+)
+def test_axis_keep_matches_the_stacked_blocks(model, space, step):
+    # the kept coordinates and the residual rho of every axis, bit for bit
+    grid = discretize(space, step)
+    F = grid.features(model)
+    n, k = F.shape
+    sizes = [a.size for a in grid.product_axes]
+    for j, m in enumerate(sizes):
+        outer = math.prod(sizes[:j])
+        cols = [F[:, c].reshape(outer, m, n // (outer * m)) for c in range(k)]
+        keep, rho = models_module._axis_keep(cols)
+        want_keep, want_rho = _axis_keep_before_the_buffer(cols)
+        assert np.array_equal(keep, want_keep) and rho == want_rho

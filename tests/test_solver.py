@@ -495,12 +495,19 @@ def _spread_indices_by_row_sums(points, F, k, rng):
 
 
 def _spread_cases():
-    line = discretize(interval(-1.0, 2.0), 0.003).points
-    square = discretize(DesignSpace(((0.0, 1.0), (-1.0, 1.0))), (0.01, 0.02)).points
-    cube = discretize(DesignSpace(((0.0, 1.0),) * 3), 0.05).points
+    """name -> (candidates, F): grids from ``discretize`` (held as their
+    axes), one given as explicit points, and shuffled point clouds."""
+    line_grid = discretize(interval(-1.0, 2.0), 0.003)
+    square_grid = discretize(DesignSpace(((0.0, 1.0), (-1.0, 1.0))), (0.01, 0.02))
+    cube_grid = discretize(DesignSpace(((0.0, 1.0),) * 3), 0.05)
+    line, square, cube = line_grid.points, square_grid.points, cube_grid.points
     rng = np.random.default_rng(3)
     cloud2 = rng.permutation(rng.standard_normal((3000, 2)) * [1.0, 1e-3])
     cloud7 = rng.permutation(rng.random((2000, 7)))
+
+    def explicit(P):
+        space = DesignSpace(tuple(zip(P.min(axis=0), P.max(axis=0))))
+        return CandidateSet(space, P, (1.0,) * P.shape[1])
 
     def with_intercept(P, *cols):
         return np.column_stack((np.ones(P.shape[0]), *cols))
@@ -509,12 +516,13 @@ def _spread_cases():
     # the first k + 1 picks (corners and edges) leave F rank-deficient
     bubble = np.maximum(0.0, 0.04 - (square[:, 0] - 0.5) ** 2 - square[:, 1] ** 2)
     return {
-        "1d-grid": (line, np.vander(line[:, 0], 4, increasing=True)),
-        "2d-grid": (square, with_intercept(square, square, square.prod(axis=1))),
-        "3d-grid": (cube, with_intercept(cube, cube, cube[:, 0] * cube[:, 2])),
-        "2d-shuffled": (cloud2, with_intercept(cloud2, cloud2, cloud2[:, 0] ** 2)),
-        "7d-shuffled": (cloud7, with_intercept(cloud7, cloud7[:, :3])),
-        "rank-late": (square, with_intercept(square, square, bubble)),
+        "1d-grid": (line_grid, np.vander(line[:, 0], 4, increasing=True)),
+        "2d-grid": (square_grid, with_intercept(square, square, square.prod(axis=1))),
+        "2d-grid-explicit": (explicit(square), with_intercept(square, square, square.prod(axis=1))),
+        "3d-grid": (cube_grid, with_intercept(cube, cube, cube[:, 0] * cube[:, 2])),
+        "2d-shuffled": (explicit(cloud2), with_intercept(cloud2, cloud2, cloud2[:, 0] ** 2)),
+        "7d-shuffled": (explicit(cloud7), with_intercept(cloud7, cloud7[:, :3])),
+        "rank-late": (square_grid, with_intercept(square, square, bubble)),
     }
 
 
@@ -524,10 +532,10 @@ SPREAD_CASES = _spread_cases()
 @pytest.mark.parametrize("seed", [0, 1, 2, 7, 123])
 @pytest.mark.parametrize("case", sorted(SPREAD_CASES))
 def test_spread_indices_match_row_sum_oracle(case, seed):
-    points, F = SPREAD_CASES[case]
+    cands, F = SPREAD_CASES[case]
     k = F.shape[1]
-    want = _spread_indices_by_row_sums(points, F, k, np.random.default_rng(seed))
-    assert _spread_indices(points, F, k, np.random.default_rng(seed)) == want
+    want = _spread_indices_by_row_sums(cands.points, F, k, np.random.default_rng(seed))
+    assert _spread_indices(cands, F, k, np.random.default_rng(seed)) == want
     assert gram_rank(F[want]) == k
     if case == "rank-late":
         assert len(want) > k + 1
@@ -536,10 +544,14 @@ def test_spread_indices_match_row_sum_oracle(case, seed):
 def test_best_unsupported_skips_supported_violators():
     pts = np.array([[0.0], [1.0], [2.0]])
     sens = np.array([1.5, 3.0, 1.5])
-    assert _best_unsupported(sens, pts, pts[[1]], 1.0) == 0  # lowest index wins the tie
-    assert _best_unsupported(sens, pts, pts[[0, 1]], 1.0) == 2
-    assert _best_unsupported(sens, pts, pts, 1.0) is None
-    assert _best_unsupported(sens, pts, pts[[1]], 2.0) is None
+    # the same rows held as given points and as a grid's axis
+    grid = discretize(interval(0.0, 2.0), 1.0)
+    assert np.array_equal(grid.points, pts)
+    for cands in (CandidateSet(interval(0.0, 2.0), pts, (1.0,)), grid):
+        assert _best_unsupported(sens, cands, pts[[1]], 1.0) == 0  # lowest index wins the tie
+        assert _best_unsupported(sens, cands, pts[[0, 1]], 1.0) == 2
+        assert _best_unsupported(sens, cands, pts, 1.0) is None
+        assert _best_unsupported(sens, cands, pts[[1]], 2.0) is None
 
 
 def test_solve_d_coarse(line2f):
