@@ -3,10 +3,11 @@
 A certificate is a nonnegative definite matrix N with f(x)^T N f(x) <= 1 on
 the design space, trace(M N) = 1 and phi(M) * polar(N) = 1; its existence is
 equivalent to optimality of M. The eigenbasis of N also exposes the geometry
-of the support: squared transformed coordinates of support points fall on at
-most k supporting hyperplanes of a polytope, and points sharing a hyperplane
-share the Euclidean length of their regression vector. Norm-injectivity of
-the induced design space bounds support sizes (saturation).
+of the support: squared transformed coordinates of support points, along the
+eigenvectors in the range of N, fall on supporting hyperplanes of a polytope,
+and where N is nonsingular points sharing a hyperplane share the Euclidean
+length of their regression vector. Norm-injectivity of the induced design
+space bounds support sizes (saturation).
 """
 
 from __future__ import annotations
@@ -136,18 +137,24 @@ def _top_rows(values: np.ndarray, count: int) -> np.ndarray:
 
 
 def _e_eigenspace_minimax(H: np.ndarray) -> np.ndarray:
-    """Trace-one PSD E on the minimal eigenspace minimizing max_i h_i' E h_i.
+    """Trace-one PSD E on the minimal eigenspace minimizing max_i h_i' E h_i
+    over the rows h_i of H (``build_certificate`` passes the grid rows that
+    ``CandidateSet.accept_rows`` names).
 
     The sensitivities are linear in the entries of E, so the minimax is one LP
-    over all candidates (dimension r(r+1)/2), solved by row generation: the LP
-    holds an active set of candidate rows, seeded with the largest ||h_i||,
-    and every LP solution is checked against all rows in one sweep; violated
-    rows join the set and the LP is solved again, so each accepted solution
-    satisfies every row while the LP stays a few dozen rows tall.
-    Definiteness is enforced by eigenvalue cuts; an indefinite LP point is
-    swept at its trace-one projection, which ends the cuts once it meets the
-    LP's bound. Where several E attain the minimax, the LP's vertex is
-    returned.
+    over the rows of H (dimension r(r+1)/2), solved by row generation: the LP
+    holds an active set of rows, seeded with the largest ||h_i||, and every
+    LP solution is checked against all rows in one sweep; violated rows join
+    the set and the LP is solved again, so each accepted solution satisfies
+    every row while the LP stays a few dozen rows tall.
+    Definiteness is enforced by eigenvalue cuts. An indefinite LP point is
+    swept at two PSD points of trace one: its eigenvalue-clipped projection
+    and, if that misses the LP's bound, the point where the segment from its
+    diagonal to it leaves the PSD cone (``_shrink_off_diagonal``). The
+    first to meet the LP's bound ends the cuts; on a few rows the
+    off-diagonal is often free at the optimum, and the second point then
+    saves the cut rounds. Where several E attain the minimax, the LP's vertex
+    (or its PSD point) is returned.
     """
     from scipy.optimize import linprog
 
@@ -212,21 +219,46 @@ def _e_eigenspace_minimax(H: np.ndarray) -> np.ndarray:
             new = new[_top_rows(excess[new], batch)]
             active = np.union1d(active, new)
 
+    def meets(E, bound) -> bool:
+        """Sweep E, keep it if it is the best so far, and say whether the
+        best meets the LP's ``bound`` up to rounding."""
+        nonlocal best_E, best_worst
+        worst = float(sweep(H, E).max())
+        if worst < best_worst:
+            best_E, best_worst = E, worst
+        return best_worst <= bound * (1.0 + 1e-9)
+
     for _ in range(40):  # eigenvalue-cut rounds
         res = solve_lp()
         if not res.success:
             break
-        vals, vecs = np.linalg.eigh(matrix_of(res.x))
+        X = matrix_of(res.x)
+        vals, vecs = np.linalg.eigh(X)
         definite = vals[0] >= -1e-11
         clipped = np.clip(vals, 0.0, None)
         E = (vecs * (clipped if definite else clipped / clipped.sum())) @ vecs.T
-        worst = float(sweep(H, E).max())
-        if worst < best_worst:
-            best_E, best_worst = E, worst
-        if definite or best_worst <= res.x[nv - 1] * (1.0 + 1e-9):
+        bound = res.x[nv - 1]
+        if meets(E, bound) or definite or meets(_shrink_off_diagonal(X), bound):
             break
         psd_cuts.append(vecs[:, 0])
     return best_E
+
+
+def _shrink_off_diagonal(X: np.ndarray) -> np.ndarray:
+    """diag(X) + s offdiag(X) for the largest s in [0, 1] that is PSD.
+
+    The diagonal d is clipped at 0, so s = 0 is PSD, and the trace is kept.
+    With B = offdiag(X) scaled by d^(-1/2) on both sides, the matrix is
+    d^(1/2) (I + s B) d^(1/2), PSD for s <= -1 / lambda_min(B). Rows with
+    d = 0 lose their off-diagonal, as no PSD matrix has one there.
+    """
+    d = np.clip(np.diag(X), 0.0, None)
+    off = X - np.diag(np.diag(X))
+    off[d == 0.0, :] = 0.0
+    off[:, d == 0.0] = 0.0
+    scale = np.divide(1.0, np.sqrt(d), out=np.zeros_like(d), where=d > 0.0)
+    lowest = float(np.linalg.eigvalsh(off * scale[:, None] * scale)[0])
+    return np.diag(d) + (1.0 if lowest >= -1.0 else -1.0 / lowest) * off
 
 
 def build_certificate(
@@ -239,9 +271,16 @@ def build_certificate(
     """Matrix-mean dual certificate for M.
 
     Finite p: N = M^(p-1) / trace(M^p), closed form. E-criterion: N is built on
-    the smallest eigenspace; with multiplicity the trace-one factor is the one
-    that minimizes the worst sensitivity over the candidates, found by one
-    row-generated LP with eigenvalue cuts (``_e_eigenspace_minimax``).
+    the smallest eigenspace V; with multiplicity N = V E V' / lambda_min, E
+    the trace-one factor that minimizes the worst sensitivity over the rows
+    ``CandidateSet.accept_rows`` names, found by one row-generated LP with
+    eigenvalue cuts (``_e_eigenspace_minimax``). On a screened grid with no
+    truncated axis those are the screen's kept rows, which span all k
+    dimensions, so every trace-one PSD E has a positive maximum there; N is
+    PSD, so ``kept_max``'s bound covers every grid row; and the kept-row
+    minimax is at most the full-grid one, so its E's grid maximum is within
+    the bound's slack of it. Elsewhere every row is read. The whole grid is
+    left to ``CandidateSet.grid_max``, which every caller runs on N.
     """
     vals, vecs = psd_eig(M, criterion.s)
     if criterion.p == NEG_INF:
@@ -255,8 +294,9 @@ def build_certificate(
             N = np.outer(vecs[:, 0], vecs[:, 0]) / lam_min
         else:
             V = vecs[:, :r]
+            F, rows = candidates.features(model), candidates.accept_rows(model)
             # column-major like the features, for the sweeps of the minimax
-            H = (V.T @ candidates.features(model).T).T
+            H = (V.T @ (F if rows is None else F[rows]).T).T
             E = _e_eigenspace_minimax(H)
             N = V @ E @ V.T / lam_min
     else:
@@ -338,8 +378,15 @@ def polytope_report(
     """Supporting-hyperplane structure of a certified design.
 
     Squared transformed coordinates of a support point give the coefficient
-    vector of the hyperplane its constraint is active on; at most k distinct
-    hyperplanes can occur and points sharing one share the length ||f(x)||.
+    vector of the hyperplane its constraint is active on. Points are grouped
+    on the coordinates along the eigenvectors in the range of N (eigenvalues
+    above ``_SING_REL`` of the largest), as the others do not enter f'Nf;
+    at most k groups can occur. Where N is nonsingular, points sharing a
+    hyperplane share all k squared coordinates, so their lengths ||f(x)||
+    must agree; a singular N, such as the rank-one E certificate of a simple
+    smallest eigenvalue, claims no such equality. ``c`` is the group's mean
+    over all k squared coordinates, and ``length_groups`` partitions the
+    support by ||f(x)|| either way.
     The certificate must hold on the grid within ``ACTIVE_TOL``
     (``CandidateSet.grid_max``: the kept rows' bound accepts, and only the
     full grid rejects).
@@ -362,8 +409,12 @@ def polytope_report(
             f"certificate violates the normality inequality on the grid (max {worst:.8f})"
         )
 
-    scale = max(float(np.abs(P_sup).max()), 1.0)
-    near = np.abs(P_sup[:, None, :] - P_sup[None, :, :]).max(axis=2) <= GROUP_TOL * scale
+    # the squared coordinates on the eigenvectors in the range of N, the
+    # first ``rank`` columns, decide which hyperplane a support point is on
+    rank = int(np.count_nonzero(lam > _SING_REL * lam[0]))
+    P_range = P_sup[:, :rank]
+    scale = max(float(np.abs(P_range).max()), 1.0)
+    near = np.abs(P_range[:, None, :] - P_range[None, :, :]).max(axis=2) <= GROUP_TOL * scale
     groups = components(near)
     if len(groups) > k:
         raise InconsistencyError(f"{len(groups)} hyperplanes found; at most {k} can be active")
@@ -374,7 +425,7 @@ def polytope_report(
     for idx in groups:
         c = P_sup[idx].mean(axis=0)
         spread = norms[idx].max() - norms[idx].min()
-        if spread > 1e-5 * nmax:
+        if rank == k and spread > 1e-5 * nmax:
             raise InconsistencyError(
                 "support points on one hyperplane have different regression-vector lengths"
             )

@@ -233,6 +233,14 @@ class CandidateSet:
         screened = self._derived(model, "screen", lambda F: _screen(F, self.product_axes))
         return None if screened is None else screened[0]
 
+    def accept_rows(self, model) -> np.ndarray | None:
+        """The rows whose check can accept for the whole grid: the screen's
+        kept rows on a screened grid with no truncated axis, else None, which
+        stands for every row. ``grid_max`` accepts on them, and the E
+        certificate's minimax (``build_certificate``) reads only them.
+        """
+        return None if self.space.truncated else self.screen(model)
+
     def grid_max(self, model, N: np.ndarray, tol: float) -> tuple:
         """(sens, row, m) for N >= 0: m the largest f'Nf over the grid, at
         ``row``, and ``sens`` the f'Nf of every row, or None.
@@ -243,10 +251,10 @@ class CandidateSet:
         Otherwise every row is swept, which also finds the violators, and row
         is the lowest at m. A truncated axis is always swept, as
         ``tight_truncation`` reads its boundary rows. The kept set is asked
-        of ``screen``, so with the screen off every check sweeps.
+        of ``accept_rows``, so with the screen off every check sweeps.
         """
         _, F, derived = self._feature_entry(model)
-        if not self.space.truncated and self.screen(model) is not None:
+        if self.accept_rows(model) is not None:
             m, row, bound = kept_max(F, derived["screen"], N)
             if bound - 1.0 <= tol:
                 return None, row, m

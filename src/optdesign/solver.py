@@ -483,10 +483,11 @@ def _exchange(model, candidates, criterion, opts, init) -> SolveReport:
         history.append(value)
         if viol <= opts.kkt_tol:
             break
-        j = _best_unsupported(sens_all, candidates, sup_pts, 1.0 + opts.kkt_tol)
-        if j is None:
+        best = _best_unsupported(sens_all, candidates, sup_pts, 1.0 + opts.kkt_tol)
+        if best is None:
             break  # every violating candidate is already supported
-        sup_pts = np.vstack([sup_pts, candidates.rows([j])])
+        j, row = best
+        sup_pts = np.vstack([sup_pts, row])
         F_sup = np.vstack([F_sup, F_all[j]])
         w = np.append(w, 0.0)
     # an unconverged exit (budget or a fully-supported violation set) is
@@ -518,17 +519,19 @@ def _exchange(model, candidates, criterion, opts, init) -> SolveReport:
     )
 
 
-def _best_unsupported(sens, candidates, sup_pts, threshold) -> int | None:
-    """Index of the largest sensitivity above ``threshold`` among candidates
-    not in the support, or None if there is none. The lowest index wins exact
-    ties. Each row probed is read by ``CandidateSet.rows``."""
+def _best_unsupported(sens, candidates, sup_pts, threshold) -> tuple | None:
+    """(index, row) of the largest sensitivity above ``threshold`` among
+    candidates not in the support, or None if there is none. The lowest
+    index wins exact ties. Each row probed is read once, by
+    ``CandidateSet.rows``, and the one returned is that (1, q) read."""
     masked = sens
     while True:
         j = int(np.argmax(masked))
         if masked[j] <= threshold:
             return None
-        if not np.any(np.all(np.abs(sup_pts - candidates.rows([j])) < 1e-15, axis=1)):
-            return j
+        row = candidates.rows([j])
+        if not np.any(np.all(np.abs(sup_pts - row) < 1e-15, axis=1)):
+            return j, row
         if masked is sens:
             masked = sens.copy()
         masked[j] = -np.inf

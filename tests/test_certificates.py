@@ -515,12 +515,17 @@ def _checks(dsgn, model, cands, criterion):
     return chk.optimal, chk.max_violation, point, error
 
 
-def _checks_on_and_off_the_screen(monkeypatch, dsgn, model, cands, criterion):
+def _checks_on_and_off_the_screen(monkeypatch, dsgn, model, cands, criterion, exact=True):
+    """``_checks`` with the screen on and off, which must agree bit for bit,
+    or with ``exact`` False in all but ``max_violation``, both within tol."""
     on = _checks(dsgn, model, cands, criterion)
     with monkeypatch.context() as patch:
         patch.setattr(CandidateSet, "screen", lambda self, model: None)
         off = _checks(dsgn, model, cands, criterion)
-    assert on == off
+    if exact:
+        assert on == off
+    else:
+        assert (on[0], on[2:]) == (off[0], off[2:]) and max(on[1], off[1]) <= 1e-5
     return on
 
 
@@ -533,10 +538,16 @@ def test_kept_set_checks_match_the_full_grid_on_optima(monkeypatch, key, crit, h
     cands = default_candidates(m, h)
     c = parse_criterion(crit, m.k)
     rep = solve(m, cands, c)
-    # the kept set's bound accepts here, so the screen is what decides
+    # the kept set's bound accepts here, so the screen is what decides. With
+    # the screen off the E minimax reads every row, not the kept rows, so its
+    # certificate and max_violation may differ by rounding: E compares the
+    # verdict, the violating point and the polytope outcome
     assert cands.grid_max(m, rep.certificate.N, 1e-5)[0] is None
-    optimal, _, point, error = _checks_on_and_off_the_screen(monkeypatch, rep.design, m, cands, c)
-    # (mixture D and E group their support on more than k hyperplanes)
+    optimal, _, point, error = _checks_on_and_off_the_screen(
+        monkeypatch, rep.design, m, cands, c, exact=crit != "E"
+    )
+    # (mixture D at h = 0.05 groups its support on more than k hyperplanes:
+    # the grid has no point at its interior atoms +-0.58)
     assert optimal and point is None and (error is None or "on the grid" not in error)
 
 
@@ -612,6 +623,111 @@ def test_violator_off_the_kept_set_comes_from_the_full_grid(monkeypatch):
         monkeypatch, corners, model, cands, Criterion(NEG_INF, 3)
     )
     assert not optimal and point == [0.0, 0.0]
+
+
+def _minimax_rows(monkeypatch):
+    """Record the row count of every E minimax."""
+    rows = []
+
+    def recorded(H):
+        rows.append(H.shape[0])
+        return _e_eigenspace_minimax(H)
+
+    monkeypatch.setattr(certificates_module, "_e_eigenspace_minimax", recorded)
+    return rows
+
+
+# equal mass on (0, 1) and (1, 0): M = I / 2, so the E eigenspace is all of R^2
+E_DESIGN = [[0.0, 1.0], [1.0, 0.0]]
+
+
+def test_e_minimax_reads_the_kept_rows_on_a_screened_grid(monkeypatch):
+    m = make_model("linear-2f-no-intercept")
+    cands = discretize(m.space, 0.05)
+    rows = _minimax_rows(monkeypatch)
+    chk = certify(design(E_DESIGN), m, cands, Criterion(NEG_INF, 2))
+    assert chk.optimal and rows == [cands.screen(m).size] == [4]
+
+
+def test_e_minimax_reads_every_row_when_the_grid_sweeps(monkeypatch):
+    rows = _minimax_rows(monkeypatch)
+    # a truncated axis: every check sweeps, so the minimax reads every row too
+    space = truncate(DesignSpace(((0.0, 1.0), (0.0, float("inf")))), 1, 2.0)
+    m = make_model("linear-2f-no-intercept", space=space)
+    grid = discretize(space, (0.25, 0.5))
+    assert grid.screen(m) is not None
+    with pytest.warns(RuntimeWarning, match="truncated axis"):  # f'Nf is 1.6 at (0, 2)
+        certify(design(E_DESIGN), m, grid, Criterion(NEG_INF, 2))
+    # the screen off
+    m = make_model("linear-2f-no-intercept")
+    cands = discretize(m.space, 0.05)
+    monkeypatch.setattr(CandidateSet, "screen", lambda self, model: None)
+    certify(design(E_DESIGN), m, cands, Criterion(NEG_INF, 2))
+    assert rows == [len(grid), len(cands)]
+
+
+def test_kept_row_e_certificate_of_the_line_model_equals_the_full_row_one(monkeypatch):
+    # the CI byte step's certify and geometry on line2f E at h = 0.0025
+    m = make_model("linear-2f-no-intercept")
+    cands = discretize(m.space, 0.0025)
+    M = info_matrix(design(E_DESIGN), m)
+    rows = _minimax_rows(monkeypatch)
+    kept = build_certificate(Criterion(NEG_INF, 2), M, m, cands).N
+    monkeypatch.setattr(CandidateSet, "screen", lambda self, model: None)
+    full = build_certificate(Criterion(NEG_INF, 2), M, m, cands).N
+    assert rows == [4, len(cands)] and np.array_equal(kept, full)
+
+
+@pytest.mark.parametrize("key", ("growth", "line2f", "interaction"))
+def test_kept_row_e_certificate_holds_on_the_full_grid(key):
+    family, params = _SCREENED[key]
+    m = make_model(family, **params)
+    cands = discretize(m.space, 0.02)
+    c = parse_criterion("E", m.k)
+    N = certify(solve(m, cands, c).design, m, cands, c).certificate.N
+    F = cands.features(m)
+    bound = models_module.kept_max(F, models_module._screen(F, cands.product_axes), N)[2]
+    assert sweep(F, N).max() <= bound <= 1.0 + 1e-5
+
+
+def test_shrink_off_diagonal_keeps_the_trace_and_meets_the_psd_boundary():
+    rng = np.random.default_rng(3)
+    for r in (2, 3, 4):
+        for _ in range(20):
+            X = rng.uniform(-0.5, 0.5, (r, r))
+            X = X + X.T
+            np.fill_diagonal(X, rng.dirichlet(np.ones(r)))
+            X[0, 0] = 0.0 if r > 2 else X[0, 0]  # a zero diagonal drops its row
+            E = certificates_module._shrink_off_diagonal(X)
+            low = np.linalg.eigvalsh(E)[0]
+            assert np.trace(E) == pytest.approx(np.trace(X)) and low >= -1e-12
+            assert np.array_equal(np.diag(E), np.diag(X))
+            if np.linalg.eigvalsh(X)[0] < 0:
+                assert low <= 1e-12  # the largest PSD step is on the boundary
+
+
+def test_e_certificate_of_a_free_off_diagonal_takes_one_lp(monkeypatch):
+    # growth E on its 4 kept rows leaves the eigenspace LP's off-diagonal
+    # free: the first vertex is indefinite, and shrinking its off-diagonal
+    # until it is PSD meets the LP's bound, so no eigenvalue cut is needed
+    import scipy.optimize
+
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    family, params = _SCREENED["growth"]
+    m = make_model(family, **params)
+    cands = discretize(m.space, 0.02)
+    c = parse_criterion("E", m.k)
+    rep = solve(m, cands, c)
+    calls.clear()
+    chk = certify(rep.design, m, cands, c)
+    assert chk.optimal and len(calls) == 1
 
 
 def _watch_rows(monkeypatch):

@@ -548,10 +548,28 @@ def test_best_unsupported_skips_supported_violators():
     grid = discretize(interval(0.0, 2.0), 1.0)
     assert np.array_equal(grid.points, pts)
     for cands in (CandidateSet(interval(0.0, 2.0), pts, (1.0,)), grid):
-        assert _best_unsupported(sens, cands, pts[[1]], 1.0) == 0  # lowest index wins the tie
-        assert _best_unsupported(sens, cands, pts[[0, 1]], 1.0) == 2
+        j, row = _best_unsupported(sens, cands, pts[[1]], 1.0)
+        assert j == 0 and np.array_equal(row, pts[[0]])  # lowest index wins the tie
+        j, row = _best_unsupported(sens, cands, pts[[0, 1]], 1.0)
+        assert j == 2 and np.array_equal(row, pts[[2]])
         assert _best_unsupported(sens, cands, pts, 1.0) is None
         assert _best_unsupported(sens, cands, pts[[1]], 2.0) is None
+
+
+def test_best_unsupported_reads_each_probed_row_once(monkeypatch):
+    # rows 1 and 0 are supported, so three rows are probed, each read once,
+    # and the loop appends the returned row without reading it again
+    grid = discretize(interval(0.0, 2.0), 1.0)
+    reads = []
+    rows = CandidateSet.rows
+
+    def recorded(self, idx):
+        reads.append(list(idx))
+        return rows(self, idx)
+
+    monkeypatch.setattr(CandidateSet, "rows", recorded)
+    j, row = _best_unsupported(np.array([1.5, 3.0, 1.5]), grid, grid.points[:2], 1.0)
+    assert (j, row.tolist(), reads) == (2, [[2.0]], [[1], [0], [2]])
 
 
 def test_solve_d_coarse(line2f):
