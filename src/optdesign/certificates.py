@@ -21,7 +21,8 @@ import numpy as np
 
 from .criteria import _SING_REL, NEG_INF, Criterion, finite_p_dual
 from .criteria import phi, polar, psd_eig
-from .designs import SWEEP_BLOCK, Design, components, gram, sweep
+from .designs import SWEEP_BLOCK, Design, _top_rows, components, gram, rank_one_batch
+from .designs import rank_one_lp, sweep
 from .errors import InconsistencyError, ValidationError
 from .models import FAMILIES, CandidateSet, ModelSpec, make_model
 
@@ -121,103 +122,30 @@ def _row_norms2(F: np.ndarray) -> np.ndarray:
     return out
 
 
-def _top_rows(values: np.ndarray, count: int) -> np.ndarray:
-    """Ascending indices of the ``count`` largest values, ties to the lowest index.
-
-    The same set as the first ``count`` of a stable descending argsort, found
-    by one partition in O(n) in place of an O(n log n) sort.
-    """
-    n = values.size
-    if count >= n:
-        return np.arange(n)
-    cut = np.partition(values, n - count)[n - count]  # the count-th largest value
-    above = np.flatnonzero(values > cut)
-    ties = np.flatnonzero(values == cut)[: count - above.size]
-    return np.sort(np.concatenate([above, ties]))
-
-
 def _e_eigenspace_minimax(H: np.ndarray) -> np.ndarray:
     """Trace-one PSD E on the minimal eigenspace minimizing max_i h_i' E h_i
     over the rows h_i of H (``build_certificate`` passes the grid rows that
     ``CandidateSet.accept_rows`` names).
 
-    The sensitivities are linear in the entries of E, so the minimax is one LP
-    over the rows of H (dimension r(r+1)/2), solved by row generation: the LP
-    holds an active set of rows, seeded with the largest ||h_i||, and every
-    LP solution is checked against all rows in one sweep; violated rows join
-    the set and the LP is solved again, so each accepted solution satisfies
-    every row while the LP stays a few dozen rows tall.
-    Definiteness is enforced by eigenvalue cuts. An indefinite LP point is
-    swept at two PSD points of trace one: its eigenvalue-clipped projection
-    and, if that misses the LP's bound, the point where the segment from its
-    diagonal to it leaves the PSD cone (``_shrink_off_diagonal``). The
-    first to meet the LP's bound ends the cuts; on a few rows the
-    off-diagonal is often free at the optimum, and the second point then
-    saves the cut rounds. Where several E attain the minimax, the LP's vertex
-    (or its PSD point) is returned.
+    The sensitivities are linear in the entries of E, so the minimax is the
+    dual of one ``rank_one_lp`` with R = 0 and a free scale column: E is its
+    N (trace one, diagonal in [0, 1], off-diagonal in [-0.5, 0.5]) and the
+    minimax its t. The LP starts from the rows of largest ||h_i|| and prices
+    the others in. Definiteness is enforced by eigenvalue cuts, directions
+    of cost 0 (v' E v >= 0). An indefinite E is swept at two PSD points of
+    trace one: its eigenvalue-clipped projection and, if that misses the
+    LP's bound, the point where the segment from its diagonal to it leaves
+    the PSD cone (``_shrink_off_diagonal``). The first to meet the LP's
+    bound ends the cuts; on a few rows the off-diagonal is often free at
+    the optimum, and the second point then saves the cut rounds. Where
+    several E attain the minimax, the LP's vertex (or its PSD point) is
+    returned.
     """
-    from scipy.optimize import linprog
-
     r = H.shape[1]
-    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    nv = r + len(pairs) + 1  # diagonal, off-diagonal, epigraph variable
-
-    def matrix_of(x):
-        E = np.diag(x[:r])
-        for idx, (i, j) in enumerate(pairs):
-            E[i, j] = E[j, i] = x[r + idx]
-        return E
-
-    def sens_rows(vectors):
-        rows = np.zeros((vectors.shape[0], nv))
-        rows[:, :r] = vectors**2
-        for idx, (i, j) in enumerate(pairs):
-            rows[:, r + idx] = 2.0 * vectors[:, i] * vectors[:, j]
-        return rows
-
-    bounds = [(0.0, 1.0)] * r + [(-0.5, 0.5)] * len(pairs) + [(0.0, None)]
-    obj = np.zeros(nv)
-    obj[-1] = 1.0
-    A_eq = np.zeros((1, nv))
-    A_eq[0, :r] = 1.0
-    psd_cuts: list[np.ndarray] = []
+    box = (0.5 * np.eye(r) - 0.5, 0.5 * np.eye(r) + 0.5)  # diagonal [0, 1], off-diagonal +-0.5
     norms2 = _row_norms2(H)
     best_E, best_worst = np.eye(r) / r, float(norms2.max() / r)
-    batch = 10 * nv  # rows that seed the LP and that join it per round
-    active = _top_rows(norms2, batch)
-
-    def solve_lp():
-        nonlocal active
-        while True:
-            rows = sens_rows(H[active])
-            rows[:, nv - 1] = -1.0
-            rows, rhs = [rows], [np.zeros(active.size)]
-            if psd_cuts:
-                rows.append(-sens_rows(np.stack(psd_cuts)))
-                rhs.append(np.zeros(len(psd_cuts)))
-            res = linprog(
-                obj, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
-                A_eq=A_eq, b_eq=[1.0], bounds=bounds, method="highs",
-            )
-            if not res.success:
-                return res
-            # HiGHS holds the rows in the LP to its primal feasibility
-            # tolerance, 1e-7, which is all the full-row LP promised on any
-            # row. A row outside the LP joins it when it exceeds the bound by
-            # more than 1e-9 of the bound, i.e. by 1e-9 in f'Nf, whose bound
-            # is 1: a hundredth of HiGHS's tolerance, yet far above the
-            # sweep's rounding (about 1e-16), so no row joins for noise.
-            # Rows already in the LP are left to HiGHS's tolerance.
-            bound = res.x[nv - 1]
-            excess = sweep(H, matrix_of(res.x)) - bound
-            excess[active] = 0.0
-            new = np.flatnonzero(excess > 1e-9 * bound)
-            if new.size == 0:
-                return res
-            # the most violated rows only: one lopsided LP point can violate
-            # nearly every candidate at once
-            new = new[_top_rows(excess[new], batch)]
-            active = np.union1d(active, new)
+    active, cuts = _top_rows(norms2, rank_one_batch(r)), np.zeros((r, 0))
 
     def meets(E, bound) -> bool:
         """Sweep E, keep it if it is the best so far, and say whether the
@@ -229,18 +157,17 @@ def _e_eigenspace_minimax(H: np.ndarray) -> np.ndarray:
         return best_worst <= bound * (1.0 + 1e-9)
 
     for _ in range(40):  # eigenvalue-cut rounds
-        res = solve_lp()
-        if not res.success:
+        res = rank_one_lp(H, np.zeros((r, r)), cuts, 0.0, box, active, scale=True)
+        if res.status != 0:
             break
-        X = matrix_of(res.x)
-        vals, vecs = np.linalg.eigh(X)
+        active = res.active
+        vals, vecs = np.linalg.eigh(res.N)
         definite = vals[0] >= -1e-11
         clipped = np.clip(vals, 0.0, None)
         E = (vecs * (clipped if definite else clipped / clipped.sum())) @ vecs.T
-        bound = res.x[nv - 1]
-        if meets(E, bound) or definite or meets(_shrink_off_diagonal(X), bound):
+        if meets(E, res.t) or definite or meets(_shrink_off_diagonal(res.N), res.t):
             break
-        psd_cuts.append(vecs[:, 0])
+        cuts = np.column_stack([cuts, vecs[:, 0]])
     return best_E
 
 
@@ -273,14 +200,16 @@ def build_certificate(
     Finite p: N = M^(p-1) / trace(M^p), closed form. E-criterion: N is built on
     the smallest eigenspace V; with multiplicity N = V E V' / lambda_min, E
     the trace-one factor that minimizes the worst sensitivity over the rows
-    ``CandidateSet.accept_rows`` names, found by one row-generated LP with
-    eigenvalue cuts (``_e_eigenspace_minimax``). On a screened grid with no
-    truncated axis those are the screen's kept rows, which span all k
-    dimensions, so every trace-one PSD E has a positive maximum there; N is
-    PSD, so ``kept_max``'s bound covers every grid row; and the kept-row
-    minimax is at most the full-grid one, so its E's grid maximum is within
-    the bound's slack of it. Elsewhere every row is read. The whole grid is
-    left to ``CandidateSet.grid_max``, which every caller runs on N.
+    ``CandidateSet.accept_rows`` names: the dual of the rank-one LP
+    (``rank_one_lp``, the dominator search's kernel too), with those rows
+    priced in by ``sweep`` and eigenvalue cuts (``_e_eigenspace_minimax``).
+    On a screened grid with no truncated axis those are the screen's kept
+    rows, which span all k dimensions, so every trace-one PSD E has a
+    positive maximum there; N is PSD, so ``kept_max``'s bound covers every
+    grid row; and the kept-row minimax is at most the full-grid one, so its
+    E's grid maximum is within the bound's slack of it. Elsewhere every row
+    is read. The whole grid is left to ``CandidateSet.grid_max``, which
+    every caller runs on N.
     """
     vals, vecs = psd_eig(M, criterion.s)
     if criterion.p == NEG_INF:
@@ -341,8 +270,10 @@ def certify(
     ``max_violation`` is then the kept set's, below the grid's by at most the
     bound's slack (rounding on exactly affine axes); otherwise every row is
     swept, and the largest gives ``max_violation`` and ``violating_point``.
-    A sensitivity of at least 1 - 10 tol on the upper boundary of a truncated
-    axis warns. This is a computation, not a search: it always returns a report.
+    A design certified optimal whose sensitivity reaches 1 - 10 tol on the
+    upper boundary of a truncated axis warns, as ``solve`` raises
+    ``TruncationSlackError`` only on a converged solve. This is a
+    computation, not a search: it always returns a report.
     """
     if not tol >= 0:  # also rejects NaN
         raise ValidationError(f"certify tolerance must be nonnegative, got {tol:g}")
@@ -354,7 +285,7 @@ def certify(
     viol = worst - cert.bound
     support_sens = sweep(F_sup, cert.N)
     optimal, tr, product = verdict(criterion, M, cert, viol, support_sens, tol)
-    if candidates.tight_truncation(sens, tol) is not None:
+    if optimal and candidates.tight_truncation(sens, tol) is not None:
         warnings.warn(
             "normality inequality is tight on the boundary of a truncated axis; "
             "the continuum guarantee may need a larger domain", RuntimeWarning, stacklevel=2,

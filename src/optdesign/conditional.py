@@ -18,8 +18,9 @@ index proof, at d = 0 all mass on the largest h (a proof when that does not
 dominate), at d = 1 with h constant the two ends of g at d1's mean in
 closed form, or else one LP with 2d + 1 rows; the same moment problem on
 each axis line through d1's atoms, spliced back into d1 (a dominator only);
-then one column-generated primal-dual LP over the candidates and d1's atoms,
-whose dual bound is the proof that no gap of material trace exists.
+then the rank-one LP over the candidates and d1's atoms (``rank_one_lp``,
+shared with the E certificate, priced by ``sweep``), whose dual bound is
+the proof that no gap of material trace exists.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .designs import Design, gram, info_matrix
+from .designs import Design, _top_rows, gram, info_matrix, rank_one_batch, rank_one_lp
 from .errors import NoConditionalModelError, ValidationError
 from .models import CandidateSet, ModelSpec, discretize, gram_rank, interval
 
 SLICE_TOL = 1e-9       # atoms whose t-values (or marginal coordinates) differ by at most this are grouped
 DOMINANCE_TOL = 1e-7   # relative Loewner-order slack of the dominator search
 AUDIT_STEP = 0.01      # grid step of the slice and marginal grids the audits search
-LP_ROUNDS = 60         # LP solves of the dominator search's primal-dual LP
+LP_ROUNDS = 60         # rounds of the dominator search's rank-one LP
 # positions, as fractions of the other axis, of the lines on which
 # marginal_model compares the span of f
 _MARGINAL_SAMPLES = (0.0, 0.13, 0.29, 0.47, 0.61, 0.83, 1.0)
@@ -127,7 +128,7 @@ class AdmissibilityVerdict:
     the index of a polynomial design, which at degree 1 puts its atoms at
     the ends of g, the degree-0 design on the largest h, or a single
     candidate), or that none on the candidates or the design's atoms does
-    (by the primal-dual LP's dual bound, which covers every gap whose trace
+    (by the rank-one LP's dual bound, which covers every gap whose trace
     in the frame whitened by M(d1) + M(uniform on the candidates) exceeds
     MATERIAL_FACTOR * DOMINANCE_TOL); otherwise it means no dominator was
     found within budget, which is evidence, not proof. ``inconclusive``
@@ -530,33 +531,32 @@ def _dual_bound(N: np.ndarray, lam: np.ndarray, A: np.ndarray, A1: np.ndarray) -
 
 
 def _gap_lp(d1: Design, points: np.ndarray, F: np.ndarray, F1: np.ndarray, model):
-    """Dominator search over the candidates and d1's own atoms by one
-    column-generated primal-dual LP, in the frame whitened by
+    """Dominator search over the candidates and d1's own atoms by the
+    rank-one LP (``rank_one_lp``), in the frame whitened by
     W = M(d1) + M(uniform on the candidates).
 
     With a_i the whitened rows of the candidates and of d1's atoms, and A1
-    the whitened M(d1), the primal maximizes sum_j mu_j subject to
-    sum_i w_i a_i a_i' - sum_j mu_j v_j v_j' = A1 and sum_i w_i = 1, over
-    w, mu >= 0 and unit gap directions v_j. Its columns hold d1's atoms, so
-    w = d1 is feasible, and a point with sum mu > 0 is a design whose gap is
-    a nonnegative sum of rank-ones; it is returned once it verifies. The
-    equality duals form a symmetric N with a_i' N a_i <= s and
-    v_j' N v_j >= 1, its entries boxed by B through slack columns of cost B;
-    B starts at 1e3 and grows 100-fold, up to 1e9, while the optimum uses
+    the whitened M(d1), the LP (R = A1, directions of cost 1) maximizes
+    sum_j mu_j subject to sum_i w_i a_i a_i' - sum_j mu_j v_j v_j' = A1 and
+    sum_i w_i = 1, over w, mu >= 0 and unit gap directions v_j. Its seed
+    holds d1's atoms, so w = d1 is feasible, and the rows of largest
+    whitened norm; with every row in the seed it is the full LP. A point
+    with sum mu > 0 is a design whose gap is a nonnegative sum of
+    rank-ones; it is returned once it verifies. The duals form a symmetric
+    N with a_i' N a_i <= t and v_j' N v_j >= 1, its entries boxed by B; B
+    starts at 1e3 and grows 100-fold, up to 1e9, while the optimum uses
     slack (above 1e-9). Any N bounds the W-whitened trace of every
-    nonnegative definite gap of a design on the columns (``_dual_bound``):
-    a bound at most MATERIAL_FACTOR * DOMINANCE_TOL proves that no design on
+    nonnegative definite gap of a design on the rows (``_dual_bound``): a
+    bound at most MATERIAL_FACTOR * DOMINANCE_TOL proves that no design on
     the candidates and d1's atoms has a nonnegative definite gap of larger
     W-whitened trace. Each round prices in, as new gap directions, the
     eigenvectors of N with eigenvalue below 1 and their pairwise mixtures.
-    LP_ROUNDS LP solves cap the loop; at the cap the search is inconclusive
+    LP_ROUNDS rounds cap the loop; at the cap the search is inconclusive
     when the least bound so far fell over the last half of the rounds, and
     a failed LP is inconclusive once B is at its cap.
 
     Returns (verified dominator or None, proof or "", inconclusive note or "").
     """
-    from scipy.optimize import linprog
-
     n, m = F.shape[0], F1.shape[0]
     R = np.vstack([np.sqrt(d1.weights)[:, None] * F1, F / np.sqrt(n)])
     _, sv, Vt = np.linalg.svd(R, full_matrices=False)
@@ -565,39 +565,25 @@ def _gap_lp(d1: Design, points: np.ndarray, F: np.ndarray, F1: np.ndarray, model
     frame = sv > 1e-10 * sv[0]
     A = np.vstack([F, F1]) @ (Vt[frame].T / sv[frame])
     A1 = gram(A[n:], d1.weights)
-    iu = np.triu_indices(A.shape[1])
-    twice = np.where(iu[0] == iu[1], 1.0, 2.0)
-
-    def rows(V):  # the entries p <= q of v v' for each column v, off-diagonals doubled
-        return twice[:, None] * V[iu[0]] * V[iu[1]]
-
-    e, outer, atoms = iu[0].size, rows(A.T), np.vstack([points, d1.points])
-    b_eq = np.append(twice * A1[iu], 1.0)
+    atoms, norms2 = np.vstack([points, d1.points]), (A**2).sum(axis=1)
+    active = np.union1d(np.arange(n, n + m), _top_rows(norms2, rank_one_batch(A.shape[1])))
     dirs = np.linalg.eigh(A1)[1]
     box, bounds = 1e3, []
     for _ in range(LP_ROUNDS):
-        j = dirs.shape[1]
-        A_eq = np.block([
-            [outer, -rows(dirs), np.eye(e), -np.eye(e)],
-            [np.ones((1, n + m)), np.zeros((1, j + 2 * e))],
-        ])
-        cost = np.concatenate([np.zeros(n + m), -np.ones(j), np.full(2 * e, box)])
-        res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
+        res = rank_one_lp(A, A1, dirs, 1.0, (-box, box), active)
         if res.status != 0:
             return None, "", f"the LP failed (HiGHS status {res.status})" if box >= 1e9 else ""
-        w, mu, slack = res.x[: n + m], res.x[n + m: n + m + j], float(res.x[n + m + j:].max())
+        active, a, j = res.active, res.active.size, dirs.shape[1]
+        mu, slack = res.x[a: a + j], float(res.x[a + j:].max())
         # the gap is sum mu v v' less the slack: verify only where the slack
         # leaves at least half of the loss dominates allows for the change
         # of frame
         if mu.sum() > 1e-9 and slack <= 0.5 * DOMINANCE_TOL:
-            dom = _weights_dominator(w, atoms, d1, model)
+            dom = _weights_dominator(res.x[:a], atoms[active], d1, model)
             if dom is not None:
                 return dom, "", ""
-        N = np.zeros((A.shape[1],) * 2)
-        N[iu] = res.eqlin.marginals[:e]
-        N = N + np.triu(N, 1).T
-        lam, vecs = np.linalg.eigh(N)
-        bound = _dual_bound(N, lam, A, A1)
+        lam, vecs = np.linalg.eigh(res.N)
+        bound = _dual_bound(res.N, lam, A, A1)
         bounds.append(min(bound, bounds[-1]) if bounds else bound)
         if bound <= MATERIAL_FACTOR * DOMINANCE_TOL:
             return None, "dual bound below tolerance", ""
@@ -641,12 +627,13 @@ def find_dominator(
       atoms on that line against the candidates on it, spliced back into
       d1 (``_axis_line_dominator``). It returns dominators only: their gaps
       are rank one, which the LP below must price in exactly.
-    - One column-generated primal-dual LP (``_gap_lp``) over the candidates
-      and d1's atoms, in the frame whitened by M(d1) + M(uniform on the
-      candidates). Its dual bound below MATERIAL_FACTOR * DOMINANCE_TOL
-      proves that no design there has a nonnegative definite gap of larger
-      whitened trace. LP_ROUNDS LP solves cap it; a bound still falling at
-      the cap, or an LP that fails at its largest box, is inconclusive.
+    - The rank-one LP (``_gap_lp``) over the candidates and d1's atoms, in
+      the frame whitened by M(d1) + M(uniform on the candidates), with the
+      candidates priced in by ``sweep``. Its dual bound below
+      MATERIAL_FACTOR * DOMINANCE_TOL proves that no design there has a
+      nonnegative definite gap of larger whitened trace. LP_ROUNDS rounds
+      cap it; a bound still falling at the cap, or an LP that fails at its
+      largest box, is inconclusive.
 
     Every returned dominator is verified by ``dominates``. A verdict of
     admissible without a proof means the search came up empty within budget;

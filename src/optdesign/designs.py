@@ -160,6 +160,84 @@ def _lane_order(k: int, lane: int) -> list[int]:
     return order + list(range(full + lane, k, 2))
 
 
+def _top_rows(values: np.ndarray, count: int) -> np.ndarray:
+    """Ascending indices of the ``count`` largest values, ties to the lowest index.
+
+    The same set as the first ``count`` of a stable descending argsort, found
+    by one partition in O(n) in place of an O(n log n) sort.
+    """
+    n = values.size
+    if count >= n:
+        return np.arange(n)
+    cut = np.partition(values, n - count)[n - count]  # the count-th largest value
+    above = np.flatnonzero(values > cut)
+    ties = np.flatnonzero(values == cut)[: count - above.size]
+    return np.sort(np.concatenate([above, ties]))
+
+
+def rank_one_batch(k: int) -> int:
+    """Rows that seed ``rank_one_lp`` and join it per round: 10 per LP row."""
+    return 10 * (k * (k + 1) // 2 + 1)
+
+
+def rank_one_lp(A, R, dirs, dir_cost, box, active, scale=False):
+    """The LP that puts weights w on rows a_i of A and mu on directions v_j
+    (columns of ``dirs``) into one symmetric k x k matrix equation.
+
+    Over w, mu, box slacks S+, S- >= 0 and, with ``scale``, a free s, it
+    maximizes dir_cost sum mu + s less the slack cost, subject to sum w = 1
+    and sum_i w_i a_i a_i' - sum_j mu_j v_j v_j' - s I + S+ - S- = R, one
+    row per entry p <= q. Each slack costs the bound ``box`` = (lower,
+    upper) puts on its entry of the dual: a symmetric N and t with
+    a_i' N a_i <= t, v_j' N v_j >= dir_cost, lower <= N <= upper and, with
+    ``scale``, trace N = 1.
+
+    The LP starts from the rows ``active``; after each solve a'Na - t is
+    swept over every row, and the ``rank_one_batch`` most violated join
+    until none exceeds t by 1e-9 |t|: a hundredth of HiGHS's tolerance,
+    1e-7, yet far above the sweep's rounding, so no row joins for noise.
+
+    Returns HiGHS's last result, whose ``x`` is (w on the rows ``active``,
+    ascending; mu; S+; S-; s), with N, t and ``active``.
+    """
+    from scipy.optimize import linprog
+
+    k = A.shape[1]
+    iu = np.triu_indices(k)
+    e, twice = iu[0].size, np.where(iu[0] == iu[1], 1.0, 2.0)
+
+    def vech(V):  # the entries p <= q of v v' for each column v, off-diagonals doubled
+        return twice[:, None] * V[iu[0]] * V[iu[1]]
+
+    lower, upper = (np.broadcast_to(b, (k, k))[iu] for b in box)
+    # the columns after the rows': directions, S+, S- and the free s (-I, i.e. twice - 2)
+    fixed = [-vech(dirs), np.eye(e), -np.eye(e)] + [(twice - 2.0)[:, None]] * scale
+    fixed = np.vstack([np.hstack(fixed), np.zeros(dirs.shape[1] + 2 * e + scale)])
+    fixed_cost = np.concatenate([np.full(dirs.shape[1], -dir_cost), upper, -lower, [-1.0] * scale])
+    fixed_bounds = [(0.0, None)] * (fixed_cost.size - scale) + [(None, None)] * scale
+    while True:
+        res = linprog(
+            np.concatenate([np.zeros(active.size), fixed_cost]),
+            A_eq=np.hstack([np.vstack([vech(A[active].T), np.ones(active.size)]), fixed]),
+            b_eq=np.append(twice * R[iu], 1.0), bounds=[(0.0, None)] * active.size + fixed_bounds,
+            method="highs",
+        )
+        res.active = active
+        if res.status != 0:
+            return res
+        N = np.zeros((k, k))
+        N[iu] = res.eqlin.marginals[:e]
+        res.N, res.t = N + np.triu(N, 1).T, -float(res.eqlin.marginals[e])
+        excess = sweep(A, res.N) - res.t
+        excess[active] = 0.0
+        new = np.flatnonzero(excess > 1e-9 * abs(res.t))
+        if new.size == 0:
+            break
+        # the most violated rows only: one lopsided N can violate nearly every row
+        active = np.union1d(active, new[_top_rows(excess[new], rank_one_batch(k))])
+    return res
+
+
 def info_matrix(dsgn: Design, model) -> np.ndarray:
     """M(xi) = sum_i w_i f(x_i) f(x_i)^T; symmetric nonnegative definite."""
     return gram(model.eval_many(dsgn.points), dsgn.weights)

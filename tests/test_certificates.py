@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,9 +29,9 @@ from optdesign import (
     solve,
     truncate,
 )
-from optdesign.certificates import _e_eigenspace_minimax, _top_rows
+from optdesign.certificates import _e_eigenspace_minimax
 from optdesign.criteria import NEG_INF, phi, polar, psd_eig
-from optdesign.designs import SWEEP_BLOCK, info_matrix, sweep
+from optdesign.designs import SWEEP_BLOCK, _top_rows, info_matrix, sweep
 
 from conftest import NearlyAffine, count_evaluations, random_psd
 
@@ -158,18 +159,20 @@ def test_e_minimax_row_generation_matches_full_lp(monkeypatch, family, bounds, s
     H = m.eval_many(cands.points) @ psd_eig(M)[1]
     full = _full_row_minimax(H)
 
-    heights = []
+    # the minimax is the dual of a column-generated LP: each candidate row it
+    # reads is one LP column
+    widths = []
     linprog = scipy.optimize.linprog
 
     def recorded(*args, **kwargs):
-        heights.append(kwargs["A_ub"].shape[0])
+        widths.append(kwargs["A_eq"].shape[1])
         return linprog(*args, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "linprog", recorded)
     E = _e_eigenspace_minimax(H)
     worst = float(np.einsum("ij,jk,ik->i", H, E, H).max())
     assert worst == pytest.approx(full, abs=1e-9)
-    assert heights and max(heights) < 0.01 * len(cands)
+    assert widths and max(widths) < 0.01 * len(cands)
 
 
 def test_certificate_rejects_singular(line2f, line2f_grid):
@@ -436,6 +439,19 @@ def test_certify_warns_on_tight_truncation():
         certify(d, model, grid, Criterion(0.0))
 
 
+def test_certify_does_not_warn_on_truncation_for_a_design_it_rejects():
+    # axis 1 cut at 2: f'Nf is 1.6 at (0, 2), on the truncated boundary, but
+    # the design is far from optimal on the grid, so no larger domain is
+    # needed to say so
+    space = truncate(DesignSpace(((0.0, 1.0), (0.0, float("inf")))), 1, 2.0)
+    m = make_model("linear-2f-no-intercept", space=space)
+    grid = discretize(space, (0.25, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        chk = certify(design(E_DESIGN), m, grid, Criterion(NEG_INF, 2))
+    assert not chk.optimal and chk.max_violation == pytest.approx(0.6)
+
+
 def test_full_grid_evaluated_once_per_model(monkeypatch):
     rows = count_evaluations(monkeypatch, "interaction-2f")
     m = make_model("interaction-2f")
@@ -656,8 +672,7 @@ def test_e_minimax_reads_every_row_when_the_grid_sweeps(monkeypatch):
     m = make_model("linear-2f-no-intercept", space=space)
     grid = discretize(space, (0.25, 0.5))
     assert grid.screen(m) is not None
-    with pytest.warns(RuntimeWarning, match="truncated axis"):  # f'Nf is 1.6 at (0, 2)
-        certify(design(E_DESIGN), m, grid, Criterion(NEG_INF, 2))
+    assert not certify(design(E_DESIGN), m, grid, Criterion(NEG_INF, 2)).optimal
     # the screen off
     m = make_model("linear-2f-no-intercept")
     cands = discretize(m.space, 0.05)

@@ -530,6 +530,29 @@ def test_find_dominator_dual_bound_proves_none(line2f):
     )
 
 
+def test_find_dominator_prices_candidates_into_the_lp(monkeypatch):
+    # the 2x2 factorial is admissible for the interaction model: the LP's dual
+    # bound proves it over all 40,401 candidates, which enter the LP only as
+    # ``sweep`` prices them, so each LP holds under 1 % of them as columns
+    import scipy.optimize
+
+    widths = []
+    linprog = scipy.optimize.linprog
+
+    def recorded(*args, **kwargs):
+        widths.append(kwargs["A_eq"].shape[1])
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", recorded)
+    m = make_model("interaction-2f")
+    cands = discretize(m.space, 0.005)
+    verdict = find_dominator(design([[0, 0], [0, 1], [1, 0], [1, 1]]), cands, m)
+    assert verdict.admissible and verdict.note == (
+        "no design on these candidates or the design's atoms dominates (dual bound below tolerance)"
+    )
+    assert len(cands) == 40401 and widths and max(widths) < 0.01 * len(cands)
+
+
 def test_find_dominator_still_improving_is_inconclusive_on_small_problems(line2f, monkeypatch):
     # two parameters and three candidates: the moment stage finds nothing,
     # and an LP whose dual bound is still falling at its cap is inconclusive
@@ -689,6 +712,14 @@ CONSISTENCY_FAMILIES = [
 ]
 
 
+# the diagonal map finds a dominator on 20 of exp-product-2f's 30 draws;
+# (1, 1) finds none on any family
+SLICE_MAPS = (
+    SliceMap("coordinate", axis=0), SliceMap("coordinate", axis=1),
+    SliceMap("linear", coeffs=(1.0, -1.0)),
+)
+
+
 def _proved(verdict):
     return verdict.admissible and verdict.note.startswith("no design on")
 
@@ -697,11 +728,11 @@ def _proved(verdict):
                          ids=[c[0] for c in CONSISTENCY_FAMILIES])
 def test_search_finds_what_the_audits_find(family, params, step):
     # 30 designs of k to k + 2 atoms on the boundary of the grid C, with
-    # uniform(0.05, 1) weights from default_rng(7). A coordinate audit's
-    # dominator D splices a slice back into the design, so it lies on
-    # C' = C + supp D: the search on C' must find a verified dominator, a
-    # dominator on C must stay one on C', and a proof on C cannot stand
-    # beside a dominator on C
+    # uniform(0.05, 1) weights from default_rng(7). An audit's dominator D,
+    # on a coordinate slice or on a diagonal x0 - x1 = t, splices a slice
+    # back into the design, so it lies on C' = C + supp D: the search on C'
+    # must find a verified dominator, a dominator on C must stay one on C',
+    # and a proof on C cannot stand beside a dominator on C
     model = make_model(family, **params)
     grid = discretize(model.space, step).points
     lo, hi = np.array(model.space.bounds).T
@@ -714,8 +745,8 @@ def test_search_finds_what_the_audits_find(family, params, step):
         on_grid = find_dominator(d1, grid, model)
         if on_grid.dominator is not None:
             assert dominates(on_grid.dominator, d1, model)
-        for axis in (0, 1):
-            audit = conditional_audit(d1, SliceMap("coordinate", axis=axis), model)
+        for tmap in SLICE_MAPS:
+            audit = conditional_audit(d1, tmap, model)
             if audit.dominator is None:
                 continue
             wider = find_dominator(d1, np.vstack([grid, audit.dominator.points]), model)
