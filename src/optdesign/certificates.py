@@ -275,8 +275,8 @@ def certify(
     ``TruncationSlackError`` only on a converged solve. This is a
     computation, not a search: it always returns a report.
     """
-    if not tol >= 0:  # also rejects NaN
-        raise ValidationError(f"certify tolerance must be nonnegative, got {tol:g}")
+    if not 0 <= tol < np.inf:  # also rejects NaN
+        raise ValidationError(f"certify tolerance must be nonnegative and finite, got {tol:g}")
     criterion = Criterion(criterion.p, model.k)
     F_sup = model.eval_many(design.points)
     M = gram(F_sup, design.weights)
@@ -311,8 +311,10 @@ def polytope_report(
     Squared transformed coordinates of a support point give the coefficient
     vector of the hyperplane its constraint is active on. Points are grouped
     on the coordinates along the eigenvectors in the range of N (eigenvalues
-    above ``_SING_REL`` of the largest), as the others do not enter f'Nf;
-    at most k groups can occur. Where N is nonsingular, points sharing a
+    above ``_SING_REL`` of the largest), as the others do not enter f'Nf.
+    More than k groups raise ``InconsistencyError``; a grid-certified design
+    whose atoms lie off the grid's points can reach that (mixture-poly-exp D
+    at h = 0.05). Where N is nonsingular, points sharing a
     hyperplane share all k squared coordinates, so their lengths ||f(x)||
     must agree; a singular N, such as the rank-one E certificate of a simple
     smallest eigenvalue, claims no such equality. ``c`` is the group's mean
@@ -396,13 +398,13 @@ def garza_report(model: ModelSpec, candidates: CandidateSet, norm_tol: float = 1
     Buckets ||f(x)||^2 over the grid within ``norm_tol``; an injective norm map
     bounds optimal supports by k points, and at most N equal-length vectors
     bound them by N*k. The largest bucket's size is computed once per grid,
-    model and tolerance and kept beside the regression matrix, under its
-    snapshot; ``norm_values`` is computed on every call and is the caller's.
+    model and tolerance and kept beside the regression matrix, for the same
+    model object; ``norm_values`` is computed on every call and is the caller's.
     Beside it, the first call holds one n-sized temporary, the sorted copy
     ``_biggest_bucket`` reads, and no call forms the grid's points.
     """
-    if not norm_tol >= 0:  # also rejects NaN
-        raise ValidationError(f"norm tolerance must be nonnegative, got {norm_tol:g}")
+    if not 0 <= norm_tol < np.inf:  # also rejects NaN
+        raise ValidationError(f"norm tolerance must be nonnegative and finite, got {norm_tol:g}")
     norms2 = _row_norms2(candidates.features(model))
     biggest = candidates._derived(
         model, ("garza", norm_tol), lambda _: _biggest_bucket(norms2, norm_tol)

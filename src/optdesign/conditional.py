@@ -25,7 +25,6 @@ the proof that no gap of material trace exists.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -83,22 +82,19 @@ class ConditionalModel:
     """f on the slice t(x) = t as f~ = U^T f, where the lift U (k x r) is an
     orthonormal basis of the span of f there; ``eval_many`` gives f(x)^T U.
     ``grid`` is the slice grid the lift was taken on and the audit searches.
-    The lift and the grid are made read-only, and the key a candidate grid
-    keeps of the model (``CandidateSet.features``) is computed once, from
-    the parent model's key, the lift, t and the grid."""
+    The lift and the grid are made read-only, so the regression matrix a
+    candidate grid keeps for the model object (``CandidateSet.features``)
+    cannot go stale."""
 
     model: ModelSpec
     lift: np.ndarray  # (k, r), orthonormal columns
     slice_space: str
     t: float
     grid: np.ndarray = field(repr=False)  # (n, 2) points of the slice grid
-    _key: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.lift.setflags(write=False)
         self.grid.setflags(write=False)
-        parts = (self.lift.shape, self.lift.tobytes(), self.t, self.grid.tobytes())
-        object.__setattr__(self, "_key", pickle.dumps((self.model._key, *parts)))
 
     @property
     def k(self) -> int:
@@ -133,7 +129,7 @@ class AdmissibilityVerdict:
     MATERIAL_FACTOR * DOMINANCE_TOL); otherwise it means no dominator was
     found within budget, which is evidence, not proof. ``inconclusive``
     marks a search whose LP's dual bound was still falling at its round
-    cap, or whose LP failed at its largest box."""
+    cap, or whose LP failed."""
 
     admissible: bool
     dominator: Design | None = None
@@ -368,8 +364,8 @@ def dominates(d2: Design, d1: Design, model, tol: float = DOMINANCE_TOL) -> bool
     MATERIAL_FACTOR * tol. In the weaker directions rounding reaches about
     1e-6, and the loss may reach MATERIAL_FACTOR * tol; they hold no gain,
     so an atom of weight 1e-11 alone adds none."""
-    if not tol >= 0:  # also rejects NaN
-        raise ValidationError(f"dominance tolerance must be nonnegative, got {tol:g}")
+    if not 0 <= tol < np.inf:  # also rejects NaN
+        raise ValidationError(f"dominance tolerance must be nonnegative and finite, got {tol:g}")
     R1, R2 = (np.sqrt(d.weights)[:, None] * model.eval_many(d.points) for d in (d1, d2))
     U, sv, _ = np.linalg.svd(np.vstack([R1, R2]), full_matrices=False)
     if not sv[0] > 0:
@@ -553,7 +549,7 @@ def _gap_lp(d1: Design, points: np.ndarray, F: np.ndarray, F1: np.ndarray, model
     eigenvectors of N with eigenvalue below 1 and their pairwise mixtures.
     LP_ROUNDS rounds cap the loop; at the cap the search is inconclusive
     when the least bound so far fell over the last half of the rounds, and
-    a failed LP is inconclusive once B is at its cap.
+    a failed LP, at any B, ends it inconclusive.
 
     Returns (verified dominator or None, proof or "", inconclusive note or "").
     """
@@ -572,7 +568,7 @@ def _gap_lp(d1: Design, points: np.ndarray, F: np.ndarray, F1: np.ndarray, model
     for _ in range(LP_ROUNDS):
         res = rank_one_lp(A, A1, dirs, 1.0, (-box, box), active)
         if res.status != 0:
-            return None, "", f"the LP failed (HiGHS status {res.status})" if box >= 1e9 else ""
+            return None, "", f"the LP failed (HiGHS status {res.status})"
         active, a, j = res.active, res.active.size, dirs.shape[1]
         mu, slack = res.x[a: a + j], float(res.x[a + j:].max())
         # the gap is sum mu v v' less the slack: verify only where the slack
@@ -632,8 +628,8 @@ def find_dominator(
       candidates priced in by ``sweep``. Its dual bound below
       MATERIAL_FACTOR * DOMINANCE_TOL proves that no design there has a
       nonnegative definite gap of larger whitened trace. LP_ROUNDS rounds
-      cap it; a bound still falling at the cap, or an LP that fails at its
-      largest box, is inconclusive.
+      cap it; a bound still falling at the cap, or an LP that fails, is
+      inconclusive.
 
     Every returned dominator is verified by ``dominates``. A verdict of
     admissible without a proof means the search came up empty within budget;

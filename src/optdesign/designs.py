@@ -109,8 +109,13 @@ def design(points, weights=None, normalize=False) -> Design:
 
 
 def load_design(path) -> Design:
+    """Design from a design file, or from a ``solve`` report, whose
+    ``design`` field holds the atoms."""
     with open(path, "r", encoding="utf-8") as fh:
-        return Design.from_dict(json.load(fh))
+        obj = json.load(fh)
+    if isinstance(obj, dict) and "atoms" not in obj and "design" in obj:
+        obj = obj["design"]
+    return Design.from_dict(obj)
 
 
 def gram(F: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import pickle
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -136,9 +135,9 @@ class CandidateSet:
         return grid
 
     def _init(self, space, steps, points, axes) -> None:
-        # _features: (snapshot key of the model, its read-only regression
-        # matrix, a dict of what is derived from it: "rank", "screen" and
-        # ("garza", norm_tol) once asked); see features()
+        # _features: (the model object, held so no other object can take its
+        # id, its read-only regression matrix, a dict of what is derived from
+        # it: "rank", "screen" and ("garza", norm_tol) once asked); see features()
         self.__dict__.update(
             space=space, steps=tuple(float(s) for s in steps), _points=points, _axes=axes,
             _features=None,
@@ -190,11 +189,12 @@ class CandidateSet:
         The matrix is filled from ``eval_many`` in blocks of ``SWEEP_BLOCK``
         rows, so no second n x k copy is ever held, and it is laid out for
         ``sweep``, which reads its columns as the rows of F^T. The grid keeps
-        the matrix of the last model (a ``ModelSpec`` or a ``ConditionalModel``)
-        evaluated on it and hands it out again while the model's key equals
-        its snapshot from the fill (``_model_key``): both models are
-        immutable and compute their key once, so equal keys mean equal
-        values. Each block of rows is formed by ``rows``.
+        the matrix of the last model evaluated on it, and the model itself,
+        and hands the matrix out again for that very model object; any other
+        object, even an equal one, refills it. The models are immutable (a
+        ``ModelSpec`` freezes its params, a ``ConditionalModel`` makes its
+        lift and slice grid read-only), so the object's matrix cannot go
+        stale. Each block of rows is formed by ``rows``.
         """
         return self._feature_entry(model)[1]
 
@@ -203,8 +203,8 @@ class CandidateSet:
         of the k x k R of a QR taken ``SWEEP_BLOCK`` rows at a time
         (``_stacked_r``), so no n x k copy is made.
 
-        Computed on the first call and kept beside the matrix, under the same
-        snapshot, so a refill with another model computes it again.
+        Computed on the first call and kept beside the matrix, for the same
+        model, so a refill with another model computes it again.
         """
         return self._derived(model, "rank", lambda F: gram_rank(_stacked_r(F)))
 
@@ -227,7 +227,7 @@ class CandidateSet:
         Needs ``product_axes``. Returns None when the points are not such a
         product, when nothing is removed, or when the kept rows do not span
         all k dimensions. Computed on the first call and kept beside the
-        regression matrix, under the same snapshot, with the residual of each
+        regression matrix, for the same model, with the residual of each
         affine axis (see ``_screen``).
         """
         screened = self._derived(model, "screen", lambda F: _screen(F, self.product_axes))
@@ -308,22 +308,21 @@ class CandidateSet:
         return tuple(axes) if period == 1 else None
 
     def _derived(self, model, name: str, compute):
-        """``compute(self.features(model))``, kept beside the matrix under its snapshot."""
+        """``compute(self.features(model))``, kept beside the matrix for the same model."""
         _, F, derived = self._feature_entry(model)
         if name not in derived:
             derived[name] = compute(F)
         return derived[name]
 
     def _feature_entry(self, model) -> tuple:
-        key = _model_key(model)
-        if self._features is None or self._features[0] != key:
+        if self._features is None or self._features[0] is not model:
             n = len(self)
             F = np.empty((n, model.k), order="F")
             for start in range(0, n, SWEEP_BLOCK):
                 rows = slice(start, start + SWEEP_BLOCK)
                 F[rows] = model.eval_many(self.rows(rows))
             F.setflags(write=False)
-            object.__setattr__(self, "_features", (key, F, {}))
+            object.__setattr__(self, "_features", (model, F, {}))
         return self._features
 
 
@@ -354,14 +353,6 @@ def _product_run(axes: tuple, start: int, stop: int) -> np.ndarray:
         out[:, j] = seq
         s *= a.size
     return out
-
-
-def _model_key(model) -> bytes:
-    """The snapshot a grid keeps of the model its regression matrix belongs
-    to: the key a ``ModelSpec`` or ``ConditionalModel`` computed once, or
-    the pickled bytes of any other model."""
-    key = getattr(model, "_key", None)
-    return pickle.dumps(model) if key is None else key
 
 
 # a line passes the affine test when its differences from its first row are,
@@ -705,15 +696,13 @@ class ModelSpec:
     ``eval_many`` returns the n x k matrix of regression vectors; nonlinear
     families return parameter gradients, so every consumer can treat the model
     as linear. Once validated, ``params`` is frozen (``_frozen``: lists
-    become tuples, mappings read-only), so the key a grid keeps of the model
-    (``CandidateSet.features``) is computed once, from the family, the
-    frozen params and the space.
+    become tuples, mappings read-only), so the regression matrix a grid keeps
+    for the model object (``CandidateSet.features``) cannot go stale.
     """
 
     family: str
     params: Mapping = field(default_factory=dict)
     space: DesignSpace = None
-    _key: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -736,8 +725,6 @@ class ModelSpec:
                 f"{self.family} needs a {fam.dim}-dimensional space, got {self.space.dimension}"
             )
         object.__setattr__(self, "params", _frozen(self.params))
-        key = pickle.dumps((self.family, _plain(self.params), self.space))
-        object.__setattr__(self, "_key", key)
 
     def __reduce__(self):
         return ModelSpec, (self.family, _plain(self.params), self.space)

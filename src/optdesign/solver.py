@@ -62,12 +62,15 @@ class SolverOptions:
     init: object = "spread"          # "spread" or a Design
 
     def __post_init__(self):
-        if not self.kkt_tol > 0:  # also rejects NaN
-            raise ValidationError("tolerances must be positive")
+        if not 0 < self.kkt_tol < np.inf:  # also rejects NaN
+            raise ValidationError("tolerances must be positive and finite")
         if self.max_outer_iters < 1:
             raise ValidationError("iteration budgets must be >= 1")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
+        spread = isinstance(self.init, str) and self.init == "spread"
+        if not (spread or isinstance(self.init, Design)):
+            raise ValidationError(f"init must be 'spread' or a Design, got {self.init!r}")
 
 
 @dataclass(frozen=True)

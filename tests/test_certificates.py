@@ -286,7 +286,7 @@ def test_garza_rejects_negative_norm_tol():
     assert grid.points.ravel().tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
     rep = garza_report(m, grid)
     assert not rep.injective and rep.saturation_bound == 6
-    for bad in (-1.0, float("nan")):  # NaN once put every point in one bucket
+    for bad in (-1.0, float("nan"), float("inf")):  # NaN once put every point in one bucket
         with pytest.raises(ValidationError):
             garza_report(m, grid, norm_tol=bad)
 
@@ -297,7 +297,8 @@ def test_certify_rejects_negative_tol():
     grid = discretize(m.space, 0.5)
     d = design([[-1.0], [0.0], [1.0]])
     assert certify(d, m, grid, Criterion(0.0)).optimal
-    for bad in (-1e-5, float("nan")):  # NaN once gave optimal=False with no violating point
+    # NaN once gave optimal=False with no violating point; inf certified any design
+    for bad in (-1e-5, float("nan"), float("inf")):
         with pytest.raises(ValidationError):
             certify(d, m, grid, Criterion(0.0), tol=bad)
 

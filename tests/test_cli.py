@@ -119,6 +119,21 @@ def test_geometry_command(tmp_path, model21, design21):
     assert cs == [(0.0, 2.0), (0.5, 0.5)]
 
 
+@pytest.mark.parametrize("command, name", (("certify", "certify.json"), ("geometry", "polytope.json")))
+def test_certify_and_geometry_read_a_solve_report(tmp_path, model21, command, name):
+    # a solve report once exited 2 with "design file has no atoms"
+    assert main(["solve", "--model", str(model21), "--criterion", "D", "--out", str(tmp_path / "solve")]) == 0
+    report = tmp_path / "solve" / "report.json"
+    extracted = tmp_path / "design.json"
+    extracted.write_text(json.dumps(json.loads(report.read_text())["design"]))
+    outputs = []
+    for path in (report, extracted):
+        out = tmp_path / path.stem
+        assert main([command, "--model", str(model21), "--design", str(path), "--out", str(out)]) == 0
+        outputs.append({k: v for k, v in json.loads((out / name).read_text()).items() if k != "config_hash"})
+    assert outputs[0] == outputs[1]
+
+
 def test_garza_command(tmp_path):
     model = tmp_path / "wpoly.json"
     model.write_text(
@@ -150,7 +165,7 @@ def test_garza_command(tmp_path):
 
 
 def test_garza_negative_norm_tol_exits_2(tmp_path, model21):
-    for bad in ("-1", "nan"):
+    for bad in ("-1", "nan", "inf"):
         out = tmp_path / f"out{bad}"
         assert main(["garza", "--model", str(model21), "--norm-tol", bad, "--out", str(out)]) == 2
         assert not (out / "garza.json").exists()
@@ -161,6 +176,22 @@ def test_certify_nan_tol_exits_2(tmp_path, model21, design21):
     argv = ["certify", "--model", str(model21), "--design", str(design21), "--tol", "nan"]
     assert main(argv + ["--out", str(out)]) == 2
     assert not (out / "certify.json").exists()
+
+
+@pytest.mark.parametrize("command", ("solve", "certify", "geometry"))
+def test_infinite_tol_exits_2(tmp_path, capsys, model21, command):
+    # an infinite tolerance once certified a design 7.65 above the normality
+    # bound, warned of a truncated axis on a grid with none, and made solve
+    # exit 3 at a "tight (-inf)" truncated boundary
+    design = tmp_path / "off.json"
+    design.write_text(json.dumps({"atoms": [{"x": [0.5, 0.5], "w": 0.5}, {"x": [0.2, 0.9], "w": 0.5}]}))
+    out = tmp_path / "out"
+    argv = [command, "--model", str(model21), "--criterion", "D", "--tol", "inf", "--out", str(out)]
+    if command != "solve":
+        argv += ["--design", str(design)]
+    assert main(argv) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("flag", ("--tol", "--steps"))

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -259,7 +261,7 @@ def test_dominates_partial_order():
 
 def test_dominates_checks_its_tolerance(line2f):
     d1, d2 = design([[1, 0], [0, 1]]), design([[1, 1], [1, 0], [0, 1]], [1 / 3, 1 / 3, 1 / 3])
-    for tol in (-1e-9, float("nan")):
+    for tol in (-1e-9, float("nan"), float("inf")):
         with pytest.raises(ValidationError):
             dominates(d2, d1, line2f, tol=tol)
     # M(d2) - M(d1) = diag(0, 1/2) holds no rounding: at tol = 0 it dominates
@@ -690,6 +692,25 @@ def test_find_dominator_with_a_falling_bound_at_the_round_cap_is_inconclusive(mo
     verdict = find_dominator(d1, grid, model)
     assert verdict.inconclusive and not verdict.admissible
     assert verdict.note == "the dual bound was still falling at the LP round cap"
+
+
+def test_find_dominator_whose_first_lp_fails_is_inconclusive(monkeypatch):
+    # an LP that failed below the largest box once ended the search admissible,
+    # "no dominator found within budget", though the search had stopped
+    boxes = []
+
+    def failed(*args):
+        boxes.append(args[4])
+        return SimpleNamespace(status=2)
+
+    monkeypatch.setattr(conditional_module, "_moment_oracle", lambda *args: (None, ""))
+    monkeypatch.setattr(conditional_module, "rank_one_lp", failed)
+    model = make_model("polynomial", space=interval(-1.0, 1.0), degree=3)
+    d1, grid = _sweep_draw(model, 0.02, 4)
+    verdict = find_dominator(d1, grid, model)
+    assert boxes == [(-1e3, 1e3)]
+    assert verdict.inconclusive and not verdict.admissible and verdict.dominator is None
+    assert verdict.note == "the LP failed (HiGHS status 2)"
 
 
 def test_weights_dominator_merges_equal_points():

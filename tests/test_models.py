@@ -15,11 +15,14 @@ from optdesign import (
     MustTruncateError,
     SliceMap,
     ValidationError,
+    certify,
     default_candidates,
     discretize,
     eval_f,
+    garza_report,
     interval,
     make_model,
+    polytope_report,
     solve,
     truncate,
 )
@@ -302,22 +305,54 @@ def test_features_fill_is_column_major_in_blocks(monkeypatch):
     assert np.array_equal(F, m.eval_many(grid.points))
 
 
-def test_features_reuse_follows_model_values(monkeypatch):
+def test_features_reuse_follows_the_model_object(monkeypatch):
     rows = count_evaluations(monkeypatch, "polynomial")
     grid = discretize(interval(-1.0, 1.0), 0.1)
+    n = len(grid)
     m = make_model("polynomial", space=interval(-1.0, 1.0), degree=2)
+    crit = Criterion(0.0)
+    rep = solve(m, grid, crit)
+    check = certify(rep.design, m, grid, crit)
+    assert check.optimal
+    polytope_report(check.certificate, rep.design, m, grid)
+    garza_report(m, grid)
     F = grid.features(m)
-    assert rows == [21]
-    # an equal-valued new spec hits
-    assert grid.features(make_model("polynomial", space=interval(-1.0, 1.0), degree=2)) is F
-    assert rows == [21]
-    # other params, or another space holding the same grid, miss
+    # one model object fills the grid once across the pipeline; other calls
+    # evaluate the design's atoms only
+    assert rows.count(n) == 1 and max(rows) == n
+    # an equal-valued new spec is another object: it refills
+    twin = make_model("polynomial", space=interval(-1.0, 1.0), degree=2)
+    assert twin == m
+    F2 = grid.features(twin)
+    assert F2 is not F and np.array_equal(F2, F)
+    assert rows.count(n) == 2
+    # other params, or another space holding the same grid, refill too
     assert grid.features(make_model("polynomial", space=interval(-1.0, 1.0), degree=3)).shape == (21, 4)
     assert grid.features(make_model("polynomial", space=interval(-1.0, 2.0), degree=2)).shape == (21, 3)
-    assert rows == [21, 21, 21]
+    assert rows.count(n) == 4
     # one entry per grid: the last model evaluated takes the slot
     assert grid.features(m) is not F
-    assert rows == [21] * 4
+    assert rows.count(n) == 5
+
+
+def test_features_of_an_unpicklable_duck_typed_model():
+    class Quadratic:
+        k = 3
+        space = interval(-1.0, 1.0)
+        basis = staticmethod(lambda x: np.column_stack([np.ones(len(x)), x, x**2]))
+
+        def eval_many(self, points):
+            return self.basis(np.atleast_2d(np.asarray(points, dtype=float))[:, 0])
+
+    m = Quadratic()
+    with pytest.raises((AttributeError, pickle.PicklingError)):
+        pickle.dumps(m)
+    grid = discretize(m.space, 0.1)
+    crit = Criterion(0.0)
+    rep = solve(m, grid, crit)
+    assert rep.converged
+    assert certify(rep.design, m, grid, crit).optimal
+    assert np.sort(rep.design.points[:, 0]) == pytest.approx([-1.0, 0.0, 1.0])
 
 
 def test_features_rank_is_kept_with_the_matrix(monkeypatch):
@@ -667,7 +702,7 @@ def _no_mesh(axes):
     raise AssertionError("formed the grid's points")
 
 
-def test_model_params_are_frozen_and_keyed_once():
+def test_model_params_are_frozen_and_round_trip():
     efficiency = {"kind": "exp", "rate": 1.0}
     a = [1.0, 2.0]
     m = make_model("weighted-polynomial", degree=2, efficiency=efficiency)
@@ -680,13 +715,11 @@ def test_model_params_are_frozen_and_keyed_once():
     # the file form holds plain dicts and lists
     assert model_to_dict(m)["params"] == {"degree": 2, "efficiency": {"kind": "exp", "rate": 1.0}}
     assert model_to_dict(s)["params"] == {"a": [1.0, 2.0], "lambda": [1.0, 3.0]}
-    # the key is the values': a twin, a pickled copy and a replaced copy share it
-    twin = make_model("weighted-polynomial", degree=2, efficiency={"kind": "exp", "rate": 1.0})
-    assert twin._key == m._key == pickle.loads(pickle.dumps(m))._key
-    assert dataclasses.replace(m)._key == m._key
-    assert dataclasses.replace(m, space=interval(0.0, 2.0))._key != m._key
-    grid = discretize(m.space, 0.1)
-    assert grid.features(twin) is grid.features(m)
+    # a pickled copy and a replaced copy equal the model and write the same file form
+    for copy in (pickle.loads(pickle.dumps(m)), dataclasses.replace(m)):
+        assert copy == m and model_to_dict(copy) == model_to_dict(m)
+    assert pickle.loads(pickle.dumps(s)) == s
+    assert dataclasses.replace(m, space=interval(0.0, 2.0)) != m
 
 
 def _axis_keep_before_the_buffer(cols: list) -> tuple[np.ndarray, float]:

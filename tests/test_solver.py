@@ -825,10 +825,19 @@ def test_screened_set_holds_the_grid_max_of_the_sensitivity(family, params, crit
 
 
 def test_solver_options_reject_nan_tolerance():
-    # a NaN kkt_tol failed every stop test, so each Newton loop ran its whole budget
-    for bad in (0.0, -1e-5, float("nan")):
-        with pytest.raises(ValidationError, match="tolerances must be positive"):
+    # a NaN kkt_tol failed every stop test, so each Newton loop ran its whole budget;
+    # an infinite one passed any design
+    for bad in (0.0, -1e-5, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="tolerances must be positive and finite"):
             SolverOptions(kkt_tol=bad)
+
+
+def test_solver_options_reject_an_init_that_is_not_spread_or_a_design():
+    # any other value once started from the spread design unremarked
+    for bad in ("Spread", None, np.array([[0.0, 1.0]]), [[0.0, 1.0]]):
+        with pytest.raises(ValidationError, match="init must be 'spread' or a Design"):
+            SolverOptions(init=bad)
+    assert SolverOptions(init=design([[1.0, 0.0], [0.0, 1.0]])).init.weights.tolist() == [0.5, 0.5]
 
 
 def test_solver_options_reject_a_seed_that_is_not_a_nonnegative_integer():
