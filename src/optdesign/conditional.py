@@ -636,21 +636,11 @@ def find_dominator(
     it is a one-sided statement, not a proof of admissibility. The verdict's
     note names the candidate set a claim is about. The candidates must span
     at least the rank of d1's regression rows (both by ``gram_rank``).
-
-    A ``CandidateSet`` supplies its regression matrix through ``features``,
-    for any model, and an array of points (such as a conditional model's
-    grid) through ``eval_many``; the search takes the matrix row-major, so
-    both inputs give the same LPs to the last bit.
     """
-    if isinstance(candidates, CandidateSet):
-        points, F = candidates.points, np.ascontiguousarray(candidates.features(model))
-        rank = candidates.features_rank(model)
-    else:
-        points = np.atleast_2d(candidates)
-        F = model.eval_many(points)
-        rank = gram_rank(F)
+    points = candidates.points if isinstance(candidates, CandidateSet) else np.atleast_2d(candidates)
+    F = model.eval_many(points)
     F1 = model.eval_many(d1.points)
-    if rank < gram_rank(F1):
+    if gram_rank(F) < gram_rank(F1):
         raise ValidationError("candidate set spans less than the design to dominate")
 
     proof, unsettled, where = "", "", "these candidates"

@@ -97,11 +97,13 @@ class CandidateSet:
     """Finite list of grid points inside a design space.
 
     Points must be pairwise distinct under float equality, so ``0.0`` and
-    ``-0.0`` are the same point. ``CandidateSet(space, points, steps)`` keeps
-    the (n, q) points it is given. A grid from ``discretize`` keeps its axes
-    instead and forms ``points`` on each call, keeping none: every hot path
-    reads rows by index (``rows``), so such a grid holds its regression
-    matrix (n k 8 bytes, see ``features``) and its axes. Immutable.
+    ``-0.0`` are the same point. ``CandidateSet(space, points, steps)`` sorts
+    the (n, q) points it is given to check this, and keeps them. A grid from
+    ``discretize`` keeps its strictly increasing axes instead, needs no sort,
+    and forms ``points`` on each call, keeping none: every hot path reads
+    rows by index (``rows``), so such a grid holds its regression matrix
+    (n k 8 bytes, see ``features``) and its axes. ``steps`` holds one
+    finite, positive step per axis. Immutable.
     """
 
     def __init__(self, space: DesignSpace, points, steps):
@@ -110,12 +112,9 @@ class CandidateSet:
             raise ValidationError("candidate set must be nonempty")
         if pts.shape[1] != space.dimension:
             raise ValidationError("candidate points do not match space dimension")
+        steps = _grid_steps(steps, space.dimension)
         if not np.all(space.contains(pts)):
             raise ValidationError("candidate point outside design-space bounds")
-        pts.setflags(write=False)
-        self._init(space, steps, pts, None)
-        if self.product_axes is not None:
-            return  # strictly increasing axes in an exact product: distinct rows
         order = np.lexsort(pts.T)  # equal rows end up adjacent
         same = np.ones(pts.shape[0] - 1, dtype=bool)
         for j in range(pts.shape[1]):
@@ -123,6 +122,8 @@ class CandidateSet:
             same &= col[1:] == col[:-1]
         if same.any():
             raise ValidationError("candidate points must be pairwise distinct")
+        pts.setflags(write=False)
+        self._init(space, steps, pts, None)
 
     @classmethod
     def _product(cls, space: DesignSpace, axes: tuple, steps) -> CandidateSet:
@@ -139,7 +140,7 @@ class CandidateSet:
         # id, its read-only regression matrix, a dict of what is derived from
         # it: "rank", "screen" and ("garza", norm_tol) once asked); see features()
         self.__dict__.update(
-            space=space, steps=tuple(float(s) for s in steps), _points=points, _axes=axes,
+            space=space, steps=tuple(steps), _points=points, _axes=axes,
             _features=None,
         )
         if axes is not None:
@@ -159,25 +160,18 @@ class CandidateSet:
     @property
     def points(self) -> np.ndarray:
         """Read-only (n, q) array of the candidates. A product grid forms it
-        on each call (``_mesh``) and keeps none."""
+        from its axes on each call (``_mesh``) and keeps none."""
         return self._points if self._axes is None else _mesh(self._axes)
 
     def rows(self, idx) -> np.ndarray:
         """``points[idx]`` for an index array or a slice, not to be written.
-        A product grid forms only those rows, from its axes: a run of rows
-        by ``_product_run``, any other rows by their axis indices."""
+        A product grid forms only those rows, from their axis indices."""
         if self._axes is None:
             return self._points[idx]
         if isinstance(idx, slice):
-            start, stop, step = idx.indices(len(self))
-            if step == 1 and stop > start:
-                return _product_run(self._axes, start, stop)
-            idx = np.arange(start, stop, step)
+            idx = np.arange(*idx.indices(len(self)))
         subs = np.unravel_index(np.asarray(idx, dtype=np.intp), [a.size for a in self._axes])
-        out = np.empty((subs[0].size, len(self._axes)))
-        for j, (a, i) in enumerate(zip(self._axes, subs)):
-            out[:, j] = a[i]
-        return out
+        return np.stack([a[i] for a, i in zip(self._axes, subs)], axis=1)
 
     @property
     def max_step(self) -> float:
@@ -285,27 +279,20 @@ class CandidateSet:
         """Distinct coordinates of each axis, ascending and read-only, when the
         points are exactly their product in ``discretize`` order (the last
         axis varying fastest), else None. A grid from ``discretize`` is its
-        axes; for given points this is computed once, as they are read-only.
+        axes. Given points, read-only, have each column's distinct values as
+        axes when their mesh is the points, found on the first call and kept.
         """
         pts = self._points
-        n = pts.shape[0]
-        axes = []
-        period = n  # rows per full cycle of the current axis
-        for j in range(pts.shape[1]):
-            col = pts[:, j]
-            run = int(np.argmax(col != col[0])) or period  # leading run of equal values
-            if period % run:
-                return None
-            coords = col[:period:run]
-            if np.any(np.diff(coords) <= 0):
-                return None
-            if not np.all(col.reshape(n // period, coords.size, run) == coords[:, None]):
-                return None
-            coords = coords.copy()
-            coords.setflags(write=False)
-            axes.append(coords)
-            period = run
-        return tuple(axes) if period == 1 else None
+        axes = tuple(np.unique(col) for col in pts.T)
+        if math.prod(a.size for a in axes) != pts.shape[0]:
+            return None
+        # formed here, not by _mesh, which only a discretized grid's points use
+        mesh = np.meshgrid(*axes, indexing="ij", copy=False)
+        if not all(np.array_equal(m.ravel(), col) for m, col in zip(mesh, pts.T)):
+            return None
+        for a in axes:
+            a.setflags(write=False)
+        return axes
 
     def _derived(self, model, name: str, compute):
         """``compute(self.features(model))``, kept beside the matrix for the same model."""
@@ -328,31 +315,19 @@ class CandidateSet:
 
 def _mesh(axes: tuple) -> np.ndarray:
     """Every row of the product of ``axes``, read-only: a grid's points."""
-    pts = _product_run(axes, 0, math.prod(a.size for a in axes))
+    pts = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
     pts.setflags(write=False)
     return pts
 
 
-def _product_run(axes: tuple, start: int, stop: int) -> np.ndarray:
-    """Rows ``start`` to ``stop`` of the product of ``axes`` (the last axis
-    varying fastest). Axis j repeats each coordinate s_j times, s_j the size
-    of the axes after it, so its column is the coordinates the run touches,
-    tiled around the axis and repeated, the first and last cut to the run."""
-    out = np.empty((stop - start, len(axes)))
-    s = 1
-    for j in reversed(range(len(axes))):
-        a = axes[j]
-        lo, hi = start // s, (stop - 1) // s  # the repeats of axis j the run touches
-        off = lo % a.size
-        seq = np.tile(a, -(-(off + hi - lo + 1) // a.size))[off : off + hi - lo + 1]
-        if s > 1:
-            counts = np.full(seq.size, s)
-            counts[0] -= start - lo * s
-            counts[-1] -= (hi + 1) * s - stop
-            seq = np.repeat(seq, counts)
-        out[:, j] = seq
-        s *= a.size
-    return out
+def _grid_steps(steps, q: int) -> tuple[float, ...]:
+    """``steps`` as q floats, each finite and positive."""
+    steps = tuple(float(s) for s in steps)
+    if len(steps) != q:
+        raise ValidationError(f"expected {q} steps, got {len(steps)}")
+    if not all(0 < s < math.inf for s in steps):  # also rejects NaN
+        raise ValidationError("grid steps must be positive and finite")
+    return steps
 
 
 # a line passes the affine test when its differences from its first row are,
@@ -472,14 +447,7 @@ def discretize(space: DesignSpace, resolution: float | tuple[float, ...] = 0.01)
         j = next(i for i, (_, hi) in enumerate(space.bounds) if not math.isfinite(hi))
         raise MustTruncateError(f"axis {j} is unbounded; call truncate() before discretizing")
     q = space.dimension
-    if np.isscalar(resolution):
-        steps = (float(resolution),) * q
-    else:
-        steps = tuple(float(s) for s in resolution)
-        if len(steps) != q:
-            raise ValidationError(f"expected {q} steps, got {len(steps)}")
-    if not all(s > 0 for s in steps):  # also rejects NaN
-        raise ValidationError("grid steps must be positive")
+    steps = _grid_steps((resolution,) * q if np.isscalar(resolution) else resolution, q)
 
     axes = []
     eff = []

@@ -64,8 +64,9 @@ class SolverOptions:
     def __post_init__(self):
         if not 0 < self.kkt_tol < np.inf:  # also rejects NaN
             raise ValidationError("tolerances must be positive and finite")
-        if self.max_outer_iters < 1:
-            raise ValidationError("iteration budgets must be >= 1")
+        budget = self.max_outer_iters
+        if not isinstance(budget, (int, np.integer)) or budget < 1:
+            raise ValidationError("iteration budgets must be integers >= 1")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
         spread = isinstance(self.init, str) and self.init == "spread"

@@ -792,6 +792,26 @@ def test_search_returns_no_near_copy_of_an_index_design(seed, monkeypatch):
                 assert verdict.admissible, verdict.note
 
 
+def test_find_dominator_reads_a_grid_as_its_points(line2f):
+    # a search with another model leaves the grid's kept matrix in place, and
+    # the grid gives the verdict its points give, bit for bit
+    full = make_model("interaction-2f")
+    grid = discretize(full.space, 0.05)
+    F = grid.features(full)
+    for d1 in (design([[0.2, 0.3], [0.6, 0.1], [0.4, 0.9]], [0.2, 0.5, 0.3]), design([[0.0, 1.0], [1.0, 0.0]])):
+        verdict = find_dominator(d1, grid, line2f)
+        assert grid.features(full) is F
+        same = find_dominator(d1, grid.points, line2f)
+        assert (verdict.admissible, verdict.inconclusive, verdict.note) == (
+            same.admissible, same.inconclusive, same.note
+        )
+        if verdict.dominator is not None:
+            assert verdict.dominator.points.tobytes() == same.dominator.points.tobytes()
+            assert verdict.dominator.weights.tobytes() == same.dominator.weights.tobytes()
+        else:
+            assert same.dominator is None
+
+
 def test_find_dominator_rank_precondition(line2f):
     d = design([[1.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
     with pytest.raises(ValidationError):

@@ -118,10 +118,10 @@ def test_candidate_set_rejects_duplicate_points():
     assert verdicts == {True, False}
 
 
-def test_candidate_set_distinctness_on_and_off_the_product_path(monkeypatch):
+def test_candidate_set_distinctness_on_and_off_the_product_path():
     box = DesignSpace(((-1, 1), (0, 1)))
-    # an axis holding both -0.0 and 0.0 is not strictly increasing, so the
-    # product path does not apply and the sort finds the equal rows
+    # an axis holding both -0.0 and 0.0 makes a product of equal rows, which
+    # the sort finds
     axis = np.array([-1.0, -0.0, 0.0, 1.0])
     x0, x1 = (m.ravel() for m in np.meshgrid(axis, [0.0, 1.0], indexing="ij"))
     with pytest.raises(ValidationError, match="pairwise distinct"):
@@ -132,15 +132,22 @@ def test_candidate_set_distinctness_on_and_off_the_product_path(monkeypatch):
         CandidateSet(box, np.vstack([shuffled[:-1], shuffled[5:6]]), (0.1, 0.1))
     shuffled_set = CandidateSet(box, shuffled, (0.1, 0.1))
     assert shuffled_set.product_axes is None and len(shuffled_set) == len(grid)
-    # a product grid proves its rows distinct with no sort
-    def no_sort(keys):
-        raise AssertionError("sorted the rows")
 
-    monkeypatch.setattr(np, "lexsort", no_sort)
-    product = CandidateSet(box, grid, (0.1, 0.1))
-    assert product.product_axes is not None and len(product) == len(grid)
-    with pytest.raises(AssertionError, match="sorted the rows"):
-        CandidateSet(box, shuffled, (0.1, 0.1))
+
+def test_candidate_set_checks_its_steps_as_discretize_does():
+    # a negative step once failed later in solve ("merge tolerance must be
+    # nonnegative"), a NaN one turned off the merge, and a second step on a
+    # 1-D space went unnoticed
+    line = interval(0.0, 1.0)
+    for bad in ((-0.1,), (math.nan,), (math.inf,), (0.0,)):
+        with pytest.raises(ValidationError, match="grid steps must be positive and finite"):
+            CandidateSet(line, [[0.0], [1.0]], bad)
+        with pytest.raises(ValidationError, match="grid steps must be positive and finite"):
+            discretize(line, bad)
+    for space, steps in ((line, (0.1, 0.1)), (DesignSpace(((0, 1), (0, 1))), (0.1,))):
+        with pytest.raises(ValidationError, match=f"expected {space.dimension} steps"):
+            CandidateSet(space, np.zeros((1, space.dimension)), steps)
+    assert CandidateSet(line, [[0.0], [1.0]], [1]).steps == (1.0,)
 
 
 def test_grid_checks_read_every_axis():
@@ -684,8 +691,8 @@ def test_grid_rows_form_no_more_than_asked(monkeypatch):
 
 
 def test_grid_row_runs_match_their_axis_indices():
-    # a run of rows is formed from tiled and repeated axis coordinates; any
-    # other rows from their axis indices: both equal the rows of the points
+    # a slice of rows and the same rows by index are both formed from their
+    # axis indices, and both equal the rows of the points
     rng = np.random.default_rng(9)
     for _ in range(300):
         q = int(rng.integers(1, 5))

@@ -848,6 +848,15 @@ def test_solver_options_reject_a_seed_that_is_not_a_nonnegative_integer():
     assert SolverOptions(seed=np.int64(3)).seed == 3
 
 
+def test_solver_options_reject_an_iteration_budget_that_is_not_a_positive_integer():
+    # NaN once passed and left _exchange's loop unrun (UnboundLocalError on
+    # sens_all); 2.5 ran 3 iterations
+    for bad in (0, -1, 2.5, float("nan"), float("inf"), "3", None):
+        with pytest.raises(ValidationError, match="iteration budgets must be integers >= 1"):
+            SolverOptions(max_outer_iters=bad)
+    assert SolverOptions(max_outer_iters=np.int64(2)).max_outer_iters == 2
+
+
 def test_screened_solve_starts_the_full_grid_loop():
     # the 4 corners hold the A and the E optimum of interaction-2f: one
     # full-grid iteration confirms each
